@@ -34,17 +34,13 @@ from .cpa import (
 )
 from .ensemble import (
     ConeViolationError,
-    EnsembleSample,
-    RandomBlock,
     SpectrumHistogram,
-    SymplecticStructure,
     assemble_H,
-    local_R,
     mc_dos,
     sample_block,
     spectrum_X,
 )
-from .linalg import EigenDecomposition, NotPsdError, cholesky_psd, hermitian_eig
+from .linalg import NotPsdError, cholesky_psd, hermitian_eig
 from .model import ModelParams, assemble_K, delta_k, dispersion, k1_block
 
 __all__ = [
@@ -54,17 +50,13 @@ __all__ = [
     "CoherentPotential",
     "ConeViolationError",
     "DosCurve",
-    "EigenDecomposition",
-    "EnsembleSample",
     "KernelParams",
     "ModelParams",
     "NotPsdError",
     "QuadratureSpec",
-    "RandomBlock",
     "SolverConfig",
     "SolverError",
     "SpectrumHistogram",
-    "SymplecticStructure",
     "I_cpa",
     "I_g",
     "assemble_H",
@@ -82,7 +74,6 @@ __all__ = [
     "integrate_bz",
     "k1_block",
     "kernel_D",
-    "local_R",
     "mc_dos",
     "rmt_scaled_a1",
     "sample_block",

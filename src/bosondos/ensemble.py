@@ -7,14 +7,19 @@ Stability (all eigenfrequencies real) holds by construction because
 H = i*Sigma3*X = i*Sigma3*K + blockdiag(L_j^dagger L_j) is positive
 semidefinite, and the spectrum of X is recovered from H through a stable
 Hermitian reduction.
+
+Each realization takes one path through plain arrays: ``sample_block``
+returns a site's L, ``draw_sample`` the assembled H (via ``assemble_H``),
+and ``spectrum_X`` the eigenfrequency array of X.  Sigma3 is kept as its
+diagonal of signs and applied by row scaling.  ``mc_dos`` bins the spectra
+of many realizations into a :class:`SpectrumHistogram`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,12 +28,8 @@ from .model import ModelParams, assemble_K
 
 __all__ = [
     "ConeViolationError",
-    "SymplecticStructure",
-    "RandomBlock",
-    "EnsembleSample",
     "SpectrumHistogram",
     "sample_block",
-    "local_R",
     "assemble_H",
     "spectrum_X",
     "draw_sample",
@@ -38,56 +39,6 @@ __all__ = [
 
 class ConeViolationError(RuntimeError):
     """A sampled generator left the stability cone (model invariant breach)."""
-
-
-@dataclass(frozen=True)
-class SymplecticStructure:
-    """The fixed block matrices of the size-2N phase space."""
-
-    N: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be a positive integer")
-
-    @cached_property
-    def J(self) -> np.ndarray:
-        eye = np.eye(self.N)
-        zero = np.zeros((self.N, self.N))
-        return np.block([[zero, eye], [-eye, zero]])
-
-    @cached_property
-    def sigma3(self) -> np.ndarray:
-        return np.diag([1.0] * self.N + [-1.0] * self.N)
-
-    @cached_property
-    def sigma1(self) -> np.ndarray:
-        eye = np.eye(self.N)
-        zero = np.zeros((self.N, self.N))
-        return np.block([[zero, eye], [eye, zero]])
-
-
-@dataclass(frozen=True)
-class RandomBlock:
-    """Per-site random coupling: free complex M x N matrix A and the derived
-    L = (A | conj(A)) satisfying conj(L) = L * Sigma1 identically."""
-
-    site: int
-    A: np.ndarray
-
-    @property
-    def L(self) -> np.ndarray:
-        return np.hstack([self.A, self.A.conj()])
-
-
-@dataclass(frozen=True)
-class EnsembleSample:
-    """One realization: the site blocks and the Hermitian reduction
-    H = i*Sigma3*K + blockdiag(L_j^dagger L_j)."""
-
-    blocks: Tuple[RandomBlock, ...]
-    H: np.ndarray
-    rng_seed: Tuple[int, int]  # (root seed, sample index)
 
 
 @dataclass(frozen=True)
@@ -133,8 +84,10 @@ class SpectrumHistogram:
             )
 
 
-def sample_block(params: ModelParams, rng: np.random.Generator, site: int = 0) -> RandomBlock:
-    """Draw one site coupling from the Gaussian measure of strength b.
+def sample_block(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
+    """Draw one site coupling L = (A | conj(A)) from the Gaussian measure of
+    strength b; L satisfies the reality condition conj(L) = L * Sigma1
+    identically.
 
     The free entries A_{mn} are i.i.d. complex Gaussians with
     E|A_{mn}|^2 = b / (2N), i.e. real and imaginary parts of variance
@@ -152,27 +105,23 @@ def sample_block(params: ModelParams, rng: np.random.Generator, site: int = 0) -
     std = np.sqrt(params.b / (4.0 * params.N))
     shape = (params.M, params.N)
     A = std * rng.normal(size=shape) + 1j * std * rng.normal(size=shape)
-    return RandomBlock(site=site, A=A)
+    return np.hstack([A, A.conj()])
 
 
-def local_R(block: RandomBlock) -> np.ndarray:
-    """Single-site random generator -i*Sigma3*L^dagger*L (size 2N)."""
-    L = block.L
-    struct = SymplecticStructure(N=block.A.shape[1])
-    return -1j * struct.sigma3 @ (L.conj().T @ L)
-
-
-def _global_sigma3(N: int, n_sites: int) -> np.ndarray:
-    return np.kron(np.eye(n_sites), SymplecticStructure(N).sigma3)
+def _sigma3(N: int, n_sites: int) -> np.ndarray:
+    """Diagonal of Sigma3 on n_sites sites: +1 on each site's a modes, -1 on
+    its a* modes."""
+    return np.tile(np.repeat([1.0, -1.0], N), n_sites)
 
 
 def assemble_H(
     params: ModelParams,
-    blocks: Sequence[RandomBlock],
+    blocks: Sequence[np.ndarray],
     K: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Hermitian reduction H = i*Sigma3*K + blockdiag(L_j^dagger L_j).
 
+    ``blocks`` holds one coupling L_j per site, as drawn by ``sample_block``.
     ``K`` may be omitted in the single-site random-matrix limit (nu = 0,
     where K vanishes); otherwise pass the output of ``assemble_K``.
     """
@@ -188,15 +137,14 @@ def assemble_H(
     else:
         if K.shape != (dim, dim):
             raise ValueError(f"K has shape {K.shape}, expected {(dim, dim)}")
-        H = 1j * _global_sigma3(N, n_sites) @ K
-    for j, block in enumerate(blocks):
-        L = block.L
+        H = 1j * _sigma3(N, n_sites)[:, None] * K
+    for j, L in enumerate(blocks):
         sl = slice(2 * N * j, 2 * N * (j + 1))
         H[sl, sl] += L.conj().T @ L
     return H
 
 
-def spectrum_X(H: np.ndarray, N: int, shift_tol: float = 1e-10) -> np.ndarray:
+def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
     """All real eigenfrequencies mu of X = -i*Sigma3*H, H PSD (ascending).
 
     With H = C C^dagger the spectrum of Sigma3 * H equals that of the
@@ -207,31 +155,27 @@ def spectrum_X(H: np.ndarray, N: int, shift_tol: float = 1e-10) -> np.ndarray:
     dim = H.shape[0]
     if dim % (2 * N) != 0:
         raise ValueError(f"H dimension {dim} is not a multiple of 2N={2 * N}")
-    n_sites = dim // (2 * N)
     try:
-        C, _sigma = cholesky_psd(H, shift_tol=shift_tol)
+        C, _sigma = cholesky_psd(H)
     except NotPsdError as exc:
         raise ConeViolationError(
             f"sampled generator is outside the stability cone: {exc}"
         ) from exc
-    S3 = _global_sigma3(N, n_sites)
-    reduced = C.conj().T @ S3 @ C
+    reduced = C.conj().T @ (_sigma3(N, dim // (2 * N))[:, None] * C)
     reduced = 0.5 * (reduced + reduced.conj().T)  # scrub rounding asymmetry
-    return hermitian_eig(reduced).eigenvalues
+    return hermitian_eig(reduced)
 
 
 def draw_sample(
     params: ModelParams,
-    seed_pair: Tuple[int, int],
     child: np.random.SeedSequence,
     K: Optional[np.ndarray] = None,
-    n_sites: int = 1,
-) -> EnsembleSample:
-    """Build one EnsembleSample from a spawned per-sample seed sequence."""
+) -> np.ndarray:
+    """The reduction H of one realization on ``params.n_sites`` sites, drawn
+    from a spawned per-sample seed sequence."""
     rng = np.random.default_rng(child)
-    blocks = tuple(sample_block(params, rng, site=j) for j in range(n_sites))
-    H = assemble_H(params, blocks, K=K)
-    return EnsembleSample(blocks=blocks, H=H, rng_seed=seed_pair)
+    blocks = [sample_block(params, rng) for _ in range(params.n_sites)]
+    return assemble_H(params, blocks, K=K)
 
 
 def mc_dos(
@@ -240,8 +184,6 @@ def mc_dos(
     bins: int,
     seed: int,
     omega_max: Optional[float] = None,
-    zero_tol_factor: float = 1e-8,
-    shift_tol: float = 1e-10,
 ) -> SpectrumHistogram:
     """Eigenfrequency histogram over ``n_samples`` independent realizations.
 
@@ -249,8 +191,10 @@ def mc_dos(
     single-site random-matrix limit, which requires nu = 0).  Each sample
     gets its own RNG stream spawned from (seed, sample index), so results
     are reproducible and independent of any execution order.  Zero modes
-    (|mu| <= zero_tol, with zero_tol = zero_tol_factor * median|mu|) are
-    counted separately from the binned density.
+    (|mu| <= zero_tol, with zero_tol = 1e-8 * max|mu| over all samples) are
+    counted separately from the binned density.  The scale is the largest
+    frequency, not a typical one, because at a < 1/2 most modes are zero
+    modes.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -262,22 +206,16 @@ def mc_dos(
                 "single-site sampling (extents=None) requires nu = 0"
             )
         K = None
-        n_sites = 1
     else:
         K = assemble_K(params)
-        n_sites = params.n_sites
 
-    abs_mu: List[np.ndarray] = []
-    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
-        sample = draw_sample(
-            params, (seed, idx), child, K=K, n_sites=n_sites
-        )
-        mu = spectrum_X(sample.H, params.N, shift_tol=shift_tol)
-        abs_mu.append(np.abs(mu))
-    values = np.concatenate(abs_mu)
+    values = np.concatenate([
+        np.abs(spectrum_X(draw_sample(params, child, K=K), params.N))
+        for child in np.random.SeedSequence(seed).spawn(n_samples)
+    ])
     total = values.size
 
-    zero_tol = zero_tol_factor * float(np.median(values))
+    zero_tol = 1e-8 * float(values.max())
     nonzero = values[values > zero_tol]
     zero_count = total - nonzero.size
 

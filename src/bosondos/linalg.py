@@ -1,21 +1,18 @@
-"""Dense Hermitian kernels: eigendecomposition and PSD Cholesky with minimal shift.
+"""Dense Hermitian kernels: eigenvalues and PSD Cholesky with minimal shift.
 
-Thin contracts over the LAPACK routines exposed by numpy; the value added
-here is validation (Hermiticity on input, cone membership for the
-factorization) and the minimal-diagonal-shift policy for semidefinite
-matrices.
+Thin contracts over the LAPACK routines exposed by numpy, on plain arrays:
+``hermitian_eig`` returns the ascending eigenvalue array and
+``cholesky_psd`` the pair (C, sigma).  The value added here is validation
+(Hermiticity on input, cone membership for the factorization) and the
+minimal-diagonal-shift policy for semidefinite matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "NotPsdError",
-    "EigenDecomposition",
     "check_hermitian",
     "hermitian_eig",
     "cholesky_psd",
@@ -24,14 +21,6 @@ __all__ = [
 
 class NotPsdError(np.linalg.LinAlgError):
     """The matrix is indefinite beyond the allowed semidefinite tolerance."""
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending real eigenvalues, with the unitary eigenbasis kept on request."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray] = None
 
 
 def check_hermitian(A, rel_tol: float = 1e-12) -> np.ndarray:
@@ -49,14 +38,11 @@ def check_hermitian(A, rel_tol: float = 1e-12) -> np.ndarray:
     return A
 
 
-def hermitian_eig(A, compute_vectors: bool = False) -> EigenDecomposition:
+def hermitian_eig(A) -> np.ndarray:
     """All-real ascending spectrum of a Hermitian matrix (LAPACK-backed)."""
     A = check_hermitian(A)
     try:
-        if compute_vectors:
-            w, v = np.linalg.eigh(A)
-            return EigenDecomposition(eigenvalues=w, eigenvectors=v)
-        return EigenDecomposition(eigenvalues=np.linalg.eigvalsh(A))
+        return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise np.linalg.LinAlgError(
             f"Hermitian eigensolver failed to converge on a "

@@ -11,21 +11,18 @@ def random_hermitian(n, rng):
 
 
 def test_identity_spectrum():
-    dec = hermitian_eig(np.eye(6))
-    assert np.allclose(dec.eigenvalues, 1.0)
+    assert np.allclose(hermitian_eig(np.eye(6)), 1.0)
 
 
 def test_diagonal_spectrum_sorted():
-    dec = hermitian_eig(np.diag([3.0, -1.0, 2.0]))
-    assert dec.eigenvalues == pytest.approx([-1.0, 2.0, 3.0])
+    assert hermitian_eig(np.diag([3.0, -1.0, 2.0])) == pytest.approx([-1.0, 2.0, 3.0])
 
 
 def test_eigenvalue_sum_equals_trace():
     rng = np.random.default_rng(0)
     for _ in range(5):
         A = random_hermitian(12, rng)
-        dec = hermitian_eig(A)
-        assert dec.eigenvalues.sum() == pytest.approx(np.trace(A).real, abs=1e-10)
+        assert hermitian_eig(A).sum() == pytest.approx(np.trace(A).real, abs=1e-10)
 
 
 def test_spectrum_invariant_under_unitary_conjugation():
@@ -33,18 +30,9 @@ def test_spectrum_invariant_under_unitary_conjugation():
     A = random_hermitian(10, rng)
     Q, _ = np.linalg.qr(rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10)))
     B = Q @ A @ Q.conj().T
-    wa = hermitian_eig(A).eigenvalues
-    wb = hermitian_eig(B).eigenvalues
+    wa = hermitian_eig(A)
+    wb = hermitian_eig(B)
     assert np.allclose(wa, wb, atol=1e-10 * np.abs(wa).max())
-
-
-def test_eigenvector_reconstruction():
-    rng = np.random.default_rng(2)
-    A = random_hermitian(9, rng)
-    dec = hermitian_eig(A, compute_vectors=True)
-    norm = np.linalg.norm(A, 2)
-    for lam, v in zip(dec.eigenvalues, dec.eigenvectors.T):
-        assert np.linalg.norm(A @ v - lam * v) <= 1e-10 * norm
 
 
 def test_non_hermitian_rejected():
