@@ -14,14 +14,11 @@ from .bzquad import (
     QuadratureSpec,
     I_cpa,
     I_g,
-    integrate_bz,
-    kernel_D,
 )
 from .cpa import (
     BranchError,
     CoherentPotential,
     DosCurve,
-    SolverConfig,
     SolverError,
     cpa_residual,
     continuation_sweep,
@@ -54,7 +51,6 @@ __all__ = [
     "ModelParams",
     "NotPsdError",
     "QuadratureSpec",
-    "SolverConfig",
     "SolverError",
     "SpectrumHistogram",
     "I_cpa",
@@ -71,9 +67,7 @@ __all__ = [
     "find_gap_edge",
     "g_of_z",
     "hermitian_eig",
-    "integrate_bz",
     "k1_block",
-    "kernel_D",
     "mc_dos",
     "rmt_scaled_a1",
     "sample_block",

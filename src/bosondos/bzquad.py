@@ -1,37 +1,44 @@
 """Normalized Brillouin-zone quadrature on periodic tensor-product grids.
 
 All integrals are normalized by (2*pi)^d, i.e. they are means over
-[0, 2*pi)^d.  The integrands appearing in the mean-field equations are
-smooth and periodic as long as Re z > 0 keeps the propagator denominator
-away from zero, so the uniform (trapezoidal == rectangle) rule converges
-spectrally.  Summation is plain C-order numpy pairwise reduction, which is
-deterministic for a fixed grid.
+[0, 2*pi)^d.  Every propagator kernel depends on k only through the scaled
+Laplacian symbol dlt_k = mean_i cos k_i, so the one primitive ``_zone_mean``
+takes a kernel written as a function of dlt and averages it over the cached
+symbol values of the uniform grid.  The integrands are smooth and periodic
+as long as Re z > 0 keeps the propagator denominator away from zero, so the
+uniform (trapezoidal == rectangle) rule converges spectrally.  Summation is
+plain C-order numpy pairwise reduction, which is deterministic for a fixed
+grid.  In the random-matrix limit nu = 0 the kernels do not depend on k and
+the primitive evaluates them once at dlt = 0, without a grid.
+
+With ``QuadratureSpec.convergence_check`` the mean is recomputed on the
+doubled grid; a relative disagreement beyond ``REL_TOL`` issues an
+AccuracyWarning and the doubled-grid value is returned.
 """
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
-
-from .model import delta_k
 
 __all__ = [
     "QuadratureSpec",
     "KernelParams",
     "AccuracyWarning",
     "default_points_per_dim",
-    "kernel_D",
-    "integrate_bz",
     "I_g",
     "I_cpa",
     "dI_cpa_dp",
 ]
 
 _DEFAULT_POINTS = {1: 4096, 2: 256, 3: 64}
+
+REL_TOL = 1e-9  # relative tolerance of the grid-doubling check
 
 
 class AccuracyWarning(UserWarning):
@@ -48,19 +55,16 @@ class QuadratureSpec:
     """Uniform-grid quadrature configuration.
 
     ``convergence_check`` compares the result against a doubled grid and
-    attaches an AccuracyWarning on disagreement beyond ``rel_tol``; the
+    attaches an AccuracyWarning on disagreement beyond ``REL_TOL``; the
     doubled-grid value is the one returned in that mode.
     """
 
     points_per_dim: int = 4096
     convergence_check: bool = False
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if self.points_per_dim < 4:
             raise ValueError("points_per_dim must be at least 4")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,40 +77,14 @@ class KernelParams:
     nu: float
 
 
-def kernel_D(k, kp: KernelParams, d=None):
-    """Propagator denominator z^2 + p^2 + p*nu*(2 - dlt) + nu^2*(1 - dlt)."""
-    return _D_of_delta(delta_k(k, d), kp)
-
-
 def _D_of_delta(dlt, kp: KernelParams):
+    """Propagator denominator z^2 + p^2 + p*nu*(2 - dlt) + nu^2*(1 - dlt)."""
     return (
         kp.z * kp.z
         + kp.p * kp.p
         + kp.p * kp.nu * (2.0 - dlt)
         + kp.nu * kp.nu * (1.0 - dlt)
     )
-
-
-def _check_finite(values: np.ndarray, d: int, n: int) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        idx = np.argwhere(~np.isfinite(values.reshape((n,) * d)))[0]
-        point = tuple(float(2.0 * np.pi * i / n) for i in idx)
-        raise ValueError(
-            f"non-finite integrand sample at grid point k={point} "
-            f"(index {tuple(int(i) for i in idx)}, {n} points per dimension)"
-        )
-    return values
-
-
-def _grid_mean(f: Callable, d: int, n: int) -> complex:
-    axes = np.meshgrid(
-        *(2.0 * np.pi * np.arange(n) / n for _ in range(d)),
-        indexing="ij",
-        sparse=True,
-    )
-    values = np.broadcast_to(np.asarray(f(*axes), dtype=complex), (n,) * d)
-    _check_finite(values, d, n)
-    return complex(values.mean())
 
 
 @lru_cache(maxsize=8)
@@ -124,99 +102,77 @@ def _delta_grid(d: int, n: int) -> np.ndarray:
     return dlt
 
 
-def _kernel_mean(build: Callable, d: int, spec: QuadratureSpec) -> complex:
-    """Mean of a kernel given as a function of the Laplacian symbol.
+def _zone_mean(
+    build: Callable, kp: KernelParams, d: int, spec: QuadratureSpec
+) -> List[complex]:
+    """Zone means of the arrays ``build(dlt)`` returns, one per entry.
 
-    Semantics identical to ``integrate_bz`` (same grid, same summation
-    order, same finiteness and doubling-check behavior); the symbol values
-    are cached across calls since every propagator kernel factors through
-    them.
+    The first entry must be a nonzero factor times 1/D, so it is finite
+    exactly where every entry is.  Only its mean is checked: one non-finite
+    sample makes the mean non-finite, and then the first such grid point is
+    reported.  At nu = 0 nothing depends on k and ``build`` runs once on the
+    scalar dlt = 0.
     """
+    if kp.nu == 0.0:
+        return [complex(v) for v in build(0.0)]
     n = spec.points_per_dim
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = complex(_check_finite(build(_delta_grid(d, n)), d, n).mean())
-        if not spec.convergence_check:
-            return val
-        fine = complex(
-            _check_finite(build(_delta_grid(d, 2 * n)), d, 2 * n).mean()
-        )
-    scale = max(abs(fine), np.finfo(float).tiny)
-    if abs(val - fine) > spec.rel_tol * scale:
-        warnings.warn(
-            AccuracyWarning(
-                f"grid-doubling check failed: |I_n - I_2n| = {abs(val - fine):.3e} "
-                f"exceeds rel_tol={spec.rel_tol:g} * |I_2n| at n={n}, d={d}"
-            ),
-            stacklevel=3,
-        )
-    return fine
-
-
-def integrate_bz(f: Callable, d: int, spec: QuadratureSpec) -> complex:
-    """Mean of ``f`` over the uniform periodic grid on [0, 2*pi)^d.
-
-    ``f`` receives d broadcastable meshgrid arrays (one per component) and
-    must return values of matching broadcast shape.  Exact for trigonometric
-    polynomials of per-component degree below points_per_dim - 1.
-    """
-    val = _grid_mean(f, d, spec.points_per_dim)
-    if not spec.convergence_check:
-        return val
-    fine = _grid_mean(f, d, 2 * spec.points_per_dim)
-    scale = max(abs(fine), np.finfo(float).tiny)
-    if abs(val - fine) > spec.rel_tol * scale:
-        warnings.warn(
-            AccuracyWarning(
-                f"grid-doubling check failed: |I_n - I_2n| = {abs(val - fine):.3e} "
-                f"exceeds rel_tol={spec.rel_tol:g} * |I_2n| at "
-                f"n={spec.points_per_dim}, d={d}"
-            ),
-            stacklevel=2,
-        )
-    return fine
+    means = None
+    for m in (n, 2 * n) if spec.convergence_check else (n,):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = build(_delta_grid(d, m))
+            coarse, means = means, [complex(v.mean()) for v in values]
+        if not cmath.isfinite(means[0]):
+            bad = np.argwhere(~np.isfinite(values[0]))
+            if not bad.size:
+                raise ValueError(f"zone mean overflows at {m} points per dimension")
+            idx = bad[0]
+            point = tuple(float(2.0 * np.pi * i / m) for i in idx)
+            raise ValueError(
+                f"non-finite integrand sample at grid point k={point} "
+                f"(index {tuple(int(i) for i in idx)}, {m} points per dimension)"
+            )
+    if spec.convergence_check:
+        for i_n, i_2n in zip(coarse, means):
+            scale = max(abs(i_2n), np.finfo(float).tiny)
+            if abs(i_n - i_2n) > REL_TOL * scale:
+                warnings.warn(
+                    AccuracyWarning(
+                        f"grid-doubling check failed: |I_n - I_2n| = "
+                        f"{abs(i_n - i_2n):.3e} exceeds rel_tol={REL_TOL:g} "
+                        f"* |I_2n| at n={n}, d={d}"
+                    ),
+                    stacklevel=3,
+                )
+    return means
 
 
 def I_g(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
-    """Resolvent integral: mean of z / D(k) over the zone."""
-    return _kernel_mean(lambda dlt: kp.z / _D_of_delta(dlt, kp), d, spec)
-
-
-def I_cpa(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
-    """Self-consistency integral: mean of (p + nu*(1 - dlt/2)) / D(k)."""
-    return _kernel_mean(
-        lambda dlt: (kp.p + kp.nu * (1.0 - 0.5 * dlt)) / _D_of_delta(dlt, kp),
-        d,
-        spec,
-    )
-
-
-def dI_cpa_dp(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
-    """Analytic p-derivative of ``I_cpa`` (differentiation under the integral)."""
-
-    def build(dlt):
-        D = _D_of_delta(dlt, kp)
-        num = kp.p + kp.nu * (1.0 - 0.5 * dlt)
-        dD = 2.0 * kp.p + kp.nu * (2.0 - dlt)
-        return 1.0 / D - num * dD / (D * D)
-
-    return _kernel_mean(build, d, spec)
+    """Resolvent integral: mean of z / D over the zone."""
+    return _zone_mean(lambda dlt: (kp.z / _D_of_delta(dlt, kp),), kp, d, spec)[0]
 
 
 def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
     """(I_cpa, dI_cpa/dp) from one shared evaluation of the denominator.
 
+    I_cpa is the self-consistency integral, the mean of
+    (p + nu*(1 - dlt/2)) / D; its p-derivative is taken under the integral.
     Newton iterations call this on every step; fusing the two integrals
-    halves the dominant cost.  With ``convergence_check`` set it falls back
-    to the checked single-kernel routines.
+    halves the dominant cost.
     """
-    if spec.convergence_check:
-        return I_cpa(kp, d, spec), dI_cpa_dp(kp, d, spec)
-    n = spec.points_per_dim
-    dlt = _delta_grid(d, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
+
+    def build(dlt):
         inv_D = 1.0 / _D_of_delta(dlt, kp)
-    _check_finite(inv_D, d, n)
-    num = kp.p + kp.nu * (1.0 - 0.5 * dlt)
-    t = num * inv_D
-    dD = 2.0 * kp.p + kp.nu * (2.0 - dlt)
-    return complex(t.mean()), complex((inv_D * (1.0 - t * dD)).mean())
+        t = (kp.p + kp.nu * (1.0 - 0.5 * dlt)) * inv_D
+        return t, inv_D * (1.0 - t * (2.0 * kp.p + kp.nu * (2.0 - dlt)))
+
+    return _zone_mean(build, kp, d, spec)
+
+
+def I_cpa(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
+    """Self-consistency integral: mean of (p + nu*(1 - dlt/2)) / D."""
+    return I_cpa_and_derivative(kp, d, spec)[0]
+
+
+def dI_cpa_dp(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
+    """Analytic p-derivative of ``I_cpa`` (differentiation under the integral)."""
+    return I_cpa_and_derivative(kp, d, spec)[1]

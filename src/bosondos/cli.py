@@ -20,7 +20,6 @@ from . import __version__
 from .bzquad import QuadratureSpec, default_points_per_dim
 from .cpa import (
     BranchError,
-    SolverConfig,
     SolverError,
     default_eps,
     dos_curve,
@@ -288,7 +287,7 @@ def _run_dos(config: RunConfig, rmt: bool) -> int:
                           convergence_check=config.check_quadrature)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        curve = dos_curve(omegas, eps, params, spec, SolverConfig(),
+        curve = dos_curve(omegas, eps, params, spec,
                           richardson=config.richardson)
     notes = [str(w.message) for w in caught] + list(curve.notes)
     for i, note in enumerate(dict.fromkeys(notes)):
@@ -359,8 +358,8 @@ def _run_solve_p(config: RunConfig) -> int:
 
 
 def _run_compare(config: RunConfig) -> int:
-    _, cpa_cols = parse_csv(config.cpa)
-    _, mc_cols = parse_csv(config.mc)
+    cpa_meta, cpa_cols = parse_csv(config.cpa)
+    mc_meta, mc_cols = parse_csv(config.mc)
     for need, cols, path in (
         (("omega", "rho"), cpa_cols, config.cpa),
         (("bin_left", "bin_right", "density"), mc_cols, config.mc),
@@ -368,7 +367,22 @@ def _run_compare(config: RunConfig) -> int:
         missing = [name for name in need if name not in cols]
         if missing:
             raise ValueError(f"{path} lacks columns {missing}")
+    if "a" not in mc_meta and {"N", "M"} <= mc_meta.keys():
+        mc_meta["a"] = int(mc_meta["M"]) / (2 * int(mc_meta["N"]))
+    for key in ("d", "nu", "b", "a"):
+        if key in cpa_meta and key in mc_meta:
+            if float(cpa_meta[key]) != float(mc_meta[key]):
+                raise ValueError(
+                    f"{key} differs between {config.cpa} ({cpa_meta[key]}) "
+                    f"and {config.mc} ({mc_meta[key]})"
+                )
     centers = 0.5 * (mc_cols["bin_left"] + mc_cols["bin_right"])
+    last = cpa_cols["omega"].max(initial=-np.inf)
+    if centers.max(initial=-np.inf) > last:
+        raise ValueError(
+            f"bin center {centers.max()!r} lies above the last omega {last!r} "
+            f"of {config.cpa}; the curve would be extrapolated"
+        )
     widths = mc_cols["bin_right"] - mc_cols["bin_left"]
     l1, max_dev = compare_curves(cpa_cols["omega"], cpa_cols["rho"],
                                  centers, widths, mc_cols["density"])

@@ -18,6 +18,15 @@ Numerics note: Newton iterates on the cleared form
 which is equivalent to the equation above for p != 0 but free of the
 catastrophic 1/b vs a/p cancellation at weak disorder.  Convergence and the
 reported ``residual`` are measured relative to the natural scale of G.
+
+Every zone mean goes through :mod:`bosondos.bzquad`, which also covers the
+random-matrix limit nu = 0, so the solver has no special case for it.  The
+solver's settings are the module constants below: Newton stops at a
+relative mismatch of NEWTON_TOL within MAX_ITER damped steps (step factor
+DAMPING, at most MAX_SIGN_LOSSES steps that only improve with Re p <= 0);
+continuation starts at the real frequency Z_START_SCALE * max(b, nu) and
+marches straight-line paths in PATH_STEPS initial steps, halving a step at
+most MAX_PATH_REFINE times on a failed solve or a jump beyond JUMP_TOL.
 """
 
 from __future__ import annotations
@@ -36,7 +45,6 @@ from .model import ModelParams
 __all__ = [
     "SolverError",
     "BranchError",
-    "SolverConfig",
     "CoherentPotential",
     "DosCurve",
     "cpa_residual",
@@ -62,35 +70,14 @@ class BranchError(RuntimeError):
     """No admissible physical-branch solution (e.g. persistent Re p <= 0)."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton/continuation configuration.
-
-    ``newton_tol`` bounds the relative self-consistency mismatch;
-    continuation starts at the real frequency z_start_scale * max(b, nu)
-    and marches straight-line paths with adaptive step halving (at most
-    ``max_path_refine`` halvings of the initial step 1/path_steps).
-    """
-
-    newton_tol: float = 1e-12
-    max_iter: int = 100
-    damping: float = 0.5
-    z_start_scale: float = 10.0
-    path_steps: int = 8
-    max_path_refine: int = 20
-    jump_tol: float = 0.5
-    max_sign_losses: int = 3
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.z_start_scale < 10.0:
-            raise ValueError(
-                "z_start_scale must be >= 10 so the continuation starts deep "
-                "in the asymptotic regime"
-            )
-        if not 0 < self.damping < 1:
-            raise ValueError("damping must lie in (0, 1)")
+NEWTON_TOL = 1e-12
+MAX_ITER = 100
+DAMPING = 0.5
+Z_START_SCALE = 10.0  # >= 10 starts the continuation deep in the asymptotic regime
+PATH_STEPS = 8
+MAX_PATH_REFINE = 20
+JUMP_TOL = 0.5
+MAX_SIGN_LOSSES = 3
 
 
 @dataclass(frozen=True)
@@ -156,15 +143,6 @@ def default_eps(params: ModelParams) -> float:
     return 1e-3 * scale
 
 
-def _I_terms(p: complex, z: complex, params: ModelParams, spec: QuadratureSpec):
-    """(I_cpa, dI_cpa/dp) with the grid bypassed in the k-independent nu = 0 limit."""
-    if params.nu == 0.0:
-        w = z * z + p * p
-        return p / w, (z * z - p * p) / (w * w)
-    kp = KernelParams(z=z, p=p, nu=params.nu)
-    return bzquad.I_cpa_and_derivative(kp, params.d, spec)
-
-
 def cpa_residual(
     p: complex, z: complex, params: ModelParams, spec: Optional[QuadratureSpec] = None
 ) -> complex:
@@ -174,18 +152,15 @@ def cpa_residual(
     if params.b == 0:
         raise ValueError("b = 0 has no self-consistency equation (pure system)")
     spec = _resolve_spec(spec, params)
-    p, z = complex(p), complex(z)
-    if params.nu == 0.0:
-        I = p / (z * z + p * p)
-    else:
-        I = bzquad.I_cpa(KernelParams(z=z, p=p, nu=params.nu), params.d, spec)
-    return 1.0 / params.b - params.a / p + I
+    kp = KernelParams(z=complex(z), p=complex(p), nu=params.nu)
+    return 1.0 / params.b - params.a / kp.p + bzquad.I_cpa(kp, params.d, spec)
 
 
 def _G_terms(p: complex, z: complex, params: ModelParams, spec: QuadratureSpec):
     """Cleared residual G = p - a*b + b*p*I, its p-derivative, and its scale."""
     a, b = params.a, params.b
-    I, dI = _I_terms(p, z, params, spec)
+    kp = KernelParams(z=z, p=p, nu=params.nu)
+    I, dI = bzquad.I_cpa_and_derivative(kp, params.d, spec)
     G = p - a * b + b * p * I
     dG = 1.0 + b * I + b * p * dI
     scale = a * b + abs(p) * (1.0 + b * abs(I))
@@ -214,7 +189,7 @@ def _accept_branch(p, z, params, spec, flags):
         )
 
 
-def _newton(z, p0, params, spec, cfg):
+def _newton(z, p0, params, spec):
     """Damped Newton on the cleared residual; returns (p, residual, iters, flags)."""
     p = complex(p0)
     if p == 0:
@@ -222,8 +197,8 @@ def _newton(z, p0, params, spec, cfg):
     G, dG, scale = _G_terms(p, z, params, spec)
     flags: List[str] = []
     sign_losses = 0
-    for it in range(cfg.max_iter):
-        if abs(G) <= cfg.newton_tol * scale:
+    for it in range(MAX_ITER):
+        if abs(G) <= NEWTON_TOL * scale:
             _accept_branch(p, z, params, spec, flags)
             return p, abs(G) / scale, it, tuple(flags)
         if dG == 0:
@@ -243,7 +218,7 @@ def _newton(z, p0, params, spec, cfg):
                         break
                     if fallback is None:
                         fallback = (pn, Gn, dGn, scale_n)
-            lam *= cfg.damping
+            lam *= DAMPING
         if not accepted:
             if fallback is None:
                 raise SolverError(
@@ -253,26 +228,26 @@ def _newton(z, p0, params, spec, cfg):
                 )
             # only improving steps had Re p <= 0
             sign_losses += 1
-            if sign_losses > cfg.max_sign_losses:
+            if sign_losses > MAX_SIGN_LOSSES:
                 raise BranchError(
                     f"persistent loss of Re p > 0 at z={z} (last p={fallback[0]})"
                 )
             flags.append("re_p_nonpositive_step")
             p, G, dG, scale = fallback
-    if abs(G) <= cfg.newton_tol * scale:
+    if abs(G) <= NEWTON_TOL * scale:
         _accept_branch(p, z, params, spec, flags)
-        return p, abs(G) / scale, cfg.max_iter, tuple(flags)
+        return p, abs(G) / scale, MAX_ITER, tuple(flags)
     raise SolverError(
-        f"no convergence after {cfg.max_iter} iterations at z={z}: "
+        f"no convergence after {MAX_ITER} iterations at z={z}: "
         f"relative residual {abs(G) / scale:.3e}",
         last_p=p,
     )
 
 
-def _march(z_from, p_from, z_to, params, spec, cfg, initial_steps=1):
+def _march(z_from, p_from, z_to, params, spec, initial_steps=1):
     """Continue the branch along the straight segment z_from -> z_to.
 
-    Adaptive stepping: on solver failure or a jump larger than jump_tol the
+    Adaptive stepping: on solver failure or a jump larger than JUMP_TOL the
     step is halved (bounded refinement); an unresolvable jump is flagged but
     accepted.  Returns (p, residual, iterations, flags) at z_to.
     """
@@ -280,19 +255,19 @@ def _march(z_from, p_from, z_to, params, spec, cfg, initial_steps=1):
     p, resid, its = complex(p_from), 0.0, 0
     flags: List[str] = []
     dt0 = 1.0 / initial_steps
-    dt_min = 0.5**cfg.max_path_refine / max(initial_steps, cfg.path_steps)
+    dt_min = 0.5**MAX_PATH_REFINE / max(initial_steps, PATH_STEPS)
     t, dt = 0.0, dt0
     while t < 1.0:
         tn = min(1.0, t + dt)
         zt = (1.0 - tn) * z0 + tn * z1
         try:
-            pn, resid_n, its_n, fl = _newton(zt, p, params, spec, cfg)
+            pn, resid_n, its_n, fl = _newton(zt, p, params, spec)
         except (SolverError, BranchError):
             if dt * 0.5 < dt_min:
                 raise
             dt *= 0.5
             continue
-        if abs(pn - p) > cfg.jump_tol * max(1.0, abs(p)):
+        if abs(pn - p) > JUMP_TOL * max(1.0, abs(p)):
             if dt * 0.5 >= dt_min:
                 dt *= 0.5
                 continue
@@ -311,13 +286,12 @@ def solve_p(
     z: complex,
     params: ModelParams,
     spec: Optional[QuadratureSpec] = None,
-    cfg: Optional[SolverConfig] = None,
     seed_p: Optional[complex] = None,
 ) -> CoherentPotential:
     """Solve the self-consistency equation for p(z) on the physical branch.
 
     Without a seed the branch is pinned by continuation from the large-z
-    asymptote p = a*b at z_start = z_start_scale * max(b, nu).  With a seed,
+    asymptote p = a*b at z_start = Z_START_SCALE * max(b, nu).  With a seed,
     a single damped Newton run is performed from it.
     """
     z = complex(z)
@@ -326,7 +300,6 @@ def solve_p(
             "solve_p requires Re z > 0; use g_of_z, which maps the left "
             "half-plane through the oddness of g"
         )
-    cfg = cfg or SolverConfig()
     spec = _resolve_spec(spec, params)
     if params.b == 0:
         return CoherentPotential(
@@ -335,18 +308,18 @@ def solve_p(
         )
     spec_i = _inner_spec(spec)
     if seed_p is not None:
-        p, resid, its, flags = _newton(z, complex(seed_p), params, spec_i, cfg)
+        p, resid, its, flags = _newton(z, complex(seed_p), params, spec_i)
         return CoherentPotential(
             p=p, z=z, residual=resid, iterations=its,
             branch_tag=f"newton from seed p={complex(seed_p):.6g}",
             flags=flags,
         )
-    z_start = complex(cfg.z_start_scale * max(params.b, params.nu))
+    z_start = complex(Z_START_SCALE * max(params.b, params.nu))
     p0 = params.a * params.b
-    p, resid, its, flags0 = _newton(z_start, p0, params, spec_i, cfg)
+    p, resid, its, flags0 = _newton(z_start, p0, params, spec_i)
     if z != z_start:
         p, resid, its, flags1 = _march(
-            z_start, p, z, params, spec_i, cfg, initial_steps=cfg.path_steps
+            z_start, p, z, params, spec_i, initial_steps=PATH_STEPS
         )
         flags = list(flags0) + list(flags1)
     else:
@@ -363,7 +336,6 @@ def continuation_sweep(
     eps: float,
     params: ModelParams,
     spec: Optional[QuadratureSpec] = None,
-    cfg: Optional[SolverConfig] = None,
 ) -> List[CoherentPotential]:
     """Solve p along z = eps + i*omega for every omega, seeding each solve
     from its predecessor.
@@ -378,7 +350,6 @@ def continuation_sweep(
         raise ValueError("omega_grid must be a nonempty 1-d sequence")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cfg = cfg or SolverConfig()
     spec = _resolve_spec(spec, params)
     if params.b == 0:
         return [
@@ -390,19 +361,19 @@ def continuation_sweep(
         ]
     spec_i = _inner_spec(spec)
     out: List[CoherentPotential] = []
-    cp = solve_p(complex(eps, omegas[0]), params, spec, cfg)
+    cp = solve_p(complex(eps, omegas[0]), params, spec)
     out.append(cp)
     for w in omegas[1:]:
         z_next = complex(eps, w)
         try:
-            p, resid, its, flags = _march(cp.z, cp.p, z_next, params, spec_i, cfg)
+            p, resid, its, flags = _march(cp.z, cp.p, z_next, params, spec_i)
             cp = CoherentPotential(
                 p=p, z=z_next, residual=resid, iterations=its,
                 branch_tag=f"continued from z={cp.z:.6g}", flags=tuple(flags),
             )
         except (SolverError, BranchError) as exc:
             try:
-                fresh = solve_p(z_next, params, spec, cfg)
+                fresh = solve_p(z_next, params, spec)
                 cp = replace(
                     fresh,
                     flags=fresh.flags + (f"reseeded after failure: {exc}",),
@@ -418,8 +389,6 @@ def continuation_sweep(
 
 
 def _g_from_p(p: complex, z: complex, params: ModelParams, spec: QuadratureSpec):
-    if params.nu == 0.0:
-        return z / (z * z + p * p)
     return bzquad.I_g(KernelParams(z=z, p=p, nu=params.nu), params.d, spec)
 
 
@@ -427,7 +396,6 @@ def g_of_z(
     z: complex,
     params: ModelParams,
     spec: Optional[QuadratureSpec] = None,
-    cfg: Optional[SolverConfig] = None,
 ) -> complex:
     """Averaged resolvent trace at z; the left half-plane is reached through
     the exact oddness g(z) = -g(-z)."""
@@ -436,9 +404,9 @@ def g_of_z(
         raise ValueError("g is discontinuous across the imaginary axis; "
                          "evaluate at Re z = +/- eps instead")
     if z.real < 0:
-        return -g_of_z(-z, params, spec, cfg)
+        return -g_of_z(-z, params, spec)
     spec = _resolve_spec(spec, params)
-    cp = solve_p(z, params, spec, cfg)
+    cp = solve_p(z, params, spec)
     return _g_from_p(cp.p, z, params, spec)
 
 
@@ -447,7 +415,6 @@ def dos_curve(
     eps: float,
     params: ModelParams,
     spec: Optional[QuadratureSpec] = None,
-    cfg: Optional[SolverConfig] = None,
     richardson: bool = False,
 ) -> DosCurve:
     """Frequency density rho(omega) = Re g(eps + i*omega) / pi on the grid.
@@ -461,10 +428,9 @@ def dos_curve(
     if omegas.size and omegas.min() <= 0:
         raise ValueError("omega_grid must be strictly positive")
     spec = _resolve_spec(spec, params)
-    cfg = cfg or SolverConfig()
 
     def sweep_rho(eps_val):
-        sweep = continuation_sweep(omegas, eps_val, params, spec, cfg)
+        sweep = continuation_sweep(omegas, eps_val, params, spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", AccuracyWarning)
             g = np.array(
@@ -542,7 +508,6 @@ def rmt_scaled_a1(x_grid: Sequence[float]) -> np.ndarray:
 def find_gap_edge(
     params: ModelParams,
     spec: Optional[QuadratureSpec] = None,
-    cfg: Optional[SolverConfig] = None,
     eps: Optional[float] = None,
     threshold: float = 1e-6,
     omega_lo: Optional[float] = None,
@@ -558,11 +523,10 @@ def find_gap_edge(
     """
     scale = max(params.b, params.nu)
     eps = 1e-9 * scale if eps is None else eps
-    cfg = cfg or SolverConfig()
     spec = _resolve_spec(spec, params)
 
     def rho_at(w):
-        cp = solve_p(complex(eps, w), params, spec, cfg)
+        cp = solve_p(complex(eps, w), params, spec)
         return _g_from_p(cp.p, cp.z, params, spec).real / np.pi
 
     lo = 1e-6 * scale if omega_lo is None else omega_lo

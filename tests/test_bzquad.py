@@ -4,28 +4,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from bosondos import AccuracyWarning, KernelParams, QuadratureSpec, I_cpa, I_g, integrate_bz, kernel_D
-from bosondos.bzquad import dI_cpa_dp, default_points_per_dim
+from bosondos import AccuracyWarning, KernelParams, QuadratureSpec, I_cpa, I_g, delta_k
+from bosondos.bzquad import (
+    I_cpa_and_derivative,
+    _D_of_delta,
+    _zone_mean,
+    dI_cpa_dp,
+    default_points_per_dim,
+)
 
 SMALL = QuadratureSpec(points_per_dim=64)
+LATTICE_KP = KernelParams(z=1.0, p=1.0, nu=1.0)  # nu > 0 selects the grid
+
+
+def grid_mean(f, d, spec):
+    """Zone mean of a scalar function of the Laplacian symbol dlt."""
+    return _zone_mean(lambda dlt: (f(dlt),), LATTICE_KP, d, spec)[0]
 
 
 def test_normalization_constant_integrand():
     for d in (1, 2):
-        assert integrate_bz(lambda *k: np.ones_like(sum(k)), d, SMALL) == pytest.approx(1.0, abs=1e-15)
+        assert grid_mean(np.ones_like, d, SMALL) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cosine_mean_vanishes():
     for d in (1, 2):
-        val = integrate_bz(lambda *k: sum(np.cos(a) for a in k) / d, d, SMALL)
-        assert abs(val) < 1e-15
+        assert abs(grid_mean(lambda dlt: dlt, d, SMALL)) < 1e-15
 
 
 @pytest.mark.parametrize("d,expected", [(1, 0.5), (2, 0.25)])
 def test_delta_squared_mean(d, expected):
     # analytic: cross terms vanish and each cos^2 averages to 1/2,
     # so mean of delta^2 is 1/(2d)
-    val = integrate_bz(lambda *k: (sum(np.cos(a) for a in k) / d) ** 2, d, SMALL)
+    val = grid_mean(lambda dlt: dlt**2, d, SMALL)
     assert val == pytest.approx(expected, abs=1e-14)
 
 
@@ -36,31 +47,33 @@ def test_delta_squared_mean(d, expected):
 )
 @settings(max_examples=40)
 def test_trig_exactness_and_linearity(m, c1, c2):
-    # n = 8 points integrate e^{i m k} exactly for |m| < 7
+    # at d = 1, cos(m k) is the Chebyshev polynomial T_|m| of dlt = cos k;
+    # n = 8 points integrate it exactly for |m| < 7
     spec = QuadratureSpec(points_per_dim=8)
-    f1 = lambda k: np.exp(1j * m * k)
-    f2 = lambda k: np.cos(k) ** 2
+    f1 = np.polynomial.chebyshev.Chebyshev.basis(abs(m))
+    f2 = lambda dlt: dlt**2
     want = (1.0 if m == 0 else 0.0) * c1 + 0.5 * c2
-    got = integrate_bz(lambda k: c1 * f1(k) + c2 * f2(k), 1, spec)
+    got = grid_mean(lambda dlt: c1 * f1(dlt) + c2 * f2(dlt), 1, spec)
     assert got == pytest.approx(want, abs=1e-13 * (1 + abs(c1) + abs(c2)))
 
 
 def test_kernel_D_reduces_without_potential():
     kp = KernelParams(z=0.3 + 0.7j, p=0.0, nu=1.2)
-    k = [1.1]
     dlt = np.cos(1.1)
-    assert kernel_D(k, kp) == pytest.approx(kp.z**2 + kp.nu**2 * (1 - dlt), abs=1e-15)
+    got = _D_of_delta(delta_k([1.1]), kp)
+    assert got == pytest.approx(kp.z**2 + kp.nu**2 * (1 - dlt), abs=1e-15)
 
 
 def test_kernel_D_reduces_without_lattice():
     kp = KernelParams(z=0.3 + 0.7j, p=0.4 - 0.1j, nu=0.0)
-    assert kernel_D([2.0], kp) == pytest.approx(kp.z**2 + kp.p**2, abs=1e-15)
+    got = _D_of_delta(delta_k([2.0]), kp)
+    assert got == pytest.approx(kp.z**2 + kp.p**2, abs=1e-15)
 
 
 def test_kernel_D_zone_center():
     kp = KernelParams(z=1.0 + 1.0j, p=0.5j, nu=0.8)
     want = kp.z**2 + kp.p**2 + kp.p * kp.nu
-    assert kernel_D([0.0], kp) == pytest.approx(want, abs=1e-15)
+    assert _D_of_delta(delta_k([0.0]), kp) == pytest.approx(want, abs=1e-15)
 
 
 def test_I_g_flat_band_limit_grid_independent():
@@ -95,8 +108,13 @@ def test_I_g_odd_in_z_at_fixed_p():
 
 def test_I_cpa_flat_band_limit():
     kp = KernelParams(z=0.4 + 1.1j, p=0.2 + 0.6j, nu=0.0)
-    want = kp.p / (kp.z**2 + kp.p**2)
-    assert I_cpa(kp, 1, SMALL) == pytest.approx(want, rel=1e-14)
+    w = kp.z**2 + kp.p**2
+    for n in (8, 64, 256):
+        spec = QuadratureSpec(points_per_dim=n)
+        assert I_cpa(kp, 1, spec) == pytest.approx(kp.p / w, rel=1e-14)
+        # closed-form p-derivative of the k-independent integrand
+        want = (kp.z**2 - kp.p**2) / (w * w)
+        assert dI_cpa_dp(kp, 1, spec) == pytest.approx(want, rel=1e-14)
 
 
 def test_I_cpa_against_adaptive_oracle():
@@ -153,7 +171,7 @@ def test_doubling_check_quiet_when_converged():
     import warnings
 
     kp = KernelParams(z=0.1 + 0.8j, p=0.0, nu=1.0)
-    spec = QuadratureSpec(points_per_dim=256, convergence_check=True, rel_tol=1e-9)
+    spec = QuadratureSpec(points_per_dim=256, convergence_check=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
         I_g(kp, 1, spec)  # must not warn
@@ -162,18 +180,19 @@ def test_doubling_check_quiet_when_converged():
 def test_doubling_check_flags_unresolved_broadening():
     # eps far below the grid resolution: the check must fire
     kp = KernelParams(z=1e-4 + 0.5j, p=0.0, nu=1.0)
-    spec = QuadratureSpec(points_per_dim=4096, convergence_check=True, rel_tol=1e-9)
-    with pytest.warns(AccuracyWarning, match="doubling"):
-        I_g(kp, 1, spec)
+    spec = QuadratureSpec(points_per_dim=4096, convergence_check=True)
+    for kernel in (I_g, I_cpa_and_derivative):
+        with pytest.warns(AccuracyWarning, match="doubling"):
+            kernel(kp, 1, spec)
 
 
 def test_nonfinite_sample_identifies_grid_point():
-    def bad(k):
-        out = np.ones_like(k)
-        return np.where(k == 0.0, np.nan, out)
-
+    # z = p = 0 makes D = nu^2 (1 - dlt) vanish at the zone center
     with pytest.raises(ValueError, match=r"grid point k=\(0\.0,\)"):
-        integrate_bz(bad, 1, SMALL)
+        I_g(KernelParams(0, 0, 1), 1, SMALL)
+    # finite samples whose sum overflows have no grid point to report
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        grid_mean(lambda dlt: np.full_like(dlt, 1e308), 1, SMALL)
 
 
 def test_default_grid_sizes():
@@ -185,5 +204,3 @@ def test_default_grid_sizes():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(points_per_dim=2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)

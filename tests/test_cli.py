@@ -161,6 +161,31 @@ def test_compare_round_trip(tmp_path):
                  "--threshold", "1e-9"]) == 1
 
 
+def test_compare_rejects_mismatched_inputs(tmp_path, capsys):
+    mc = tmp_path / "mc.csv"
+    assert main([
+        "mc-dos", "--N", "16", "--M", "32", "--b", "1.0", "--nu", "0",
+        "--samples", "5", "--bins", "40", "--seed", "7", "--out", str(mc),
+    ]) == 0
+    curves = {}
+    for name, a, omega_max in (("other_a", "0.75", "3.0"),
+                               ("short", "1.0", "1.0"),
+                               ("match", "1.0", "3.0")):
+        curves[name] = tmp_path / f"{name}.csv"
+        assert main([
+            "rmt-dos", "--a", a, "--b", "1.0", "--omega-max", omega_max,
+            "--omega-steps", "50", "--out", str(curves[name]),
+        ]) == 0
+    capsys.readouterr()
+    # the histogram's a = M/(2N) = 1 disagrees with the curve's a = 0.75
+    assert main(["compare", "--cpa", str(curves["other_a"]), "--mc", str(mc)]) == 2
+    assert "a" in capsys.readouterr().err
+    # bin centers beyond the curve's last omega would be clamped
+    assert main(["compare", "--cpa", str(curves["short"]), "--mc", str(mc)]) == 2
+    assert "omega" in capsys.readouterr().err
+    assert main(["compare", "--cpa", str(curves["match"]), "--mc", str(mc)]) == 0
+
+
 def test_compare_curves_metric():
     omegas = np.linspace(0.0, 1.0, 101)
     rho = np.ones_like(omegas)

@@ -4,7 +4,6 @@ import pytest
 from bosondos import (
     ModelParams,
     QuadratureSpec,
-    SolverConfig,
     SolverError,
     cpa_residual,
     continuation_sweep,
@@ -14,6 +13,7 @@ from bosondos import (
     rmt_scaled_a1,
     solve_p,
 )
+from bosondos import cpa
 from bosondos.bzquad import I_g, KernelParams
 from bosondos.cpa import _a1_scaled_root
 
@@ -41,7 +41,7 @@ class TestResidual:
     def test_vanishes_on_returned_potential(self):
         for params, z in ((LATTICE, 1e-3 + 0.9j), (RMT_A2, 0.01 + 1.5j)):
             cp = solve_p(z, params)
-            assert cp.residual <= SolverConfig().newton_tol
+            assert cp.residual <= cpa.NEWTON_TOL
             # raw mismatch of the uncleared equation, at O(1) parameters
             assert abs(cpa_residual(cp.p, z, params)) <= 1e-10
 
@@ -82,10 +82,10 @@ class TestSolveP:
         with pytest.raises(ValueError, match="nonzero"):
             solve_p(1.0 + 0.5j, LATTICE, seed_p=0.0)
 
-    def test_nonconvergence_carries_last_iterate(self):
-        cfg = SolverConfig(max_iter=1)
+    def test_nonconvergence_carries_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(cpa, "MAX_ITER", 1)
         with pytest.raises(SolverError) as err:
-            solve_p(0.01 + 0.34j, RMT_A2, cfg=cfg, seed_p=50.0 + 50.0j)
+            solve_p(0.01 + 0.34j, RMT_A2, seed_p=50.0 + 50.0j)
         assert err.value.last_p is not None
 
     def test_pure_system_short_circuit(self):
@@ -201,7 +201,7 @@ class TestDosCurve:
 
     def test_residual_guarantee_along_sweep(self):
         curve = dos_curve(np.linspace(0.1, 2.0, 30), 1e-3, LATTICE)
-        assert curve.residuals.max() <= SolverConfig().newton_tol
+        assert curve.residuals.max() <= cpa.NEWTON_TOL
 
 
 class TestScaledCriticalRatio:
