@@ -377,11 +377,13 @@ def _run_compare(config: RunConfig) -> int:
                     f"and {config.mc} ({mc_meta[key]})"
                 )
     centers = 0.5 * (mc_cols["bin_left"] + mc_cols["bin_right"])
+    first = cpa_cols["omega"].min(initial=np.inf)
     last = cpa_cols["omega"].max(initial=-np.inf)
-    if centers.max(initial=-np.inf) > last:
+    if centers.min(initial=np.inf) < first or centers.max(initial=-np.inf) > last:
         raise ValueError(
-            f"bin center {centers.max()!r} lies above the last omega {last!r} "
-            f"of {config.cpa}; the curve would be extrapolated"
+            f"bin centers {centers.min()!r} to {centers.max()!r} leave the omega "
+            f"range [{first!r}, {last!r}] of {config.cpa}; the curve would be "
+            f"extrapolated"
         )
     widths = mc_cols["bin_right"] - mc_cols["bin_left"]
     l1, max_dev = compare_curves(cpa_cols["omega"], cpa_cols["rho"],

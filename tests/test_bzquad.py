@@ -9,6 +9,7 @@ from bosondos.bzquad import (
     I_cpa_and_derivative,
     _D_of_delta,
     _zone_mean,
+    _zone_nodes,
     dI_cpa_dp,
     default_points_per_dim,
 )
@@ -190,9 +191,30 @@ def test_nonfinite_sample_identifies_grid_point():
     # z = p = 0 makes D = nu^2 (1 - dlt) vanish at the zone center
     with pytest.raises(ValueError, match=r"grid point k=\(0\.0,\)"):
         I_g(KernelParams(0, 0, 1), 1, SMALL)
-    # finite samples whose sum overflows have no grid point to report
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-        grid_mean(lambda dlt: np.full_like(dlt, 1e308), 1, SMALL)
+    # weighted summation never leaves the range of the samples, so a huge
+    # but finite integrand has a finite mean
+    assert grid_mean(lambda dlt: np.full_like(dlt, 1e308), 1, SMALL) == 1e308
+
+
+def test_zone_nodes_fold_the_full_grid():
+    kp = KernelParams(z=0.3 + 0.8j, p=0.2 + 0.1j, nu=1.0)
+    kernels = (np.exp, lambda dlt: 1.0 / _D_of_delta(dlt, kp))
+    for d, n in ((1, 7), (1, 8), (2, 8), (2, 9), (3, 6), (3, 8)):
+        _, weight, _ = _zone_nodes(d, n)
+        assert abs(weight.sum() - 1.0) <= 1e-15
+        axes = np.meshgrid(*(2 * np.pi * np.arange(n) / n,) * d, indexing="ij")
+        full = sum(np.cos(k) for k in axes) / d
+        spec = QuadratureSpec(points_per_dim=n)
+        for f in kernels:
+            want = np.mean(f(full))
+            got = _zone_mean(lambda dlt: (f(dlt),), kp, d, spec)[0]
+            assert abs(got - want) <= 1e-14 * abs(want)
+    for d in (1, 2, 3):
+        n_nodes = len(_zone_nodes(d, default_points_per_dim(d))[0])
+        assert n_nodes == {1: 2049, 2: 8385, 3: 6545}[d]
+    # the zone-center node is named by its grid point
+    with pytest.raises(ValueError, match=r"grid point k=\(0\.0, 0\.0\)"):
+        I_g(KernelParams(0, 0, 1), 2, SMALL)
 
 
 def test_default_grid_sizes():

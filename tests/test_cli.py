@@ -168,13 +168,15 @@ def test_compare_rejects_mismatched_inputs(tmp_path, capsys):
         "--samples", "5", "--bins", "40", "--seed", "7", "--out", str(mc),
     ]) == 0
     curves = {}
-    for name, a, omega_max in (("other_a", "0.75", "3.0"),
-                               ("short", "1.0", "1.0"),
-                               ("match", "1.0", "3.0")):
+    for name, a, omega_min, omega_max in (("other_a", "0.75", "0.01", "3.0"),
+                                          ("short", "1.0", "0.01", "1.0"),
+                                          ("late", "1.0", "1.0", "3.0"),
+                                          ("match", "1.0", "0.01", "3.0")):
         curves[name] = tmp_path / f"{name}.csv"
         assert main([
-            "rmt-dos", "--a", a, "--b", "1.0", "--omega-max", omega_max,
-            "--omega-steps", "50", "--out", str(curves[name]),
+            "rmt-dos", "--a", a, "--b", "1.0", "--omega-min", omega_min,
+            "--omega-max", omega_max, "--omega-steps", "50",
+            "--out", str(curves[name]),
         ]) == 0
     capsys.readouterr()
     # the histogram's a = M/(2N) = 1 disagrees with the curve's a = 0.75
@@ -182,6 +184,9 @@ def test_compare_rejects_mismatched_inputs(tmp_path, capsys):
     assert "a" in capsys.readouterr().err
     # bin centers beyond the curve's last omega would be clamped
     assert main(["compare", "--cpa", str(curves["short"]), "--mc", str(mc)]) == 2
+    assert "omega" in capsys.readouterr().err
+    # bin centers below the curve's first omega would be clamped too
+    assert main(["compare", "--cpa", str(curves["late"]), "--mc", str(mc)]) == 2
     assert "omega" in capsys.readouterr().err
     assert main(["compare", "--cpa", str(curves["match"]), "--mc", str(mc)]) == 0
 
