@@ -1,9 +1,12 @@
 """Command-line front end: mean-field sweeps, Monte Carlo runs, comparisons.
 
-Output files are plain CSV with a ``#``-comment preamble carrying the full
-run configuration and diagnostics, one uncommented header row, and
-full-precision (round-trip exact) numeric columns.  Identical configurations
-produce byte-identical files.
+Each mode's handler runs from the parsed flags of that mode alone.  Output
+files are plain CSV with a ``#``-comment preamble, one uncommented header
+row, and full-precision (round-trip exact) numeric columns.  The preamble
+holds, in order: ``version`` and ``mode``; the resolved model parameters
+(``d``, ``extents``, ``N``, ``M``, ``a``, ``b``, ``nu``, each when set);
+the mode's other flags as parsed (unset ones left out); then results and
+warnings.  Identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,39 +32,7 @@ from .ensemble import ConeViolationError, mc_dos
 from .linalg import NotPsdError
 from .model import ModelParams
 
-__all__ = ["RunConfig", "run", "main", "emit_csv", "parse_csv", "compare_curves"]
-
-MODES = ("cpa-dos", "rmt-dos", "mc-dos", "solve-p", "compare")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat bag of every CLI flag; mode decides which fields are consulted."""
-
-    mode: str
-    d: int = 1
-    extents: Optional[Tuple[int, ...]] = None
-    N: Optional[int] = None
-    M: Optional[int] = None
-    a: Optional[float] = None
-    b: float = 0.0
-    nu: float = 0.0
-    omega_min: Optional[float] = None
-    omega_max: float = 3.0
-    omega_steps: int = 600
-    eps: Optional[float] = None
-    kgrid: Optional[int] = None
-    check_quadrature: bool = False
-    richardson: bool = False
-    samples: int = 100
-    bins: int = 100
-    seed: int = 0
-    z_re: float = 1.0
-    z_im: float = 0.0
-    cpa: Optional[str] = None
-    mc: Optional[str] = None
-    threshold: float = float("inf")
-    out: Optional[str] = None
+__all__ = ["main", "emit_csv", "parse_csv", "compare_curves"]
 
 
 def _fmt(value) -> str:
@@ -130,13 +101,6 @@ def compare_curves(cpa_omegas, cpa_rho, centers, widths, mc_density):
 def _model_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
     if not rmt:
         p.add_argument("--d", type=int, default=1, help="spatial dimension (default 1)")
-        p.add_argument(
-            "--extents",
-            type=str,
-            default=None,
-            help="comma-separated periodic lattice sizes, e.g. '32' or '8,8' "
-            "(default: none, single site; required when nu > 0)",
-        )
         p.add_argument("--nu", type=float, default=0.0,
                        help="clean frequency scale (default 0)")
     p.add_argument("--N", type=int, default=None,
@@ -149,7 +113,13 @@ def _model_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
                    help="disorder strength (default 0)")
 
 
-def _omega_flags(p: argparse.ArgumentParser) -> None:
+def _kgrid_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kgrid", type=int, default=None,
+                   help="quadrature points per dimension (default 4096 for "
+                   "d=1, 256 for d=2, 64 for d=3)")
+
+
+def _omega_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
     p.add_argument("--omega-min", type=float, default=None,
                    help="lowest frequency (default omega_max/omega_steps)")
     p.add_argument("--omega-max", type=float, default=3.0,
@@ -160,12 +130,11 @@ def _omega_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=None,
                    help="spectral regularization (default 1e-3 of the "
                    "dominant scale)")
-    p.add_argument("--kgrid", type=int, default=None,
-                   help="quadrature points per dimension (default 4096 for "
-                   "d=1, 256 for d=2, 64 for d=3)")
-    p.add_argument("--check-quadrature", action="store_true",
-                   help="run the grid-doubling accuracy check on reported "
-                   "values (default off)")
+    if not rmt:
+        _kgrid_flag(p)
+        p.add_argument("--check-quadrature", action="store_true",
+                       help="run the grid-doubling accuracy check on reported "
+                       "values (default off)")
     p.add_argument("--richardson", action="store_true",
                    help="extrapolate the eps broadening away using a second "
                    "sweep at eps/2 (default off)")
@@ -189,12 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rmt-dos", help="mean-field density in the random-matrix "
                        "limit (nu = 0)")
     _model_flags(p, rmt=True)
-    _omega_flags(p)
+    _omega_flags(p, rmt=True)
     p.add_argument("--out", type=str, default="rmt-dos.csv",
                    help="output CSV path (default rmt-dos.csv)")
 
     p = sub.add_parser("mc-dos", help="Monte Carlo eigenfrequency histogram")
     _model_flags(p)
+    p.add_argument("--extents", type=str, default=None,
+                   help="comma-separated periodic lattice sizes, e.g. '32' or "
+                   "'8,8' (default: none, single site; required when nu > 0)")
     p.add_argument("--samples", type=int, default=100,
                    help="number of realizations (default 100)")
     p.add_argument("--bins", type=int, default=100,
@@ -210,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     _model_flags(p)
     p.add_argument("--z-re", type=float, default=1.0, help="Re z (default 1.0)")
     p.add_argument("--z-im", type=float, default=0.0, help="Im z (default 0.0)")
-    p.add_argument("--kgrid", type=int, default=None,
-                   help="quadrature points per dimension (default per-d)")
+    _kgrid_flag(p)
     p.add_argument("--out", type=str, default=None,
                    help="optional CSV path (default: print only)")
 
@@ -226,96 +197,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    known = {f.name for f in fields(RunConfig)}
-    for key, val in vars(args).items():
-        name = key.replace("-", "_")
-        if name in known:
-            values[name] = val
-    if values.get("extents"):
-        values["extents"] = tuple(int(tok) for tok in str(values["extents"]).split(","))
-    return RunConfig(**values)
+def _model(args: argparse.Namespace) -> Tuple[ModelParams, Dict[str, object]]:
+    """The model the flags describe, and the preamble that records the run:
+    version and mode, the resolved model, then the mode's other flags as
+    parsed.  A model flag the mode lacks keeps the ``ModelParams`` default
+    (rmt-dos: d = 1, nu = 0)."""
+    given = {f.name: getattr(args, f.name) for f in fields(ModelParams) if f.name in args}
+    if given.get("extents") is not None:
+        given["extents"] = tuple(int(tok) for tok in given["extents"].split(","))
+    params = ModelParams(**given)
+    meta: Dict[str, object] = {"version": __version__, "mode": args.mode}
+    meta.update((k, v) for k, v in asdict(params).items() if v is not None)
+    meta.update((k, v) for k, v in vars(args).items()
+                if k != "mode" and k not in given and v is not None)
+    return params, meta
 
 
-def _build_params(config: RunConfig, rmt: bool) -> ModelParams:
-    return ModelParams(
-        d=1 if rmt else config.d,
-        extents=None if rmt else config.extents,
-        N=config.N,
-        M=config.M,
-        a=config.a,
-        b=config.b,
-        nu=0.0 if rmt else config.nu,
-    )
+def _spec(args: argparse.Namespace, params: ModelParams,
+          check: bool = False) -> QuadratureSpec:
+    kgrid = default_points_per_dim(params.d) if args.kgrid is None else args.kgrid
+    return QuadratureSpec(points_per_dim=kgrid, convergence_check=check)
 
 
-def _omega_grid(config: RunConfig) -> np.ndarray:
-    if config.omega_steps <= 0:
+def _omega_grid(args: argparse.Namespace) -> np.ndarray:
+    if args.omega_steps < 0:
+        raise ValueError(f"omega-steps must be nonnegative, got {args.omega_steps}")
+    if args.omega_steps == 0:
         return np.zeros(0)
-    lo = config.omega_min
+    lo = args.omega_min
     if lo is None:
-        lo = config.omega_max / config.omega_steps
+        lo = args.omega_max / args.omega_steps
     if lo <= 0:
         raise ValueError("omega-min must be positive")
-    return np.linspace(lo, config.omega_max, config.omega_steps)
+    return np.linspace(lo, args.omega_max, args.omega_steps)
 
 
-def _metadata(config: RunConfig) -> Dict[str, object]:
-    meta: Dict[str, object] = {"version": __version__}
-    for f in fields(RunConfig):
-        val = getattr(config, f.name)
-        if val is not None:
-            meta[f.name] = val
-    return meta
-
-
-def _run_dos(config: RunConfig, rmt: bool) -> int:
-    params = _build_params(config, rmt)
-    omegas = _omega_grid(config)
-    meta = _metadata(config)
+def _run_dos(args: argparse.Namespace) -> int:
+    """cpa-dos and rmt-dos; rmt-dos has no quadrature flags because no grid
+    is used at nu = 0."""
+    params, meta = _model(args)
+    omegas = _omega_grid(args)
     if omegas.size == 0:
         print("warning: empty frequency grid, emitting header-only file",
               file=sys.stderr)
         meta["warning"] = "empty frequency grid"
-        emit_csv(config.out, meta,
+        emit_csv(args.out, meta,
                  {"omega": [], "rho": [], "p_re": [], "p_im": [], "residual": []})
         return 0
-    eps = default_eps(params) if config.eps is None else config.eps
-    kgrid = default_points_per_dim(params.d) if config.kgrid is None else config.kgrid
-    spec = QuadratureSpec(points_per_dim=kgrid,
-                          convergence_check=config.check_quadrature)
+    eps = default_eps(params) if args.eps is None else args.eps
+    spec = _spec(args, params, args.check_quadrature) if "kgrid" in args else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        curve = dos_curve(omegas, eps, params, spec,
-                          richardson=config.richardson)
+        curve = dos_curve(omegas, eps, params, spec, richardson=args.richardson)
     notes = [str(w.message) for w in caught] + list(curve.notes)
     for i, note in enumerate(dict.fromkeys(notes)):
         print(f"warning: {note}", file=sys.stderr)
         meta[f"warning_{i}"] = note
     meta["eps"] = curve.eps
-    meta["kgrid"] = kgrid
+    if spec is not None:
+        meta["kgrid"] = spec.points_per_dim
     meta["dirac_mass_at_zero"] = curve.dirac_mass_at_zero
     meta["normalization"] = curve.normalization
-    emit_csv(config.out, meta, {
+    emit_csv(args.out, meta, {
         "omega": curve.omegas,
         "rho": curve.rho,
         "p_re": curve.p.real,
         "p_im": curve.p.imag,
         "residual": curve.residuals,
     })
-    print(f"wrote {config.out} ({curve.omegas.size} points, "
+    print(f"wrote {args.out} ({curve.omegas.size} points, "
           f"dirac mass {curve.dirac_mass_at_zero:g})")
     return 0
 
 
-def _run_mc(config: RunConfig) -> int:
-    params = _build_params(config, rmt=False)
-    meta = _metadata(config)
+def _run_mc(args: argparse.Namespace) -> int:
+    params, meta = _model(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        hist = mc_dos(params, n_samples=config.samples, bins=config.bins,
-                      seed=config.seed, omega_max=config.omega_max)
+        hist = mc_dos(params, n_samples=args.samples, bins=args.bins,
+                      seed=args.seed, omega_max=args.omega_max)
     for i, w in enumerate(caught):
         print(f"warning: {w.message}", file=sys.stderr)
         meta[f"warning_{i}"] = str(w.message)
@@ -324,32 +284,31 @@ def _run_mc(config: RunConfig) -> int:
     meta["zero_mode_fraction"] = hist.zero_mode_fraction
     meta["zero_tol"] = hist.zero_tol
     meta["overflow_count"] = hist.overflow_count
-    emit_csv(config.out, meta, {
+    emit_csv(args.out, meta, {
         "bin_left": hist.bin_edges[:-1],
         "bin_right": hist.bin_edges[1:],
         "density": hist.densities,
         "count": hist.counts,
     })
-    print(f"wrote {config.out} ({config.samples} samples, "
+    print(f"wrote {args.out} ({args.samples} samples, "
           f"{hist.total_eigenvalues} eigenvalues, "
           f"zero-mode fraction {hist.zero_mode_fraction:g})")
     return 0
 
 
-def _run_solve_p(config: RunConfig) -> int:
-    params = _build_params(config, rmt=False)
-    kgrid = default_points_per_dim(params.d) if config.kgrid is None else config.kgrid
-    spec = QuadratureSpec(points_per_dim=kgrid)
-    cp = solve_p(complex(config.z_re, config.z_im), params, spec)
+def _run_solve_p(args: argparse.Namespace) -> int:
+    params, meta = _model(args)
+    spec = _spec(args, params)
+    cp = solve_p(complex(args.z_re, args.z_im), params, spec)
     print(f"p = {cp.p.real!r} + {cp.p.imag!r}j  "
           f"(residual {cp.residual:.3e}, {cp.iterations} iterations)")
     print(f"branch: {cp.branch_tag}")
     for flag in cp.flags:
         print(f"warning: {flag}", file=sys.stderr)
-    if config.out:
-        meta = _metadata(config)
+    if args.out:
+        meta["kgrid"] = spec.points_per_dim
         meta["branch_tag"] = cp.branch_tag
-        emit_csv(config.out, meta, {
+        emit_csv(args.out, meta, {
             "z_re": [cp.z.real], "z_im": [cp.z.imag],
             "p_re": [cp.p.real], "p_im": [cp.p.imag],
             "residual": [cp.residual], "iterations": [cp.iterations],
@@ -357,70 +316,68 @@ def _run_solve_p(config: RunConfig) -> int:
     return 0
 
 
-def _run_compare(config: RunConfig) -> int:
-    cpa_meta, cpa_cols = parse_csv(config.cpa)
-    mc_meta, mc_cols = parse_csv(config.mc)
+def _run_compare(args: argparse.Namespace) -> int:
+    cpa_meta, cpa_cols = parse_csv(args.cpa)
+    mc_meta, mc_cols = parse_csv(args.mc)
     for need, cols, path in (
-        (("omega", "rho"), cpa_cols, config.cpa),
-        (("bin_left", "bin_right", "density"), mc_cols, config.mc),
+        (("omega", "rho"), cpa_cols, args.cpa),
+        (("bin_left", "bin_right", "density"), mc_cols, args.mc),
     ):
         missing = [name for name in need if name not in cols]
         if missing:
             raise ValueError(f"{path} lacks columns {missing}")
+    # histograms written before mc-dos recorded the resolved a
     if "a" not in mc_meta and {"N", "M"} <= mc_meta.keys():
         mc_meta["a"] = int(mc_meta["M"]) / (2 * int(mc_meta["N"]))
     for key in ("d", "nu", "b", "a"):
         if key in cpa_meta and key in mc_meta:
             if float(cpa_meta[key]) != float(mc_meta[key]):
                 raise ValueError(
-                    f"{key} differs between {config.cpa} ({cpa_meta[key]}) "
-                    f"and {config.mc} ({mc_meta[key]})"
+                    f"{key} differs between {args.cpa} ({cpa_meta[key]}) "
+                    f"and {args.mc} ({mc_meta[key]})"
                 )
+    # np.interp needs ascending omega; a curve may be swept downward
+    order = np.argsort(cpa_cols["omega"], kind="stable")
+    omegas, rho = cpa_cols["omega"][order], cpa_cols["rho"][order]
     centers = 0.5 * (mc_cols["bin_left"] + mc_cols["bin_right"])
-    first = cpa_cols["omega"].min(initial=np.inf)
-    last = cpa_cols["omega"].max(initial=-np.inf)
+    first = omegas.min(initial=np.inf)
+    last = omegas.max(initial=-np.inf)
     if centers.min(initial=np.inf) < first or centers.max(initial=-np.inf) > last:
         raise ValueError(
             f"bin centers {centers.min()!r} to {centers.max()!r} leave the omega "
-            f"range [{first!r}, {last!r}] of {config.cpa}; the curve would be "
+            f"range [{first!r}, {last!r}] of {args.cpa}; the curve would be "
             f"extrapolated"
         )
     widths = mc_cols["bin_right"] - mc_cols["bin_left"]
-    l1, max_dev = compare_curves(cpa_cols["omega"], cpa_cols["rho"],
-                                 centers, widths, mc_cols["density"])
+    l1, max_dev = compare_curves(omegas, rho, centers, widths, mc_cols["density"])
     print(f"L1 = {l1!r}")
     print(f"max_deviation = {max_dev!r}")
-    return 0 if l1 <= config.threshold else 1
+    return 0 if l1 <= args.threshold else 1
 
 
-def run(config: RunConfig) -> int:
-    """Execute one run; returns the process exit status."""
+MODES = {
+    "cpa-dos": _run_dos,
+    "rmt-dos": _run_dos,
+    "mc-dos": _run_mc,
+    "solve-p": _run_solve_p,
+    "compare": _run_compare,
+}
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one mode; returns the process exit status (0 success, 1 numerical
+    or I/O failure, 2 usage error)."""
+    args = build_parser().parse_args(argv)
+    # NotPsdError is a LinAlgError, hence a ValueError: the numerical
+    # errors are caught before the usage errors
     try:
-        if config.mode == "cpa-dos":
-            return _run_dos(config, rmt=False)
-        if config.mode == "rmt-dos":
-            return _run_dos(config, rmt=True)
-        if config.mode == "mc-dos":
-            return _run_mc(config)
-        if config.mode == "solve-p":
-            return _run_solve_p(config)
-        if config.mode == "compare":
-            return _run_compare(config)
-        raise ValueError(f"unknown mode {config.mode!r}")
+        return MODES[args.mode](args)
     except (SolverError, BranchError, ConeViolationError, NotPsdError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _config_from_args(args)
-        return run(config)
     except ValueError as exc:
         # malformed flag values are usage errors, same exit class as argparse
         print(f"usage error: {exc}", file=sys.stderr)

@@ -118,8 +118,10 @@ class DosCurve:
     @property
     def normalization(self) -> float:
         """Two-sided mass 2 * int rho + point mass, ~1 when the grid covers
-        the support."""
-        return 2.0 * float(np.trapezoid(self.rho, self.omegas)) + float(
+        the support.  The integral runs over omega ascending, whatever the
+        grid's order."""
+        order = np.argsort(self.omegas, kind="stable")
+        return 2.0 * float(np.trapezoid(self.rho[order], self.omegas[order])) + float(
             self.dirac_mass_at_zero
         )
 

@@ -62,6 +62,10 @@ class ModelParams:
         if int(self.d) != self.d or self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d}")
         object.__setattr__(self, "d", int(self.d))
+        for name in ("a", "b", "nu"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.b < 0 or self.nu < 0:
             raise ValueError("b and nu must be nonnegative")
         if self.b == 0 and self.nu == 0:

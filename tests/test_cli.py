@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from bosondos import cli
 from bosondos.cli import build_parser, compare_curves, emit_csv, main, parse_csv
+from bosondos.cpa import BranchError, SolverError
+from bosondos.ensemble import ConeViolationError
+from bosondos.linalg import NotPsdError
 
 MODES = ("cpa-dos", "rmt-dos", "mc-dos", "solve-p", "compare")
 
@@ -40,12 +44,53 @@ def test_unknown_mode_is_usage_error():
 
 
 def test_bad_flag_value_is_usage_error(tmp_path, capsys):
+    for bad in (["--omega-min", "-1.0"], ["--omega-steps", "-5"]):
+        rc = main([
+            "rmt-dos", "--a", "1.0", "--b", "1.0", *bad,
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert rc == 2
+        assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["rmt-dos", "--a", "nan", "--b", "1"], "a"),
+        (["cpa-dos", "--a", "0.75", "--b", "nan", "--nu", "1"], "b"),
+        (["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "nan"], "nu"),
+        (["mc-dos", "--N", "2", "--M", "4", "--b", "inf", "--nu", "0",
+          "--samples", "1"], "b"),
+    ],
+)
+def test_nonfinite_model_scale_is_usage_error(argv, name, tmp_path, capsys):
+    rc = main([*argv, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc,code",
+    [
+        (SolverError, 1),
+        (BranchError, 1),
+        (ConeViolationError, 1),
+        (NotPsdError, 1),
+        (OSError, 1),
+        (ValueError, 2),
+    ],
+)
+def test_exit_code_per_error_type(exc, code, monkeypatch, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(cli, "dos_curve", fail)
     rc = main([
-        "rmt-dos", "--a", "1.0", "--b", "1.0", "--omega-min", "-1.0",
+        "rmt-dos", "--a", "1.0", "--b", "1.0", "--omega-steps", "3",
         "--out", str(tmp_path / "x.csv"),
     ])
-    assert rc == 2
-    assert "usage error" in capsys.readouterr().err
+    assert rc == code
+    assert "injected" in capsys.readouterr().err
 
 
 def test_unwritable_path_is_io_error(capsys):
@@ -189,6 +234,71 @@ def test_compare_rejects_mismatched_inputs(tmp_path, capsys):
     assert main(["compare", "--cpa", str(curves["late"]), "--mc", str(mc)]) == 2
     assert "omega" in capsys.readouterr().err
     assert main(["compare", "--cpa", str(curves["match"]), "--mc", str(mc)]) == 0
+
+
+def test_compare_downward_curve(tmp_path, capsys):
+    mc = tmp_path / "mc.csv"
+    assert main([
+        "mc-dos", "--N", "16", "--M", "32", "--b", "1", "--nu", "0",
+        "--samples", "20", "--bins", "40", "--seed", "7", "--out", str(mc),
+    ]) == 0
+    l1, norm = {}, {}
+    for name, lo, hi in (("up", "0.01", "3"), ("down", "3", "0.01")):
+        curve = tmp_path / f"{name}.csv"
+        assert main([
+            "rmt-dos", "--a", "1", "--b", "1", "--omega-min", lo,
+            "--omega-max", hi, "--omega-steps", "300", "--out", str(curve),
+        ]) == 0
+        norm[name] = float(parse_csv(str(curve))[0]["normalization"])
+        capsys.readouterr()
+        assert main(["compare", "--cpa", str(curve), "--mc", str(mc)]) == 0
+        out = capsys.readouterr().out
+        l1[name] = float(out.split("L1 = ")[1].split()[0])
+    assert norm["down"] == pytest.approx(norm["up"], rel=1e-12)
+    assert l1["down"] == pytest.approx(l1["up"], rel=1e-12)
+
+
+def test_preamble_records_what_the_run_used(tmp_path, capsys):
+    runs = {
+        "cpa": (["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1",
+                 "--omega-max", "2", "--omega-steps", "12", "--kgrid", "64"],
+                ["version", "mode", "d", "a", "b", "nu", "omega_max",
+                 "omega_steps", "kgrid", "check_quadrature", "richardson",
+                 "out", "eps", "dirac_mass_at_zero", "normalization"]),
+        "rmt": (["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "12"],
+                ["version", "mode", "d", "a", "b", "nu", "omega_max",
+                 "omega_steps", "richardson", "out", "eps",
+                 "dirac_mass_at_zero", "normalization"]),
+        "mc": (["mc-dos", "--N", "16", "--M", "32", "--b", "1", "--nu", "0",
+                "--samples", "2", "--bins", "10"],
+               ["version", "mode", "d", "N", "M", "a", "b", "nu", "samples",
+                "bins", "seed", "out", "total_eigenvalues", "zero_mode_count",
+                "zero_mode_fraction", "zero_tol", "overflow_count"]),
+        "p": (["solve-p", "--a", "2", "--b", "1", "--nu", "0",
+               "--z-re", "0.1", "--z-im", "1"],
+              ["version", "mode", "d", "a", "b", "nu", "z_re", "z_im", "out",
+               "kgrid", "branch_tag"]),
+    }
+    meta = {}
+    for name, (argv, keys) in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        meta[name] = parse_csv(str(out))[0]
+        assert list(meta[name]) == keys, name
+    assert meta["mc"]["a"] == "1.0"
+    assert meta["cpa"]["kgrid"] == "64" and meta["p"]["kgrid"] == "4096"
+    assert meta["rmt"]["d"] == "1" and meta["rmt"]["nu"] == "0.0"
+    # the flat-band curve still refuses a lattice histogram on nu
+    lattice = tmp_path / "lattice.csv"
+    assert main([
+        "mc-dos", "--d", "1", "--extents", "4", "--N", "2", "--M", "4",
+        "--b", "1", "--nu", "1", "--samples", "2", "--bins", "10",
+        "--out", str(lattice),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--cpa", str(tmp_path / "rmt.csv"),
+                 "--mc", str(lattice)]) == 2
+    assert "nu differs" in capsys.readouterr().err
 
 
 def test_compare_curves_metric():

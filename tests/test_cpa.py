@@ -168,6 +168,12 @@ class TestDosCurve:
         assert abs(curve.normalization - 1.0) <= 0.02
         assert curve.rho.min() >= -1e-9
 
+    def test_normalization_on_reversed_grid(self):
+        omegas = np.linspace(0.01, 3.0, 300)
+        up = dos_curve(omegas, 1e-3, RMT_A1)
+        down = dos_curve(omegas[::-1], 1e-3, RMT_A1)
+        assert down.normalization == pytest.approx(up.normalization, rel=1e-12)
+
     def test_pure_chain_density(self):
         # no self-consistency at b = 0: the curve is the clean-chain density
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)

@@ -187,3 +187,10 @@ class TestModelParams:
     def test_M_without_N_rejected(self):
         with pytest.raises(ValueError, match="together"):
             ModelParams(a=1.0, M=4, b=1.0)
+
+    def test_nonfinite_scales_rejected(self):
+        for name in ("a", "b", "nu"):
+            for bad in (float("nan"), float("inf")):
+                given = {"a": 1.0, "b": 1.0, "nu": 1.0, name: bad}
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ModelParams(**given)
