@@ -276,9 +276,9 @@ def _run_mc(args: argparse.Namespace) -> int:
         warnings.simplefilter("always")
         hist = mc_dos(params, n_samples=args.samples, bins=args.bins,
                       seed=args.seed, omega_max=args.omega_max)
-    for i, w in enumerate(caught):
-        print(f"warning: {w.message}", file=sys.stderr)
-        meta[f"warning_{i}"] = str(w.message)
+    for i, note in enumerate(dict.fromkeys(str(w.message) for w in caught)):
+        print(f"warning: {note}", file=sys.stderr)
+        meta[f"warning_{i}"] = note
     meta["total_eigenvalues"] = hist.total_eigenvalues
     meta["zero_mode_count"] = hist.zero_mode_count
     meta["zero_mode_fraction"] = hist.zero_mode_fraction

@@ -424,12 +424,14 @@ def dos_curve(
     ``richardson=True`` removes the leading O(eps) broadening by combining
     sweeps at eps and eps/2.  The zero-frequency point mass max(0, 1 - a) is
     reported separately, and only in the random-matrix limit (nu = 0, a < 1)
-    where the rank deficiency of the couplings enforces it.
+    where the rank deficiency of the couplings enforces it; its pole
+    (1 - a)/z is subtracted from g at each eps, so rho does not carry it.
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.size and omegas.min() <= 0:
         raise ValueError("omega_grid must be strictly positive")
     spec = _resolve_spec(spec, params)
+    dirac = max(0.0, 1.0 - params.a) if (params.is_rmt and params.a < 1) else 0.0
 
     def sweep_rho(eps_val):
         sweep = continuation_sweep(omegas, eps_val, params, spec)
@@ -440,6 +442,10 @@ def dos_curve(
                 dtype=complex,
             )
         notes = [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)]
+        if dirac:
+            # the point mass is the pole dirac/z of g; keep its broadened
+            # Lorentzian out of rho so the mass is booked once
+            g -= dirac / np.array([cp.z for cp in sweep], dtype=complex)
         return sweep, g.real / np.pi, notes
 
     sweep, rho, notes = sweep_rho(eps)
@@ -456,7 +462,6 @@ def dos_curve(
     for cp in sweep:
         for fl in cp.flags:
             notes.append(f"omega={cp.z.imag:g}: {fl}")
-    dirac = max(0.0, 1.0 - params.a) if (params.is_rmt and params.a < 1) else 0.0
     return DosCurve(
         omegas=omegas,
         rho=rho,

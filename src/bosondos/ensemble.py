@@ -5,14 +5,22 @@ rectangular Gaussian couplings L_j subject to the reality condition
 conj(L) = L * Sigma1, which is solved identically by L = (A | conj(A)).
 Stability (all eigenfrequencies real) holds by construction because
 H = i*Sigma3*X = i*Sigma3*K + blockdiag(L_j^dagger L_j) is positive
-semidefinite, and the spectrum of X is recovered from H through a stable
-Hermitian reduction.
+semidefinite.
 
-Each realization takes one path through plain arrays: ``sample_block``
-returns a site's L, ``draw_sample`` the assembled H (via ``assemble_H``),
-and ``spectrum_X`` the eigenfrequency array of X.  Sigma3 is kept as its
-diagonal of signs and applied by row scaling.  ``mc_dos`` bins the spectra
-of many realizations into a :class:`SpectrumHistogram`.
+The reality condition makes the oracle real.  In the quadrature basis
+(q, p) of each site, a = (q + i p)/sqrt(2), i.e. under
+U = (1/sqrt(2)) [[I, iI], [I, -iI]], each coupling becomes
+L U = sqrt(2) (Re A | -Im A) and H becomes real symmetric, while Sigma3
+becomes U^dagger Sigma3 U = i*J with J = [[0, I], [-I, 0]].  With
+H = C C^T (real Cholesky) the frequencies are the eigenvalues of i*S,
+S = C^T J C real skew-symmetric, i.e. +/- the singular values of S
+(Williamson's symplectic form of H).
+
+Each realization takes one path through plain real arrays: ``sample_block``
+returns a site's L, ``draw_sample`` the quadrature-basis H (via
+``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  The
+deterministic term ``quadrature_K`` is computed once per run.  ``mc_dos``
+bins the spectra of many realizations into a :class:`SpectrumHistogram`.
 """
 
 from __future__ import annotations
@@ -23,13 +31,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import NotPsdError, cholesky_psd, hermitian_eig
+# hermitian_eig is unused here but stays bound: perfbench/tracing.py hooks
+# it under this module's name.
+from .linalg import NotPsdError, cholesky_psd, hermitian_eig, skew_spectrum  # noqa: F401
 from .model import ModelParams, assemble_K
 
 __all__ = [
     "ConeViolationError",
     "SpectrumHistogram",
     "sample_block",
+    "quadrature_K",
     "assemble_H",
     "spectrum_X",
     "draw_sample",
@@ -108,10 +119,31 @@ def sample_block(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     return np.hstack([A, A.conj()])
 
 
-def _sigma3(N: int, n_sites: int) -> np.ndarray:
-    """Diagonal of Sigma3 on n_sites sites: +1 on each site's a modes, -1 on
-    its a* modes."""
-    return np.tile(np.repeat([1.0, -1.0], N), n_sites)
+def quadrature_K(K: np.ndarray, N: int) -> np.ndarray:
+    """Deterministic part U^dagger (i*Sigma3*K) U of H in the quadrature
+    basis, for the generator K of ``assemble_K``.
+
+    The reality condition of K makes this term real; that is checked here,
+    once, and the real symmetric array is returned.
+    """
+    n = 2 * N
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % n:
+        raise ValueError(f"K has shape {K.shape}, not a square multiple of 2N={n}")
+    dim = K.shape[0]
+    sites = dim // n
+    u = np.kron([[1.0, 1.0j], [1.0, -1.0j]], np.eye(N)) / np.sqrt(2.0)
+    B = 1j * np.tile(np.repeat([1.0, -1.0], N), sites)[:, None] * K
+    # u^dagger on each site's rows, then u on each site's columns
+    Hq = ((u.conj().T @ B.reshape(sites, n, dim)).reshape(dim * sites, n) @ u)
+    Hq = Hq.reshape(dim, dim)
+    scale = max(float(np.abs(Hq).max(initial=0.0)), np.finfo(float).tiny)
+    imag = float(np.abs(Hq.imag).max(initial=0.0))
+    if not imag <= 1e-12 * scale:
+        raise ValueError(
+            f"K breaks the reality condition: its quadrature-basis term has "
+            f"max |Im| = {imag:.3e} against max |entry| = {scale:.3e}"
+        )
+    return Hq.real.copy()
 
 
 def assemble_H(
@@ -119,11 +151,15 @@ def assemble_H(
     blocks: Sequence[np.ndarray],
     K: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Hermitian reduction H = i*Sigma3*K + blockdiag(L_j^dagger L_j).
+    """Real symmetric H = U^dagger (i*Sigma3*K + blockdiag(L_j^dagger L_j)) U
+    in the quadrature basis.
 
-    ``blocks`` holds one coupling L_j per site, as drawn by ``sample_block``.
-    ``K`` may be omitted in the single-site random-matrix limit (nu = 0,
-    where K vanishes); otherwise pass the output of ``assemble_K``.
+    ``blocks`` holds one coupling L_j = (A_j | conj(A_j)) per site, as drawn
+    by ``sample_block``; its Gram matrix enters as that of L_j U =
+    sqrt(2) (Re A_j | -Im A_j).  ``K`` is the generator from ``assemble_K``
+    or, as ``mc_dos`` passes it, its real term from ``quadrature_K``; it
+    may be omitted in the single-site random-matrix limit (nu = 0, where K
+    vanishes).
     """
     N = params.N
     if N is None:
@@ -133,25 +169,34 @@ def assemble_H(
     if K is None:
         if params.nu != 0:
             raise ValueError("K may be omitted only in the nu = 0 limit")
-        H = np.zeros((dim, dim), dtype=complex)
+        H = np.zeros((dim, dim))
+    elif K.shape != (dim, dim):
+        raise ValueError(f"K has shape {K.shape}, expected {(dim, dim)}")
     else:
-        if K.shape != (dim, dim):
-            raise ValueError(f"K has shape {K.shape}, expected {(dim, dim)}")
-        H = 1j * _sigma3(N, n_sites)[:, None] * K
+        H = quadrature_K(K, N) if np.iscomplexobj(K) else K.copy()
     for j, L in enumerate(blocks):
         sl = slice(2 * N * j, 2 * N * (j + 1))
-        H[sl, sl] += L.conj().T @ L
+        A = L[:, :N]
+        W = np.hstack((A.real, -A.imag))
+        H[sl, sl] += 2.0 * (W.T @ W)
     return H
 
 
 def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
-    """All real eigenfrequencies mu of X = -i*Sigma3*H, H PSD (ascending).
+    """All real eigenfrequencies mu of X, ascending, from the real
+    quadrature-basis H of ``assemble_H`` (PSD).
 
-    With H = C C^dagger the spectrum of Sigma3 * H equals that of the
-    Hermitian matrix C^dagger * Sigma3 * C, so the computation stays in
-    stable Hermitian linear algebra throughout.  The output comes in +/-
-    pairs; a Cholesky failure means H left the stability cone.
+    With H = C C^T the spectrum of X equals that of i*S, S = C^T J C real
+    skew-symmetric, so the computation stays in real arithmetic throughout.
+    Per site, J swaps the q and p rows, so S = T - T^T with T = C_q^T C_p.
+    The output comes in +/- pairs; a Cholesky failure means H left the
+    stability cone.  A complex H (the (a, a*) basis) is rejected.
     """
+    if np.iscomplexobj(H):
+        raise ValueError(
+            "spectrum_X takes the real quadrature-basis H of assemble_H, "
+            f"got {H.dtype}"
+        )
     dim = H.shape[0]
     if dim % (2 * N) != 0:
         raise ValueError(f"H dimension {dim} is not a multiple of 2N={2 * N}")
@@ -161,9 +206,9 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
         raise ConeViolationError(
             f"sampled generator is outside the stability cone: {exc}"
         ) from exc
-    reduced = C.conj().T @ (_sigma3(N, dim // (2 * N))[:, None] * C)
-    reduced = 0.5 * (reduced + reduced.conj().T)  # scrub rounding asymmetry
-    return hermitian_eig(reduced)
+    rows = C.reshape(dim // (2 * N), 2, N, dim)
+    T = rows[:, 0].reshape(-1, dim).T @ rows[:, 1].reshape(-1, dim)
+    return skew_spectrum(T - T.T)
 
 
 def draw_sample(
@@ -171,8 +216,8 @@ def draw_sample(
     child: np.random.SeedSequence,
     K: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The reduction H of one realization on ``params.n_sites`` sites, drawn
-    from a spawned per-sample seed sequence."""
+    """The quadrature-basis H of one realization on ``params.n_sites``
+    sites, drawn from a spawned per-sample seed sequence."""
     rng = np.random.default_rng(child)
     blocks = [sample_block(params, rng) for _ in range(params.n_sites)]
     return assemble_H(params, blocks, K=K)
@@ -207,7 +252,7 @@ def mc_dos(
             )
         K = None
     else:
-        K = assemble_K(params)
+        K = quadrature_K(assemble_K(params), params.N)
 
     values = np.concatenate([
         np.abs(spectrum_X(draw_sample(params, child, K=K), params.N))

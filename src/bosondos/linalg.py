@@ -1,10 +1,13 @@
-"""Dense Hermitian kernels: eigenvalues and PSD Cholesky with minimal shift.
+"""Dense kernels: Hermitian eigenvalues, skew-symmetric spectra and PSD
+Cholesky with minimal shift.
 
 Thin contracts over the LAPACK routines exposed by numpy, on plain arrays:
-``hermitian_eig`` returns the ascending eigenvalue array and
-``cholesky_psd`` the pair (C, sigma).  The value added here is validation
-(Hermiticity on input, cone membership for the factorization) and the
-minimal-diagonal-shift policy for semidefinite matrices.
+``hermitian_eig`` returns the ascending eigenvalue array, ``skew_spectrum``
+the ascending +/- pairs of a real skew-symmetric matrix from one singular
+value decomposition, and ``cholesky_psd`` the pair (C, sigma).  The value
+added here is validation (Hermiticity and finiteness on input, cone
+membership for the factorization) and the minimal-diagonal-shift policy for
+semidefinite matrices.  Real input stays in real arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ __all__ = [
     "NotPsdError",
     "check_hermitian",
     "hermitian_eig",
+    "skew_spectrum",
     "cholesky_psd",
 ]
 
@@ -23,12 +27,22 @@ class NotPsdError(np.linalg.LinAlgError):
     """The matrix is indefinite beyond the allowed semidefinite tolerance."""
 
 
-def check_hermitian(A, rel_tol: float = 1e-12) -> np.ndarray:
-    """Validate A = A^dagger within ``rel_tol`` relative and return the array."""
+def _square(A) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    scale = max(float(np.abs(A).max(initial=0.0)), np.finfo(float).tiny)
+    return A
+
+
+def check_hermitian(A, rel_tol: float = 1e-12) -> np.ndarray:
+    """Validate A = A^dagger within ``rel_tol`` relative, with every entry
+    finite, and return the array."""
+    A = _square(A)
+    amax = float(np.abs(A).max(initial=0.0))
+    # max propagates nan and inf; the residual test alone would pass nan
+    if not np.isfinite(amax):
+        raise ValueError("matrix has non-finite entries")
+    scale = max(amax, np.finfo(float).tiny)
     resid = float(np.abs(A - A.conj().T).max(initial=0.0))
     if resid > rel_tol * scale:
         raise ValueError(
@@ -48,6 +62,31 @@ def hermitian_eig(A) -> np.ndarray:
             f"Hermitian eigensolver failed to converge on a "
             f"{A.shape[0]}x{A.shape[0]} matrix: {exc}"
         ) from exc
+
+
+def skew_spectrum(S) -> np.ndarray:
+    """Ascending spectrum of the Hermitian matrix i*S, S real skew-symmetric.
+
+    The eigenvalues of i*S are +/- the singular values of S, which come in
+    equal pairs; one ``svd`` without vectors gives them all, and each pair
+    contributes one negative and one positive member, so the absolute values
+    are the singular values exactly.  Skew symmetry is the caller's to
+    guarantee (``spectrum_X`` builds S as T - T^T from a validated H); it is
+    not checked again here.
+    """
+    S = _square(S)
+    if np.iscomplexobj(S) or S.shape[0] % 2:
+        raise ValueError(
+            f"expected a real matrix of even dimension, got {S.dtype} {S.shape}"
+        )
+    try:
+        s = np.linalg.svd(S, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise np.linalg.LinAlgError(
+            f"singular value decomposition failed to converge on a "
+            f"{S.shape[0]}x{S.shape[0]} matrix: {exc}"
+        ) from exc
+    return np.concatenate((-s[::2], s[-1::-2]))
 
 
 def cholesky_psd(A, shift_tol: float = 1e-10):

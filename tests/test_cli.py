@@ -162,6 +162,23 @@ def test_mc_dos_columns_and_determinism(tmp_path):
     assert meta["zero_mode_fraction"] == "0.25"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--a", "0.5", "--N", "1", "--M", "1", "--b", "1", "--nu", "0",
+     "--samples", "50"],
+    ["--d", "1", "--extents", "4", "--N", "1", "--M", "1", "--b", "1",
+     "--nu", "1", "--samples", "5"],
+], ids=["flat", "lattice"])
+def test_mc_dos_reports_each_warning_once(argv, tmp_path, capsys):
+    # every sampled site warns about M = 1; the preamble keeps one line
+    out = tmp_path / "hist.csv"
+    assert main(["mc-dos", *argv, "--bins", "4", "--out", str(out)]) == 0
+    meta, _ = parse_csv(str(out))
+    warnings_kept = [key for key in meta if key.startswith("warning")]
+    assert warnings_kept == ["warning_0"]
+    assert "M >= 2" in meta["warning_0"]
+    assert capsys.readouterr().err.count("warning:") == 1
+
+
 def test_cpa_dos_determinism(tmp_path):
     args = [
         "cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",

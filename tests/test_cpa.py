@@ -168,6 +168,17 @@ class TestDosCurve:
         assert abs(curve.normalization - 1.0) <= 0.02
         assert curve.rho.min() >= -1e-9
 
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_point_mass_kept_out_of_rho(self, richardson):
+        # the pole (1 - a)/z of g is booked as dirac_mass_at_zero only; left
+        # in rho as an eps-wide Lorentzian it would count that mass twice
+        params = ModelParams(a=0.75, b=1.0, nu=0.0)
+        omegas = np.linspace(5e-3, 3.0, 600)
+        curve = dos_curve(omegas, 1e-3, params, richardson=richardson)
+        head = 2.0 * omegas[0] * curve.rho[0]  # the mass below the grid
+        assert abs(curve.normalization + head - 1.0) <= 2e-3
+        assert curve.rho.min() >= 0.0
+
     def test_normalization_on_reversed_grid(self):
         omegas = np.linspace(0.01, 3.0, 300)
         up = dos_curve(omegas, 1e-3, RMT_A1)

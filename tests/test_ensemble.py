@@ -15,7 +15,8 @@ from bosondos import (
     sample_block,
     spectrum_X,
 )
-from bosondos.ensemble import draw_sample
+from bosondos.ensemble import draw_sample, quadrature_K
+from bosondos.linalg import cholesky_psd
 
 RMT = ModelParams(a=0.75, N=4, M=6, b=1.0, nu=0.0)
 
@@ -31,6 +32,26 @@ def sigma3(N):
 def symplectic_J(N):
     eye, zero = np.eye(N), np.zeros((N, N))
     return np.block([[zero, eye], [-eye, zero]])
+
+
+def quadrature_U(N):
+    """Per-site change of basis (a, a*) = U (q, p)."""
+    return np.kron([[1.0, 1.0j], [1.0, -1.0j]], np.eye(N)) / np.sqrt(2.0)
+
+
+def complex_reference_spectrum(params, blocks, K=None):
+    """Frequencies from the (a, a*)-basis reduction C^dagger Sigma3 C of
+    H = i Sigma3 K + blockdiag(L^dagger L), in complex arithmetic."""
+    N, n_sites = params.N, len(blocks)
+    s3 = np.tile(np.repeat([1.0, -1.0], N), n_sites)
+    dim = 2 * N * n_sites
+    H = np.zeros((dim, dim), complex) if K is None else 1j * s3[:, None] * K
+    for j, L in enumerate(blocks):
+        sl = slice(2 * N * j, 2 * N * (j + 1))
+        H[sl, sl] += L.conj().T @ L
+    C, _ = cholesky_psd(H)
+    R = C.conj().T @ (s3[:, None] * C)
+    return np.linalg.eigvalsh(0.5 * (R + R.conj().T))
 
 
 def local_R(L):
@@ -115,9 +136,31 @@ class TestAssembleH:
         assert np.allclose(np.sort(w), np.sort(per_mode), atol=1e-12)
 
     def test_flat_band_single_site_is_gram_matrix(self):
+        # in the quadrature basis H is the Gram matrix of the real L U
         L = sample_block(RMT, rng_for(5))
         H = assemble_H(RMT, [L])
-        assert np.array_equal(H, L.conj().T @ L)
+        LU = L @ quadrature_U(RMT.N)
+        assert np.abs(LU.imag).max() <= 1e-15 * np.abs(LU).max()
+        gram = LU.real.T @ LU.real
+        assert H.dtype == float
+        assert np.abs(H - gram).max() <= 1e-14 * np.abs(gram).max()
+
+    def test_quadrature_K_is_the_rotated_generator(self):
+        params = ModelParams(d=1, extents=(3,), N=2, M=3, b=0.8, nu=1.0)
+        K = assemble_K(params)
+        U = np.kron(np.eye(3), quadrature_U(2))
+        s3 = np.tile(np.repeat([1.0, -1.0], 2), 3)
+        want = U.conj().T @ (1j * s3[:, None] * K) @ U
+        got = quadrature_K(K, params.N)
+        assert got.dtype == float
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    def test_quadrature_K_rejects_a_generator_off_the_reality_condition(self):
+        params = ModelParams(d=1, extents=(3,), N=2, M=3, b=0.8, nu=1.0)
+        K = assemble_K(params)
+        K[0, 1] += 0.1  # a real entry: i*Sigma3*K stops being Hermitian-real
+        with pytest.raises(ValueError, match="reality condition"):
+            quadrature_K(K, params.N)
 
     def test_hermiticity(self):
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
@@ -155,12 +198,56 @@ class TestSpectrumX:
         params = ModelParams(a=1.0, N=2, M=4, b=1.0, nu=0.0)
         H = draw_sample(params, np.random.SeedSequence(9))
         mu = spectrum_X(H, params.N)
-        X = -1j * sigma3(params.N) @ H
+        # X = -i Sigma3 H in the (a, a*) basis is J H in the quadrature basis
+        X = symplectic_J(params.N) @ H
         roots = np.roots(np.poly(X))
         # the roots are purely imaginary -i*mu; compare as such (sorting
         # complex values would order by real-part rounding noise)
         assert np.abs(roots.real).max() < 1e-8
         assert np.allclose(np.sort(roots.imag), np.sort(-mu), atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(a=0.5, N=8, M=8, b=1.0, nu=0.0),
+            ModelParams(a=0.25, N=16, M=8, b=1.0, nu=0.0),
+            ModelParams(a=11 / 16, N=8, M=11, b=1.0, nu=0.0),
+            ModelParams(a=1.5, N=16, M=48, b=1.0, nu=0.0),
+            ModelParams(d=1, extents=(6,), N=2, M=3, b=0.8, nu=1.0),
+            ModelParams(d=2, extents=(4, 4), N=2, M=3, b=0.63, nu=1.0),
+        ],
+        ids=["N8M8", "N16M8", "N8M11", "N16M48", "chain6", "square4x4"],
+    )
+    def test_matches_complex_reduction(self, params):
+        K = None if params.extents is None else assemble_K(params)
+        for seed in range(3):
+            rng = rng_for(seed)
+            blocks = [sample_block(params, rng) for _ in range(params.n_sites)]
+            mu = spectrum_X(assemble_H(params, blocks, K), params.N)
+            want = complex_reference_spectrum(params, blocks, K)
+            assert np.all(np.diff(mu) >= 0)
+            # at odd M a zero mode of X sits in a 2x2 Jordan block, which the
+            # Cholesky shift splits by ~sqrt(shift) ~ 1e-8, differently in
+            # each arithmetic; every other mode agrees to rounding
+            scale = np.abs(want).max()
+            split = np.abs(want) <= 1e-6 * scale
+            assert np.array_equal(split, np.abs(mu) <= 1e-6 * scale)
+            assert np.abs(mu - want)[~split].max() <= 1e-12 * scale
+            if params.M % 2 == 0:
+                assert np.abs(mu - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("N, M", [(8, 8), (16, 8), (8, 12), (4, 2)])
+    def test_zero_modes_are_the_rank_deficit(self, N, M):
+        # even M: exactly 2N - M = 2N (1 - a) frequencies vanish
+        params = ModelParams(N=N, M=M, b=1.0, nu=0.0)
+        for seed in range(5):
+            mu = spectrum_X(draw_sample(params, np.random.SeedSequence(seed)), N)
+            zero = np.abs(mu) <= 1e-8 * np.abs(mu).max()
+            assert zero.sum() == 2 * N - M
+
+    def test_complex_H_rejected(self):
+        with pytest.raises(ValueError, match="quadrature"):
+            spectrum_X(np.eye(4, dtype=complex), 2)
 
     def test_cone_violation_detected(self):
         H = np.diag([1.0, 1.0, -0.5, 1.0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosondos import NotPsdError, cholesky_psd, hermitian_eig
-from bosondos.linalg import check_hermitian
+from bosondos.linalg import check_hermitian, skew_spectrum
 
 
 def random_hermitian(n, rng):
@@ -39,6 +39,34 @@ def test_non_hermitian_rejected():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     check_hermitian(np.array([[1.0, 2.0], [2.0, 3.0]]))  # fine
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rejected(bad):
+    # nan > tol is False, so a residual test alone would let these through
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(np.array([[1.0, bad], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        cholesky_psd(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_skew_spectrum_matches_hermitian_eig():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(10, 10))
+    S = B - B.T
+    mu = skew_spectrum(S)
+    want = np.linalg.eigvalsh(1j * S)
+    assert np.all(np.diff(mu) >= 0)
+    assert np.abs(mu - want).max() <= 1e-13 * np.abs(want).max()
+    # the absolute values are the singular values themselves
+    assert np.array_equal(np.sort(np.abs(mu)), np.sort(np.linalg.svd(S, compute_uv=False)))
+
+
+def test_skew_spectrum_rejects_complex_or_odd_input():
+    with pytest.raises(ValueError, match="real matrix of even dimension"):
+        skew_spectrum(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="real matrix of even dimension"):
+        skew_spectrum(np.zeros((2, 2), dtype=complex))
 
 
 def test_cholesky_identity():
