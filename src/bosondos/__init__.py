@@ -8,19 +8,12 @@ random ensemble and diagonalizes them exactly.
 
 __version__ = "0.1.0"
 
-from .bzquad import (
-    AccuracyWarning,
-    KernelParams,
-    QuadratureSpec,
-    I_cpa,
-    I_g,
-)
+from .bzquad import AccuracyWarning, KernelParams, QuadratureSpec, I_cpa, I_g
 from .cpa import (
     BranchError,
     CoherentPotential,
     DosCurve,
     SolverError,
-    cpa_residual,
     continuation_sweep,
     default_eps,
     dos_curve,
@@ -38,7 +31,7 @@ from .ensemble import (
     spectrum_X,
 )
 from .linalg import NotPsdError, cholesky_psd, hermitian_eig
-from .model import ModelParams, assemble_K, delta_k, dispersion, k1_block
+from .model import ModelParams, assemble_K
 
 __all__ = [
     "__version__",
@@ -59,15 +52,11 @@ __all__ = [
     "assemble_K",
     "cholesky_psd",
     "continuation_sweep",
-    "cpa_residual",
     "default_eps",
-    "delta_k",
-    "dispersion",
     "dos_curve",
     "find_gap_edge",
     "g_of_z",
     "hermitian_eig",
-    "k1_block",
     "mc_dos",
     "rmt_scaled_a1",
     "sample_block",

@@ -213,10 +213,14 @@ def _model(args: argparse.Namespace) -> Tuple[ModelParams, Dict[str, object]]:
     return params, meta
 
 
-def _spec(args: argparse.Namespace, params: ModelParams,
-          check: bool = False) -> QuadratureSpec:
-    kgrid = default_points_per_dim(params.d) if args.kgrid is None else args.kgrid
-    return QuadratureSpec(points_per_dim=kgrid, convergence_check=check)
+def _spec(args: argparse.Namespace, params: ModelParams) -> Optional[QuadratureSpec]:
+    kgrid = getattr(args, "kgrid", None)
+    if params.nu == 0:
+        if kgrid is not None:
+            raise ValueError("--kgrid given, but no zone grid is used at nu = 0")
+        return None
+    return QuadratureSpec(default_points_per_dim(params.d) if kgrid is None else kgrid,
+                          getattr(args, "check_quadrature", False))
 
 
 def _omega_grid(args: argparse.Namespace) -> np.ndarray:
@@ -236,6 +240,7 @@ def _run_dos(args: argparse.Namespace) -> int:
     """cpa-dos and rmt-dos; rmt-dos has no quadrature flags because no grid
     is used at nu = 0."""
     params, meta = _model(args)
+    spec = _spec(args, params)
     omegas = _omega_grid(args)
     if omegas.size == 0:
         print("warning: empty frequency grid, emitting header-only file",
@@ -245,7 +250,6 @@ def _run_dos(args: argparse.Namespace) -> int:
                  {"omega": [], "rho": [], "p_re": [], "p_im": [], "residual": []})
         return 0
     eps = default_eps(params) if args.eps is None else args.eps
-    spec = _spec(args, params, args.check_quadrature) if "kgrid" in args else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         curve = dos_curve(omegas, eps, params, spec, richardson=args.richardson)
@@ -306,7 +310,8 @@ def _run_solve_p(args: argparse.Namespace) -> int:
     for flag in cp.flags:
         print(f"warning: {flag}", file=sys.stderr)
     if args.out:
-        meta["kgrid"] = spec.points_per_dim
+        if spec is not None:
+            meta["kgrid"] = spec.points_per_dim
         meta["branch_tag"] = cp.branch_tag
         emit_csv(args.out, meta, {
             "z_re": [cp.z.real], "z_im": [cp.z.imag],

@@ -1,43 +1,58 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from bosondos import AccuracyWarning, KernelParams, QuadratureSpec, I_cpa, I_g, delta_k
+from bosondos import AccuracyWarning, KernelParams, QuadratureSpec, I_cpa, I_g
 from bosondos.bzquad import (
     I_cpa_and_derivative,
-    _D_of_delta,
-    _zone_mean,
+    _alpha_beta,
+    _symbol_excess,
     _zone_nodes,
     dI_cpa_dp,
     default_points_per_dim,
 )
+from bosondos.model import delta_k
 
 SMALL = QuadratureSpec(points_per_dim=64)
-LATTICE_KP = KernelParams(z=1.0, p=1.0, nu=1.0)  # nu > 0 selects the grid
 
 
-def grid_mean(f, d, spec):
-    """Zone mean of a scalar function of the Laplacian symbol dlt."""
-    return _zone_mean(lambda dlt: (f(dlt),), LATTICE_KP, d, spec)[0]
+def grid_mean(f, d, n):
+    """Orbit-weighted mean of a function of the Laplacian symbol dlt over
+    the folded nodes of the n^d grid."""
+    dlt, weight, _ = _zone_nodes(d, n)
+    return (f(dlt) * weight).sum()
+
+
+def full_symbol(d, n):
+    """The symbol at every point of the unfolded n^d grid."""
+    axes = np.meshgrid(*(2 * np.pi * np.arange(n) / n,) * d, indexing="ij")
+    return sum(np.cos(k) for k in axes) / d
+
+
+def D_of(kp, k):
+    alpha, beta = _alpha_beta(kp)
+    return alpha - beta * delta_k(k)
 
 
 def test_normalization_constant_integrand():
     for d in (1, 2):
-        assert grid_mean(np.ones_like, d, SMALL) == pytest.approx(1.0, abs=1e-15)
+        assert grid_mean(np.ones_like, d, 64) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cosine_mean_vanishes():
     for d in (1, 2):
-        assert abs(grid_mean(lambda dlt: dlt, d, SMALL)) < 1e-15
+        assert abs(grid_mean(lambda dlt: dlt, d, 64)) < 1e-15
 
 
 @pytest.mark.parametrize("d,expected", [(1, 0.5), (2, 0.25)])
 def test_delta_squared_mean(d, expected):
     # analytic: cross terms vanish and each cos^2 averages to 1/2,
     # so mean of delta^2 is 1/(2d)
-    val = grid_mean(lambda dlt: dlt**2, d, SMALL)
+    val = grid_mean(lambda dlt: dlt**2, d, 64)
     assert val == pytest.approx(expected, abs=1e-14)
 
 
@@ -50,31 +65,30 @@ def test_delta_squared_mean(d, expected):
 def test_trig_exactness_and_linearity(m, c1, c2):
     # at d = 1, cos(m k) is the Chebyshev polynomial T_|m| of dlt = cos k;
     # n = 8 points integrate it exactly for |m| < 7
-    spec = QuadratureSpec(points_per_dim=8)
     f1 = np.polynomial.chebyshev.Chebyshev.basis(abs(m))
     f2 = lambda dlt: dlt**2
     want = (1.0 if m == 0 else 0.0) * c1 + 0.5 * c2
-    got = grid_mean(lambda dlt: c1 * f1(dlt) + c2 * f2(dlt), 1, spec)
+    got = grid_mean(lambda dlt: c1 * f1(dlt) + c2 * f2(dlt), 1, 8)
     assert got == pytest.approx(want, abs=1e-13 * (1 + abs(c1) + abs(c2)))
 
 
 def test_kernel_D_reduces_without_potential():
     kp = KernelParams(z=0.3 + 0.7j, p=0.0, nu=1.2)
     dlt = np.cos(1.1)
-    got = _D_of_delta(delta_k([1.1]), kp)
+    got = D_of(kp, [1.1])
     assert got == pytest.approx(kp.z**2 + kp.nu**2 * (1 - dlt), abs=1e-15)
 
 
 def test_kernel_D_reduces_without_lattice():
     kp = KernelParams(z=0.3 + 0.7j, p=0.4 - 0.1j, nu=0.0)
-    got = _D_of_delta(delta_k([2.0]), kp)
+    got = D_of(kp, [2.0])
     assert got == pytest.approx(kp.z**2 + kp.p**2, abs=1e-15)
 
 
 def test_kernel_D_zone_center():
     kp = KernelParams(z=1.0 + 1.0j, p=0.5j, nu=0.8)
     want = kp.z**2 + kp.p**2 + kp.p * kp.nu
-    assert _D_of_delta(delta_k([0.0]), kp) == pytest.approx(want, abs=1e-15)
+    assert D_of(kp, [0.0]) == pytest.approx(want, abs=1e-15)
 
 
 def test_I_g_flat_band_limit_grid_independent():
@@ -191,23 +205,32 @@ def test_nonfinite_sample_identifies_grid_point():
     # z = p = 0 makes D = nu^2 (1 - dlt) vanish at the zone center
     with pytest.raises(ValueError, match=r"grid point k=\(0\.0,\)"):
         I_g(KernelParams(0, 0, 1), 1, SMALL)
-    # weighted summation never leaves the range of the samples, so a huge
-    # but finite integrand has a finite mean
-    assert grid_mean(lambda dlt: np.full_like(dlt, 1e308), 1, SMALL) == 1e308
+    # t = beta/alpha = -1: D = alpha (1 + dlt) vanishes at k = pi on an even
+    # grid; on an odd one the closed form reads 0/0 and the node sum is finite
+    kp = KernelParams(z=0.5, p=-1.5, nu=1.0)
+    with pytest.raises(ValueError, match=r"grid point k=\(3\.14159\d*,\)"):
+        I_g(kp, 1, QuadratureSpec(points_per_dim=8))
+    dlt = full_symbol(1, 7)
+    want = np.mean(kp.z / (0.5 * (1 + dlt)))
+    assert abs(I_g(kp, 1, QuadratureSpec(points_per_dim=7)) - want) <= 1e-14 * abs(want)
 
 
 def test_zone_nodes_fold_the_full_grid():
     kp = KernelParams(z=0.3 + 0.8j, p=0.2 + 0.1j, nu=1.0)
-    kernels = (np.exp, lambda dlt: 1.0 / _D_of_delta(dlt, kp))
+    z, p, nu = kp.z, kp.p, kp.nu
     for d, n in ((1, 7), (1, 8), (2, 8), (2, 9), (3, 6), (3, 8)):
         _, weight, _ = _zone_nodes(d, n)
         assert abs(weight.sum() - 1.0) <= 1e-15
-        axes = np.meshgrid(*(2 * np.pi * np.arange(n) / n,) * d, indexing="ij")
-        full = sum(np.cos(k) for k in axes) / d
+        full = full_symbol(d, n)
+        want = np.mean(np.exp(full))
+        assert abs(grid_mean(np.exp, d, n) - want) <= 1e-14 * abs(want)
+        D = z * z + p * p + p * nu * (2 - full) + nu * nu * (1 - full)
+        N = p + nu * (1 - full / 2)
         spec = QuadratureSpec(points_per_dim=n)
-        for f in kernels:
-            want = np.mean(f(full))
-            got = _zone_mean(lambda dlt: (f(dlt),), kp, d, spec)[0]
+        kernels = (I_g(kp, d, spec), *I_cpa_and_derivative(kp, d, spec))
+        integrands = (z / D, N / D, 1 / D - N * (2 * p + nu * (2 - full)) / D**2)
+        for got, f in zip(kernels, integrands):
+            want = np.mean(f)
             assert abs(got - want) <= 1e-14 * abs(want)
     for d in (1, 2, 3):
         n_nodes = len(_zone_nodes(d, default_points_per_dim(d))[0])
@@ -215,6 +238,35 @@ def test_zone_nodes_fold_the_full_grid():
     # the zone-center node is named by its grid point
     with pytest.raises(ValueError, match=r"grid point k=\(0\.0, 0\.0\)"):
         I_g(KernelParams(0, 0, 1), 2, SMALL)
+
+
+@pytest.mark.parametrize("d,n", [(1, 7), (1, 4096), (2, 33), (2, 64), (3, 9), (3, 16)])
+def test_closed_form_means_match_meshgrid(d, n):
+    # means of 1/(1 - t dlt) and of its square, at 1/t in both half-planes
+    # near and away from the band [-1, 1], and on the real axis outside it
+    dlt = full_symbol(d, n).ravel()
+    rng = np.random.default_rng(n)
+    im = 10.0 ** rng.uniform(-3, np.log10(3), 24) * rng.choice([-1, 1], 24)
+    inv_t = np.concatenate([rng.uniform(-1.5, 1.5, 24) + 1j * im,
+                            [-3.0, -1.25, -1.01, 1.01, 1.25, 3.0]])
+    for t in 1 / inv_t:
+        term = 1 / (1 - t * dlt)
+        for excess, terms in zip(_symbol_excess(t, d, n), (term, term * term)):
+            assert abs(1 + excess - np.mean(terms)) <= 1e-12 * np.mean(np.abs(terms))
+
+
+def test_vanishing_nu_gives_flat_band_kernels():
+    for d in (1, 2, 3):
+        spec = QuadratureSpec(points_per_dim=default_points_per_dim(d))
+        for z, p in ((0.4 + 1.1j, 0.2 + 0.6j), (1e-3 + 2.0j, 0.05 - 0.3j)):
+            def kernels(nu):
+                kp = KernelParams(z=z, p=p, nu=nu)
+                return I_g(kp, d, spec), *I_cpa_and_derivative(kp, d, spec)
+
+            for nu in (1e-300, 5e-324):
+                for got, want in zip(kernels(nu), kernels(0.0)):
+                    assert cmath.isfinite(got)
+                    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_default_grid_sizes():

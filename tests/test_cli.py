@@ -294,7 +294,7 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
         "p": (["solve-p", "--a", "2", "--b", "1", "--nu", "0",
                "--z-re", "0.1", "--z-im", "1"],
               ["version", "mode", "d", "a", "b", "nu", "z_re", "z_im", "out",
-               "kgrid", "branch_tag"]),
+               "branch_tag"]),
     }
     meta = {}
     for name, (argv, keys) in runs.items():
@@ -303,7 +303,7 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
         meta[name] = parse_csv(str(out))[0]
         assert list(meta[name]) == keys, name
     assert meta["mc"]["a"] == "1.0"
-    assert meta["cpa"]["kgrid"] == "64" and meta["p"]["kgrid"] == "4096"
+    assert meta["cpa"]["kgrid"] == "64" and "kgrid" not in meta["p"]
     assert meta["rmt"]["d"] == "1" and meta["rmt"]["nu"] == "0.0"
     # the flat-band curve still refuses a lattice histogram on nu
     lattice = tmp_path / "lattice.csv"
@@ -316,6 +316,19 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
     assert main(["compare", "--cpa", str(tmp_path / "rmt.csv"),
                  "--mc", str(lattice)]) == 2
     assert "nu differs" in capsys.readouterr().err
+
+
+def test_nu_zero_reads_no_grid(tmp_path, capsys):
+    out = tmp_path / "dos.csv"
+    assert main(["cpa-dos", "--a", "1", "--b", "1", "--nu", "0",
+                 "--omega-steps", "5", "--out", str(out)]) == 0
+    assert "kgrid" not in parse_csv(str(out))[0]
+    for argv in (["cpa-dos", "--a", "1", "--b", "1", "--nu", "0", "--kgrid", "3",
+                  "--omega-steps", "5"],
+                 ["solve-p", "--a", "2", "--b", "1", "--nu", "0", "--kgrid", "64"]):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "no zone grid is used at nu = 0" in capsys.readouterr().err
 
 
 def test_compare_curves_metric():

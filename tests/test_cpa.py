@@ -5,7 +5,6 @@ from bosondos import (
     ModelParams,
     QuadratureSpec,
     SolverError,
-    cpa_residual,
     continuation_sweep,
     dos_curve,
     find_gap_edge,
@@ -15,7 +14,7 @@ from bosondos import (
 )
 from bosondos import cpa
 from bosondos.bzquad import I_g, KernelParams
-from bosondos.cpa import _a1_scaled_root
+from bosondos.cpa import _a1_scaled_root, cpa_residual
 
 RMT_A2 = ModelParams(a=2.0, b=1.0, nu=0.0)
 RMT_A1 = ModelParams(a=1.0, b=1.0, nu=0.0)

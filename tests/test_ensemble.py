@@ -8,8 +8,6 @@ from bosondos import (
     ModelParams,
     assemble_H,
     assemble_K,
-    delta_k,
-    dispersion,
     dos_curve,
     mc_dos,
     sample_block,
@@ -17,6 +15,7 @@ from bosondos import (
 )
 from bosondos.ensemble import draw_sample, quadrature_K
 from bosondos.linalg import cholesky_psd
+from bosondos.model import delta_k, dispersion
 
 RMT = ModelParams(a=0.75, N=4, M=6, b=1.0, nu=0.0)
 

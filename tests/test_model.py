@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosondos import ModelParams, assemble_K, delta_k, dispersion, k1_block
+from bosondos import ModelParams, assemble_K
+from bosondos.model import delta_k, dispersion, k1_block
 
 wavevectors = st.lists(
     st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True),
