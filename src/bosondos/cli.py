@@ -215,12 +215,14 @@ def _model(args: argparse.Namespace) -> Tuple[ModelParams, Dict[str, object]]:
 
 def _spec(args: argparse.Namespace, params: ModelParams) -> Optional[QuadratureSpec]:
     kgrid = getattr(args, "kgrid", None)
+    check = getattr(args, "check_quadrature", False)
     if params.nu == 0:
-        if kgrid is not None:
-            raise ValueError("--kgrid given, but no zone grid is used at nu = 0")
+        for flag, given in (("--kgrid", kgrid is not None), ("--check-quadrature", check)):
+            if given:
+                raise ValueError(f"{flag} given, but no zone grid is used at nu = 0")
         return None
     return QuadratureSpec(default_points_per_dim(params.d) if kgrid is None else kgrid,
-                          getattr(args, "check_quadrature", False))
+                          check)
 
 
 def _omega_grid(args: argparse.Namespace) -> np.ndarray:

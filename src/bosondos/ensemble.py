@@ -14,7 +14,12 @@ L U = sqrt(2) (Re A | -Im A) and H becomes real symmetric, while Sigma3
 becomes U^dagger Sigma3 U = i*J with J = [[0, I], [-I, 0]].  With
 H = C C^T (real Cholesky) the frequencies are the eigenvalues of i*S,
 S = C^T J C real skew-symmetric, i.e. +/- the singular values of S
-(Williamson's symplectic form of H).
+(Williamson's symplectic form of H).  A definite H (factored with no shift)
+gives a nonsingular S, whose squared singular values are the eigenvalues of
+S^T S = -S^2: one symmetric eigensolve reads them off.  A shifted H (zero
+modes, as in the flat band at M < 2N) or an ill-conditioned S
+(mu_min < 1e-3 * mu_max, where squaring would lose more than about
+5e2 * eps * mu_max) takes one SVD of S instead.
 
 Each realization takes one path through plain real arrays: ``sample_block``
 returns a site's L, ``draw_sample`` the quadrature-basis H (via
@@ -33,7 +38,13 @@ import numpy as np
 
 # hermitian_eig is unused here but stays bound: perfbench/tracing.py hooks
 # it under this module's name.
-from .linalg import NotPsdError, cholesky_psd, hermitian_eig, skew_spectrum  # noqa: F401
+from .linalg import (  # noqa: F401
+    NotPsdError,
+    cholesky_psd,
+    hermitian_eig,
+    skew_spectrum,
+    skew_spectrum_gram,
+)
 from .model import ModelParams, assemble_K
 
 __all__ = [
@@ -189,8 +200,12 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
     With H = C C^T the spectrum of X equals that of i*S, S = C^T J C real
     skew-symmetric, so the computation stays in real arithmetic throughout.
     Per site, J swaps the q and p rows, so S = T - T^T with T = C_q^T C_p.
-    The output comes in +/- pairs; a Cholesky failure means H left the
-    stability cone.  A complex H (the (a, a*) basis) is rejected.
+    If H factored with no shift, ``skew_spectrum_gram`` takes S (one
+    symmetric eigensolve of S^T S, or the SVD when mu_min < 1e-3 * mu_max);
+    a shifted H has zero modes that squares cannot resolve at ``zero_tol``,
+    and goes to the SVD of ``skew_spectrum`` directly.  The output comes in
+    +/- pairs; a Cholesky failure means H left the stability cone.  A
+    complex H (the (a, a*) basis) is rejected.
     """
     if np.iscomplexobj(H):
         raise ValueError(
@@ -201,14 +216,18 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
     if dim % (2 * N) != 0:
         raise ValueError(f"H dimension {dim} is not a multiple of 2N={2 * N}")
     try:
-        C, _sigma = cholesky_psd(H)
+        C, sigma = cholesky_psd(H)
     except NotPsdError as exc:
         raise ConeViolationError(
             f"sampled generator is outside the stability cone: {exc}"
         ) from exc
     rows = C.reshape(dim // (2 * N), 2, N, dim)
     T = rows[:, 0].reshape(-1, dim).T @ rows[:, 1].reshape(-1, dim)
-    return skew_spectrum(T - T.T)
+    # drop C and T before the kernel allocates its own dim^2 arrays
+    del C, rows
+    S = T - T.T
+    del T
+    return skew_spectrum(S) if sigma else skew_spectrum_gram(S)
 
 
 def draw_sample(

@@ -331,6 +331,17 @@ def test_nu_zero_reads_no_grid(tmp_path, capsys):
         assert "no zone grid is used at nu = 0" in capsys.readouterr().err
 
 
+def test_nu_zero_checks_no_quadrature(tmp_path, capsys):
+    # no grid is read at nu = 0, so there is nothing to check against a
+    # doubled one; the flag would be recorded without effect
+    out = tmp_path / "x.csv"
+    assert main(["cpa-dos", "--a", "1", "--b", "1", "--nu", "0",
+                 "--check-quadrature", "--omega-steps", "5", "--out", str(out)]) == 2
+    assert "--check-quadrature given, but no zone grid is used at nu = 0" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_curves_metric():
     omegas = np.linspace(0.0, 1.0, 101)
     rho = np.ones_like(omegas)

@@ -13,8 +13,9 @@ from bosondos import (
     sample_block,
     spectrum_X,
 )
+from bosondos import ensemble
 from bosondos.ensemble import draw_sample, quadrature_K
-from bosondos.linalg import cholesky_psd
+from bosondos.linalg import cholesky_psd, skew_spectrum
 from bosondos.model import delta_k, dispersion
 
 RMT = ModelParams(a=0.75, N=4, M=6, b=1.0, nu=0.0)
@@ -244,6 +245,45 @@ class TestSpectrumX:
             zero = np.abs(mu) <= 1e-8 * np.abs(mu).max()
             assert zero.sum() == 2 * N - M
 
+    @pytest.mark.parametrize(
+        "params, n_samples",
+        [
+            (ModelParams(d=1, extents=(6,), N=2, M=3, b=0.8, nu=1.0), 3),
+            (ModelParams(d=2, extents=(4, 4), N=2, M=3, b=0.63, nu=1.0), 3),
+            # the benchmark's mc-lattice configuration
+            (ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0), 1),
+        ],
+        ids=["chain6", "square4x4", "mc-lattice"],
+    )
+    def test_definite_H_takes_the_gram_route(self, params, n_samples, monkeypatch):
+        K = quadrature_K(assemble_K(params), params.N)
+        Hs = [draw_sample(params, child, K=K)
+              for child in np.random.SeedSequence(0).spawn(n_samples)]
+        gram, calls = ensemble.skew_spectrum_gram, []
+        monkeypatch.setattr(ensemble, "skew_spectrum_gram",
+                            lambda S: calls.append(S.shape) or gram(S))
+        mus = [spectrum_X(H, params.N) for H in Hs]
+        assert len(calls) == n_samples
+        monkeypatch.setattr(ensemble, "skew_spectrum_gram", skew_spectrum)
+        for H, mu in zip(Hs, mus):
+            want = spectrum_X(H, params.N)
+            scale = np.abs(want).max()
+            # well conditioned, so the Gram route answered rather than the SVD
+            assert np.abs(want).min() > 1e-3 * scale
+            assert np.abs(mu - want).max() <= 1e-12 * scale
+
+    def test_ill_conditioned_definite_H_takes_the_svd_route(self, monkeypatch):
+        # the weakly disordered chain keeps its acoustic mode near 0
+        params = ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0)
+        H = draw_sample(params, np.random.SeedSequence(2),
+                        K=quadrature_K(assemble_K(params), params.N))
+        mu = spectrum_X(H, params.N)
+        monkeypatch.setattr(ensemble, "skew_spectrum_gram", skew_spectrum)
+        want = spectrum_X(H, params.N)
+        assert cholesky_psd(H)[1] == 0.0
+        assert np.abs(want).min() < 1e-3 * np.abs(want).max()
+        assert np.array_equal(mu, want)
+
     def test_complex_H_rejected(self):
         with pytest.raises(ValueError, match="quadrature"):
             spectrum_X(np.eye(4, dtype=complex), 2)
@@ -276,6 +316,18 @@ class TestMcDos:
     def test_zero_mode_fraction_from_rank_nullity(self, params, n_samples, seed):
         hist = mc_dos(params, n_samples=n_samples, bins=20, seed=seed)
         assert hist.zero_mode_fraction == (2 * params.N - params.M) / (2 * params.N)
+
+    def test_hard_edge_flat_band_books_as_the_svd_route(self, monkeypatch):
+        # M = 2N: H is definite, but the spectrum runs down to the hard edge
+        # at 0, so samples take both routes
+        params = ModelParams(a=1.0, N=8, M=16, b=1.0, nu=0.0)
+        hist = mc_dos(params, n_samples=200, bins=40, seed=0)
+        monkeypatch.setattr(ensemble, "skew_spectrum_gram", skew_spectrum)
+        want = mc_dos(params, n_samples=200, bins=40, seed=0)
+        assert np.array_equal(hist.counts, want.counts)
+        assert hist.zero_mode_count == want.zero_mode_count
+        assert hist.overflow_count == want.overflow_count
+        np.testing.assert_allclose(hist.bin_edges, want.bin_edges, rtol=1e-12, atol=0)
 
     def test_bookkeeping_identity(self):
         hist = mc_dos(RMT, n_samples=10, bins=20, seed=3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosondos import NotPsdError, cholesky_psd, hermitian_eig
-from bosondos.linalg import check_hermitian, skew_spectrum
+from bosondos.linalg import check_hermitian, skew_spectrum, skew_spectrum_gram
 
 
 def random_hermitian(n, rng):
@@ -63,10 +63,39 @@ def test_skew_spectrum_matches_hermitian_eig():
 
 
 def test_skew_spectrum_rejects_complex_or_odd_input():
-    with pytest.raises(ValueError, match="real matrix of even dimension"):
-        skew_spectrum(np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="real matrix of even dimension"):
-        skew_spectrum(np.zeros((2, 2), dtype=complex))
+    for kernel in (skew_spectrum, skew_spectrum_gram):
+        with pytest.raises(ValueError, match="real matrix of even dimension"):
+            kernel(np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="real matrix of even dimension"):
+            kernel(np.zeros((2, 2), dtype=complex))
+
+
+def rotated_skew(mus, rng):
+    """Q (D - D^T) Q^T with D = diag(mus) x [[0, 1], [0, 0]]: exactly skew,
+    with frequencies +/- mus."""
+    D = np.kron(np.diag(mus), [[0.0, 1.0], [0.0, 0.0]])
+    Q, _ = np.linalg.qr(rng.normal(size=D.shape))
+    A = Q @ D @ Q.T
+    return A - A.T
+
+
+def test_skew_spectrum_gram_matches_svd_route():
+    rng = np.random.default_rng(6)
+    for mus in (rng.uniform(0.1, 2.0, size=6), [1.0, 0.5, 1.01e-3]):
+        S = rotated_skew(mus, rng)
+        mu = skew_spectrum_gram(S)
+        want = skew_spectrum(S)
+        assert np.all(np.diff(mu) >= 0)
+        assert np.array_equal(mu, -mu[::-1])
+        assert np.abs(mu - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(mu[len(mus):] - np.sort(mus)).max() <= 1e-12 * max(mus)
+
+
+@pytest.mark.parametrize("mu_min", [0.0, 1e-9, 1e-4, 0.99e-3])
+def test_skew_spectrum_gram_hands_ill_conditioned_S_to_the_svd(mu_min):
+    # mu_min < 1e-3 mu_max: squares would lose too much, the SVD answers
+    S = rotated_skew([1.0, 0.5, mu_min], np.random.default_rng(7))
+    assert np.array_equal(skew_spectrum_gram(S), skew_spectrum(S))
 
 
 def test_cholesky_identity():
