@@ -193,14 +193,16 @@ def I_g(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
 
 
 def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
-    """(I_cpa, dI_cpa/dp) from one pair of zone means, for each Newton step.
+    """(I_cpa, dI_cpa/dp, I_g) from one pair of zone means, for each Newton step.
 
     I_cpa is the mean of (p + nu*(1 - dlt/2)) / D, differentiated under the
     integral.  With q = p + nu the numerator is A + D/(2q), A = q - alpha/(2q),
     and dD/dp = 2A + D/q, so I_cpa = 1/(2q) + A*m1 and dI_cpa/dp = m1 -
     2A^2*m2 - 2A*m1/q - 1/(2q^2).  On the excess means the flat-band terms
     cancel exactly: I_cpa = (q + A*E1)/alpha and
-    dI_cpa/dp = E1*z^2/(q^2*alpha) - 2A*(q + A*E2)/alpha^2.
+    dI_cpa/dp = E1*z^2/(q^2*alpha) - 2A*(q + A*E2)/alpha^2.  I_g = z*m1 comes
+    from the same means, bit for bit what ``I_g`` returns, so the solver reads
+    g off its converged step instead of taking another zone mean.
     """
     q = complex(kp.p + kp.nu)
     if q == 0:
@@ -210,6 +212,7 @@ def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
     return _kernels(lambda alpha, e1, e2: (
         (q + A * e1) / alpha,
         e1 * zz / (q * q * alpha) - 2 * A * (q + A * e2) / (alpha * alpha),
+        kp.z * (1 + e1) / alpha,
     ), kp, d, spec)
 
 

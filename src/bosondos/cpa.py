@@ -18,6 +18,9 @@ Numerics note: Newton iterates on the cleared form
 which is equivalent to the equation above for p != 0 but free of the
 catastrophic 1/b vs a/p cancellation at weak disorder.  Convergence and the
 reported ``residual`` are measured relative to the natural scale of G.
+The zone means of the converged Newton step also give g = mean_k z/D at the
+solution, so a solved point costs no further zone mean; only a spec with the
+grid-doubling check takes one, on the doubled grid, for the value it reports.
 
 Every zone mean goes through :mod:`bosondos.bzquad`, which also covers the
 random-matrix limit nu = 0, so the solver has no special case for it.  The
@@ -87,7 +90,9 @@ class CoherentPotential:
     ``residual`` is the relative mismatch of the self-consistency equation
     (see the module docstring); ``branch_tag`` records how the branch was
     reached, ``flags`` carry non-fatal diagnostics (sign losses, reseeds,
-    unresolved jumps).
+    unresolved jumps).  ``g`` is the resolvent trace z*mean_k 1/D at (z, p),
+    read off the converged Newton step's zone means on the unchecked grid;
+    it is None where no Newton solve ran (b = 0, an unconverged point).
     """
 
     p: complex
@@ -96,6 +101,7 @@ class CoherentPotential:
     iterations: int
     branch_tag: str
     flags: Tuple[str, ...] = ()
+    g: Optional[complex] = None
 
 
 @dataclass(frozen=True)
@@ -159,23 +165,25 @@ def cpa_residual(
 
 
 def _G_terms(p: complex, z: complex, params: ModelParams, spec: QuadratureSpec):
-    """Cleared residual G = p - a*b + b*p*I, its p-derivative, and its scale."""
+    """Cleared residual G = p - a*b + b*p*I, its p-derivative, its scale,
+    and g at (z, p), all from one pair of zone means."""
     a, b = params.a, params.b
     kp = KernelParams(z=z, p=p, nu=params.nu)
-    I, dI = bzquad.I_cpa_and_derivative(kp, params.d, spec)
+    I, dI, g = bzquad.I_cpa_and_derivative(kp, params.d, spec)
     G = p - a * b + b * p * I
     dG = 1.0 + b * I + b * p * dI
     scale = a * b + abs(p) * (1.0 + b * abs(I))
-    return G, dG, scale
+    return G, dG, scale, g
 
 
-def _accept_branch(p, z, params, spec, flags):
+def _accept_branch(p, z, g, flags):
     """Reject converged roots that violate physical-branch invariants.
 
     The physical branch keeps Re p > 0 (up to rounding at branch pinches,
     where the true value approaches 0+) and, because g is the resolvent of
     a spectral measure on the imaginary axis, Re g > 0 for Re z > 0.  Roots
-    failing either test decisively belong to another sheet.
+    failing either test decisively belong to another sheet.  ``g`` comes
+    from the converged step's zone means, so the test takes none of its own.
     """
     if p.real < -1e-9 * abs(p):
         raise BranchError(
@@ -183,7 +191,6 @@ def _accept_branch(p, z, params, spec, flags):
         )
     if p.real <= 0:
         flags.append("re_p_nonpositive")
-    g = _g_from_p(p, z, params, spec)
     if g.real < -1e-9 * abs(g):
         raise BranchError(
             f"converged to a root with negative spectral weight at z={z}: "
@@ -192,17 +199,17 @@ def _accept_branch(p, z, params, spec, flags):
 
 
 def _newton(z, p0, params, spec):
-    """Damped Newton on the cleared residual; returns (p, residual, iters, flags)."""
+    """Damped Newton on the cleared residual; returns (p, g, residual, iters, flags)."""
     p = complex(p0)
     if p == 0:
         raise ValueError("seed p must be nonzero")
-    G, dG, scale = _G_terms(p, z, params, spec)
+    G, dG, scale, g = _G_terms(p, z, params, spec)
     flags: List[str] = []
     sign_losses = 0
     for it in range(MAX_ITER):
         if abs(G) <= NEWTON_TOL * scale:
-            _accept_branch(p, z, params, spec, flags)
-            return p, abs(G) / scale, it, tuple(flags)
+            _accept_branch(p, z, g, flags)
+            return p, g, abs(G) / scale, it, tuple(flags)
         if dG == 0:
             raise SolverError(f"vanishing derivative at p={p}, z={z}", last_p=p)
         step = -G / dG
@@ -212,14 +219,14 @@ def _newton(z, p0, params, spec):
         while lam >= 1e-12:
             pn = p + lam * step
             if pn != 0:
-                Gn, dGn, scale_n = _G_terms(pn, z, params, spec)
+                Gn, dGn, scale_n, gn = _G_terms(pn, z, params, spec)
                 if abs(Gn) < abs(G):
                     if pn.real > 0:
-                        p, G, dG, scale = pn, Gn, dGn, scale_n
+                        p, G, dG, scale, g = pn, Gn, dGn, scale_n, gn
                         accepted = True
                         break
                     if fallback is None:
-                        fallback = (pn, Gn, dGn, scale_n)
+                        fallback = (pn, Gn, dGn, scale_n, gn)
             lam *= DAMPING
         if not accepted:
             if fallback is None:
@@ -235,10 +242,10 @@ def _newton(z, p0, params, spec):
                     f"persistent loss of Re p > 0 at z={z} (last p={fallback[0]})"
                 )
             flags.append("re_p_nonpositive_step")
-            p, G, dG, scale = fallback
+            p, G, dG, scale, g = fallback
     if abs(G) <= NEWTON_TOL * scale:
-        _accept_branch(p, z, params, spec, flags)
-        return p, abs(G) / scale, MAX_ITER, tuple(flags)
+        _accept_branch(p, z, g, flags)
+        return p, g, abs(G) / scale, MAX_ITER, tuple(flags)
     raise SolverError(
         f"no convergence after {MAX_ITER} iterations at z={z}: "
         f"relative residual {abs(G) / scale:.3e}",
@@ -251,10 +258,11 @@ def _march(z_from, p_from, z_to, params, spec, initial_steps=1):
 
     Adaptive stepping: on solver failure or a jump larger than JUMP_TOL the
     step is halved (bounded refinement); an unresolvable jump is flagged but
-    accepted.  Returns (p, residual, iterations, flags) at z_to.
+    accepted.  Returns (p, g, residual, iterations, flags) at z_to; the last
+    step lands on z_to exactly, so g is the zone mean there.
     """
     z0, z1 = complex(z_from), complex(z_to)
-    p, resid, its = complex(p_from), 0.0, 0
+    p, g, resid, its = complex(p_from), None, 0.0, 0
     flags: List[str] = []
     dt0 = 1.0 / initial_steps
     dt_min = 0.5**MAX_PATH_REFINE / max(initial_steps, PATH_STEPS)
@@ -263,7 +271,7 @@ def _march(z_from, p_from, z_to, params, spec, initial_steps=1):
         tn = min(1.0, t + dt)
         zt = (1.0 - tn) * z0 + tn * z1
         try:
-            pn, resid_n, its_n, fl = _newton(zt, p, params, spec)
+            pn, gn, resid_n, its_n, fl = _newton(zt, p, params, spec)
         except (SolverError, BranchError):
             if dt * 0.5 < dt_min:
                 raise
@@ -277,11 +285,11 @@ def _march(z_from, p_from, z_to, params, spec, initial_steps=1):
                 f"branch_jump at z={zt:.6g}: |dp|={abs(pn - p):.3e} "
                 f"with path step exhausted"
             )
-        p, resid, its = pn, resid_n, its_n
+        p, g, resid, its = pn, gn, resid_n, its_n
         flags.extend(fl)
         t = tn
         dt = min(dt * 1.5, dt0)
-    return p, resid, its, flags
+    return p, g, resid, its, flags
 
 
 def solve_p(
@@ -310,17 +318,17 @@ def solve_p(
         )
     spec_i = _inner_spec(spec)
     if seed_p is not None:
-        p, resid, its, flags = _newton(z, complex(seed_p), params, spec_i)
+        p, g, resid, its, flags = _newton(z, complex(seed_p), params, spec_i)
         return CoherentPotential(
             p=p, z=z, residual=resid, iterations=its,
             branch_tag=f"newton from seed p={complex(seed_p):.6g}",
-            flags=flags,
+            flags=flags, g=g,
         )
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
     p0 = params.a * params.b
-    p, resid, its, flags0 = _newton(z_start, p0, params, spec_i)
+    p, g, resid, its, flags0 = _newton(z_start, p0, params, spec_i)
     if z != z_start:
-        p, resid, its, flags1 = _march(
+        p, g, resid, its, flags1 = _march(
             z_start, p, z, params, spec_i, initial_steps=PATH_STEPS
         )
         flags = list(flags0) + list(flags1)
@@ -329,7 +337,7 @@ def solve_p(
     return CoherentPotential(
         p=p, z=z, residual=resid, iterations=its,
         branch_tag=f"continuation from z_start={z_start.real:.6g} (seed p=a*b)",
-        flags=tuple(flags),
+        flags=tuple(flags), g=g,
     )
 
 
@@ -368,10 +376,10 @@ def continuation_sweep(
     for w in omegas[1:]:
         z_next = complex(eps, w)
         try:
-            p, resid, its, flags = _march(cp.z, cp.p, z_next, params, spec_i)
+            p, g, resid, its, flags = _march(cp.z, cp.p, z_next, params, spec_i)
             cp = CoherentPotential(
                 p=p, z=z_next, residual=resid, iterations=its,
-                branch_tag=f"continued from z={cp.z:.6g}", flags=tuple(flags),
+                branch_tag=f"continued from z={cp.z:.6g}", flags=tuple(flags), g=g,
             )
         except (SolverError, BranchError) as exc:
             try:
@@ -390,8 +398,13 @@ def continuation_sweep(
     return out
 
 
-def _g_from_p(p: complex, z: complex, params: ModelParams, spec: QuadratureSpec):
-    return bzquad.I_g(KernelParams(z=z, p=p, nu=params.nu), params.d, spec)
+def _reported_g(cp: CoherentPotential, params: ModelParams, spec: QuadratureSpec):
+    """g at a solved point: the one its converged step carries, or a zone
+    mean of its own where the spec asks for the doubled grid's value or no
+    Newton solve ran."""
+    if cp.g is None or spec.convergence_check:
+        return bzquad.I_g(KernelParams(z=cp.z, p=cp.p, nu=params.nu), params.d, spec)
+    return cp.g
 
 
 def g_of_z(
@@ -408,8 +421,7 @@ def g_of_z(
     if z.real < 0:
         return -g_of_z(-z, params, spec)
     spec = _resolve_spec(spec, params)
-    cp = solve_p(z, params, spec)
-    return _g_from_p(cp.p, z, params, spec)
+    return _reported_g(solve_p(z, params, spec), params, spec)
 
 
 def dos_curve(
@@ -437,10 +449,7 @@ def dos_curve(
         sweep = continuation_sweep(omegas, eps_val, params, spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", AccuracyWarning)
-            g = np.array(
-                [_g_from_p(cp.p, cp.z, params, spec) for cp in sweep],
-                dtype=complex,
-            )
+            g = np.array([_reported_g(cp, params, spec) for cp in sweep], dtype=complex)
         notes = [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)]
         if dirac:
             # the point mass is the pole dirac/z of g; keep its broadened
@@ -534,7 +543,7 @@ def find_gap_edge(
 
     def rho_at(w):
         cp = solve_p(complex(eps, w), params, spec)
-        return _g_from_p(cp.p, cp.z, params, spec).real / np.pi
+        return _reported_g(cp, params, spec).real / np.pi
 
     lo = 1e-6 * scale if omega_lo is None else omega_lo
     if rho_at(lo) > threshold:

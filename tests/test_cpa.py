@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,55 @@ class TestDosCurve:
     def test_residual_guarantee_along_sweep(self):
         curve = dos_curve(np.linspace(0.1, 2.0, 30), 1e-3, LATTICE)
         assert curve.residuals.max() <= cpa.NEWTON_TOL
+
+
+class TestCarriedResolvent:
+    # g is read off the zone means of the converged Newton step; a zone mean
+    # of its own is taken only for the doubled grid of a checked spec
+    GRID = np.linspace(0.1, 2.6, 12)
+
+    @staticmethod
+    def count_I_g(monkeypatch):
+        calls = []
+        real = cpa.bzquad.I_g
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cpa.bzquad, "I_g", counted)
+        return calls
+
+    def test_unchecked_curve_takes_no_extra_zone_mean(self, monkeypatch):
+        calls = self.count_I_g(monkeypatch)
+        dos_curve(self.GRID, 1e-3, LATTICE, QuadratureSpec(points_per_dim=512))
+        assert calls == []
+
+    def test_checked_curve_takes_one_doubled_mean_per_point(self, monkeypatch):
+        # a grid too coarse for eps, so that the doubling check fires
+        spec = QuadratureSpec(points_per_dim=64, convergence_check=True)
+        want = []
+        for cp in continuation_sweep(self.GRID, 1e-3, LATTICE, spec):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                I_g(KernelParams(cp.z, cp.p, LATTICE.nu), LATTICE.d, spec)
+            want += [str(w.message) for w in caught]
+        assert want
+        calls = self.count_I_g(monkeypatch)
+        curve = dos_curve(self.GRID, 1e-3, LATTICE, spec)
+        assert len(calls) == self.GRID.size
+        assert list(curve.notes) == want
+
+    @pytest.mark.parametrize("params,n", [
+        (LATTICE, 512), (RMT_A2, 4), (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 16),
+        (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 8),
+    ])
+    def test_carried_g_is_the_zone_mean_at_the_solution(self, params, n):
+        spec = QuadratureSpec(points_per_dim=n)
+        solved = [solve_p(0.01 + 0.7j, params, spec)]
+        solved += continuation_sweep(self.GRID, 1e-3, params, spec)
+        for cp in solved:
+            assert cp.g == I_g(KernelParams(cp.z, cp.p, params.nu), params.d, spec)
 
 
 class TestScaledCriticalRatio:
