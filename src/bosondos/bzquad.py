@@ -117,11 +117,25 @@ def _alpha_beta(kp: KernelParams):
     return q * q + kp.z * kp.z, kp.nu * q
 
 
-def _axis_excess(tau, n: int, sqrt):
-    """M1(tau) - 1 and M2(tau) - 1; ``sqrt`` is cmath's or numpy's."""
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n by binary exponentiation, n >= 1: numpy's complex ** takes an
+    exp/log path for n >= 100 that costs over ten times as much."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
+def _axis_excess(tau, n: int, sqrt, power):
+    """M1(tau) - 1 and M2(tau) - 1; ``sqrt`` and ``power`` act on cmath's
+    scalars or on numpy arrays."""
     r = sqrt((1 - tau) * (1 + tau))
     rho = tau / (1 + r)
-    P = rho**n
+    P = power(rho, n)
     u = 1 / (1 - P)
     ir = 1 / r
     f1 = (tau * rho + 2 * P * u) * ir  # 1 - r = tau * rho
@@ -132,13 +146,13 @@ def _symbol_excess(t, d: int, n: int):
     """Means of 1/(1 - t*dlt) and of its square over the n^d grid, minus 1;
     not finite (ZeroDivisionError on the scalars of d = 1) where M1 is not."""
     if d == 1:
-        return _axis_excess(t, n, cmath.sqrt)
+        return _axis_excess(t, n, cmath.sqrt, pow)
     dlt, weight, _ = _zone_nodes(d - 1, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tc = dlt * (t * (d - 1))
         g = d - tc  # d*a, exact where t*c is
         ia = d / g
-        f1, f2 = _axis_excess(t / g, n, np.sqrt)
+        f1, f2 = _axis_excess(t / g, n, np.sqrt, _power)
         b = tc / d  # 1 - a
         f1 += b
         f2 += b * (2.0 - b)  # 1 - a^2

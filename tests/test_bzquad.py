@@ -240,7 +240,8 @@ def test_zone_nodes_fold_the_full_grid():
         I_g(KernelParams(0, 0, 1), 2, SMALL)
 
 
-@pytest.mark.parametrize("d,n", [(1, 7), (1, 4096), (2, 33), (2, 64), (3, 9), (3, 16)])
+@pytest.mark.parametrize("d,n", [(1, 7), (1, 4096), (2, 33), (2, 64), (2, 101), (2, 256),
+                                 (3, 9), (3, 16)])
 def test_closed_form_means_match_meshgrid(d, n):
     # means of 1/(1 - t dlt) and of its square, at 1/t in both half-planes
     # near and away from the band [-1, 1], and on the real axis outside it
