@@ -32,6 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,10 +72,10 @@ class QuadratureSpec:
             raise ValueError("points_per_dim must be at least 4")
 
 
-@dataclass(frozen=True)
-class KernelParams:
+class KernelParams(NamedTuple):
     """Arguments of the propagator kernels: frequency z, coherent potential p,
-    and the clean scale nu.  The physical frequency domain is Re z > 0."""
+    and the clean scale nu.  The physical frequency domain is Re z > 0.
+    A named tuple, because the solver builds one per Newton step."""
 
     z: complex
     p: complex
@@ -159,13 +160,13 @@ def _symbol_excess(t, d: int, n: int):
         return complex((weight * ia * f1).sum()), complex((weight * ia * ia * f2).sum())
 
 
-def _means(kp: KernelParams, d: int, n: int):
-    """alpha and the excess means: m1 = (1 + E1)/alpha, m2 = (1 + E2)/alpha^2."""
-    alpha, beta = _alpha_beta(kp)
+def _excess(alpha: complex, beta: complex, d: int, n: int):
+    """The excess means E1, E2 of D = alpha - beta*dlt on the n^d grid:
+    m1 = (1 + E1)/alpha and m2 = (1 + E2)/alpha^2."""
     try:
         e1, e2 = _symbol_excess(beta / alpha, d, n)
         if cmath.isfinite(e1) and cmath.isfinite(e2):
-            return alpha, e1, e2
+            return e1, e2
     except (ZeroDivisionError, OverflowError):
         pass
     dlt, weight, rep = _zone_nodes(d, n)
@@ -184,15 +185,16 @@ def _means(kp: KernelParams, d: int, n: int):
         raise ValueError(f"zone mean overflows at {n} points per dimension")
     if alpha == 0:
         raise ValueError("the zone means are singular at alpha = (p + nu)^2 + z^2 = 0")
-    return alpha, e1, e2
+    return e1, e2
 
 
 def _kernels(terms, kp: KernelParams, d: int, spec: QuadratureSpec):
     """``terms(alpha, E1, E2)`` on the spec's grid (doubled, if checked)."""
     n = spec.points_per_dim
-    values = terms(*_means(kp, d, n))
+    alpha, beta = _alpha_beta(kp)
+    values = terms(alpha, *_excess(alpha, beta, d, n))
     if spec.convergence_check:
-        coarse, values = values, terms(*_means(kp, d, 2 * n))
+        coarse, values = values, terms(alpha, *_excess(alpha, beta, d, 2 * n))
         for i_n, i_2n in zip(coarse, values):
             if abs(i_n - i_2n) > REL_TOL * max(abs(i_2n), np.finfo(float).tiny):
                 warnings.warn(AccuracyWarning(
@@ -206,6 +208,17 @@ def I_g(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
     return _kernels(lambda alpha, e1, e2: (kp.z * (1 + e1) / alpha,), kp, d, spec)[0]
 
 
+def _cpa_terms(z: complex, q: complex, alpha: complex, e1: complex, e2: complex):
+    """(I_cpa, dI_cpa/dp, I_g) from q = p + nu, alpha and the excess means."""
+    zz, qq = z * z, q * q
+    A = (qq - zz) / (2 * q)
+    return (
+        (q + A * e1) / alpha,
+        e1 * zz / (qq * alpha) - 2 * A * (q + A * e2) / (alpha * alpha),
+        z * (1 + e1) / alpha,
+    )
+
+
 def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
     """(I_cpa, dI_cpa/dp, I_g) from one pair of zone means, for each Newton step.
 
@@ -216,18 +229,18 @@ def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
     cancel exactly: I_cpa = (q + A*E1)/alpha and
     dI_cpa/dp = E1*z^2/(q^2*alpha) - 2A*(q + A*E2)/alpha^2.  I_g = z*m1 comes
     from the same means, bit for bit what ``I_g`` returns, so the solver reads
-    g off its converged step instead of taking another zone mean.
+    g off its converged step instead of taking another zone mean.  Without
+    the doubling check the call goes straight to the means, not through
+    ``_kernels``: the solver makes one such call per Newton step.
     """
-    q = complex(kp.p + kp.nu)
+    z, p, nu = kp
+    q = complex(p + nu)
     if q == 0:
         raise ValueError("I_cpa has no closed form at p = -nu")
-    zz = kp.z * kp.z
-    A = (q * q - zz) / (2 * q)
-    return _kernels(lambda alpha, e1, e2: (
-        (q + A * e1) / alpha,
-        e1 * zz / (q * q * alpha) - 2 * A * (q + A * e2) / (alpha * alpha),
-        kp.z * (1 + e1) / alpha,
-    ), kp, d, spec)
+    if spec.convergence_check:
+        return _kernels(lambda *means: _cpa_terms(z, q, *means), kp, d, spec)
+    alpha = q * q + z * z  # as in _alpha_beta
+    return _cpa_terms(z, q, alpha, *_excess(alpha, nu * q, d, spec.points_per_dim))
 
 
 def I_cpa(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:

@@ -12,6 +12,7 @@ warnings.  Identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -43,18 +44,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_column(column: Sequence) -> List[str]:
+    """``_fmt`` of each entry; a 1-d float or integer array is formatted in
+    one pass over its Python scalars, to the same strings."""
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "fiu":
+        return [repr(v) for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
 def emit_csv(path: str, metadata: Dict[str, object], columns: Dict[str, Sequence]) -> None:
     """Write ``# key = value`` preamble, a header row, and full-precision rows.
 
     An empty column set (or zero rows) produces a header-only file.
     """
-    names = list(columns)
-    rows = len(next(iter(columns.values()))) if names else 0
     lines = [f"# {key} = {_fmt(val)}" for key, val in metadata.items()]
-    if names:
-        lines.append(",".join(names))
-    for i in range(rows):
-        lines.append(",".join(_fmt(columns[name][i]) for name in names))
+    if columns:
+        lines.append(",".join(columns))
+    lines += map(",".join, zip(*map(_fmt_column, columns.values()), strict=True))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -213,6 +219,14 @@ def _model(args: argparse.Namespace) -> Tuple[ModelParams, Dict[str, object]]:
     return params, meta
 
 
+def _check_finite(args: argparse.Namespace, *flags: str) -> None:
+    """Reject a nan or infinite value of a float flag up front, naming it."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+
+
 def _spec(args: argparse.Namespace, params: ModelParams) -> Optional[QuadratureSpec]:
     kgrid = getattr(args, "kgrid", None)
     check = getattr(args, "check_quadrature", False)
@@ -241,6 +255,7 @@ def _omega_grid(args: argparse.Namespace) -> np.ndarray:
 def _run_dos(args: argparse.Namespace) -> int:
     """cpa-dos and rmt-dos; rmt-dos has no quadrature flags because no grid
     is used at nu = 0."""
+    _check_finite(args, "--omega-min", "--omega-max", "--eps")
     params, meta = _model(args)
     spec = _spec(args, params)
     omegas = _omega_grid(args)
@@ -277,6 +292,9 @@ def _run_dos(args: argparse.Namespace) -> int:
 
 
 def _run_mc(args: argparse.Namespace) -> int:
+    _check_finite(args, "--omega-max")
+    if args.omega_max is not None and args.omega_max <= 0:
+        raise ValueError(f"--omega-max must be positive, got {args.omega_max}")
     params, meta = _model(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -303,6 +321,7 @@ def _run_mc(args: argparse.Namespace) -> int:
 
 
 def _run_solve_p(args: argparse.Namespace) -> int:
+    _check_finite(args, "--z-re", "--z-im")
     params, meta = _model(args)
     spec = _spec(args, params)
     cp = solve_p(complex(args.z_re, args.z_im), params, spec)

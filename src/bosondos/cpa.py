@@ -30,6 +30,9 @@ DAMPING, at most MAX_SIGN_LOSSES steps that only improve with Re p <= 0);
 continuation starts at the real frequency Z_START_SCALE * max(b, nu) and
 marches straight-line paths in PATH_STEPS initial steps, halving a step at
 most MAX_PATH_REFINE times on a failed solve or a jump beyond JUMP_TOL.
+A sweep along z = eps + i*omega is a predictor-corrector continuation: the
+predictor extrapolates p through the last two or three converged points
+(none after a reseed or an unconverged point), and Newton corrects it.
 """
 
 from __future__ import annotations
@@ -168,8 +171,8 @@ def _G_terms(p: complex, z: complex, params: ModelParams, spec: QuadratureSpec):
     """Cleared residual G = p - a*b + b*p*I, its p-derivative, its scale,
     and g at (z, p), all from one pair of zone means."""
     a, b = params.a, params.b
-    kp = KernelParams(z=z, p=p, nu=params.nu)
-    I, dI, g = bzquad.I_cpa_and_derivative(kp, params.d, spec)
+    # looked up on the module at each call, where a tracer can wrap it
+    I, dI, g = bzquad.I_cpa_and_derivative(KernelParams(z, p, params.nu), params.d, spec)
     G = p - a * b + b * p * I
     dG = 1.0 + b * I + b * p * dI
     scale = a * b + abs(p) * (1.0 + b * abs(I))
@@ -253,13 +256,15 @@ def _newton(z, p0, params, spec):
     )
 
 
-def _march(z_from, p_from, z_to, params, spec, initial_steps=1):
+def _march(z_from, p_from, z_to, params, spec, initial_steps=1, seed=None):
     """Continue the branch along the straight segment z_from -> z_to.
 
     Adaptive stepping: on solver failure or a jump larger than JUMP_TOL the
     step is halved (bounded refinement); an unresolvable jump is flagged but
-    accepted.  Returns (p, g, residual, iterations, flags) at z_to; the last
-    step lands on z_to exactly, so g is the zone mean there.
+    accepted.  ``seed`` replaces p_from as the Newton start of the first step
+    only; the jump test compares with p_from all the same, and a halving
+    restarts from it.  Returns (p, g, residual, iterations, flags) at z_to;
+    the last step lands on z_to exactly, so g is the zone mean there.
     """
     z0, z1 = complex(z_from), complex(z_to)
     p, g, resid, its = complex(p_from), None, 0.0, 0
@@ -270,8 +275,9 @@ def _march(z_from, p_from, z_to, params, spec, initial_steps=1):
     while t < 1.0:
         tn = min(1.0, t + dt)
         zt = (1.0 - tn) * z0 + tn * z1
+        start, seed = p if seed is None else seed, None
         try:
-            pn, gn, resid_n, its_n, fl = _newton(zt, p, params, spec)
+            pn, gn, resid_n, its_n, fl = _newton(zt, start, params, spec)
         except (SolverError, BranchError):
             if dt * 0.5 < dt_min:
                 raise
@@ -341,19 +347,40 @@ def solve_p(
     )
 
 
+def _extrapolated_seed(history, z: complex) -> Optional[complex]:
+    """Newton start at z: p extrapolated through the last two or three
+    converged (z, p) of the sweep (Lagrange, in Newton's form); None from
+    fewer points or where the extrapolation leaves the half-plane Re p > 0."""
+    if len(history) < 2:
+        return None
+    (z1, p1), (z2, p2) = history[-2:]
+    d21 = (p2 - p1) / (z2 - z1)
+    seed = p2 + d21 * (z - z2)
+    if len(history) > 2:
+        z0, p0 = history[-3]
+        d10 = (p1 - p0) / (z1 - z0)
+        seed += (d21 - d10) / (z2 - z0) * (z - z2) * (z - z1)
+    return seed if seed.real > 0 else None
+
+
 def continuation_sweep(
     omega_grid: Sequence[float],
     eps: float,
     params: ModelParams,
     spec: Optional[QuadratureSpec] = None,
 ) -> List[CoherentPotential]:
-    """Solve p along z = eps + i*omega for every omega, seeding each solve
+    """Solve p along z = eps + i*omega for every omega, marching each solve
     from its predecessor.
 
     The grid is marched in the order given (so a reversed grid sweeps
     downward); the first point is reached by full continuation from the
-    asymptotic regime.  Points where refinement fails are flagged and the
-    sweep continues from a fresh reseed.
+    asymptotic regime.  Each later point's Newton run starts from p
+    extrapolated in z through the last three points converged since the
+    start, the last reseed or the last unconverged point, or through two
+    where only two have.  With fewer, or where the extrapolation has
+    Re p <= 0, it starts from the predecessor's p, as every halved step
+    does.  Points where refinement fails are flagged and the sweep continues
+    from a fresh reseed.
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -373,14 +400,19 @@ def continuation_sweep(
     out: List[CoherentPotential] = []
     cp = solve_p(complex(eps, omegas[0]), params, spec)
     out.append(cp)
+    history = [(cp.z, cp.p)]  # converged points since the last (re)start
     for w in omegas[1:]:
         z_next = complex(eps, w)
         try:
-            p, g, resid, its, flags = _march(cp.z, cp.p, z_next, params, spec_i)
+            p, g, resid, its, flags = _march(
+                cp.z, cp.p, z_next, params, spec_i,
+                seed=_extrapolated_seed(history, z_next),
+            )
             cp = CoherentPotential(
                 p=p, z=z_next, residual=resid, iterations=its,
-                branch_tag=f"continued from z={cp.z:.6g}", flags=tuple(flags), g=g,
+                branch_tag="continued along the sweep", flags=tuple(flags), g=g,
             )
+            history = history[-2:] + [(z_next, p)]
         except (SolverError, BranchError) as exc:
             try:
                 fresh = solve_p(z_next, params, spec)
@@ -388,12 +420,14 @@ def continuation_sweep(
                     fresh,
                     flags=fresh.flags + (f"reseeded after failure: {exc}",),
                 )
+                history = [(z_next, cp.p)]
             except (SolverError, BranchError) as exc2:
                 cp = CoherentPotential(
                     p=cp.p, z=z_next, residual=math.inf, iterations=0,
                     branch_tag="unconverged",
                     flags=(f"unconverged: {exc2}",),
                 )
+                history = []
         out.append(cp)
     return out
 

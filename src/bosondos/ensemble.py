@@ -30,6 +30,7 @@ bins the spectra of many realizations into a :class:`SpectrumHistogram`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -264,6 +265,8 @@ def mc_dos(
         raise ValueError("n_samples must be at least 1")
     if bins < 1:
         raise ValueError("bins must be at least 1")
+    if omega_max is not None and not 0 < omega_max < math.inf:
+        raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
     if params.extents is None:
         if params.nu != 0:
             raise ValueError(

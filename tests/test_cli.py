@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,55 @@ def test_nonfinite_model_scale_is_usage_error(argv, name, tmp_path, capsys):
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
+FREQUENCY_MODES = {
+    "cpa-dos": ["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1",
+                "--omega-steps", "3"],
+    "rmt-dos": ["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "3"],
+    "solve-p": ["solve-p", "--a", "0.75", "--b", "0.63", "--nu", "1"],
+    "mc-dos": ["mc-dos", "--N", "2", "--M", "3", "--b", "1", "--nu", "0",
+               "--samples", "2", "--bins", "3", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "mode,flag,value",
+    [
+        ("cpa-dos", "--eps", "nan"),
+        ("cpa-dos", "--eps", "inf"),
+        ("cpa-dos", "--omega-max", "nan"),
+        ("cpa-dos", "--omega-max", "inf"),
+        ("cpa-dos", "--omega-min", "nan"),
+        ("rmt-dos", "--eps", "nan"),
+        ("solve-p", "--z-re", "nan"),
+        ("solve-p", "--z-im", "inf"),
+        ("mc-dos", "--omega-max", "nan"),
+        ("mc-dos", "--omega-max", "inf"),
+    ],
+)
+def test_nonfinite_frequency_is_usage_error_naming_the_flag(
+    mode, flag, value, tmp_path, capsys
+):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*FREQUENCY_MODES[mode], flag, value, "--out", str(out)])
+    assert rc == 2
+    assert f"usage error: {flag} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_mc_dos_nonpositive_omega_max_is_usage_error(value, tmp_path, capsys):
+    # np.histogram widens a zero-width range to [-0.5, 0.5] and books every
+    # eigenvalue as overflow; a negative one is numpy's own error
+    out = tmp_path / "hist.csv"
+    rc = main([*FREQUENCY_MODES["mc-dos"], f"--omega-max={value}", "--out", str(out)])
+    assert rc == 2
+    assert "usage error: --omega-max must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "exc,code",
     [
@@ -113,6 +164,22 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert meta["seed"] == "7"
     for name in cols:
         assert list(back[name]) == [float(v) for v in cols[name]]
+
+
+def test_array_columns_write_what_scalar_entries_write(tmp_path):
+    # float and integer arrays are formatted column by column; the bytes
+    # must be those of the same entries formatted one numpy scalar at a time
+    rng = np.random.default_rng(5)
+    arrays = {
+        "x": np.concatenate([rng.standard_normal(20), [np.nan, np.inf, -0.0, 5e-324]]),
+        "x32": rng.standard_normal(24).astype(np.float32),
+        "count": rng.integers(-10**15, 10**15, 24),
+        "bins": rng.integers(0, 99, 24).astype(np.uint16),
+    }
+    meta = {"eps": 1e-3, "seed": 7}
+    emit_csv(str(tmp_path / "arrays.csv"), meta, arrays)
+    emit_csv(str(tmp_path / "scalars.csv"), meta, {k: list(v) for k, v in arrays.items()})
+    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "scalars.csv").read_bytes()
 
 
 def test_emit_csv_empty_grid(tmp_path, capsys):

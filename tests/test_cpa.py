@@ -271,6 +271,93 @@ class TestCarriedResolvent:
             assert cp.g == I_g(KernelParams(cp.z, cp.p, params.nu), params.d, spec)
 
 
+def lsz_rho(omegas, eps, a, b):
+    """Flat-band (nu = 0) density from the closed cubic p^3 + b(1 - a)p^2 +
+    z^2 p - abz^2 = 0: the root with Re p > 0 and the largest Re g >= 0,
+    g = z/(p^2 + z^2), less the pole (1 - a)/z at a < 1."""
+    rho = []
+    for w in omegas:
+        z = complex(eps, w)
+        roots = np.roots([1.0, b * (1.0 - a), z * z, -a * b * z * z])
+        g = max((z / (p * p + z * z) for p in roots if p.real > 0),
+                key=lambda g: g.real)
+        assert g.real >= 0
+        if a < 1:
+            g -= (1.0 - a) / z
+        rho.append(g.real / np.pi)
+    return np.array(rho)
+
+
+class TestExtrapolatedSeeds:
+    """The sweep seeds each Newton run by extrapolating its last converged
+    points; that changes how many steps a point takes, never its branch."""
+
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 1.0, 2.0])
+    def test_lsz_limit_on_whole_curves(self, a):
+        omegas = np.linspace(3.0 / 600, 3.0, 600)
+        curve = dos_curve(omegas, 1e-3, ModelParams(a=a, b=1.0, nu=0.0))
+        want = lsz_rho(omegas, 1e-3, a, 1.0)
+        assert np.abs(curve.rho - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("params,n,eps,omegas", [
+        (LATTICE, 512, 1e-3, np.linspace(0.05, 3.0, 40)),
+        (LATTICE, 512, 1e-3, np.linspace(3.0, 0.05, 40)),
+        (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 32, 1e-2, np.linspace(0.1, 3.0, 30)),
+        (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 16, 1e-2, np.linspace(0.1, 3.0, 30)),
+        (RMT_A2, None, 1e-3, np.linspace(0.02, 1.5, 50)),
+        (ModelParams(a=1.2, b=1.0, nu=0.0), None, 1e-6, np.linspace(0.002, 1.0, 50)),
+    ], ids=["d1", "d1-descending", "d2", "d3", "rmt-a2-gap-edge", "rmt-a1.2-eps1e-6"])
+    def test_sweep_points_match_independent_solves(self, params, n, eps, omegas):
+        spec = QuadratureSpec(points_per_dim=n) if n else None
+        # Re g = pi * rho; each independent solve continues from the asymptote
+        got = np.array([cp.g.real for cp in continuation_sweep(omegas, eps, params, spec)])
+        want = np.array([g_of_z(complex(eps, w), params, spec).real for w in omegas])
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_readme_curve_takes_fewer_zone_means(self, monkeypatch):
+        # the d = 1 README run took 2167 zone means when every point started
+        # from its predecessor's p
+        calls = []
+        real = cpa.bzquad.I_cpa_and_derivative
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cpa.bzquad, "I_cpa_and_derivative", counted)
+        omegas = np.linspace(3.0 / 600, 3.0, 600)
+        curve = dos_curve(omegas, 1e-3, LATTICE, QuadratureSpec(points_per_dim=4096))
+        assert curve.residuals.max() <= cpa.NEWTON_TOL
+        assert len(calls) <= 1500
+
+    def test_no_extrapolation_through_a_reseed(self, monkeypatch):
+        omegas = np.linspace(0.1, 2.0, 12)
+        seeds = {}
+        real = cpa._march
+
+        def failing(z_from, p_from, z_to, params, spec, initial_steps=1, seed=None):
+            if initial_steps == 1:  # a sweep step, not solve_p's continuation
+                seeds[z_to.imag] = seed
+                if z_to.imag == omegas[6]:
+                    raise SolverError("injected", last_p=p_from)
+            return real(z_from, p_from, z_to, params, spec, initial_steps, seed)
+
+        monkeypatch.setattr(cpa, "_march", failing)
+        sweep = continuation_sweep(omegas, 1e-3, LATTICE, QuadratureSpec(points_per_dim=512))
+        assert any("reseeded" in fl for fl in sweep[6].flags)
+        # point 1 starts from point 0's p, point 2 extrapolates linearly
+        # through points 0 and 1, later points quadratically
+        assert seeds[omegas[1]] is None
+        assert seeds[omegas[2]] == pytest.approx(2 * sweep[1].p - sweep[0].p, rel=1e-12)
+        assert seeds[omegas[5]] == pytest.approx(
+            3 * sweep[4].p - 3 * sweep[3].p + sweep[2].p, rel=1e-12)
+        # after the reseed only the reseeded point and its successors count
+        assert seeds[omegas[7]] is None
+        assert seeds[omegas[8]] == pytest.approx(2 * sweep[7].p - sweep[6].p, rel=1e-12)
+        assert seeds[omegas[9]] == pytest.approx(
+            3 * sweep[8].p - 3 * sweep[7].p + sweep[6].p, rel=1e-12)
+
+
 class TestScaledCriticalRatio:
     def test_large_x_series(self):
         # gt = 1/x + 1/x^3 + O(x^-5)

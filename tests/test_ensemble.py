@@ -392,3 +392,9 @@ class TestMcDos:
         params = ModelParams(d=1, a=0.75, N=2, M=3, b=1.0, nu=1.0)
         with pytest.raises(ValueError, match="extents"):
             mc_dos(params, n_samples=2, bins=8, seed=0)
+
+    @pytest.mark.parametrize("omega_max", [0.0, -1.0, float("nan"), float("inf")])
+    def test_histogram_range_must_be_positive_and_finite(self, omega_max):
+        params = ModelParams(N=2, M=3, b=1.0, nu=0.0)
+        with pytest.raises(ValueError, match="omega_max must be positive and finite"):
+            mc_dos(params, n_samples=2, bins=3, seed=0, omega_max=omega_max)
