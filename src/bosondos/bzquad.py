@@ -18,7 +18,8 @@ k_i -> -k_i and axis permutations (``_zone_nodes``) and summed with orbit
 weights by numpy pairwise summation, independent of the BLAS thread count:
 1 / 129 / 561 evaluations per mean on the default d = 1 / 2 / 3 grids.  The
 means are carried as their excess over the flat-band values 1/alpha and
-1/alpha^2, which vanishes at nu = 0 (t = 0): no grid is read there.  Where
+1/alpha^2, which vanishes at nu = 0 (t = 0): there the node table is still
+built (at d >= 2) and summed, to exact zeros, on whatever grid is given.  Where
 the closed form is not finite, the folded n^d grid is summed node by node; it
 names the node where D vanishes, or gives the finite means at the removable
 point tau = -1 of an odd grid.
@@ -50,18 +51,31 @@ class AccuracyWarning(UserWarning):
     """Raised (as a warning) when the grid-doubling check does not converge."""
 
 
-def default_points_per_dim(d: int) -> int:
-    """Per-dimension grid size balancing cost against broadening-limited accuracy."""
-    return _DEFAULT_POINTS.get(d, 16)
+def default_points_per_dim(d: int, nu: float) -> int:
+    """Per-dimension grid size balancing cost against broadening-limited accuracy.
+
+    A lattice (nu > 0) above d = 3 has no default, so the grid must be given
+    (ValueError): 16 points per dimension put the d = 4 density about 1% of
+    its maximum off the 32-point one.  At nu = 0 the means are the flat-band
+    values on any grid, and 16 points serve.
+    """
+    if d in _DEFAULT_POINTS:
+        return _DEFAULT_POINTS[d]
+    if nu > 0:
+        raise ValueError(f"no default zone grid for a lattice at d = {d} > 3; give "
+                         "QuadratureSpec.points_per_dim (--kgrid) explicitly")
+    return 16
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Uniform-grid quadrature configuration.
 
-    ``convergence_check`` compares the result against a doubled grid and
-    attaches an AccuracyWarning on disagreement beyond ``REL_TOL``; the
-    doubled-grid value is the one returned in that mode.
+    ``convergence_check`` applies to the reported g alone: ``I_g`` then
+    compares its result against a doubled grid, warns (AccuracyWarning) on
+    disagreement beyond ``REL_TOL`` and returns the doubled-grid value.  The
+    kernels behind ``I_cpa_and_derivative``, which the solver iterates on,
+    read the grid as given and never check.
     """
 
     points_per_dim: int = 4096
@@ -188,35 +202,19 @@ def _excess(alpha: complex, beta: complex, d: int, n: int):
     return e1, e2
 
 
-def _kernels(terms, kp: KernelParams, d: int, spec: QuadratureSpec):
-    """``terms(alpha, E1, E2)`` on the spec's grid (doubled, if checked)."""
+def I_g(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
+    """Resolvent integral: mean of z / D over the zone, z * m1; on the
+    doubled grid, after the check, when the spec asks for it."""
     n = spec.points_per_dim
     alpha, beta = _alpha_beta(kp)
-    values = terms(alpha, *_excess(alpha, beta, d, n))
+    g = kp.z * (1 + _excess(alpha, beta, d, n)[0]) / alpha
     if spec.convergence_check:
-        coarse, values = values, terms(alpha, *_excess(alpha, beta, d, 2 * n))
-        for i_n, i_2n in zip(coarse, values):
-            if abs(i_n - i_2n) > REL_TOL * max(abs(i_2n), np.finfo(float).tiny):
-                warnings.warn(AccuracyWarning(
-                    f"grid-doubling check failed: |I_n - I_2n| = {abs(i_n - i_2n):.3e} "
-                    f"exceeds rel_tol={REL_TOL:g} * |I_2n| at n={n}, d={d}"), stacklevel=3)
-    return values
-
-
-def I_g(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
-    """Resolvent integral: mean of z / D over the zone, z * m1."""
-    return _kernels(lambda alpha, e1, e2: (kp.z * (1 + e1) / alpha,), kp, d, spec)[0]
-
-
-def _cpa_terms(z: complex, q: complex, alpha: complex, e1: complex, e2: complex):
-    """(I_cpa, dI_cpa/dp, I_g) from q = p + nu, alpha and the excess means."""
-    zz, qq = z * z, q * q
-    A = (qq - zz) / (2 * q)
-    return (
-        (q + A * e1) / alpha,
-        e1 * zz / (qq * alpha) - 2 * A * (q + A * e2) / (alpha * alpha),
-        z * (1 + e1) / alpha,
-    )
+        g_n, g = g, kp.z * (1 + _excess(alpha, beta, d, 2 * n)[0]) / alpha
+        if abs(g_n - g) > REL_TOL * max(abs(g), np.finfo(float).tiny):
+            warnings.warn(AccuracyWarning(
+                f"grid-doubling check failed: |I_n - I_2n| = {abs(g_n - g):.3e} "
+                f"exceeds rel_tol={REL_TOL:g} * |I_2n| at n={n}, d={d}"), stacklevel=2)
+    return g
 
 
 def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
@@ -228,19 +226,25 @@ def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
     2A^2*m2 - 2A*m1/q - 1/(2q^2).  On the excess means the flat-band terms
     cancel exactly: I_cpa = (q + A*E1)/alpha and
     dI_cpa/dp = E1*z^2/(q^2*alpha) - 2A*(q + A*E2)/alpha^2.  I_g = z*m1 comes
-    from the same means, bit for bit what ``I_g`` returns, so the solver reads
-    g off its converged step instead of taking another zone mean.  Without
-    the doubling check the call goes straight to the means, not through
-    ``_kernels``: the solver makes one such call per Newton step.
+    from the same means, bit for bit what an unchecked ``I_g`` returns, so
+    the solver reads g off its converged step instead of taking another zone
+    mean.  All three are on the spec's grid: ``convergence_check`` is not
+    read here, since the solver makes one such call per Newton step and only
+    reported values are checked.
     """
     z, p, nu = kp
     q = complex(p + nu)
     if q == 0:
         raise ValueError("I_cpa has no closed form at p = -nu")
-    if spec.convergence_check:
-        return _kernels(lambda *means: _cpa_terms(z, q, *means), kp, d, spec)
-    alpha = q * q + z * z  # as in _alpha_beta
-    return _cpa_terms(z, q, alpha, *_excess(alpha, nu * q, d, spec.points_per_dim))
+    zz, qq = z * z, q * q
+    alpha = qq + zz  # as in _alpha_beta
+    e1, e2 = _excess(alpha, nu * q, d, spec.points_per_dim)
+    A = (qq - zz) / (2 * q)
+    return (
+        (q + A * e1) / alpha,
+        e1 * zz / (qq * alpha) - 2 * A * (q + A * e2) / (alpha * alpha),
+        z * (1 + e1) / alpha,
+    )
 
 
 def I_cpa(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:

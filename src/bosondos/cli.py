@@ -122,7 +122,7 @@ def _model_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
 def _kgrid_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kgrid", type=int, default=None,
                    help="quadrature points per dimension (default 4096 for "
-                   "d=1, 256 for d=2, 64 for d=3)")
+                   "d=1, 256 for d=2, 64 for d=3; required for d >= 4)")
 
 
 def _omega_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
@@ -235,8 +235,8 @@ def _spec(args: argparse.Namespace, params: ModelParams) -> Optional[QuadratureS
             if given:
                 raise ValueError(f"{flag} given, but no zone grid is used at nu = 0")
         return None
-    return QuadratureSpec(default_points_per_dim(params.d) if kgrid is None else kgrid,
-                          check)
+    return QuadratureSpec(
+        default_points_per_dim(params.d, params.nu) if kgrid is None else kgrid, check)
 
 
 def _omega_grid(args: argparse.Namespace) -> np.ndarray:
@@ -253,8 +253,8 @@ def _omega_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _run_dos(args: argparse.Namespace) -> int:
-    """cpa-dos and rmt-dos; rmt-dos has no quadrature flags because no grid
-    is used at nu = 0."""
+    """cpa-dos and rmt-dos; rmt-dos has no quadrature flags because the
+    result at nu = 0 does not depend on the grid."""
     _check_finite(args, "--omega-min", "--omega-max", "--eps")
     params, meta = _model(args)
     spec = _spec(args, params)
@@ -322,6 +322,8 @@ def _run_mc(args: argparse.Namespace) -> int:
 
 def _run_solve_p(args: argparse.Namespace) -> int:
     _check_finite(args, "--z-re", "--z-im")
+    if args.z_re <= 0:
+        raise ValueError(f"--z-re must be positive, got {args.z_re}")
     params, meta = _model(args)
     spec = _spec(args, params)
     cp = solve_p(complex(args.z_re, args.z_im), params, spec)

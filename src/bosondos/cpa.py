@@ -21,6 +21,7 @@ reported ``residual`` are measured relative to the natural scale of G.
 The zone means of the converged Newton step also give g = mean_k z/D at the
 solution, so a solved point costs no further zone mean; only a spec with the
 grid-doubling check takes one, on the doubled grid, for the value it reports.
+Newton itself never checks: its kernels read the spec's grid as given.
 
 Every zone mean goes through :mod:`bosondos.bzquad`, which also covers the
 random-matrix limit nu = 0, so the solver has no special case for it.  The
@@ -39,8 +40,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,8 +87,7 @@ JUMP_TOL = 0.5
 MAX_SIGN_LOSSES = 3
 
 
-@dataclass(frozen=True)
-class CoherentPotential:
+class CoherentPotential(NamedTuple):
     """One solved coherent potential with its convergence metadata.
 
     ``residual`` is the relative mismatch of the self-consistency equation
@@ -96,6 +96,7 @@ class CoherentPotential:
     unresolved jumps).  ``g`` is the resolvent trace z*mean_k 1/D at (z, p),
     read off the converged Newton step's zone means on the unchecked grid;
     it is None where no Newton solve ran (b = 0, an unconverged point).
+    A named tuple, because the sweep builds one per omega point.
     """
 
     p: complex
@@ -121,7 +122,6 @@ class DosCurve:
     residuals: np.ndarray
     dirac_mass_at_zero: float
     eps: float
-    params_snapshot: Tuple[ModelParams, QuadratureSpec]
     notes: Tuple[str, ...] = ()
 
     @property
@@ -138,14 +138,7 @@ class DosCurve:
 def _resolve_spec(spec: Optional[QuadratureSpec], params: ModelParams):
     if spec is not None:
         return spec
-    return QuadratureSpec(points_per_dim=bzquad.default_points_per_dim(params.d))
-
-
-def _inner_spec(spec: QuadratureSpec) -> QuadratureSpec:
-    # Newton iterations never run the doubling check; only reported values do.
-    if spec.convergence_check:
-        return replace(spec, convergence_check=False)
-    return spec
+    return QuadratureSpec(bzquad.default_points_per_dim(params.d, params.nu))
 
 
 def default_eps(params: ModelParams) -> float:
@@ -209,10 +202,15 @@ def _newton(z, p0, params, spec):
     G, dG, scale, g = _G_terms(p, z, params, spec)
     flags: List[str] = []
     sign_losses = 0
-    for it in range(MAX_ITER):
-        if abs(G) <= NEWTON_TOL * scale:
-            _accept_branch(p, z, g, flags)
-            return p, g, abs(G) / scale, it, tuple(flags)
+    it = 0
+    while abs(G) > NEWTON_TOL * scale:
+        if it == MAX_ITER:
+            raise SolverError(
+                f"no convergence after {MAX_ITER} iterations at z={z}: "
+                f"relative residual {abs(G) / scale:.3e}",
+                last_p=p,
+            )
+        it += 1
         if dG == 0:
             raise SolverError(f"vanishing derivative at p={p}, z={z}", last_p=p)
         step = -G / dG
@@ -246,14 +244,8 @@ def _newton(z, p0, params, spec):
                 )
             flags.append("re_p_nonpositive_step")
             p, G, dG, scale, g = fallback
-    if abs(G) <= NEWTON_TOL * scale:
-        _accept_branch(p, z, g, flags)
-        return p, g, abs(G) / scale, MAX_ITER, tuple(flags)
-    raise SolverError(
-        f"no convergence after {MAX_ITER} iterations at z={z}: "
-        f"relative residual {abs(G) / scale:.3e}",
-        last_p=p,
-    )
+    _accept_branch(p, z, g, flags)
+    return p, g, abs(G) / scale, it, tuple(flags)
 
 
 def _march(z_from, p_from, z_to, params, spec, initial_steps=1, seed=None):
@@ -302,13 +294,13 @@ def solve_p(
     z: complex,
     params: ModelParams,
     spec: Optional[QuadratureSpec] = None,
-    seed_p: Optional[complex] = None,
 ) -> CoherentPotential:
     """Solve the self-consistency equation for p(z) on the physical branch.
 
-    Without a seed the branch is pinned by continuation from the large-z
-    asymptote p = a*b at z_start = Z_START_SCALE * max(b, nu).  With a seed,
-    a single damped Newton run is performed from it.
+    The branch is pinned by continuation from the large-z asymptote p = a*b
+    at z_start = Z_START_SCALE * max(b, nu).  Without a spec the grid is
+    ``default_points_per_dim``'s, which a lattice above d = 3 lacks
+    (ValueError).  At b = 0 there is no equation to solve, and p = 0.
     """
     z = complex(z)
     if not z.real > 0:
@@ -322,20 +314,12 @@ def solve_p(
             p=0j, z=z, residual=0.0, iterations=0,
             branch_tag="pure system (b = 0): p = 0",
         )
-    spec_i = _inner_spec(spec)
-    if seed_p is not None:
-        p, g, resid, its, flags = _newton(z, complex(seed_p), params, spec_i)
-        return CoherentPotential(
-            p=p, z=z, residual=resid, iterations=its,
-            branch_tag=f"newton from seed p={complex(seed_p):.6g}",
-            flags=flags, g=g,
-        )
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
     p0 = params.a * params.b
-    p, g, resid, its, flags0 = _newton(z_start, p0, params, spec_i)
+    p, g, resid, its, flags0 = _newton(z_start, p0, params, spec)
     if z != z_start:
         p, g, resid, its, flags1 = _march(
-            z_start, p, z, params, spec_i, initial_steps=PATH_STEPS
+            z_start, p, z, params, spec, initial_steps=PATH_STEPS
         )
         flags = list(flags0) + list(flags1)
     else:
@@ -389,14 +373,7 @@ def continuation_sweep(
         raise ValueError("eps must be positive")
     spec = _resolve_spec(spec, params)
     if params.b == 0:
-        return [
-            CoherentPotential(
-                p=0j, z=complex(eps, w), residual=0.0, iterations=0,
-                branch_tag="pure system (b = 0): p = 0",
-            )
-            for w in omegas
-        ]
-    spec_i = _inner_spec(spec)
+        return [solve_p(complex(eps, w), params, spec) for w in omegas]
     out: List[CoherentPotential] = []
     cp = solve_p(complex(eps, omegas[0]), params, spec)
     out.append(cp)
@@ -405,7 +382,7 @@ def continuation_sweep(
         z_next = complex(eps, w)
         try:
             p, g, resid, its, flags = _march(
-                cp.z, cp.p, z_next, params, spec_i,
+                cp.z, cp.p, z_next, params, spec,
                 seed=_extrapolated_seed(history, z_next),
             )
             cp = CoherentPotential(
@@ -416,8 +393,7 @@ def continuation_sweep(
         except (SolverError, BranchError) as exc:
             try:
                 fresh = solve_p(z_next, params, spec)
-                cp = replace(
-                    fresh,
+                cp = fresh._replace(
                     flags=fresh.flags + (f"reseeded after failure: {exc}",),
                 )
                 history = [(z_next, cp.p)]
@@ -512,7 +488,6 @@ def dos_curve(
         residuals=np.array([cp.residual for cp in sweep], dtype=float),
         dirac_mass_at_zero=dirac,
         eps=eps,
-        params_snapshot=(params, spec),
         notes=tuple(notes),
     )
 
@@ -555,35 +530,27 @@ def rmt_scaled_a1(x_grid: Sequence[float]) -> np.ndarray:
     return flat.reshape(x.shape)
 
 
-def find_gap_edge(
-    params: ModelParams,
-    spec: Optional[QuadratureSpec] = None,
-    eps: Optional[float] = None,
-    threshold: float = 1e-6,
-    omega_lo: Optional[float] = None,
-    omega_hi: Optional[float] = None,
-    rel_tol: float = 1e-4,
-) -> float:
+def find_gap_edge(params: ModelParams) -> float:
     """Locate the low-frequency spectral-gap edge by bisection on
-    rho(omega) <= threshold.
+    rho(omega) <= 1e-6, to 1e-4 relative, on the default grid.
 
-    Each query solves the branch afresh, so the routine works at the very
-    small default regularization (1e-9 of the dominant scale) needed to
+    With scale = max(b, nu), the search starts at omega = 1e-6 * scale and
+    doubles up to 100 * scale.  Each query solves the branch afresh, so the
+    routine works at the very small regularization (1e-9 * scale) needed to
     resolve an exponentially clean gap.  Returns 0.0 when there is no gap.
     """
     scale = max(params.b, params.nu)
-    eps = 1e-9 * scale if eps is None else eps
-    spec = _resolve_spec(spec, params)
+    eps = 1e-9 * scale
+    threshold = 1e-6
 
     def rho_at(w):
-        cp = solve_p(complex(eps, w), params, spec)
-        return _reported_g(cp, params, spec).real / np.pi
+        return g_of_z(complex(eps, w), params).real / np.pi
 
-    lo = 1e-6 * scale if omega_lo is None else omega_lo
+    lo = 1e-6 * scale
     if rho_at(lo) > threshold:
         return 0.0
     hi = 2.0 * lo
-    hi_cap = 100.0 * scale if omega_hi is None else omega_hi
+    hi_cap = 100.0 * scale
     while rho_at(hi) <= threshold:
         hi *= 2.0
         if hi > hi_cap:
@@ -591,7 +558,7 @@ def find_gap_edge(
                 f"no density above threshold below omega={hi_cap:g}; "
                 "is the spectrum empty?"
             )
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-4 * hi:
         mid = 0.5 * (lo + hi)
         if rho_at(mid) <= threshold:
             lo = mid

@@ -33,6 +33,10 @@ class NotPsdError(np.linalg.LinAlgError):
     """The matrix is indefinite beyond the allowed semidefinite tolerance."""
 
 
+HERMITIAN_TOL = 1e-12  # max |A - A^H| allowed, relative to max |A|
+SHIFT_TOL = 1e-10  # largest Cholesky shift, relative to ||A||_2
+
+
 def _square(A) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -49,9 +53,9 @@ def _real_even(S) -> np.ndarray:
     return S
 
 
-def check_hermitian(A, rel_tol: float = 1e-12) -> np.ndarray:
-    """Validate A = A^dagger within ``rel_tol`` relative, with every entry
-    finite, and return the array."""
+def check_hermitian(A) -> np.ndarray:
+    """Validate A = A^dagger within ``HERMITIAN_TOL`` relative, with every
+    entry finite, and return the array."""
     A = _square(A)
     amax = float(np.abs(A).max(initial=0.0))
     # max propagates nan and inf; the residual test alone would pass nan
@@ -59,10 +63,10 @@ def check_hermitian(A, rel_tol: float = 1e-12) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     scale = max(amax, np.finfo(float).tiny)
     resid = float(np.abs(A - A.conj().T).max(initial=0.0))
-    if resid > rel_tol * scale:
+    if resid > HERMITIAN_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: max |A - A^H| = {resid:.3e} "
-            f"exceeds {rel_tol:g} * max|A| = {rel_tol * scale:.3e}"
+            f"exceeds {HERMITIAN_TOL:g} * max|A| = {HERMITIAN_TOL * scale:.3e}"
         )
     return A
 
@@ -125,12 +129,13 @@ def skew_spectrum_gram(S) -> np.ndarray:
     return np.concatenate((-mu[::-1], mu))
 
 
-def cholesky_psd(A, shift_tol: float = 1e-10):
+def cholesky_psd(A):
     """Lower-triangular C and shift sigma with A + sigma*I = C C^dagger.
 
-    The shift is the smallest value in [0, shift_tol * ||A||_2] that makes
-    the factorization succeed; matrices whose minimum eigenvalue is below
-    -shift_tol * ||A||_2 are rejected with :class:`NotPsdError` (they lie
+    The shift is the smallest value in [0, SHIFT_TOL * ||A||_2] that makes
+    the factorization succeed, tried at a few multiples of eps * ||A||_2
+    above -lambda_min; matrices whose minimum eigenvalue is below
+    -SHIFT_TOL * ||A||_2 are rejected with :class:`NotPsdError` (they lie
     outside the stability cone, which signals a model bug upstream).
     """
     A = check_hermitian(A)
@@ -142,17 +147,16 @@ def cholesky_psd(A, shift_tol: float = 1e-10):
     norm = max(abs(float(w[0])), abs(float(w[-1])))
     scale = max(norm, np.finfo(float).tiny)
     lam_min = float(w[0])
-    if lam_min < -shift_tol * scale:
+    sigma_cap = SHIFT_TOL * scale
+    if lam_min < -sigma_cap:
         raise NotPsdError(
             f"matrix is not positive semidefinite: min eigenvalue "
-            f"{lam_min:.3e} < -{shift_tol:g} * ||A|| = {-shift_tol * scale:.3e}"
+            f"{lam_min:.3e} < -{SHIFT_TOL:g} * ||A|| = {-sigma_cap:.3e}"
         )
     eps = np.finfo(float).eps
     eye = np.eye(A.shape[0])
-    sigma_cap = shift_tol * scale
     for mult in (1.0, 1e2, 1e4, 1e6):
-        sigma = max(0.0, -lam_min) + mult * eps * scale
-        sigma = min(sigma, sigma_cap) if sigma > sigma_cap else sigma
+        sigma = min(max(0.0, -lam_min) + mult * eps * scale, sigma_cap)
         try:
             return np.linalg.cholesky(A + sigma * eye), sigma
         except np.linalg.LinAlgError:

@@ -110,7 +110,12 @@ class ModelParams:
         return self.nu == 0
 
 
-def _delta(k, d):
+def delta_k(k, d: Optional[int] = None):
+    """Scaled lattice-Laplacian symbol (1/d) * sum_i cos(k_i), always in [-1, 1].
+
+    ``k`` is a length-d wavevector or an array of them stacked along the
+    leading axes.
+    """
     k = np.asarray(k, dtype=float)
     if k.ndim == 0:
         k = k[np.newaxis]
@@ -121,18 +126,9 @@ def _delta(k, d):
     return np.cos(k).mean(axis=-1)
 
 
-def delta_k(k, d: Optional[int] = None):
-    """Scaled lattice-Laplacian symbol (1/d) * sum_i cos(k_i), always in [-1, 1].
-
-    ``k`` is a length-d wavevector or an array of them stacked along the
-    leading axes.
-    """
-    return _delta(k, d)
-
-
 def dispersion(k, nu: float, d: Optional[int] = None):
     """Clean single-boson frequency nu * sqrt(1 - delta_k(k)) >= 0."""
-    arg = 1.0 - _delta(k, d)
+    arg = 1.0 - delta_k(k, d)
     # rounding can push 1 - delta to -1e-17 at the zone center
     return nu * np.sqrt(np.clip(arg, 0.0, None))
 
@@ -144,7 +140,7 @@ def k1_block(k, nu: float, d: Optional[int] = None) -> np.ndarray:
     scaled Laplacian symbol at ``k``; its eigenvalues are +/- i*dispersion(k)
     (characteristic polynomial lambda^2 + nu^2 (1 - dlt)).
     """
-    dlt = float(_delta(k, d))
+    dlt = float(delta_k(k, d))
     return -0.5j * nu * np.array(
         [[2.0 - dlt, -dlt], [dlt, -2.0 + dlt]], dtype=complex
     )

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -183,8 +184,6 @@ def test_analyticity_cauchy_riemann():
 
 
 def test_doubling_check_quiet_when_converged():
-    import warnings
-
     kp = KernelParams(z=0.1 + 0.8j, p=0.0, nu=1.0)
     spec = QuadratureSpec(points_per_dim=256, convergence_check=True)
     with warnings.catch_warnings():
@@ -196,9 +195,13 @@ def test_doubling_check_flags_unresolved_broadening():
     # eps far below the grid resolution: the check must fire
     kp = KernelParams(z=1e-4 + 0.5j, p=0.0, nu=1.0)
     spec = QuadratureSpec(points_per_dim=4096, convergence_check=True)
-    for kernel in (I_g, I_cpa_and_derivative):
-        with pytest.warns(AccuracyWarning, match="doubling"):
-            kernel(kp, 1, spec)
+    with pytest.warns(AccuracyWarning, match="doubling"):
+        I_g(kp, 1, spec)
+    # the Newton step's kernels read the grid as given and never check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        got = I_cpa_and_derivative(kp, 1, spec)
+    assert got == I_cpa_and_derivative(kp, 1, QuadratureSpec(points_per_dim=4096))
 
 
 def test_nonfinite_sample_identifies_grid_point():
@@ -233,7 +236,7 @@ def test_zone_nodes_fold_the_full_grid():
             want = np.mean(f)
             assert abs(got - want) <= 1e-14 * abs(want)
     for d in (1, 2, 3):
-        n_nodes = len(_zone_nodes(d, default_points_per_dim(d))[0])
+        n_nodes = len(_zone_nodes(d, default_points_per_dim(d, 1.0))[0])
         assert n_nodes == {1: 2049, 2: 8385, 3: 6545}[d]
     # the zone-center node is named by its grid point
     with pytest.raises(ValueError, match=r"grid point k=\(0\.0, 0\.0\)"):
@@ -258,7 +261,7 @@ def test_closed_form_means_match_meshgrid(d, n):
 
 def test_vanishing_nu_gives_flat_band_kernels():
     for d in (1, 2, 3):
-        spec = QuadratureSpec(points_per_dim=default_points_per_dim(d))
+        spec = QuadratureSpec(points_per_dim=default_points_per_dim(d, 1.0))
         for z, p in ((0.4 + 1.1j, 0.2 + 0.6j), (1e-3 + 2.0j, 0.05 - 0.3j)):
             def kernels(nu):
                 kp = KernelParams(z=z, p=p, nu=nu)
@@ -271,9 +274,14 @@ def test_vanishing_nu_gives_flat_band_kernels():
 
 
 def test_default_grid_sizes():
-    assert default_points_per_dim(1) == 4096
-    assert default_points_per_dim(2) == 256
-    assert default_points_per_dim(3) == 64
+    assert default_points_per_dim(1, 1.0) == 4096
+    assert default_points_per_dim(2, 1.0) == 256
+    assert default_points_per_dim(3, 1.0) == 64
+    # no default for a lattice above d = 3; at nu = 0 the means are the
+    # flat-band values on any grid
+    with pytest.raises(ValueError, match="--kgrid"):
+        default_points_per_dim(4, 1.0)
+    assert default_points_per_dim(4, 0.0) == 16
 
 
 def test_spec_validation():

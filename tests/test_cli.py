@@ -120,6 +120,32 @@ def test_mc_dos_nonpositive_omega_max_is_usage_error(value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_solve_p_nonpositive_z_re_is_usage_error(value, tmp_path, capsys):
+    # the library's own message points at g_of_z, which the CLI does not offer
+    out = tmp_path / "p.csv"
+    rc = main([*FREQUENCY_MODES["solve-p"], f"--z-re={value}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "usage error: --z-re must be positive" in err and "g_of_z" not in err
+    assert not out.exists()
+
+
+def test_lattice_above_d3_needs_kgrid(tmp_path, capsys):
+    # 16 points per dimension, once the silent default above d = 3, put a
+    # d = 4 curve about 1% of max rho off the 32-point one
+    out = str(tmp_path / "x.csv")
+    lattice = ["--d", "4", "--a", "0.75", "--b", "0.63", "--nu", "1"]
+    for argv in (["cpa-dos", *lattice, "--omega-steps", "5"], ["solve-p", *lattice]):
+        capsys.readouterr()
+        assert main([*argv, "--out", out]) == 2
+        assert "--kgrid" in capsys.readouterr().err
+    assert main(["cpa-dos", *lattice, "--kgrid", "8", "--omega-steps", "5",
+                 "--out", out]) == 0
+    assert main(["cpa-dos", "--d", "4", "--a", "1", "--b", "1", "--nu", "0",
+                 "--omega-steps", "5", "--out", out]) == 0
+
+
 @pytest.mark.parametrize(
     "exc,code",
     [

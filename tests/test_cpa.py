@@ -71,23 +71,39 @@ class TestSolveP:
     def test_seeded_solve(self):
         z = 0.2 + 1.0j
         ref = solve_p(z, LATTICE)
-        cp = solve_p(z, LATTICE, seed_p=ref.p * 1.05)
-        assert cp.p == pytest.approx(ref.p, rel=1e-10)
-        assert cp.branch_tag.startswith("newton from seed")
+        spec = QuadratureSpec(points_per_dim=4096)
+        p, g, _, its, _ = cpa._newton(z, ref.p * 1.05, LATTICE, spec)
+        assert p == pytest.approx(ref.p, rel=1e-10)
+        assert g == pytest.approx(ref.g, rel=1e-10)
+        assert its > 0
 
     def test_left_half_plane_rejected(self):
         with pytest.raises(ValueError, match="Re z > 0"):
             solve_p(-1.0 + 0.5j, LATTICE)
 
     def test_zero_seed_rejected(self):
+        spec = QuadratureSpec(points_per_dim=4096)
         with pytest.raises(ValueError, match="nonzero"):
-            solve_p(1.0 + 0.5j, LATTICE, seed_p=0.0)
+            cpa._newton(1.0 + 0.5j, 0.0, LATTICE, spec)
 
     def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(cpa, "MAX_ITER", 1)
+        spec = QuadratureSpec(points_per_dim=4096)
         with pytest.raises(SolverError) as err:
-            solve_p(0.01 + 0.34j, RMT_A2, seed_p=50.0 + 50.0j)
+            cpa._newton(0.01 + 0.34j, 50.0 + 50.0j, RMT_A2, spec)
         assert err.value.last_p is not None
+
+    def test_lattice_above_d3_needs_a_grid(self):
+        # no default grid resolves a d >= 4 lattice; at nu = 0 none is needed
+        lattice = ModelParams(d=4, a=0.75, b=0.63, nu=1.0)
+        with pytest.raises(ValueError, match="points_per_dim"):
+            solve_p(1.0 + 0.5j, lattice)
+        with pytest.raises(ValueError, match="points_per_dim"):
+            dos_curve([0.5, 1.0], 1e-2, lattice)
+        coarse = QuadratureSpec(points_per_dim=8)
+        assert solve_p(1.0 + 0.5j, lattice, coarse).residual <= cpa.NEWTON_TOL
+        flat = ModelParams(d=4, a=2.0, b=1.0, nu=0.0)
+        assert solve_p(1.0 + 0.5j, flat).p == solve_p(1.0 + 0.5j, RMT_A2).p
 
     def test_pure_system_short_circuit(self):
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bosondos import NotPsdError, cholesky_psd, hermitian_eig
-from bosondos.linalg import check_hermitian, skew_spectrum, skew_spectrum_gram
+from bosondos.linalg import SHIFT_TOL, check_hermitian, skew_spectrum, skew_spectrum_gram
 
 
 def random_hermitian(n, rng):
@@ -113,11 +113,10 @@ def test_cholesky_reconstruction():
 
 def test_cholesky_semidefinite_boundary():
     # one exact zero eigenvalue, like the acoustic mode of the clean lattice
-    shift_tol = 1e-10
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])  # eigenvalues {2, 0}
-    C, sigma = cholesky_psd(A, shift_tol=shift_tol)
+    C, sigma = cholesky_psd(A)
     norm = 2.0
-    assert 0.0 <= sigma <= shift_tol * norm
+    assert 0.0 <= sigma <= SHIFT_TOL * norm
     assert np.abs(C @ C.conj().T - (A + sigma * np.eye(2))).max() <= 1e-12 * norm
 
 
