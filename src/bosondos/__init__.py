@@ -8,7 +8,7 @@ random ensemble and diagonalizes them exactly.
 
 __version__ = "0.1.0"
 
-from .bzquad import AccuracyWarning, KernelParams, QuadratureSpec, I_cpa, I_g
+from .bzquad import KernelParams, I_cpa, I_g
 from .cpa import (
     BranchError,
     CoherentPotential,
@@ -35,7 +35,6 @@ from .model import ModelParams, assemble_K
 
 __all__ = [
     "__version__",
-    "AccuracyWarning",
     "BranchError",
     "CoherentPotential",
     "ConeViolationError",
@@ -43,7 +42,6 @@ __all__ = [
     "KernelParams",
     "ModelParams",
     "NotPsdError",
-    "QuadratureSpec",
     "SolverError",
     "SpectrumHistogram",
     "I_cpa",

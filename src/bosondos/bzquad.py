@@ -23,6 +23,10 @@ built (at d >= 2) and summed, to exact zeros, on whatever grid is given.  Where
 the closed form is not finite, the folded n^d grid is summed node by node; it
 names the node where D vanishes, or gives the finite means at the removable
 point tau = -1 of an odd grid.
+
+Every kernel takes the grid size n as a plain int and returns the mean on
+that grid alone; ``default_points_per_dim`` resolves and validates it.  The
+grid-doubling check of reported values is ``cpa.dos_curve``'s.
 """
 
 from __future__ import annotations
@@ -30,60 +34,36 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import warnings
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-__all__ = [
-    "QuadratureSpec", "KernelParams", "AccuracyWarning", "default_points_per_dim",
-    "I_g", "I_cpa", "dI_cpa_dp",
-]
+__all__ = ["KernelParams", "default_points_per_dim", "I_g", "I_cpa", "dI_cpa_dp"]
 
 _DEFAULT_POINTS = {1: 4096, 2: 256, 3: 64}
 
-REL_TOL = 1e-9  # relative tolerance of the grid-doubling check
 
-
-class AccuracyWarning(UserWarning):
-    """Raised (as a warning) when the grid-doubling check does not converge."""
-
-
-def default_points_per_dim(d: int, nu: float) -> int:
-    """Per-dimension grid size balancing cost against broadening-limited accuracy.
+def default_points_per_dim(d: int, nu: float, kgrid: Optional[int] = None) -> int:
+    """The zone grid size per dimension: ``kgrid`` when given (at least 4,
+    else ValueError), else the default balancing cost against
+    broadening-limited accuracy.
 
     A lattice (nu > 0) above d = 3 has no default, so the grid must be given
     (ValueError): 16 points per dimension put the d = 4 density about 1% of
     its maximum off the 32-point one.  At nu = 0 the means are the flat-band
     values on any grid, and 16 points serve.
     """
+    if kgrid is not None:
+        if kgrid < 4:
+            raise ValueError(f"kgrid must be at least 4, got {kgrid}")
+        return kgrid
     if d in _DEFAULT_POINTS:
         return _DEFAULT_POINTS[d]
     if nu > 0:
         raise ValueError(f"no default zone grid for a lattice at d = {d} > 3; give "
-                         "QuadratureSpec.points_per_dim (--kgrid) explicitly")
+                         "kgrid (--kgrid) explicitly")
     return 16
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Uniform-grid quadrature configuration.
-
-    ``convergence_check`` applies to the reported g alone: ``I_g`` then
-    compares its result against a doubled grid, warns (AccuracyWarning) on
-    disagreement beyond ``REL_TOL`` and returns the doubled-grid value.  The
-    kernels behind ``I_cpa_and_derivative``, which the solver iterates on,
-    read the grid as given and never check.
-    """
-
-    points_per_dim: int = 4096
-    convergence_check: bool = False
-
-    def __post_init__(self):
-        if self.points_per_dim < 4:
-            raise ValueError("points_per_dim must be at least 4")
 
 
 class KernelParams(NamedTuple):
@@ -202,23 +182,15 @@ def _excess(alpha: complex, beta: complex, d: int, n: int):
     return e1, e2
 
 
-def I_g(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
-    """Resolvent integral: mean of z / D over the zone, z * m1; on the
-    doubled grid, after the check, when the spec asks for it."""
-    n = spec.points_per_dim
+def I_g(kp: KernelParams, d: int, n: int) -> complex:
+    """Resolvent integral: mean of z / D over the n^d grid, z * m1."""
     alpha, beta = _alpha_beta(kp)
-    g = kp.z * (1 + _excess(alpha, beta, d, n)[0]) / alpha
-    if spec.convergence_check:
-        g_n, g = g, kp.z * (1 + _excess(alpha, beta, d, 2 * n)[0]) / alpha
-        if abs(g_n - g) > REL_TOL * max(abs(g), np.finfo(float).tiny):
-            warnings.warn(AccuracyWarning(
-                f"grid-doubling check failed: |I_n - I_2n| = {abs(g_n - g):.3e} "
-                f"exceeds rel_tol={REL_TOL:g} * |I_2n| at n={n}, d={d}"), stacklevel=2)
-    return g
+    return kp.z * (1 + _excess(alpha, beta, d, n)[0]) / alpha
 
 
-def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
-    """(I_cpa, dI_cpa/dp, I_g) from one pair of zone means, for each Newton step.
+def I_cpa_and_derivative(kp: KernelParams, d: int, n: int):
+    """(I_cpa, dI_cpa/dp, I_g) from one pair of zone means on the n^d grid,
+    for each Newton step.
 
     I_cpa is the mean of (p + nu*(1 - dlt/2)) / D, differentiated under the
     integral.  With q = p + nu the numerator is A + D/(2q), A = q - alpha/(2q),
@@ -226,11 +198,8 @@ def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
     2A^2*m2 - 2A*m1/q - 1/(2q^2).  On the excess means the flat-band terms
     cancel exactly: I_cpa = (q + A*E1)/alpha and
     dI_cpa/dp = E1*z^2/(q^2*alpha) - 2A*(q + A*E2)/alpha^2.  I_g = z*m1 comes
-    from the same means, bit for bit what an unchecked ``I_g`` returns, so
-    the solver reads g off its converged step instead of taking another zone
-    mean.  All three are on the spec's grid: ``convergence_check`` is not
-    read here, since the solver makes one such call per Newton step and only
-    reported values are checked.
+    from the same means, bit for bit what ``I_g`` returns, so the solver
+    reads g off its converged step instead of taking another zone mean.
     """
     z, p, nu = kp
     q = complex(p + nu)
@@ -238,7 +207,7 @@ def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
         raise ValueError("I_cpa has no closed form at p = -nu")
     zz, qq = z * z, q * q
     alpha = qq + zz  # as in _alpha_beta
-    e1, e2 = _excess(alpha, nu * q, d, spec.points_per_dim)
+    e1, e2 = _excess(alpha, nu * q, d, n)
     A = (qq - zz) / (2 * q)
     return (
         (q + A * e1) / alpha,
@@ -247,11 +216,11 @@ def I_cpa_and_derivative(kp: KernelParams, d: int, spec: QuadratureSpec):
     )
 
 
-def I_cpa(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
+def I_cpa(kp: KernelParams, d: int, n: int) -> complex:
     """Self-consistency integral: mean of (p + nu*(1 - dlt/2)) / D."""
-    return I_cpa_and_derivative(kp, d, spec)[0]
+    return I_cpa_and_derivative(kp, d, n)[0]
 
 
-def dI_cpa_dp(kp: KernelParams, d: int, spec: QuadratureSpec) -> complex:
+def dI_cpa_dp(kp: KernelParams, d: int, n: int) -> complex:
     """Analytic p-derivative of ``I_cpa`` (differentiation under the integral)."""
-    return I_cpa_and_derivative(kp, d, spec)[1]
+    return I_cpa_and_derivative(kp, d, n)[1]

@@ -12,16 +12,16 @@ warnings.  Identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-import warnings
 from dataclasses import asdict, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .bzquad import QuadratureSpec, default_points_per_dim
+from .bzquad import default_points_per_dim
 from .cpa import (
     BranchError,
     SolverError,
@@ -146,7 +146,10 @@ def _omega_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
                    "sweep at eps/2 (default off)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every mode, built once per process and shared: callers
+    only parse with it."""
     parser = argparse.ArgumentParser(
         prog="bosondos",
         description="Eigenfrequency density of disordered boson lattices: "
@@ -227,16 +230,24 @@ def _check_finite(args: argparse.Namespace, *flags: str) -> None:
             raise ValueError(f"{flag} must be finite, got {value}")
 
 
-def _spec(args: argparse.Namespace, params: ModelParams) -> Optional[QuadratureSpec]:
+def _kgrid(args: argparse.Namespace, params: ModelParams) -> Optional[int]:
+    """The zone grid per dimension the run uses; None at nu = 0, where no
+    grid is read and neither quadrature flag may be given."""
     kgrid = getattr(args, "kgrid", None)
-    check = getattr(args, "check_quadrature", False)
     if params.nu == 0:
-        for flag, given in (("--kgrid", kgrid is not None), ("--check-quadrature", check)):
+        for flag, given in (("--kgrid", kgrid is not None),
+                            ("--check-quadrature", getattr(args, "check_quadrature", False))):
             if given:
                 raise ValueError(f"{flag} given, but no zone grid is used at nu = 0")
         return None
-    return QuadratureSpec(
-        default_points_per_dim(params.d, params.nu) if kgrid is None else kgrid, check)
+    return default_points_per_dim(params.d, params.nu, kgrid)
+
+
+def _record_notes(meta: Dict[str, object], notes: Sequence[str]) -> None:
+    """Print each distinct note once and keep it as ``warning_<i>``."""
+    for i, note in enumerate(dict.fromkeys(notes)):
+        print(f"warning: {note}", file=sys.stderr)
+        meta[f"warning_{i}"] = note
 
 
 def _omega_grid(args: argparse.Namespace) -> np.ndarray:
@@ -257,7 +268,7 @@ def _run_dos(args: argparse.Namespace) -> int:
     result at nu = 0 does not depend on the grid."""
     _check_finite(args, "--omega-min", "--omega-max", "--eps")
     params, meta = _model(args)
-    spec = _spec(args, params)
+    kgrid = _kgrid(args, params)
     omegas = _omega_grid(args)
     if omegas.size == 0:
         print("warning: empty frequency grid, emitting header-only file",
@@ -267,16 +278,12 @@ def _run_dos(args: argparse.Namespace) -> int:
                  {"omega": [], "rho": [], "p_re": [], "p_im": [], "residual": []})
         return 0
     eps = default_eps(params) if args.eps is None else args.eps
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        curve = dos_curve(omegas, eps, params, spec, richardson=args.richardson)
-    notes = [str(w.message) for w in caught] + list(curve.notes)
-    for i, note in enumerate(dict.fromkeys(notes)):
-        print(f"warning: {note}", file=sys.stderr)
-        meta[f"warning_{i}"] = note
+    curve = dos_curve(omegas, eps, params, kgrid, richardson=args.richardson,
+                      check=getattr(args, "check_quadrature", False))
+    _record_notes(meta, curve.notes)
     meta["eps"] = curve.eps
-    if spec is not None:
-        meta["kgrid"] = spec.points_per_dim
+    if kgrid is not None:
+        meta["kgrid"] = kgrid
     meta["dirac_mass_at_zero"] = curve.dirac_mass_at_zero
     meta["normalization"] = curve.normalization
     emit_csv(args.out, meta, {
@@ -296,13 +303,9 @@ def _run_mc(args: argparse.Namespace) -> int:
     if args.omega_max is not None and args.omega_max <= 0:
         raise ValueError(f"--omega-max must be positive, got {args.omega_max}")
     params, meta = _model(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hist = mc_dos(params, n_samples=args.samples, bins=args.bins,
-                      seed=args.seed, omega_max=args.omega_max)
-    for i, note in enumerate(dict.fromkeys(str(w.message) for w in caught)):
-        print(f"warning: {note}", file=sys.stderr)
-        meta[f"warning_{i}"] = note
+    hist = mc_dos(params, n_samples=args.samples, bins=args.bins,
+                  seed=args.seed, omega_max=args.omega_max)
+    _record_notes(meta, hist.notes)
     meta["total_eigenvalues"] = hist.total_eigenvalues
     meta["zero_mode_count"] = hist.zero_mode_count
     meta["zero_mode_fraction"] = hist.zero_mode_fraction
@@ -325,16 +328,16 @@ def _run_solve_p(args: argparse.Namespace) -> int:
     if args.z_re <= 0:
         raise ValueError(f"--z-re must be positive, got {args.z_re}")
     params, meta = _model(args)
-    spec = _spec(args, params)
-    cp = solve_p(complex(args.z_re, args.z_im), params, spec)
+    kgrid = _kgrid(args, params)
+    cp = solve_p(complex(args.z_re, args.z_im), params, kgrid)
     print(f"p = {cp.p.real!r} + {cp.p.imag!r}j  "
           f"(residual {cp.residual:.3e}, {cp.iterations} iterations)")
     print(f"branch: {cp.branch_tag}")
     for flag in cp.flags:
         print(f"warning: {flag}", file=sys.stderr)
     if args.out:
-        if spec is not None:
-            meta["kgrid"] = spec.points_per_dim
+        if kgrid is not None:
+            meta["kgrid"] = kgrid
         meta["branch_tag"] = cp.branch_tag
         emit_csv(args.out, meta, {
             "z_re": [cp.z.real], "z_im": [cp.z.imag],

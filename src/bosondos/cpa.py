@@ -19,9 +19,12 @@ which is equivalent to the equation above for p != 0 but free of the
 catastrophic 1/b vs a/p cancellation at weak disorder.  Convergence and the
 reported ``residual`` are measured relative to the natural scale of G.
 The zone means of the converged Newton step also give g = mean_k z/D at the
-solution, so a solved point costs no further zone mean; only a spec with the
-grid-doubling check takes one, on the doubled grid, for the value it reports.
-Newton itself never checks: its kernels read the spec's grid as given.
+solution, so a solved point costs no further zone mean.  The zone grid is
+the plain int ``kgrid`` (points per dimension, default
+``bzquad.default_points_per_dim``).  Only ``dos_curve(..., check=True)``
+checks it: one zone mean per reported point on the doubled grid, compared
+with the carried g at relative tolerance DOUBLING_TOL; the doubled grid's
+value is reported, and each disagreement is one of the curve's notes.
 
 Every zone mean goes through :mod:`bosondos.bzquad`, which also covers the
 random-matrix limit nu = 0, so the solver has no special case for it.  The
@@ -39,14 +42,13 @@ predictor extrapolates p through the last two or three converged points
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bzquad
-from .bzquad import AccuracyWarning, KernelParams, QuadratureSpec
+from .bzquad import KernelParams
 from .model import ModelParams
 
 __all__ = [
@@ -54,7 +56,6 @@ __all__ = [
     "BranchError",
     "CoherentPotential",
     "DosCurve",
-    "cpa_residual",
     "solve_p",
     "continuation_sweep",
     "g_of_z",
@@ -85,6 +86,7 @@ PATH_STEPS = 8
 MAX_PATH_REFINE = 20
 JUMP_TOL = 0.5
 MAX_SIGN_LOSSES = 3
+DOUBLING_TOL = 1e-9  # relative tolerance of the grid-doubling check
 
 
 class CoherentPotential(NamedTuple):
@@ -93,10 +95,11 @@ class CoherentPotential(NamedTuple):
     ``residual`` is the relative mismatch of the self-consistency equation
     (see the module docstring); ``branch_tag`` records how the branch was
     reached, ``flags`` carry non-fatal diagnostics (sign losses, reseeds,
-    unresolved jumps).  ``g`` is the resolvent trace z*mean_k 1/D at (z, p),
-    read off the converged Newton step's zone means on the unchecked grid;
-    it is None where no Newton solve ran (b = 0, an unconverged point).
-    A named tuple, because the sweep builds one per omega point.
+    unresolved jumps).  ``g`` is the resolvent trace z*mean_k 1/D at (z, p)
+    on the solve's grid: read off the converged Newton step's zone means, or
+    a zone mean of its own where no Newton solve ran (b = 0, and an
+    unconverged point at its stale p).  A named tuple, because the sweep
+    builds one per omega point.
     """
 
     p: complex
@@ -104,8 +107,8 @@ class CoherentPotential(NamedTuple):
     residual: float
     iterations: int
     branch_tag: str
+    g: complex
     flags: Tuple[str, ...] = ()
-    g: Optional[complex] = None
 
 
 @dataclass(frozen=True)
@@ -135,37 +138,18 @@ class DosCurve:
         )
 
 
-def _resolve_spec(spec: Optional[QuadratureSpec], params: ModelParams):
-    if spec is not None:
-        return spec
-    return QuadratureSpec(bzquad.default_points_per_dim(params.d, params.nu))
-
-
 def default_eps(params: ModelParams) -> float:
     """Default spectral regularization: 1e-3 of the dominant frequency scale."""
     scale = params.b if params.is_rmt else params.nu
     return 1e-3 * scale
 
 
-def cpa_residual(
-    p: complex, z: complex, params: ModelParams, spec: Optional[QuadratureSpec] = None
-) -> complex:
-    """Mismatch 1/b - a/p + I_cpa(z, p); zero exactly on a solution."""
-    if p == 0:
-        raise ValueError("the self-consistency equation is singular at p = 0")
-    if params.b == 0:
-        raise ValueError("b = 0 has no self-consistency equation (pure system)")
-    spec = _resolve_spec(spec, params)
-    kp = KernelParams(z=complex(z), p=complex(p), nu=params.nu)
-    return 1.0 / params.b - params.a / kp.p + bzquad.I_cpa(kp, params.d, spec)
-
-
-def _G_terms(p: complex, z: complex, params: ModelParams, spec: QuadratureSpec):
+def _G_terms(p: complex, z: complex, params: ModelParams, n: int):
     """Cleared residual G = p - a*b + b*p*I, its p-derivative, its scale,
-    and g at (z, p), all from one pair of zone means."""
+    and g at (z, p), all from one pair of zone means on the n^d grid."""
     a, b = params.a, params.b
     # looked up on the module at each call, where a tracer can wrap it
-    I, dI, g = bzquad.I_cpa_and_derivative(KernelParams(z, p, params.nu), params.d, spec)
+    I, dI, g = bzquad.I_cpa_and_derivative(KernelParams(z, p, params.nu), params.d, n)
     G = p - a * b + b * p * I
     dG = 1.0 + b * I + b * p * dI
     scale = a * b + abs(p) * (1.0 + b * abs(I))
@@ -194,12 +178,12 @@ def _accept_branch(p, z, g, flags):
         )
 
 
-def _newton(z, p0, params, spec):
+def _newton(z, p0, params, n):
     """Damped Newton on the cleared residual; returns (p, g, residual, iters, flags)."""
     p = complex(p0)
     if p == 0:
         raise ValueError("seed p must be nonzero")
-    G, dG, scale, g = _G_terms(p, z, params, spec)
+    G, dG, scale, g = _G_terms(p, z, params, n)
     flags: List[str] = []
     sign_losses = 0
     it = 0
@@ -220,7 +204,7 @@ def _newton(z, p0, params, spec):
         while lam >= 1e-12:
             pn = p + lam * step
             if pn != 0:
-                Gn, dGn, scale_n, gn = _G_terms(pn, z, params, spec)
+                Gn, dGn, scale_n, gn = _G_terms(pn, z, params, n)
                 if abs(Gn) < abs(G):
                     if pn.real > 0:
                         p, G, dG, scale, g = pn, Gn, dGn, scale_n, gn
@@ -248,7 +232,7 @@ def _newton(z, p0, params, spec):
     return p, g, abs(G) / scale, it, tuple(flags)
 
 
-def _march(z_from, p_from, z_to, params, spec, initial_steps=1, seed=None):
+def _march(z_from, p_from, z_to, params, n, initial_steps=1, seed=None):
     """Continue the branch along the straight segment z_from -> z_to.
 
     Adaptive stepping: on solver failure or a jump larger than JUMP_TOL the
@@ -269,7 +253,7 @@ def _march(z_from, p_from, z_to, params, spec, initial_steps=1, seed=None):
         zt = (1.0 - tn) * z0 + tn * z1
         start, seed = p if seed is None else seed, None
         try:
-            pn, gn, resid_n, its_n, fl = _newton(zt, start, params, spec)
+            pn, gn, resid_n, its_n, fl = _newton(zt, start, params, n)
         except (SolverError, BranchError):
             if dt * 0.5 < dt_min:
                 raise
@@ -293,14 +277,15 @@ def _march(z_from, p_from, z_to, params, spec, initial_steps=1, seed=None):
 def solve_p(
     z: complex,
     params: ModelParams,
-    spec: Optional[QuadratureSpec] = None,
+    kgrid: Optional[int] = None,
 ) -> CoherentPotential:
     """Solve the self-consistency equation for p(z) on the physical branch.
 
     The branch is pinned by continuation from the large-z asymptote p = a*b
-    at z_start = Z_START_SCALE * max(b, nu).  Without a spec the grid is
+    at z_start = Z_START_SCALE * max(b, nu).  Without ``kgrid`` the grid is
     ``default_points_per_dim``'s, which a lattice above d = 3 lacks
-    (ValueError).  At b = 0 there is no equation to solve, and p = 0.
+    (ValueError).  At b = 0 there is no equation to solve, p = 0, and g is
+    the clean resolvent's zone mean.
     """
     z = complex(z)
     if not z.real > 0:
@@ -308,18 +293,19 @@ def solve_p(
             "solve_p requires Re z > 0; use g_of_z, which maps the left "
             "half-plane through the oddness of g"
         )
-    spec = _resolve_spec(spec, params)
+    n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     if params.b == 0:
         return CoherentPotential(
             p=0j, z=z, residual=0.0, iterations=0,
             branch_tag="pure system (b = 0): p = 0",
+            g=bzquad.I_g(KernelParams(z, 0j, params.nu), params.d, n),
         )
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
     p0 = params.a * params.b
-    p, g, resid, its, flags0 = _newton(z_start, p0, params, spec)
+    p, g, resid, its, flags0 = _newton(z_start, p0, params, n)
     if z != z_start:
         p, g, resid, its, flags1 = _march(
-            z_start, p, z, params, spec, initial_steps=PATH_STEPS
+            z_start, p, z, params, n, initial_steps=PATH_STEPS
         )
         flags = list(flags0) + list(flags1)
     else:
@@ -327,7 +313,7 @@ def solve_p(
     return CoherentPotential(
         p=p, z=z, residual=resid, iterations=its,
         branch_tag=f"continuation from z_start={z_start.real:.6g} (seed p=a*b)",
-        flags=tuple(flags), g=g,
+        g=g, flags=tuple(flags),
     )
 
 
@@ -351,7 +337,7 @@ def continuation_sweep(
     omega_grid: Sequence[float],
     eps: float,
     params: ModelParams,
-    spec: Optional[QuadratureSpec] = None,
+    kgrid: Optional[int] = None,
 ) -> List[CoherentPotential]:
     """Solve p along z = eps + i*omega for every omega, marching each solve
     from its predecessor.
@@ -363,36 +349,37 @@ def continuation_sweep(
     start, the last reseed or the last unconverged point, or through two
     where only two have.  With fewer, or where the extrapolation has
     Re p <= 0, it starts from the predecessor's p, as every halved step
-    does.  Points where refinement fails are flagged and the sweep continues
-    from a fresh reseed.
+    does.  Points where refinement fails are flagged, keep their
+    predecessor's p (and take g there), and the sweep continues from a
+    fresh reseed.
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
         raise ValueError("omega_grid must be a nonempty 1-d sequence")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    spec = _resolve_spec(spec, params)
+    n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     if params.b == 0:
-        return [solve_p(complex(eps, w), params, spec) for w in omegas]
+        return [solve_p(complex(eps, w), params, n) for w in omegas]
     out: List[CoherentPotential] = []
-    cp = solve_p(complex(eps, omegas[0]), params, spec)
+    cp = solve_p(complex(eps, omegas[0]), params, n)
     out.append(cp)
     history = [(cp.z, cp.p)]  # converged points since the last (re)start
     for w in omegas[1:]:
         z_next = complex(eps, w)
         try:
             p, g, resid, its, flags = _march(
-                cp.z, cp.p, z_next, params, spec,
+                cp.z, cp.p, z_next, params, n,
                 seed=_extrapolated_seed(history, z_next),
             )
             cp = CoherentPotential(
                 p=p, z=z_next, residual=resid, iterations=its,
-                branch_tag="continued along the sweep", flags=tuple(flags), g=g,
+                branch_tag="continued along the sweep", g=g, flags=tuple(flags),
             )
             history = history[-2:] + [(z_next, p)]
         except (SolverError, BranchError) as exc:
             try:
-                fresh = solve_p(z_next, params, spec)
+                fresh = solve_p(z_next, params, n)
                 cp = fresh._replace(
                     flags=fresh.flags + (f"reseeded after failure: {exc}",),
                 )
@@ -401,6 +388,7 @@ def continuation_sweep(
                 cp = CoherentPotential(
                     p=cp.p, z=z_next, residual=math.inf, iterations=0,
                     branch_tag="unconverged",
+                    g=bzquad.I_g(KernelParams(z_next, cp.p, params.nu), params.d, n),
                     flags=(f"unconverged: {exc2}",),
                 )
                 history = []
@@ -408,19 +396,10 @@ def continuation_sweep(
     return out
 
 
-def _reported_g(cp: CoherentPotential, params: ModelParams, spec: QuadratureSpec):
-    """g at a solved point: the one its converged step carries, or a zone
-    mean of its own where the spec asks for the doubled grid's value or no
-    Newton solve ran."""
-    if cp.g is None or spec.convergence_check:
-        return bzquad.I_g(KernelParams(z=cp.z, p=cp.p, nu=params.nu), params.d, spec)
-    return cp.g
-
-
 def g_of_z(
     z: complex,
     params: ModelParams,
-    spec: Optional[QuadratureSpec] = None,
+    kgrid: Optional[int] = None,
 ) -> complex:
     """Averaged resolvent trace at z; the left half-plane is reached through
     the exact oddness g(z) = -g(-z)."""
@@ -429,38 +408,46 @@ def g_of_z(
         raise ValueError("g is discontinuous across the imaginary axis; "
                          "evaluate at Re z = +/- eps instead")
     if z.real < 0:
-        return -g_of_z(-z, params, spec)
-    spec = _resolve_spec(spec, params)
-    return _reported_g(solve_p(z, params, spec), params, spec)
+        return -g_of_z(-z, params, kgrid)
+    return solve_p(z, params, kgrid).g
 
 
 def dos_curve(
     omega_grid: Sequence[float],
     eps: float,
     params: ModelParams,
-    spec: Optional[QuadratureSpec] = None,
+    kgrid: Optional[int] = None,
     richardson: bool = False,
+    check: bool = False,
 ) -> DosCurve:
     """Frequency density rho(omega) = Re g(eps + i*omega) / pi on the grid.
 
     ``richardson=True`` removes the leading O(eps) broadening by combining
-    sweeps at eps and eps/2.  The zero-frequency point mass max(0, 1 - a) is
-    reported separately, and only in the random-matrix limit (nu = 0, a < 1)
-    where the rank deficiency of the couplings enforces it; its pole
-    (1 - a)/z is subtracted from g at each eps, so rho does not carry it.
+    sweeps at eps and eps/2.  ``check=True`` takes g at every solved point
+    on the doubled grid instead, and notes each point where it differs from
+    the carried g by more than DOUBLING_TOL relative.  The zero-frequency
+    point mass max(0, 1 - a) is reported separately, and only in the
+    random-matrix limit (nu = 0, a < 1) where the rank deficiency of the
+    couplings enforces it; its pole (1 - a)/z is subtracted from g at each
+    eps, so rho does not carry it.
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.size and omegas.min() <= 0:
         raise ValueError("omega_grid must be strictly positive")
-    spec = _resolve_spec(spec, params)
+    n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     dirac = max(0.0, 1.0 - params.a) if (params.is_rmt and params.a < 1) else 0.0
 
     def sweep_rho(eps_val):
-        sweep = continuation_sweep(omegas, eps_val, params, spec)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", AccuracyWarning)
-            g = np.array([_reported_g(cp, params, spec) for cp in sweep], dtype=complex)
-        notes = [str(w.message) for w in caught if issubclass(w.category, AccuracyWarning)]
+        sweep = continuation_sweep(omegas, eps_val, params, n)
+        g = np.array([cp.g for cp in sweep], dtype=complex)
+        notes = []
+        if check:
+            for i, cp in enumerate(sweep):
+                g[i] = g2 = bzquad.I_g(KernelParams(cp.z, cp.p, params.nu), params.d, 2 * n)
+                if abs(cp.g - g2) > DOUBLING_TOL * max(abs(g2), np.finfo(float).tiny):
+                    notes.append(
+                        f"grid-doubling check failed: |I_n - I_2n| = {abs(cp.g - g2):.3e} "
+                        f"exceeds rel_tol={DOUBLING_TOL:g} * |I_2n| at n={n}, d={params.d}")
         if dirac:
             # the point mass is the pole dirac/z of g; keep its broadened
             # Lorentzian out of rho so the mass is booked once

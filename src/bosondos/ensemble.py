@@ -31,9 +31,8 @@ bins the spectra of many realizations into a :class:`SpectrumHistogram`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +63,10 @@ class ConeViolationError(RuntimeError):
     """A sampled generator left the stability cone (model invariant breach)."""
 
 
+_M1_NOTE = ("M = 1 ensembles are sampled as requested, but the large-N "
+            "mean-field benchmark is only controlled for M >= 2")
+
+
 @dataclass(frozen=True)
 class SpectrumHistogram:
     """Binned |eigenfrequency| counts, normalized to the two-sided density
@@ -72,6 +75,7 @@ class SpectrumHistogram:
     Every +/- eigenvalue pair contributes both members to ``counts``;
     ``densities`` are counts / (2 * total * width) so that twice the binned
     integral plus the zero-mode (and any overflow) fraction equals one.
+    ``notes`` carry non-fatal diagnostics of the run.
     """
 
     bin_edges: np.ndarray
@@ -81,6 +85,7 @@ class SpectrumHistogram:
     zero_tol: float
     seed: int
     overflow_count: int = 0
+    notes: Tuple[str, ...] = ()
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -118,13 +123,6 @@ def sample_block(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """
     if params.M is None or params.N is None:
         raise ValueError("sampling requires both M and N")
-    if params.M < 2:
-        warnings.warn(
-            "M = 1 ensembles are sampled as requested, but the large-N "
-            "mean-field benchmark is only controlled for M >= 2",
-            UserWarning,
-            stacklevel=2,
-        )
     std = np.sqrt(params.b / (4.0 * params.N))
     shape = (params.M, params.N)
     A = std * rng.normal(size=shape) + 1j * std * rng.normal(size=shape)
@@ -259,7 +257,8 @@ def mc_dos(
     (|mu| <= zero_tol, with zero_tol = 1e-8 * max|mu| over all samples) are
     counted separately from the binned density.  The scale is the largest
     frequency, not a typical one, because at a < 1/2 most modes are zero
-    modes.
+    modes.  An ensemble with M < 2 is sampled as requested, with a note that
+    the mean-field benchmark does not control it.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -299,4 +298,5 @@ def mc_dos(
         zero_tol=zero_tol,
         seed=seed,
         overflow_count=overflow,
+        notes=(_M1_NOTE,) if params.M < 2 else (),
     )

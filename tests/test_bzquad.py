@@ -1,5 +1,4 @@
 import cmath
-import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from bosondos import AccuracyWarning, KernelParams, QuadratureSpec, I_cpa, I_g
+from bosondos import KernelParams, ModelParams, I_cpa, I_g, dos_curve
 from bosondos.bzquad import (
     I_cpa_and_derivative,
     _alpha_beta,
@@ -18,7 +17,7 @@ from bosondos.bzquad import (
 )
 from bosondos.model import delta_k
 
-SMALL = QuadratureSpec(points_per_dim=64)
+SMALL = 64
 
 
 def grid_mean(f, d, n):
@@ -96,7 +95,7 @@ def test_I_g_flat_band_limit_grid_independent():
     kp = KernelParams(z=0.2 + 0.9j, p=0.3 + 0.2j, nu=0.0)
     want = kp.z / (kp.z**2 + kp.p**2)
     for n in (8, 64, 256):
-        got = I_g(kp, 1, QuadratureSpec(points_per_dim=n))
+        got = I_g(kp, 1, n)
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -104,7 +103,7 @@ def test_I_g_pure_chain_density():
     # Re I_g / pi approaches the clean chain density for small Re z
     eps, omega = 1e-3, 1.0
     kp = KernelParams(z=eps + 1j * omega, p=0.0, nu=1.0)
-    got = I_g(kp, 1, QuadratureSpec(points_per_dim=65536)).real / np.pi
+    got = I_g(kp, 1, 65536).real / np.pi
     want = 1.0 / (np.pi * np.sqrt(2.0 - omega**2))
     # leading deviation is the O(eps) Lorentzian broadening
     assert got == pytest.approx(want, abs=5e-3)
@@ -126,17 +125,16 @@ def test_I_cpa_flat_band_limit():
     kp = KernelParams(z=0.4 + 1.1j, p=0.2 + 0.6j, nu=0.0)
     w = kp.z**2 + kp.p**2
     for n in (8, 64, 256):
-        spec = QuadratureSpec(points_per_dim=n)
-        assert I_cpa(kp, 1, spec) == pytest.approx(kp.p / w, rel=1e-14)
+        assert I_cpa(kp, 1, n) == pytest.approx(kp.p / w, rel=1e-14)
         # closed-form p-derivative of the k-independent integrand
         want = (kp.z**2 - kp.p**2) / (w * w)
-        assert dI_cpa_dp(kp, 1, spec) == pytest.approx(want, rel=1e-14)
+        assert dI_cpa_dp(kp, 1, n) == pytest.approx(want, rel=1e-14)
 
 
 def test_I_cpa_against_adaptive_oracle():
     # independent adaptive quadrature of the same integrand at z = 2, p = 0
     kp = KernelParams(z=2.0 + 0.0j, p=0.0, nu=1.0)
-    got = I_cpa(kp, 1, QuadratureSpec(points_per_dim=4096))
+    got = I_cpa(kp, 1, 4096)
 
     def integrand(k):
         return (1.0 - 0.5 * np.cos(k)) / (4.0 + (1.0 - np.cos(k)))
@@ -149,32 +147,29 @@ def test_I_cpa_against_adaptive_oracle():
 
 
 def test_I_cpa_large_z_decay():
-    spec = QuadratureSpec(points_per_dim=256)
     vals = []
     for z in (1e2, 1e4):
         kp = KernelParams(z=complex(z), p=0.3, nu=1.0)
-        vals.append(abs(I_cpa(kp, 1, spec)))
+        vals.append(abs(I_cpa(kp, 1, 256)))
     # O(1/z^2): two decades in z give four decades in magnitude
     assert vals[0] / vals[1] == pytest.approx(1e4, rel=0.05)
 
 
 def test_dI_cpa_dp_matches_finite_difference():
     kp = KernelParams(z=0.2 + 0.9j, p=0.4 + 0.3j, nu=1.0)
-    spec = QuadratureSpec(points_per_dim=512)
     h = 1e-6
     fd = (
-        I_cpa(KernelParams(kp.z, kp.p + h, kp.nu), 1, spec)
-        - I_cpa(KernelParams(kp.z, kp.p - h, kp.nu), 1, spec)
+        I_cpa(KernelParams(kp.z, kp.p + h, kp.nu), 1, 512)
+        - I_cpa(KernelParams(kp.z, kp.p - h, kp.nu), 1, 512)
     ) / (2 * h)
-    assert dI_cpa_dp(kp, 1, spec) == pytest.approx(fd, rel=1e-8)
+    assert dI_cpa_dp(kp, 1, 512) == pytest.approx(fd, rel=1e-8)
 
 
 def test_analyticity_cauchy_riemann():
     # I_g is holomorphic in z away from the spectrum: both CR identities
-    spec = QuadratureSpec(points_per_dim=1024)
     h = 1e-5
     for z0, p in ((0.5 + 0.8j, 0.3 + 0.1j), (0.3 + 1.6j, 0.15 + 0.4j)):
-        f = lambda z: I_g(KernelParams(z=z, p=p, nu=1.0), 1, spec)
+        f = lambda z: I_g(KernelParams(z=z, p=p, nu=1.0), 1, 1024)
         du_dx = (f(z0 + h).real - f(z0 - h).real) / (2 * h)
         dv_dy = (f(z0 + 1j * h).imag - f(z0 - 1j * h).imag) / (2 * h)
         du_dy = (f(z0 + 1j * h).real - f(z0 - 1j * h).real) / (2 * h)
@@ -183,25 +178,31 @@ def test_analyticity_cauchy_riemann():
         assert abs(du_dy + dv_dx) <= 1e-6
 
 
+# the doubling check runs on the reported values of a curve; at b = 0 the
+# solved point is p = 0, so a one-point curve checks I_g at z = eps + i*omega
+PURE_CHAIN = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
+
+
 def test_doubling_check_quiet_when_converged():
-    kp = KernelParams(z=0.1 + 0.8j, p=0.0, nu=1.0)
-    spec = QuadratureSpec(points_per_dim=256, convergence_check=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AccuracyWarning)
-        I_g(kp, 1, spec)  # must not warn
+    curve = dos_curve([0.8], 0.1, PURE_CHAIN, 256, check=True)
+    assert curve.notes == ()
+    assert curve.rho[0] == I_g(KernelParams(z=0.1 + 0.8j, p=0.0, nu=1.0), 1, 512).real / np.pi
 
 
 def test_doubling_check_flags_unresolved_broadening():
-    # eps far below the grid resolution: the check must fire
+    # eps far below the grid resolution: the check must fire, and the
+    # doubled grid's value is the one reported
     kp = KernelParams(z=1e-4 + 0.5j, p=0.0, nu=1.0)
-    spec = QuadratureSpec(points_per_dim=4096, convergence_check=True)
-    with pytest.warns(AccuracyWarning, match="doubling"):
-        I_g(kp, 1, spec)
-    # the Newton step's kernels read the grid as given and never check
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AccuracyWarning)
-        got = I_cpa_and_derivative(kp, 1, spec)
-    assert got == I_cpa_and_derivative(kp, 1, QuadratureSpec(points_per_dim=4096))
+    curve = dos_curve([0.5], 1e-4, PURE_CHAIN, 4096, check=True)
+    g_n, g_2n = I_g(kp, 1, 4096), I_g(kp, 1, 8192)
+    assert abs(g_n - g_2n) > 1e-9 * abs(g_2n)
+    assert curve.notes == (
+        f"grid-doubling check failed: |I_n - I_2n| = {abs(g_n - g_2n):.3e} "
+        "exceeds rel_tol=1e-09 * |I_2n| at n=4096, d=1",)
+    assert curve.rho[0] == g_2n.real / np.pi
+    # unchecked, the same curve reports the grid's own value without a note
+    plain = dos_curve([0.5], 1e-4, PURE_CHAIN, 4096)
+    assert plain.notes == () and plain.rho[0] == g_n.real / np.pi
 
 
 def test_nonfinite_sample_identifies_grid_point():
@@ -212,10 +213,10 @@ def test_nonfinite_sample_identifies_grid_point():
     # grid; on an odd one the closed form reads 0/0 and the node sum is finite
     kp = KernelParams(z=0.5, p=-1.5, nu=1.0)
     with pytest.raises(ValueError, match=r"grid point k=\(3\.14159\d*,\)"):
-        I_g(kp, 1, QuadratureSpec(points_per_dim=8))
+        I_g(kp, 1, 8)
     dlt = full_symbol(1, 7)
     want = np.mean(kp.z / (0.5 * (1 + dlt)))
-    assert abs(I_g(kp, 1, QuadratureSpec(points_per_dim=7)) - want) <= 1e-14 * abs(want)
+    assert abs(I_g(kp, 1, 7) - want) <= 1e-14 * abs(want)
 
 
 def test_zone_nodes_fold_the_full_grid():
@@ -229,8 +230,7 @@ def test_zone_nodes_fold_the_full_grid():
         assert abs(grid_mean(np.exp, d, n) - want) <= 1e-14 * abs(want)
         D = z * z + p * p + p * nu * (2 - full) + nu * nu * (1 - full)
         N = p + nu * (1 - full / 2)
-        spec = QuadratureSpec(points_per_dim=n)
-        kernels = (I_g(kp, d, spec), *I_cpa_and_derivative(kp, d, spec))
+        kernels = (I_g(kp, d, n), *I_cpa_and_derivative(kp, d, n))
         integrands = (z / D, N / D, 1 / D - N * (2 * p + nu * (2 - full)) / D**2)
         for got, f in zip(kernels, integrands):
             want = np.mean(f)
@@ -261,11 +261,11 @@ def test_closed_form_means_match_meshgrid(d, n):
 
 def test_vanishing_nu_gives_flat_band_kernels():
     for d in (1, 2, 3):
-        spec = QuadratureSpec(points_per_dim=default_points_per_dim(d, 1.0))
+        n = default_points_per_dim(d, 1.0)
         for z, p in ((0.4 + 1.1j, 0.2 + 0.6j), (1e-3 + 2.0j, 0.05 - 0.3j)):
             def kernels(nu):
                 kp = KernelParams(z=z, p=p, nu=nu)
-                return I_g(kp, d, spec), *I_cpa_and_derivative(kp, d, spec)
+                return I_g(kp, d, n), *I_cpa_and_derivative(kp, d, n)
 
             for nu in (1e-300, 5e-324):
                 for got, want in zip(kernels(nu), kernels(0.0)):
@@ -285,5 +285,9 @@ def test_default_grid_sizes():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(points_per_dim=2)
+    # a given grid is checked where the default is resolved
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="kgrid must be at least 4"):
+            default_points_per_dim(1, 1.0, n)
+    assert default_points_per_dim(1, 1.0, 4) == 4
+    assert default_points_per_dim(4, 1.0, 8) == 8

@@ -272,6 +272,27 @@ def test_mc_dos_reports_each_warning_once(argv, tmp_path, capsys):
     assert capsys.readouterr().err.count("warning:") == 1
 
 
+def test_check_quadrature_records_each_failed_point(tmp_path, capsys):
+    # 64 points cannot resolve eps = 1e-3 on a chain: the check fails at some
+    # points, and each failure is one warning line, after the flags
+    out = tmp_path / "dos.csv"
+    argv = ["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1", "--omega-min", "0.1",
+            "--omega-max", "2.6", "--omega-steps", "12", "--kgrid", "64"]
+    assert main([*argv, "--check-quadrature", "--out", str(out)]) == 0
+    meta, _ = parse_csv(str(out))
+    kept = [key for key in meta if key.startswith("warning")]
+    assert kept == [f"warning_{i}" for i in range(len(kept))] and kept
+    assert all(meta[k].startswith("grid-doubling check failed") for k in kept)
+    assert list(meta).index(kept[0]) == list(meta).index("out") + 1
+    assert capsys.readouterr().err.count("warning:") == len(kept)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert not any(key.startswith("warning") for key in parse_csv(str(out))[0])
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_cpa_dos_determinism(tmp_path):
     args = [
         "cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",

@@ -1,11 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from bosondos import (
     ModelParams,
-    QuadratureSpec,
     SolverError,
     continuation_sweep,
     dos_curve,
@@ -14,37 +11,35 @@ from bosondos import (
     rmt_scaled_a1,
     solve_p,
 )
-from bosondos import cpa
-from bosondos.bzquad import I_g, KernelParams
-from bosondos.cpa import _a1_scaled_root, cpa_residual
+from bosondos import bzquad, cpa
+from bosondos.bzquad import I_cpa, I_g, KernelParams
+from bosondos.cpa import _a1_scaled_root
 
 RMT_A2 = ModelParams(a=2.0, b=1.0, nu=0.0)
 RMT_A1 = ModelParams(a=1.0, b=1.0, nu=0.0)
 LATTICE = ModelParams(d=1, a=0.75, b=0.63, nu=1.0)
 
 
+def residual(p, z, params):
+    """Mismatch 1/b - a/p + I_cpa(z, p) of the uncleared equation, on the
+    default grid; zero exactly on a solution."""
+    n = bzquad.default_points_per_dim(params.d, params.nu)
+    return 1.0 / params.b - params.a / p + I_cpa(KernelParams(z, p, params.nu), params.d, n)
+
+
 class TestResidual:
     def test_flat_band_closed_form(self):
         p, z = 0.4 + 0.2j, 0.3 + 1.1j
-        got = cpa_residual(p, z, RMT_A2)
+        got = residual(p, z, RMT_A2)
         want = 1.0 / RMT_A2.b - RMT_A2.a / p + p / (z * z + p * p)
         assert got == pytest.approx(want, rel=1e-14)
-
-    def test_zero_p_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            cpa_residual(0.0, 1.0 + 0.5j, RMT_A2)
-
-    def test_no_equation_without_disorder(self):
-        clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
-        with pytest.raises(ValueError, match="pure system"):
-            cpa_residual(0.1, 1.0, clean)
 
     def test_vanishes_on_returned_potential(self):
         for params, z in ((LATTICE, 1e-3 + 0.9j), (RMT_A2, 0.01 + 1.5j)):
             cp = solve_p(z, params)
             assert cp.residual <= cpa.NEWTON_TOL
             # raw mismatch of the uncleared equation, at O(1) parameters
-            assert abs(cpa_residual(cp.p, z, params)) <= 1e-10
+            assert abs(residual(cp.p, z, params)) <= 1e-10
 
 
 class TestSolveP:
@@ -71,8 +66,7 @@ class TestSolveP:
     def test_seeded_solve(self):
         z = 0.2 + 1.0j
         ref = solve_p(z, LATTICE)
-        spec = QuadratureSpec(points_per_dim=4096)
-        p, g, _, its, _ = cpa._newton(z, ref.p * 1.05, LATTICE, spec)
+        p, g, _, its, _ = cpa._newton(z, ref.p * 1.05, LATTICE, 4096)
         assert p == pytest.approx(ref.p, rel=1e-10)
         assert g == pytest.approx(ref.g, rel=1e-10)
         assert its > 0
@@ -82,26 +76,23 @@ class TestSolveP:
             solve_p(-1.0 + 0.5j, LATTICE)
 
     def test_zero_seed_rejected(self):
-        spec = QuadratureSpec(points_per_dim=4096)
         with pytest.raises(ValueError, match="nonzero"):
-            cpa._newton(1.0 + 0.5j, 0.0, LATTICE, spec)
+            cpa._newton(1.0 + 0.5j, 0.0, LATTICE, 4096)
 
     def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(cpa, "MAX_ITER", 1)
-        spec = QuadratureSpec(points_per_dim=4096)
         with pytest.raises(SolverError) as err:
-            cpa._newton(0.01 + 0.34j, 50.0 + 50.0j, RMT_A2, spec)
+            cpa._newton(0.01 + 0.34j, 50.0 + 50.0j, RMT_A2, 4096)
         assert err.value.last_p is not None
 
     def test_lattice_above_d3_needs_a_grid(self):
         # no default grid resolves a d >= 4 lattice; at nu = 0 none is needed
         lattice = ModelParams(d=4, a=0.75, b=0.63, nu=1.0)
-        with pytest.raises(ValueError, match="points_per_dim"):
+        with pytest.raises(ValueError, match="kgrid"):
             solve_p(1.0 + 0.5j, lattice)
-        with pytest.raises(ValueError, match="points_per_dim"):
+        with pytest.raises(ValueError, match="kgrid"):
             dos_curve([0.5, 1.0], 1e-2, lattice)
-        coarse = QuadratureSpec(points_per_dim=8)
-        assert solve_p(1.0 + 0.5j, lattice, coarse).residual <= cpa.NEWTON_TOL
+        assert solve_p(1.0 + 0.5j, lattice, 8).residual <= cpa.NEWTON_TOL
         flat = ModelParams(d=4, a=2.0, b=1.0, nu=0.0)
         assert solve_p(1.0 + 0.5j, flat).p == solve_p(1.0 + 0.5j, RMT_A2).p
 
@@ -109,6 +100,7 @@ class TestSolveP:
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
         cp = solve_p(0.5 + 0.5j, clean)
         assert cp.p == 0 and cp.residual == 0.0
+        assert cp.g == I_g(KernelParams(cp.z, 0j, 1.0), 1, 4096)
 
 
 class TestContinuationSweep:
@@ -161,10 +153,9 @@ class TestGOfZ:
 
     def test_pure_system_is_clean_resolvent(self):
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
-        spec = QuadratureSpec(points_per_dim=2048)
         z = 0.4 + 0.9j
-        want = I_g(KernelParams(z=z, p=0.0, nu=1.0), 1, spec)
-        assert g_of_z(z, clean, spec) == pytest.approx(want, rel=1e-15)
+        want = I_g(KernelParams(z=z, p=0.0, nu=1.0), 1, 2048)
+        assert g_of_z(z, clean, 2048) == pytest.approx(want, rel=1e-15)
 
 
 class TestDosCurve:
@@ -205,19 +196,17 @@ class TestDosCurve:
     def test_pure_chain_density(self):
         # no self-consistency at b = 0: the curve is the clean-chain density
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
-        spec = QuadratureSpec(points_per_dim=65536)
         omegas = np.array([0.3, 0.7, 1.1])
-        curve = dos_curve(omegas, 1e-4, clean, spec)
+        curve = dos_curve(omegas, 1e-4, clean, 65536)
         want = 1.0 / (np.pi * np.sqrt(2.0 - omegas**2))
         assert np.abs(curve.rho - want).max() <= 1e-3
 
     def test_richardson_removes_leading_broadening(self):
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
-        spec = QuadratureSpec(points_per_dim=65536)
         omegas = np.array([0.9])
         want = 1.0 / (np.pi * np.sqrt(2.0 - omegas**2))
-        plain = dos_curve(omegas, 2e-3, clean, spec)
-        rich = dos_curve(omegas, 2e-3, clean, spec, richardson=True)
+        plain = dos_curve(omegas, 2e-3, clean, 65536)
+        rich = dos_curve(omegas, 2e-3, clean, 65536, richardson=True)
         assert abs(rich.rho[0] - want[0]) < abs(plain.rho[0] - want[0])
 
     def test_eps_extrapolation_bound(self):
@@ -240,51 +229,77 @@ class TestDosCurve:
 
 class TestCarriedResolvent:
     # g is read off the zone means of the converged Newton step; a zone mean
-    # of its own is taken only for the doubled grid of a checked spec
+    # of its own is taken only on the doubled grid of a checked curve
     GRID = np.linspace(0.1, 2.6, 12)
 
     @staticmethod
-    def count_I_g(monkeypatch):
-        calls = []
-        real = cpa.bzquad.I_g
+    def count_means(monkeypatch):
+        """Grid sizes of the zone means taken, one entry per mean."""
+        sizes = []
+        real = bzquad._excess
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(alpha, beta, d, n):
+            sizes.append(n)
+            return real(alpha, beta, d, n)
 
-        monkeypatch.setattr(cpa.bzquad, "I_g", counted)
-        return calls
+        monkeypatch.setattr(bzquad, "_excess", counted)
+        return sizes
 
     def test_unchecked_curve_takes_no_extra_zone_mean(self, monkeypatch):
-        calls = self.count_I_g(monkeypatch)
-        dos_curve(self.GRID, 1e-3, LATTICE, QuadratureSpec(points_per_dim=512))
-        assert calls == []
+        sizes = self.count_means(monkeypatch)
+        continuation_sweep(self.GRID, 1e-3, LATTICE, 512)
+        newton = len(sizes)
+        dos_curve(self.GRID, 1e-3, LATTICE, 512)
+        assert sizes == [512] * (2 * newton)
 
     def test_checked_curve_takes_one_doubled_mean_per_point(self, monkeypatch):
         # a grid too coarse for eps, so that the doubling check fires
-        spec = QuadratureSpec(points_per_dim=64, convergence_check=True)
-        want = []
-        for cp in continuation_sweep(self.GRID, 1e-3, LATTICE, spec):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                I_g(KernelParams(cp.z, cp.p, LATTICE.nu), LATTICE.d, spec)
-            want += [str(w.message) for w in caught]
-        assert want
-        calls = self.count_I_g(monkeypatch)
-        curve = dos_curve(self.GRID, 1e-3, LATTICE, spec)
-        assert len(calls) == self.GRID.size
-        assert list(curve.notes) == want
+        sweep = continuation_sweep(self.GRID, 1e-3, LATTICE, 64)
+        g_2n = [I_g(KernelParams(cp.z, cp.p, LATTICE.nu), LATTICE.d, 128) for cp in sweep]
+        failed = [abs(cp.g - g) > 1e-9 * abs(g) for cp, g in zip(sweep, g_2n)]
+        assert 0 < sum(failed) < len(failed)
+        sizes = self.count_means(monkeypatch)
+        curve = dos_curve(self.GRID, 1e-3, LATTICE, 64, check=True)
+        assert sizes.count(128) == self.GRID.size
+        assert sizes[-self.GRID.size:] == [128] * self.GRID.size
+        assert set(sizes) == {64, 128}
+        # the doubled grid's values are reported, one note per failed point
+        assert np.array_equal(curve.rho, np.array(g_2n).real / np.pi)
+        assert len(curve.notes) == sum(failed)
+        assert all(note.startswith("grid-doubling check failed") and
+                   note.endswith("at n=64, d=1") for note in curve.notes)
+
+    def test_unconverged_point_takes_g_at_its_stale_p(self, monkeypatch):
+        # neither the sweep step nor the reseed converges at omegas[2]
+        omegas = self.GRID[:4]
+        march, solve = cpa._march, cpa.solve_p
+
+        def failing_march(z_from, p_from, z_to, *args, **kwargs):
+            if z_to.imag == omegas[2]:
+                raise SolverError("injected")
+            return march(z_from, p_from, z_to, *args, **kwargs)
+
+        def failing_solve(z, *args):
+            if z.imag == omegas[2]:
+                raise SolverError("injected")
+            return solve(z, *args)
+
+        monkeypatch.setattr(cpa, "_march", failing_march)
+        monkeypatch.setattr(cpa, "solve_p", failing_solve)
+        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
+        stale = sweep[2]
+        assert stale.branch_tag == "unconverged" and stale.p == sweep[1].p
+        assert stale.g == I_g(KernelParams(stale.z, stale.p, LATTICE.nu), 1, 512)
 
     @pytest.mark.parametrize("params,n", [
         (LATTICE, 512), (RMT_A2, 4), (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 16),
         (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 8),
     ])
     def test_carried_g_is_the_zone_mean_at_the_solution(self, params, n):
-        spec = QuadratureSpec(points_per_dim=n)
-        solved = [solve_p(0.01 + 0.7j, params, spec)]
-        solved += continuation_sweep(self.GRID, 1e-3, params, spec)
+        solved = [solve_p(0.01 + 0.7j, params, n)]
+        solved += continuation_sweep(self.GRID, 1e-3, params, n)
         for cp in solved:
-            assert cp.g == I_g(KernelParams(cp.z, cp.p, params.nu), params.d, spec)
+            assert cp.g == I_g(KernelParams(cp.z, cp.p, params.nu), params.d, n)
 
 
 def lsz_rho(omegas, eps, a, b):
@@ -324,10 +339,9 @@ class TestExtrapolatedSeeds:
         (ModelParams(a=1.2, b=1.0, nu=0.0), None, 1e-6, np.linspace(0.002, 1.0, 50)),
     ], ids=["d1", "d1-descending", "d2", "d3", "rmt-a2-gap-edge", "rmt-a1.2-eps1e-6"])
     def test_sweep_points_match_independent_solves(self, params, n, eps, omegas):
-        spec = QuadratureSpec(points_per_dim=n) if n else None
         # Re g = pi * rho; each independent solve continues from the asymptote
-        got = np.array([cp.g.real for cp in continuation_sweep(omegas, eps, params, spec)])
-        want = np.array([g_of_z(complex(eps, w), params, spec).real for w in omegas])
+        got = np.array([cp.g.real for cp in continuation_sweep(omegas, eps, params, n)])
+        want = np.array([g_of_z(complex(eps, w), params, n).real for w in omegas])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_readme_curve_takes_fewer_zone_means(self, monkeypatch):
@@ -342,7 +356,7 @@ class TestExtrapolatedSeeds:
 
         monkeypatch.setattr(cpa.bzquad, "I_cpa_and_derivative", counted)
         omegas = np.linspace(3.0 / 600, 3.0, 600)
-        curve = dos_curve(omegas, 1e-3, LATTICE, QuadratureSpec(points_per_dim=4096))
+        curve = dos_curve(omegas, 1e-3, LATTICE, 4096)
         assert curve.residuals.max() <= cpa.NEWTON_TOL
         assert len(calls) <= 1500
 
@@ -351,15 +365,15 @@ class TestExtrapolatedSeeds:
         seeds = {}
         real = cpa._march
 
-        def failing(z_from, p_from, z_to, params, spec, initial_steps=1, seed=None):
+        def failing(z_from, p_from, z_to, params, n, initial_steps=1, seed=None):
             if initial_steps == 1:  # a sweep step, not solve_p's continuation
                 seeds[z_to.imag] = seed
                 if z_to.imag == omegas[6]:
                     raise SolverError("injected", last_p=p_from)
-            return real(z_from, p_from, z_to, params, spec, initial_steps, seed)
+            return real(z_from, p_from, z_to, params, n, initial_steps, seed)
 
         monkeypatch.setattr(cpa, "_march", failing)
-        sweep = continuation_sweep(omegas, 1e-3, LATTICE, QuadratureSpec(points_per_dim=512))
+        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
         assert any("reseeded" in fl for fl in sweep[6].flags)
         # point 1 starts from point 0's p, point 2 extrapolates linearly
         # through points 0 and 1, later points quadratically
@@ -415,25 +429,23 @@ class TestLimitConsistency:
         # nu -> 0 through the quadrature path lands on the dedicated
         # flat-band formulas
         rng = np.random.default_rng(5)
-        spec = QuadratureSpec(points_per_dim=64)
         for _ in range(20):
             a = rng.uniform(0.5, 2.5)
             b = rng.uniform(0.5, 2.0)
             z = complex(rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.5))
             rmt = ModelParams(a=a, b=b, nu=0.0)
             near = ModelParams(d=1, a=a, b=b, nu=1e-12)
-            assert abs(g_of_z(z, near, spec) - g_of_z(z, rmt)) <= 1e-8
+            assert abs(g_of_z(z, near, 64) - g_of_z(z, rmt)) <= 1e-8
 
     def test_weak_disorder_matches_clean_resolvent(self):
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
-        spec = QuadratureSpec(points_per_dim=4096)
         omegas = np.linspace(0.2, 1.0, 9)
-        r0 = dos_curve(omegas, 1e-3, clean, spec).rho
+        r0 = dos_curve(omegas, 1e-3, clean, 4096).rho
         tiny = ModelParams(d=1, a=0.75, b=1e-12, nu=1.0)
-        r1 = dos_curve(omegas, 1e-3, tiny, spec).rho
+        r1 = dos_curve(omegas, 1e-3, tiny, 4096).rho
         assert np.abs(r1 - r0).max() <= 1e-10
         weak = ModelParams(d=1, a=0.75, b=1e-8, nu=1.0)
-        r2 = dos_curve(omegas, 1e-3, weak, spec).rho
+        r2 = dos_curve(omegas, 1e-3, weak, 4096).rho
         assert np.abs(r2 - r0).max() <= 1e-4
 
 
