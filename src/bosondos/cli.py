@@ -255,6 +255,8 @@ def _omega_grid(args: argparse.Namespace) -> np.ndarray:
         raise ValueError(f"omega-steps must be nonnegative, got {args.omega_steps}")
     if args.omega_steps == 0:
         return np.zeros(0)
+    if args.omega_max <= 0:
+        raise ValueError(f"--omega-max must be positive, got {args.omega_max}")
     lo = args.omega_min
     if lo is None:
         lo = args.omega_max / args.omega_steps
@@ -348,6 +350,8 @@ def _run_solve_p(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
+    if not args.threshold >= 0:  # nan too: no l1 would pass it
+        raise ValueError(f"--threshold must be nonnegative, got {args.threshold}")
     cpa_meta, cpa_cols = parse_csv(args.cpa)
     mc_meta, mc_cols = parse_csv(args.mc)
     for need, cols, path in (

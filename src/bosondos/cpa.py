@@ -320,14 +320,19 @@ def solve_p(
 def _extrapolated_seed(history, z: complex) -> Optional[complex]:
     """Newton start at z: p extrapolated through the last two or three
     converged (z, p) of the sweep (Lagrange, in Newton's form); None from
-    fewer points or where the extrapolation leaves the half-plane Re p > 0."""
+    fewer points, where two of them share z (a grid that repeats or revisits
+    an omega) or where the extrapolation leaves the half-plane Re p > 0."""
     if len(history) < 2:
         return None
     (z1, p1), (z2, p2) = history[-2:]
+    if z1 == z2:
+        return None
     d21 = (p2 - p1) / (z2 - z1)
     seed = p2 + d21 * (z - z2)
     if len(history) > 2:
         z0, p0 = history[-3]
+        if z0 in (z1, z2):
+            return None
         d10 = (p1 - p0) / (z1 - z0)
         seed += (d21 - d10) / (z2 - z0) * (z - z2) * (z - z1)
     return seed if seed.real > 0 else None

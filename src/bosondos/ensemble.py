@@ -166,10 +166,9 @@ def assemble_H(
 
     ``blocks`` holds one coupling L_j = (A_j | conj(A_j)) per site, as drawn
     by ``sample_block``; its Gram matrix enters as that of L_j U =
-    sqrt(2) (Re A_j | -Im A_j).  ``K`` is the generator from ``assemble_K``
-    or, as ``mc_dos`` passes it, its real term from ``quadrature_K``; it
-    may be omitted in the single-site random-matrix limit (nu = 0, where K
-    vanishes).
+    sqrt(2) (Re A_j | -Im A_j).  ``K`` is the real deterministic term
+    ``quadrature_K(assemble_K(params), N)``; it may be omitted at nu = 0,
+    where K vanishes.
     """
     N = params.N
     if N is None:
@@ -180,10 +179,12 @@ def assemble_H(
         if params.nu != 0:
             raise ValueError("K may be omitted only in the nu = 0 limit")
         H = np.zeros((dim, dim))
+    elif np.iscomplexobj(K):
+        raise ValueError("assemble_H takes the real term quadrature_K(K, N), not K")
     elif K.shape != (dim, dim):
         raise ValueError(f"K has shape {K.shape}, expected {(dim, dim)}")
     else:
-        H = quadrature_K(K, N) if np.iscomplexobj(K) else K.copy()
+        H = K.copy()
     for j, L in enumerate(blocks):
         sl = slice(2 * N * j, 2 * N * (j + 1))
         A = L[:, :N]

@@ -1,5 +1,5 @@
 """Dense kernels: Hermitian eigenvalues, skew-symmetric spectra and PSD
-Cholesky with minimal shift.
+Cholesky with a rounding-sized shift.
 
 Thin contracts over the LAPACK routines exposed by numpy, on plain arrays:
 ``hermitian_eig`` returns the ascending eigenvalue array and
@@ -11,8 +11,9 @@ eigensolve of S^T S, with error about eps * mu_max^2 / mu, at less than half
 the cost, and hands S to the SVD when mu_min < 1e-3 * mu_max (an error bound
 of about 5e2 * eps * mu_max).  The value added here is validation
 (Hermiticity and finiteness on input, cone membership for the
-factorization) and the minimal-diagonal-shift policy for semidefinite
-matrices.  Real input stays in real arithmetic throughout.
+factorization) and the diagonal shift for semidefinite matrices: a ladder
+of a few multiples of eps * max A_ii, with no eigensolve.  Real input stays
+in real arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class NotPsdError(np.linalg.LinAlgError):
 
 
 HERMITIAN_TOL = 1e-12  # max |A - A^H| allowed, relative to max |A|
-SHIFT_TOL = 1e-10  # largest Cholesky shift, relative to ||A||_2
+SHIFT_TOL = 1e-10  # largest Cholesky shift, relative to max A_ii
 
 
 def _square(A) -> np.ndarray:
@@ -132,36 +133,24 @@ def skew_spectrum_gram(S) -> np.ndarray:
 def cholesky_psd(A):
     """Lower-triangular C and shift sigma with A + sigma*I = C C^dagger.
 
-    The shift is the smallest value in [0, SHIFT_TOL * ||A||_2] that makes
-    the factorization succeed, tried at a few multiples of eps * ||A||_2
-    above -lambda_min; matrices whose minimum eigenvalue is below
-    -SHIFT_TOL * ||A||_2 are rejected with :class:`NotPsdError` (they lie
-    outside the stability cone, which signals a model bug upstream).
+    The models keep A positive semidefinite, so a shift only has to absorb
+    rounding, and a few eps * max A_ii are enough for that (Higham, 1990).
+    sigma is the first of 0, eps, 1e2 * eps, 1e4 * eps and SHIFT_TOL, times
+    max A_ii, at which the factorization succeeds; no eigensolve runs on
+    that path.  A matrix that fails at every rung lies outside the stability
+    cone, which signals a model bug upstream: :class:`NotPsdError` is raised
+    with its minimum eigenvalue.
     """
     A = check_hermitian(A)
-    try:
-        return np.linalg.cholesky(A), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    w = np.linalg.eigvalsh(A)
-    norm = max(abs(float(w[0])), abs(float(w[-1])))
-    scale = max(norm, np.finfo(float).tiny)
-    lam_min = float(w[0])
-    sigma_cap = SHIFT_TOL * scale
-    if lam_min < -sigma_cap:
-        raise NotPsdError(
-            f"matrix is not positive semidefinite: min eigenvalue "
-            f"{lam_min:.3e} < -{SHIFT_TOL:g} * ||A|| = {-sigma_cap:.3e}"
-        )
+    scale = max(float(np.abs(A.diagonal()).max(initial=0.0)), np.finfo(float).tiny)
     eps = np.finfo(float).eps
-    eye = np.eye(A.shape[0])
-    for mult in (1.0, 1e2, 1e4, 1e6):
-        sigma = min(max(0.0, -lam_min) + mult * eps * scale, sigma_cap)
+    for sigma in (m * scale for m in (0.0, eps, 1e2 * eps, 1e4 * eps, SHIFT_TOL)):
         try:
-            return np.linalg.cholesky(A + sigma * eye), sigma
+            return np.linalg.cholesky(A + sigma * np.eye(len(A)) if sigma else A), sigma
         except np.linalg.LinAlgError:
-            continue
+            pass
     raise NotPsdError(
-        f"factorization failed even with the maximal allowed shift "
-        f"{sigma_cap:.3e} (min eigenvalue {lam_min:.3e})"
+        f"matrix is not positive semidefinite: min eigenvalue "
+        f"{np.linalg.eigvalsh(A)[0]:.3e}, and the factorization fails at the "
+        f"largest shift {SHIFT_TOL:g} * max A_ii = {sigma:.3e}"
     )

@@ -121,6 +121,28 @@ def test_mc_dos_nonpositive_omega_max_is_usage_error(value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
+def test_cpa_dos_nonpositive_omega_max_is_usage_error_naming_it(value, tmp_path, capsys):
+    # without --omega-min the grid starts at omega_max / steps, so a flag
+    # the user never gave would be blamed
+    out = tmp_path / "dos.csv"
+    rc = main([*FREQUENCY_MODES["cpa-dos"], f"--omega-max={value}", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "usage error: --omega-max must be positive" in err and "omega-min" not in err
+    assert not out.exists()
+
+
+def test_cpa_dos_repeated_omega(tmp_path):
+    out = tmp_path / "dos.csv"
+    assert main(["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1",
+                 "--omega-min", "3", "--omega-max", "3", "--omega-steps", "4",
+                 "--out", str(out)]) == 0
+    _, cols = parse_csv(str(out))
+    assert np.array_equal(cols["omega"], [3.0] * 4)
+    assert np.all(cols["rho"] == cols["rho"][0])
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
 def test_solve_p_nonpositive_z_re_is_usage_error(value, tmp_path, capsys):
     # the library's own message points at g_of_z, which the CLI does not offer
     out = tmp_path / "p.csv"
@@ -335,6 +357,10 @@ def test_compare_round_trip(tmp_path):
                  "--threshold", "0.5"]) == 0
     assert main(["compare", "--cpa", str(rmt), "--mc", str(mc),
                  "--threshold", "1e-9"]) == 1
+    # l1 <= threshold is false for every l1 at these, whatever the curves
+    for bad in ("nan", "-1"):
+        assert main(["compare", "--cpa", str(rmt), "--mc", str(mc),
+                     f"--threshold={bad}"]) == 2
 
 
 def test_compare_rejects_mismatched_inputs(tmp_path, capsys):

@@ -337,7 +337,12 @@ class TestExtrapolatedSeeds:
         (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 16, 1e-2, np.linspace(0.1, 3.0, 30)),
         (RMT_A2, None, 1e-3, np.linspace(0.02, 1.5, 50)),
         (ModelParams(a=1.2, b=1.0, nu=0.0), None, 1e-6, np.linspace(0.002, 1.0, 50)),
-    ], ids=["d1", "d1-descending", "d2", "d3", "rmt-a2-gap-edge", "rmt-a1.2-eps1e-6"])
+        # repeated omegas: coincident extrapolation nodes, no extrapolation
+        (RMT_A2, None, 1e-3, [1.0, 2.0, 1.0, 2.0]),
+        (RMT_A2, None, 1e-3, [3.0, 3.0, 3.0, 3.0]),
+        (RMT_A2, None, 1e-3, [1.0, 1.0, 2.0, 2.0]),
+    ], ids=["d1", "d1-descending", "d2", "d3", "rmt-a2-gap-edge", "rmt-a1.2-eps1e-6",
+            "revisit", "constant", "pairs"])
     def test_sweep_points_match_independent_solves(self, params, n, eps, omegas):
         # Re g = pi * rho; each independent solve continues from the asymptote
         got = np.array([cp.g.real for cp in continuation_sweep(omegas, eps, params, n)])

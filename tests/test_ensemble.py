@@ -133,7 +133,7 @@ class TestAssembleH:
     def test_clean_limit_spectrum(self):
         # b = 0: H = i Sigma3 K with per-mode eigenvalues {nu, nu(1-delta_k)}
         params = ModelParams(d=1, extents=(8,), N=2, M=4, b=0.0, nu=1.3)
-        K = assemble_K(params)
+        K = quadrature_K(assemble_K(params), params.N)
         blocks = tuple(sample_block(params, rng_for()) for _ in range(8))
         H = assemble_H(params, blocks, K)
         w = np.linalg.eigvalsh(H)
@@ -172,10 +172,16 @@ class TestAssembleH:
 
     def test_hermiticity(self):
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
-        K = assemble_K(params)
+        K = quadrature_K(assemble_K(params), params.N)
         blocks = tuple(sample_block(params, rng_for(6)) for _ in range(4))
         H = assemble_H(params, blocks, K)
         assert np.abs(H - H.conj().T).max() <= 1e-13 * np.abs(H).max()
+
+    def test_complex_generator_rejected(self):
+        params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
+        blocks = tuple(sample_block(params, rng_for()) for _ in range(4))
+        with pytest.raises(ValueError, match="quadrature_K"):
+            assemble_H(params, blocks, assemble_K(params))
 
     def test_K_required_on_lattice(self):
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
@@ -187,7 +193,7 @@ class TestAssembleH:
 class TestSpectrumX:
     def test_clean_chain_frequencies(self):
         params = ModelParams(d=1, extents=(8,), N=1, M=2, b=0.0, nu=1.0)
-        K = assemble_K(params)
+        K = quadrature_K(assemble_K(params), params.N)
         blocks = tuple(sample_block(params, rng_for()) for _ in range(8))
         H = assemble_H(params, blocks, K)
         mu = spectrum_X(H, params.N)
@@ -228,10 +234,11 @@ class TestSpectrumX:
     )
     def test_matches_complex_reduction(self, params):
         K = None if params.extents is None else assemble_K(params)
+        Kq = None if K is None else quadrature_K(K, params.N)
         for seed in range(3):
             rng = rng_for(seed)
             blocks = [sample_block(params, rng) for _ in range(params.n_sites)]
-            mu = spectrum_X(assemble_H(params, blocks, K), params.N)
+            mu = spectrum_X(assemble_H(params, blocks, Kq), params.N)
             want = complex_reference_spectrum(params, blocks, K)
             assert np.all(np.diff(mu) >= 0)
             # at odd M a zero mode of X sits in a 2x2 Jordan block, which the
@@ -375,7 +382,7 @@ class TestMcDos:
     def test_moment_identity_with_lattice(self):
         # E[(2N|L|)^-1 Tr(i Sigma3 X)] = nu + a b, independent of the solver
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
-        K = assemble_K(params)
+        K = quadrature_K(assemble_K(params), params.N)
         dim = K.shape[0]
         traces = []
         for child in np.random.SeedSequence(77).spawn(300):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bosondos import NotPsdError, cholesky_psd, hermitian_eig
+from bosondos import ModelParams, NotPsdError, cholesky_psd, hermitian_eig
+from bosondos.ensemble import draw_sample
 from bosondos.linalg import SHIFT_TOL, check_hermitian, skew_spectrum, skew_spectrum_gram
 
 
@@ -98,16 +99,27 @@ def test_skew_spectrum_gram_hands_ill_conditioned_S_to_the_svd(mu_min):
     assert np.array_equal(skew_spectrum_gram(S), skew_spectrum(S))
 
 
+def shift_ladder(A):
+    """The shifts ``cholesky_psd`` tries, in order."""
+    eps = np.finfo(float).eps
+    scale = np.abs(A.diagonal()).max()
+    return [m * scale for m in (0.0, eps, 1e2 * eps, 1e4 * eps, SHIFT_TOL)]
+
+
 def test_cholesky_identity():
     C, sigma = cholesky_psd(np.eye(4))
     assert sigma == 0.0
     assert np.allclose(C, np.eye(4))
 
 
-def test_cholesky_reconstruction():
+def test_cholesky_reconstruction(monkeypatch):
+    # a definite A takes no shift and one factorization
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
+    calls, factor = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda B: calls.append(B) or factor(B))
     C, sigma = cholesky_psd(A)
     assert sigma == 0.0
+    assert len(calls) == 1 and calls[0] is A
     assert np.abs(C @ C.conj().T - A).max() < 1e-14
 
 
@@ -128,8 +140,39 @@ def test_cholesky_random_psd_with_kernel():
     norm = np.linalg.norm(A, 2)
     assert sigma <= 1e-10 * norm
     assert np.abs(C @ C.conj().T - (A + sigma * np.eye(8))).max() <= 1e-12 * norm
+    # sigma is the first rung of the shift ladder that factors
+    ladder = shift_ladder(A)
+    assert sigma in ladder[1:]
+    for below in ladder[:ladder.index(sigma)]:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(A + below * np.eye(8))
 
 
 def test_indefinite_rejected():
     with pytest.raises(NotPsdError, match="not positive semidefinite"):
         cholesky_psd(np.diag([1.0, -1.0]))
+
+
+def test_flat_band_H_factors_without_an_eigensolve(monkeypatch):
+    # the mc-flat shape: H has rank M = 12 < 2N = 16
+    params = ModelParams(a=0.75, N=8, M=12, b=1.0, nu=0.0)
+    H = draw_sample(params, np.random.SeedSequence(0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cholesky_psd ran an eigensolve on a PSD matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    C, sigma = cholesky_psd(H)
+    assert 0.0 < sigma <= SHIFT_TOL * H.diagonal().max()
+    assert np.abs(C @ C.T - (H + sigma * np.eye(16))).max() <= 1e-12 * H.diagonal().max()
+
+
+def test_top_rung_bounds_the_accepted_negative_eigenvalue():
+    # max A_ii = 2; the top rung lifts lambda_min by SHIFT_TOL * 2
+    A = np.diag([2.0, 1.0, -0.5 * SHIFT_TOL * 2.0])
+    C, sigma = cholesky_psd(A)
+    assert sigma == shift_ladder(A)[-1]
+    assert C[2, 2] ** 2 == pytest.approx(A[2, 2] + sigma)
+    lam = -2.0 * SHIFT_TOL * 2.0
+    with pytest.raises(NotPsdError, match=f"min eigenvalue {lam:.3e}"):
+        cholesky_psd(np.diag([2.0, 1.0, lam]))
