@@ -142,6 +142,14 @@ def _symbol_excess(t, d: int, n: int):
     not finite (ZeroDivisionError on the scalars of d = 1) where M1 is not."""
     if d == 1:
         return _axis_excess(t, n, cmath.sqrt, pow)
+    e1, e2 = _node_excess(t, d, n)
+    return complex(e1), complex(e2)
+
+
+def _node_excess(t, d: int, n: int):
+    """``_symbol_excess`` at d >= 2 as numpy values: the last axis in closed
+    form at each node of the first d - 1, summed with orbit weights along the
+    last array axis, so a column of t sums each lane as a scalar t would."""
     dlt, weight, _ = _zone_nodes(d - 1, n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tc = dlt * (t * (d - 1))
@@ -151,7 +159,7 @@ def _symbol_excess(t, d: int, n: int):
         b = tc / d  # 1 - a
         f1 += b
         f2 += b * (2.0 - b)  # 1 - a^2
-        return complex((weight * ia * f1).sum()), complex((weight * ia * ia * f2).sum())
+        return (weight * ia * f1).sum(axis=-1), (weight * ia * ia * f2).sum(axis=-1)
 
 
 def _excess(alpha: complex, beta: complex, d: int, n: int):
@@ -200,20 +208,57 @@ def I_cpa_and_derivative(kp: KernelParams, d: int, n: int):
     dI_cpa/dp = E1*z^2/(q^2*alpha) - 2A*(q + A*E2)/alpha^2.  I_g = z*m1 comes
     from the same means, bit for bit what ``I_g`` returns, so the solver
     reads g off its converged step instead of taking another zone mean.
+
+    ``kp.z`` and ``kp.p`` may also be 1-d arrays of equal length, one lane
+    each: the same algebra on arrays, with the zone means of all lanes taken
+    together (at d >= 2 in blocks of about 4096 lanes x nodes, 64 KB per
+    complex temporary, which stay in cache: on a 2-core Xeon with 2 MB of L2
+    per core, a 600-point d = 3 curve took 119 ms in blocks of 4096 and
+    178 ms in blocks of 16384).  A lane whose means are not finite comes
+    back nan or inf instead of raising.
     """
     z, p, nu = kp
+    if isinstance(z, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _kernels(z, p + nu, nu, d, n, _lane_excess)
     q = complex(p + nu)
     if q == 0:
         raise ValueError("I_cpa has no closed form at p = -nu")
+    return _kernels(z, q, nu, d, n, _excess)
+
+
+def _kernels(z, q, nu: float, d: int, n: int, excess):
+    """The algebra of ``I_cpa_and_derivative`` at q = p + nu, on scalars or
+    arrays; ``excess`` takes the zone means."""
     zz, qq = z * z, q * q
     alpha = qq + zz  # as in _alpha_beta
-    e1, e2 = _excess(alpha, nu * q, d, n)
+    e1, e2 = excess(alpha, nu * q, d, n)
     A = (qq - zz) / (2 * q)
     return (
         (q + A * e1) / alpha,
         e1 * zz / (qq * alpha) - 2 * A * (q + A * e2) / (alpha * alpha),
         z * (1 + e1) / alpha,
     )
+
+
+def _lane_excess(alpha: np.ndarray, beta: np.ndarray, d: int, n: int):
+    """``_excess`` on 1-d arrays, nan where the scalar raises."""
+    t = beta / alpha
+    if d == 1:
+        e1, e2 = _axis_excess(t, n, np.sqrt, _power)
+    else:
+        e1, e2 = np.empty_like(t), np.empty_like(t)
+        step = max(1, 4096 // len(_zone_nodes(d - 1, n)[0]))
+        for s in range(0, t.size, step):
+            e1[s : s + step], e2[s : s + step] = _node_excess(t[s : s + step, None], d, n)
+    # where the closed form is not finite, the scalar means decide: the node
+    # sum of the folded grid, or nan where that raises
+    for i in np.flatnonzero(~(np.isfinite(e1) & np.isfinite(e2))):
+        try:
+            e1[i], e2[i] = _excess(complex(alpha[i]), complex(beta[i]), d, n)
+        except ValueError:
+            e1[i] = e2[i] = np.nan
+    return e1, e2
 
 
 def I_cpa(kp: KernelParams, d: int, n: int) -> complex:

@@ -34,9 +34,24 @@ DAMPING, at most MAX_SIGN_LOSSES steps that only improve with Re p <= 0);
 continuation starts at the real frequency Z_START_SCALE * max(b, nu) and
 marches straight-line paths in PATH_STEPS initial steps, halving a step at
 most MAX_PATH_REFINE times on a failed solve or a jump beyond JUMP_TOL.
-A sweep along z = eps + i*omega is a predictor-corrector continuation: the
-predictor extrapolates p through the last two or three converged points
-(none after a reseed or an unconverged point), and Newton corrects it.
+A sweep along z = eps + i*omega is a predictor-corrector continuation
+(Allgower & Georg, Introduction to Numerical Continuation Methods, 2003) in
+two parts.  On a skeleton of the grid, points at least SKELETON_STEP *
+max(b, nu) apart in omega, it runs point by point: the predictor
+extrapolates p through the last two or three converged points (none after
+a reseed or an unconverged point), and Newton corrects it.  Every other
+point is a lane: its predictor is the cubic through the four nearest
+skeleton points, and undamped Newton corrects all lanes at once, one array
+call of the zone means per step.  A lane that fails a test of the physical
+branch (Re p > 0, Re g >= -1e-9*|g|, a jump from its predictor within
+JUMP_TOL, finite means, convergence in five steps) is solved point by point
+from its left skeleton neighbour instead, so flags and reseeds come from
+that path alone.  SKELETON_STEP = 0.04 came from fine curves (steps of
+0.0025-0.005) at d = 1, 2, 3 and nu = 0 on a 2-core Xeon: 0.02 / 0.04 /
+0.08 / 0.16 took 11.7 / 9.5 / 9.1 / 8.5 ms at d = 1 (1200 points),
+72 / 63 / 67 / 69 ms at d = 2 and 173 / 180 / 204 / 236 ms at d = 3 (600
+points), where wider spacing costs lanes Newton steps on 561-node means.
+A grid whose step is at least the spacing has no lanes.
 """
 
 from __future__ import annotations
@@ -87,6 +102,7 @@ MAX_PATH_REFINE = 20
 JUMP_TOL = 0.5
 MAX_SIGN_LOSSES = 3
 DOUBLING_TOL = 1e-9  # relative tolerance of the grid-doubling check
+SKELETON_STEP = 0.04  # sweep skeleton spacing in omega, in units of max(b, nu)
 
 
 class CoherentPotential(NamedTuple):
@@ -94,12 +110,12 @@ class CoherentPotential(NamedTuple):
 
     ``residual`` is the relative mismatch of the self-consistency equation
     (see the module docstring); ``branch_tag`` records how the branch was
-    reached, ``flags`` carry non-fatal diagnostics (sign losses, reseeds,
-    unresolved jumps).  ``g`` is the resolvent trace z*mean_k 1/D at (z, p)
-    on the solve's grid: read off the converged Newton step's zone means, or
-    a zone mean of its own where no Newton solve ran (b = 0, and an
-    unconverged point at its stale p).  A named tuple, because the sweep
-    builds one per omega point.
+    reached (a lane of a sweep's tag starts with "lane"), ``flags`` carry
+    non-fatal diagnostics (sign losses, reseeds, unresolved jumps).  ``g``
+    is the resolvent trace z*mean_k 1/D at (z, p) on the solve's grid: read
+    off the converged Newton step's zone means, or a zone mean of its own
+    where no Newton solve ran (b = 0, and an unconverged point at its stale
+    p).  A named tuple, because the sweep builds one per omega point.
     """
 
     p: complex
@@ -146,7 +162,8 @@ def default_eps(params: ModelParams) -> float:
 
 def _G_terms(p: complex, z: complex, params: ModelParams, n: int):
     """Cleared residual G = p - a*b + b*p*I, its p-derivative, its scale,
-    and g at (z, p), all from one pair of zone means on the n^d grid."""
+    and g at (z, p), all from one pair of zone means on the n^d grid; on
+    1-d arrays of p and z for lanes."""
     a, b = params.a, params.b
     # looked up on the module at each call, where a tracer can wrap it
     I, dI, g = bzquad.I_cpa_and_derivative(KernelParams(z, p, params.nu), params.d, n)
@@ -338,25 +355,64 @@ def _extrapolated_seed(history, z: complex) -> Optional[complex]:
     return seed if seed.real > 0 else None
 
 
+def _sweep_step(prev: CoherentPotential, z_next: complex, params: ModelParams,
+                n: int, seed: Optional[complex] = None) -> CoherentPotential:
+    """One step of the sequential sweep, from the solved point ``prev`` to
+    z_next: a march seeded by ``seed`` (prev's p where None); on failure a
+    reseed by full continuation; where that fails too, an unconverged point
+    that keeps prev's p and takes g there."""
+    try:
+        p, g, resid, its, flags = _march(prev.z, prev.p, z_next, params, n, seed=seed)
+        return CoherentPotential(
+            p=p, z=z_next, residual=resid, iterations=its,
+            branch_tag="continued along the sweep", g=g, flags=tuple(flags),
+        )
+    except (SolverError, BranchError) as exc:
+        try:
+            fresh = solve_p(z_next, params, n)
+            return fresh._replace(flags=fresh.flags + (f"reseeded after failure: {exc}",))
+        except (SolverError, BranchError) as exc2:
+            return CoherentPotential(
+                p=prev.p, z=z_next, residual=math.inf, iterations=0,
+                branch_tag="unconverged",
+                g=bzquad.I_g(KernelParams(z_next, prev.p, params.nu), params.d, n),
+                flags=(f"unconverged: {exc2}",),
+            )
+
+
 def continuation_sweep(
     omega_grid: Sequence[float],
     eps: float,
     params: ModelParams,
     kgrid: Optional[int] = None,
 ) -> List[CoherentPotential]:
-    """Solve p along z = eps + i*omega for every omega, marching each solve
-    from its predecessor.
+    """Solve p along z = eps + i*omega for every omega: a sequential sweep on
+    a coarse skeleton of the grid, then every other point as one lane of a
+    vectorized Newton run.
 
-    The grid is marched in the order given (so a reversed grid sweeps
-    downward); the first point is reached by full continuation from the
-    asymptotic regime.  Each later point's Newton run starts from p
-    extrapolated in z through the last three points converged since the
-    start, the last reseed or the last unconverged point, or through two
-    where only two have.  With fewer, or where the extrapolation has
-    Re p <= 0, it starts from the predecessor's p, as every halved step
+    The skeleton is the first point, each point at least
+    SKELETON_STEP * max(b, nu) in omega from the previous skeleton point, and
+    the last point.  It is marched in the order given (so a reversed grid
+    sweeps downward); its first point is reached by full continuation from
+    the asymptotic regime.  Each later skeleton point's Newton run starts
+    from p extrapolated in z through the last three skeleton points converged
+    since the start, the last reseed or the last unconverged point, or
+    through two where only two have.  With fewer, or where the extrapolation
+    has Re p <= 0, it starts from the predecessor's p, as every halved step
     does.  Points where refinement fails are flagged, keep their
-    predecessor's p (and take g there), and the sweep continues from a
-    fresh reseed.
+    predecessor's p (and take g there), and the sweep continues from a fresh
+    reseed.
+
+    A point between two skeleton points is a lane (``branch_tag`` starting
+    with "lane"): Newton starts from p interpolated in z by the cubic
+    through the four nearest skeleton points, and runs undamped on all lanes
+    together.  A lane falls back to the sequential step from its left
+    skeleton neighbour, with that step's flags, reseed and messages, where
+    its omega is not strictly between its skeleton neighbours', its
+    interpolation nodes share a z or include an unconverged point, it has
+    not converged after five steps, its zone means are not finite, or it
+    lands with Re p <= 0, Re g < -1e-9*|g| or |p - seed| beyond
+    JUMP_TOL * max(1, |seed|).
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -366,39 +422,96 @@ def continuation_sweep(
     n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     if params.b == 0:
         return [solve_p(complex(eps, w), params, n) for w in omegas]
-    out: List[CoherentPotential] = []
-    cp = solve_p(complex(eps, omegas[0]), params, n)
-    out.append(cp)
+    w = omegas.tolist()
+    spacing = SKELETON_STEP * max(params.b, params.nu)
+    skeleton = [0]
+    for i in range(1, len(w) - 1):
+        if abs(w[i] - w[skeleton[-1]]) >= spacing:
+            skeleton.append(i)
+    if len(w) > 1:
+        skeleton.append(len(w) - 1)
+    out: List[Optional[CoherentPotential]] = [None] * len(w)
+    cp = out[0] = solve_p(complex(eps, w[0]), params, n)
     history = [(cp.z, cp.p)]  # converged points since the last (re)start
-    for w in omegas[1:]:
-        z_next = complex(eps, w)
-        try:
-            p, g, resid, its, flags = _march(
-                cp.z, cp.p, z_next, params, n,
-                seed=_extrapolated_seed(history, z_next),
-            )
-            cp = CoherentPotential(
-                p=p, z=z_next, residual=resid, iterations=its,
-                branch_tag="continued along the sweep", g=g, flags=tuple(flags),
-            )
-            history = history[-2:] + [(z_next, p)]
-        except (SolverError, BranchError) as exc:
-            try:
-                fresh = solve_p(z_next, params, n)
-                cp = fresh._replace(
-                    flags=fresh.flags + (f"reseeded after failure: {exc}",),
-                )
-                history = [(z_next, cp.p)]
-            except (SolverError, BranchError) as exc2:
-                cp = CoherentPotential(
-                    p=cp.p, z=z_next, residual=math.inf, iterations=0,
-                    branch_tag="unconverged",
-                    g=bzquad.I_g(KernelParams(z_next, cp.p, params.nu), params.d, n),
-                    flags=(f"unconverged: {exc2}",),
-                )
-                history = []
-        out.append(cp)
+    for i in skeleton[1:]:
+        z_next = complex(eps, w[i])
+        cp = out[i] = _sweep_step(cp, z_next, params, n, _extrapolated_seed(history, z_next))
+        if cp.branch_tag == "continued along the sweep":
+            history = history[-2:] + [(z_next, cp.p)]
+        elif cp.branch_tag == "unconverged":
+            history = []
+        else:  # reseeded
+            history = [(z_next, cp.p)]
+    if len(skeleton) < len(w):
+        _solve_lanes(out, np.array(skeleton), omegas, eps, params, n)
     return out
+
+
+def _solve_lanes(out, skeleton: np.ndarray, omegas: np.ndarray, eps: float,
+                 params: ModelParams, n: int) -> None:
+    """Fill the points of ``out`` off the skeleton, as ``continuation_sweep``
+    describes."""
+    off = np.ones(omegas.size, dtype=bool)
+    off[skeleton] = False
+    lanes = np.flatnonzero(off)
+    left = np.searchsorted(skeleton, lanes) - 1  # skeleton position of the left neighbour
+    w, w_skel = omegas[lanes], omegas[skeleton]
+    p_skel = np.array([out[i].p for i in skeleton.tolist()])
+    converged = np.isfinite([out[i].residual for i in skeleton.tolist()])
+    # the four nearest skeleton points, fewer on a shorter skeleton
+    m = min(4, skeleton.size)
+    nodes = np.clip(left - 1, 0, skeleton.size - m)[:, None] + np.arange(m)
+    ok = ((w - w_skel[left]) * (w_skel[left + 1] - w) > 0) & converged[nodes].all(axis=1)
+    w_nodes = w_skel[nodes]
+    for j in range(m):
+        for i in range(j):
+            ok &= w_nodes[:, i] != w_nodes[:, j]
+    w, w_nodes, p_nodes = w[ok], w_nodes[ok], p_skel[nodes[ok]]
+    # Lagrange form in omega, which is z up to the constant eps and a factor i
+    seed = np.zeros(w.size, dtype=complex)
+    for j in range(m):
+        term = p_nodes[:, j]
+        for i in range(m):
+            if i != j:
+                term = term * ((w - w_nodes[:, i]) / (w_nodes[:, j] - w_nodes[:, i]))
+        seed += term
+    z = eps + 1j * w  # complex(eps, w), exactly
+    p, g, resid, its = _lane_newton(z, seed, params, n)
+    good = (np.isfinite(resid) & (p.real > 0) & (g.real >= -1e-9 * np.abs(g))
+            & (np.abs(p - seed) <= JUMP_TOL * np.maximum(1.0, np.abs(seed))))
+    tag = "lane: undamped Newton from the skeleton's cubic interpolant"
+    for i, pi, zi, ri, ki, gi in zip(lanes[ok][good].tolist(), p[good].tolist(),
+                                     z[good].tolist(), resid[good].tolist(),
+                                     its[good].tolist(), g[good].tolist()):
+        out[i] = CoherentPotential(pi, zi, ri, ki, tag, gi)
+    for i, s in zip(lanes.tolist(), skeleton[left].tolist()):
+        if out[i] is None:
+            out[i] = _sweep_step(out[s], complex(eps, float(omegas[i])), params, n)
+
+
+def _lane_newton(z: np.ndarray, p: np.ndarray, params: ModelParams, n: int):
+    """Undamped Newton on the cleared residual, every lane at once: one array
+    zone-mean call per step, lanes dropping out as they converge.  Returns
+    (p, g, residual, iterations); a lane that fails (not converged after
+    five steps, or means not finite) has residual inf."""
+    p = p.copy()
+    g = np.full(p.size, np.nan, dtype=complex)
+    resid = np.full(p.size, math.inf)
+    its = np.zeros(p.size, dtype=int)
+    live = np.arange(p.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(6):
+            if not live.size:
+                break
+            pl = p[live]
+            G, dG, scale, gl = _G_terms(pl, z[live], params, n)
+            done = (abs(G) <= NEWTON_TOL * scale) & np.isfinite(gl)
+            fin = live[done]
+            resid[fin], g[fin], its[fin] = abs(G[done]) / scale[done], gl[done], it
+            go = ~done & np.isfinite(G)
+            p[live[go]] = pl[go] - G[go] / dG[go]
+            live = live[go]
+    return p, g, resid, its
 
 
 def g_of_z(
@@ -434,7 +547,8 @@ def dos_curve(
     point mass max(0, 1 - a) is reported separately, and only in the
     random-matrix limit (nu = 0, a < 1) where the rank deficiency of the
     couplings enforces it; its pole (1 - a)/z is subtracted from g at each
-    eps, so rho does not carry it.
+    eps, so rho does not carry it.  A density below -1e-6 / max(b, nu), in
+    the unit rho scales with, is a BranchError.
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.size and omegas.min() <= 0:
@@ -465,7 +579,8 @@ def dos_curve(
         rho = 2.0 * rho_half - rho
         notes += notes_half
         notes.append(f"richardson extrapolation from eps={eps:g} and eps/2")
-    if rho.size and rho.min() < -1e-6:
+    # rho scales as 1/max(b, nu), and so does the tolerance
+    if rho.size and rho.min() < -1e-6 / max(params.b, params.nu):
         raise BranchError(
             f"negative density {rho.min():.3e} beyond tolerance: "
             "the solved branch is not the physical one"
@@ -524,16 +639,17 @@ def rmt_scaled_a1(x_grid: Sequence[float]) -> np.ndarray:
 
 def find_gap_edge(params: ModelParams) -> float:
     """Locate the low-frequency spectral-gap edge by bisection on
-    rho(omega) <= 1e-6, to 1e-4 relative, on the default grid.
+    rho(omega) <= 1e-6 / scale, to 1e-4 relative, on the default grid.
 
-    With scale = max(b, nu), the search starts at omega = 1e-6 * scale and
-    doubles up to 100 * scale.  Each query solves the branch afresh, so the
-    routine works at the very small regularization (1e-9 * scale) needed to
-    resolve an exponentially clean gap.  Returns 0.0 when there is no gap.
+    With scale = max(b, nu), the unit in which omega and 1/rho scale, the
+    search starts at omega = 1e-6 * scale and doubles up to 100 * scale.
+    Each query solves the branch afresh, so the routine works at the very
+    small regularization (1e-9 * scale) needed to resolve an exponentially
+    clean gap.  Returns 0.0 when there is no gap.
     """
     scale = max(params.b, params.nu)
     eps = 1e-9 * scale
-    threshold = 1e-6
+    threshold = 1e-6 / scale
 
     def rho_at(w):
         return g_of_z(complex(eps, w), params).real / np.pi

@@ -291,3 +291,53 @@ def test_spec_validation():
             default_points_per_dim(1, 1.0, n)
     assert default_points_per_dim(1, 1.0, 4) == 4
     assert default_points_per_dim(4, 1.0, 8) == 8
+
+
+# lanes in both half-planes of Re z, near and away from the pole of D's flat
+# part at q^2 + z^2 = 0 (q = p + nu)
+LANE_Z = [s * x + 1j * y for s in (1, -1) for x, y in ((0.3, 1.1), (1e-2, 0.7), (0.5, 2.5))]
+LANE_P = [0.4 + 0.2j, 0.05 - 0.3j, 1.2 + 0.8j]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("nu", [1.0, 0.0])
+def test_lanes_match_scalar_kernel(d, nu):
+    n = default_points_per_dim(d, nu)
+    z, p = (np.array(v) for v in zip(*[(z, p) for z in LANE_Z for p in LANE_P]))
+    lanes = I_cpa_and_derivative(KernelParams(z, p, nu), d, n)
+    # numpy's complex division rounds differently from Python's, and the
+    # closed form amplifies that by up to the square of the cancellation
+    # kappa in alpha = q^2 + z^2 (1.1e-12 relative in dI/dp at kappa = 22)
+    q = p + nu
+    kappa = (abs(q) ** 2 + abs(z) ** 2) / abs(q * q + z * z)
+    for i in range(z.size):
+        scalar = I_cpa_and_derivative(KernelParams(complex(z[i]), complex(p[i]), nu), d, n)
+        for got, want in zip(lanes, scalar):
+            assert abs(got[i] - want) <= 1e-14 * kappa[i] ** 2 * abs(want)
+    # a lane's values do not depend on the other lanes or on the blocks
+    # the nodes are summed in
+    for i in range(z.size):
+        alone = I_cpa_and_derivative(KernelParams(z[i : i + 1], p[i : i + 1], nu), d, n)
+        assert all(a[0] == b[i] for a, b in zip(alone, lanes))
+
+
+def test_nonfinite_lane_does_not_raise():
+    # the scalar kernel raises at the zone center (z = p = 0) and at
+    # p = -nu; a lane there comes back not finite, beside finite ones
+    with pytest.raises(ValueError, match=r"grid point k=\(0\.0,\)"):
+        I_cpa_and_derivative(KernelParams(0j, 0j, 1.0), 1, SMALL)
+    with pytest.raises(ValueError, match="p = -nu"):
+        I_cpa_and_derivative(KernelParams(0.5j, -1 + 0j, 1.0), 1, SMALL)
+    z = np.array([0.3 + 1.1j, 0j, 0.5j, 0.3 + 1.1j])
+    p = np.array([0.4 + 0.2j, 0j, -1 + 0j, 0.4 + 0.2j])
+    for d in (1, 2, 3):
+        I, dI, g = I_cpa_and_derivative(KernelParams(z, p, 1.0), d, SMALL)
+        for x in I, dI, g:
+            assert np.isfinite(x[[0, 3]]).all() and not np.isfinite(x[1])
+        # g = z/D has no pole at p = -nu, the I_cpa form does
+        assert not np.isfinite(I[2]) and not np.isfinite(dI[2])
+    # at the removable point of an odd grid the lane takes the node sum,
+    # as the scalar does
+    kp = KernelParams(z=0.5 + 0j, p=-1.5 + 0j, nu=1.0)
+    lane = I_cpa_and_derivative(KernelParams(np.array([kp.z]), np.array([kp.p]), 1.0), 1, 7)
+    assert [x[0] for x in lane] == list(I_cpa_and_derivative(kp, 1, 7))

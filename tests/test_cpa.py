@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bosondos import (
+    BranchError,
     ModelParams,
     SolverError,
     continuation_sweep,
@@ -341,17 +342,33 @@ class TestExtrapolatedSeeds:
         (RMT_A2, None, 1e-3, [1.0, 2.0, 1.0, 2.0]),
         (RMT_A2, None, 1e-3, [3.0, 3.0, 3.0, 3.0]),
         (RMT_A2, None, 1e-3, [1.0, 1.0, 2.0, 2.0]),
+        # fine grids: most points are lanes between skeleton points
+        (LATTICE, 512, 1e-3, np.linspace(0.005, 3.0, 300)),
+        (LATTICE, 512, 1e-3, np.linspace(3.0, 0.005, 300)),
+        (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 32, 1e-2, np.linspace(0.01, 3.0, 200)),
+        (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 32, 1e-2, np.linspace(3.0, 0.01, 200)),
+        (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 16, 1e-2, np.linspace(0.01, 3.0, 200)),
+        (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 16, 1e-2, np.linspace(3.0, 0.01, 200)),
+        (RMT_A2, None, 1e-3, np.linspace(0.005, 3.0, 300)),
+        (ModelParams(a=0.75, b=1.0, nu=0.0), None, 1e-3, np.linspace(3.0, 0.005, 300)),
     ], ids=["d1", "d1-descending", "d2", "d3", "rmt-a2-gap-edge", "rmt-a1.2-eps1e-6",
-            "revisit", "constant", "pairs"])
+            "revisit", "constant", "pairs", "d1-fine", "d1-fine-descending", "d2-fine",
+            "d2-fine-descending", "d3-fine", "d3-fine-descending", "rmt-a2-fine",
+            "rmt-a0.75-fine-descending"])
     def test_sweep_points_match_independent_solves(self, params, n, eps, omegas):
         # Re g = pi * rho; each independent solve continues from the asymptote
-        got = np.array([cp.g.real for cp in continuation_sweep(omegas, eps, params, n)])
+        sweep = continuation_sweep(omegas, eps, params, n)
+        got = np.array([cp.g.real for cp in sweep])
         want = np.array([g_of_z(complex(eps, w), params, n).real for w in omegas])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        # on the fine grids most points are lanes, not sequential steps
+        assert len(omegas) < 200 or any(cp.branch_tag.startswith("lane") for cp in sweep)
 
     def test_readme_curve_takes_fewer_zone_means(self, monkeypatch):
         # the d = 1 README run took 2167 zone means when every point started
-        # from its predecessor's p
+        # from its predecessor's p, and 1421 with extrapolated seeds before
+        # the points off the sweep skeleton became lanes; an array call for
+        # all lanes counts once
         calls = []
         real = cpa.bzquad.I_cpa_and_derivative
 
@@ -363,7 +380,34 @@ class TestExtrapolatedSeeds:
         omegas = np.linspace(3.0 / 600, 3.0, 600)
         curve = dos_curve(omegas, 1e-3, LATTICE, 4096)
         assert curve.residuals.max() <= cpa.NEWTON_TOL
-        assert len(calls) <= 1500
+        assert len(calls) <= 286
+
+    def test_failed_lane_falls_back_to_the_sequential_step(self, monkeypatch):
+        omegas = np.linspace(0.005, 3.0, 300)
+        is_lane = [cp.branch_tag.startswith("lane")
+                   for cp in continuation_sweep(omegas, 1e-3, LATTICE, 512)]
+        i = next(i for i in range(1, omegas.size - 1) if all(is_lane[i - 1 : i + 2]))
+        target = omegas[i]
+        real = cpa.bzquad.I_cpa_and_derivative
+
+        def one_lane_nan(kp, d, n):
+            out = real(kp, d, n)
+            if isinstance(kp.z, np.ndarray):
+                for x in out:
+                    x[kp.z.imag == target] = np.nan
+            return out
+
+        monkeypatch.setattr(cpa.bzquad, "I_cpa_and_derivative", one_lane_nan)
+        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
+        assert [cp.branch_tag.startswith("lane") for cp in sweep] == (
+            is_lane[:i] + [False] + is_lane[i + 1 :])
+        fallback = sweep[i]
+        assert fallback.branch_tag == "continued along the sweep"
+        assert fallback.residual <= cpa.NEWTON_TOL
+        monkeypatch.undo()
+        ref = solve_p(fallback.z, LATTICE, 512)
+        assert fallback.p == pytest.approx(ref.p, rel=1e-10)
+        assert fallback.g == pytest.approx(ref.g, rel=1e-10)
 
     def test_no_extrapolation_through_a_reseed(self, monkeypatch):
         omegas = np.linspace(0.1, 2.0, 12)
@@ -483,3 +527,30 @@ class TestGapEdge:
 
     def test_no_gap_below_critical_ratio(self):
         assert find_gap_edge(ModelParams(a=0.75, b=1.0, nu=0.0)) == 0.0
+
+
+class TestScaleFreeThresholds:
+    """rho scales as 1/max(b, nu), so the density thresholds are read in
+    that unit: at scale 1 they are the absolute 1e-6 they used to be."""
+
+    def test_gap_edge_scales_with_b(self):
+        unit = find_gap_edge(ModelParams(a=2.0, b=1.0, nu=0.0))
+        for s in (1e-3, 1e3, 1e6):
+            edge = find_gap_edge(ModelParams(a=2.0, b=s, nu=0.0)) / s
+            assert edge == pytest.approx(unit, rel=1e-4)
+
+    @pytest.mark.parametrize("b", [1.0, 1e6])
+    def test_negative_density_guard_scales_with_b(self, b, monkeypatch):
+        params = ModelParams(a=2.0, b=b, nu=0.0)
+        omegas = b * np.linspace(0.5, 1.5, 11)
+        real = cpa.continuation_sweep
+
+        def one_negated(*args):
+            sweep = real(*args)
+            sweep[5] = sweep[5]._replace(g=-sweep[5].g)
+            return sweep
+
+        assert dos_curve(omegas, 1e-3 * b, params).rho.min() > 0
+        monkeypatch.setattr(cpa, "continuation_sweep", one_negated)
+        with pytest.raises(BranchError, match="negative density"):
+            dos_curve(omegas, 1e-3 * b, params)
