@@ -18,7 +18,6 @@ from .cpa import (
     default_eps,
     dos_curve,
     find_gap_edge,
-    g_of_z,
     rmt_scaled_a1,
     solve_p,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "default_eps",
     "dos_curve",
     "find_gap_edge",
-    "g_of_z",
     "hermitian_eig",
     "mc_dos",
     "rmt_scaled_a1",

@@ -134,16 +134,13 @@ def _omega_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
                    help="number of grid points (default 600; 0 emits a "
                    "header-only file)")
     p.add_argument("--eps", type=float, default=None,
-                   help="spectral regularization (default 1e-3 of the "
-                   "dominant scale)")
+                   help="spectral regularization (default 1e-3 * nu, or "
+                   "1e-3 * b at nu = 0)")
     if not rmt:
         _kgrid_flag(p)
         p.add_argument("--check-quadrature", action="store_true",
                        help="run the grid-doubling accuracy check on reported "
                        "values (default off)")
-    p.add_argument("--richardson", action="store_true",
-                   help="extrapolate the eps broadening away using a second "
-                   "sweep at eps/2 (default off)")
 
 
 @functools.cache
@@ -280,7 +277,7 @@ def _run_dos(args: argparse.Namespace) -> int:
                  {"omega": [], "rho": [], "p_re": [], "p_im": [], "residual": []})
         return 0
     eps = default_eps(params) if args.eps is None else args.eps
-    curve = dos_curve(omegas, eps, params, kgrid, richardson=args.richardson,
+    curve = dos_curve(omegas, eps, params, kgrid,
                       check=getattr(args, "check_quadrature", False))
     _record_notes(meta, curve.notes)
     meta["eps"] = curve.eps

@@ -56,6 +56,7 @@ A grid whose step is at least the spacing has no lanes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -73,7 +74,6 @@ __all__ = [
     "DosCurve",
     "solve_p",
     "continuation_sweep",
-    "g_of_z",
     "dos_curve",
     "default_eps",
     "rmt_scaled_a1",
@@ -82,11 +82,7 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Newton iteration failed; ``last_p`` carries the final iterate."""
-
-    def __init__(self, message, last_p=None):
-        super().__init__(message)
-        self.last_p = last_p
+    """Newton iteration failed to converge."""
 
 
 class BranchError(RuntimeError):
@@ -155,7 +151,8 @@ class DosCurve:
 
 
 def default_eps(params: ModelParams) -> float:
-    """Default spectral regularization: 1e-3 of the dominant frequency scale."""
+    """Default spectral regularization: 1e-3 * nu on a lattice (nu > 0),
+    whatever b, and 1e-3 * b in the flat-band limit (nu = 0)."""
     scale = params.b if params.is_rmt else params.nu
     return 1e-3 * scale
 
@@ -208,12 +205,11 @@ def _newton(z, p0, params, n):
         if it == MAX_ITER:
             raise SolverError(
                 f"no convergence after {MAX_ITER} iterations at z={z}: "
-                f"relative residual {abs(G) / scale:.3e}",
-                last_p=p,
+                f"relative residual {abs(G) / scale:.3e}"
             )
         it += 1
         if dG == 0:
-            raise SolverError(f"vanishing derivative at p={p}, z={z}", last_p=p)
+            raise SolverError(f"vanishing derivative at p={p}, z={z}")
         step = -G / dG
         lam = 1.0
         accepted = False
@@ -234,8 +230,7 @@ def _newton(z, p0, params, n):
             if fallback is None:
                 raise SolverError(
                     f"damped Newton stalled at z={z}: |G|={abs(G):.3e} "
-                    f"(relative {abs(G) / scale:.3e})",
-                    last_p=p,
+                    f"(relative {abs(G) / scale:.3e})"
                 )
             # only improving steps had Re p <= 0
             sign_losses += 1
@@ -301,15 +296,15 @@ def solve_p(
     The branch is pinned by continuation from the large-z asymptote p = a*b
     at z_start = Z_START_SCALE * max(b, nu).  Without ``kgrid`` the grid is
     ``default_points_per_dim``'s, which a lattice above d = 3 lacks
-    (ValueError).  At b = 0 there is no equation to solve, p = 0, and g is
-    the clean resolvent's zone mean.
+    (ValueError).  z must be finite with Re z > 0 (ValueError).  At b = 0
+    there is no equation to solve, p = 0, and g is the clean resolvent's
+    zone mean.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"solve_p requires a finite z, got {z}")
     if not z.real > 0:
-        raise ValueError(
-            "solve_p requires Re z > 0; use g_of_z, which maps the left "
-            "half-plane through the oddness of g"
-        )
+        raise ValueError(f"solve_p requires Re z > 0, got {z}")
     n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     if params.b == 0:
         return CoherentPotential(
@@ -388,7 +383,8 @@ def continuation_sweep(
 ) -> List[CoherentPotential]:
     """Solve p along z = eps + i*omega for every omega: a sequential sweep on
     a coarse skeleton of the grid, then every other point as one lane of a
-    vectorized Newton run.
+    vectorized Newton run.  Every omega and eps must be finite, and eps
+    positive (ValueError).
 
     The skeleton is the first point, each point at least
     SKELETON_STEP * max(b, nu) in omega from the previous skeleton point, and
@@ -417,8 +413,10 @@ def continuation_sweep(
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
         raise ValueError("omega_grid must be a nonempty 1-d sequence")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not np.isfinite(omegas).all():
+        raise ValueError("omega_grid must be finite")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     if params.b == 0:
         return [solve_p(complex(eps, w), params, n) for w in omegas]
@@ -514,40 +512,25 @@ def _lane_newton(z: np.ndarray, p: np.ndarray, params: ModelParams, n: int):
     return p, g, resid, its
 
 
-def g_of_z(
-    z: complex,
-    params: ModelParams,
-    kgrid: Optional[int] = None,
-) -> complex:
-    """Averaged resolvent trace at z; the left half-plane is reached through
-    the exact oddness g(z) = -g(-z)."""
-    z = complex(z)
-    if z.real == 0:
-        raise ValueError("g is discontinuous across the imaginary axis; "
-                         "evaluate at Re z = +/- eps instead")
-    if z.real < 0:
-        return -g_of_z(-z, params, kgrid)
-    return solve_p(z, params, kgrid).g
-
-
 def dos_curve(
     omega_grid: Sequence[float],
     eps: float,
     params: ModelParams,
     kgrid: Optional[int] = None,
-    richardson: bool = False,
     check: bool = False,
 ) -> DosCurve:
-    """Frequency density rho(omega) = Re g(eps + i*omega) / pi on the grid.
+    """Frequency density rho(omega) = Re g(eps + i*omega) / pi on the grid,
+    from one continuation sweep.
 
-    ``richardson=True`` removes the leading O(eps) broadening by combining
-    sweeps at eps and eps/2.  ``check=True`` takes g at every solved point
-    on the doubled grid instead, and notes each point where it differs from
-    the carried g by more than DOUBLING_TOL relative.  The zero-frequency
-    point mass max(0, 1 - a) is reported separately, and only in the
-    random-matrix limit (nu = 0, a < 1) where the rank deficiency of the
-    couplings enforces it; its pole (1 - a)/z is subtracted from g at each
-    eps, so rho does not carry it.  A density below -1e-6 / max(b, nu), in
+    The broadening error is O(eps): a smaller eps, down to about
+    1e-9 * max(b, nu), brings rho closer to the eps -> 0+ limit.  Omega and
+    eps must be finite and positive (ValueError).  ``check=True`` takes g at
+    every solved point on the doubled grid instead, and notes each point
+    where it differs from the carried g by more than DOUBLING_TOL relative.
+    The zero-frequency point mass max(0, 1 - a) is reported separately, and
+    only in the random-matrix limit (nu = 0, a < 1) where the rank
+    deficiency of the couplings enforces it; its pole (1 - a)/z is
+    subtracted from g, so rho does not carry it.  A density below -1e-6 / max(b, nu), in
     the unit rho scales with, is a BranchError.
     """
     omegas = np.asarray(omega_grid, dtype=float)
@@ -555,30 +538,21 @@ def dos_curve(
         raise ValueError("omega_grid must be strictly positive")
     n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     dirac = max(0.0, 1.0 - params.a) if (params.is_rmt and params.a < 1) else 0.0
-
-    def sweep_rho(eps_val):
-        sweep = continuation_sweep(omegas, eps_val, params, n)
-        g = np.array([cp.g for cp in sweep], dtype=complex)
-        notes = []
-        if check:
-            for i, cp in enumerate(sweep):
-                g[i] = g2 = bzquad.I_g(KernelParams(cp.z, cp.p, params.nu), params.d, 2 * n)
-                if abs(cp.g - g2) > DOUBLING_TOL * max(abs(g2), np.finfo(float).tiny):
-                    notes.append(
-                        f"grid-doubling check failed: |I_n - I_2n| = {abs(cp.g - g2):.3e} "
-                        f"exceeds rel_tol={DOUBLING_TOL:g} * |I_2n| at n={n}, d={params.d}")
-        if dirac:
-            # the point mass is the pole dirac/z of g; keep its broadened
-            # Lorentzian out of rho so the mass is booked once
-            g -= dirac / np.array([cp.z for cp in sweep], dtype=complex)
-        return sweep, g.real / np.pi, notes
-
-    sweep, rho, notes = sweep_rho(eps)
-    if richardson:
-        _, rho_half, notes_half = sweep_rho(0.5 * eps)
-        rho = 2.0 * rho_half - rho
-        notes += notes_half
-        notes.append(f"richardson extrapolation from eps={eps:g} and eps/2")
+    sweep = continuation_sweep(omegas, eps, params, n)
+    g = np.array([cp.g for cp in sweep], dtype=complex)
+    notes = []
+    if check:
+        for i, cp in enumerate(sweep):
+            g[i] = g2 = bzquad.I_g(KernelParams(cp.z, cp.p, params.nu), params.d, 2 * n)
+            if abs(cp.g - g2) > DOUBLING_TOL * max(abs(g2), np.finfo(float).tiny):
+                notes.append(
+                    f"grid-doubling check failed: |I_n - I_2n| = {abs(cp.g - g2):.3e} "
+                    f"exceeds rel_tol={DOUBLING_TOL:g} * |I_2n| at n={n}, d={params.d}")
+    if dirac:
+        # the point mass is the pole dirac/z of g; keep its broadened
+        # Lorentzian out of rho so the mass is booked once
+        g -= dirac / np.array([cp.z for cp in sweep], dtype=complex)
+    rho = g.real / np.pi
     # rho scales as 1/max(b, nu), and so does the tolerance
     if rho.size and rho.min() < -1e-6 / max(params.b, params.nu):
         raise BranchError(
@@ -639,20 +613,26 @@ def rmt_scaled_a1(x_grid: Sequence[float]) -> np.ndarray:
 
 def find_gap_edge(params: ModelParams) -> float:
     """Locate the low-frequency spectral-gap edge by bisection on
-    rho(omega) <= 1e-6 / scale, to 1e-4 relative, on the default grid.
+    rho(omega) <= 1e-6 / scale, on the default grid.
 
     With scale = max(b, nu), the unit in which omega and 1/rho scale, the
     search starts at omega = 1e-6 * scale and doubles up to 100 * scale.
     Each query solves the branch afresh, so the routine works at the very
     small regularization (1e-9 * scale) needed to resolve an exponentially
     clean gap.  Returns 0.0 when there is no gap.
+
+    The bisection brackets the omega where rho crosses the 1e-6 / scale
+    threshold to 1e-4 relative; that crossing is not the edge.  At eps > 0
+    the density leaks into the gap, so at nu = 0 the result is off the
+    closed-form edge by 7.1e-6 relative at (a, b) = (2, 1), -2.2e-4 at
+    (1.2, 2) and -2.9e-3 at (1.1, 1), more as the gap closes (a -> 1+).
     """
     scale = max(params.b, params.nu)
     eps = 1e-9 * scale
     threshold = 1e-6 / scale
 
     def rho_at(w):
-        return g_of_z(complex(eps, w), params).real / np.pi
+        return solve_p(complex(eps, w), params).g.real / np.pi
 
     lo = 1e-6 * scale
     if rho_at(lo) > threshold:

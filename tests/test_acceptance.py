@@ -14,7 +14,6 @@ from bosondos import (
     I_g,
     dos_curve,
     find_gap_edge,
-    g_of_z,
     mc_dos,
     rmt_scaled_a1,
     sample_block,
@@ -240,8 +239,8 @@ def test_criterion_8_limit_cross_validation():
         a = rng.uniform(0.5, 2.5)
         b = rng.uniform(0.5, 2.0)
         z = complex(rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.5))
-        g_lattice_path = g_of_z(z, ModelParams(d=1, a=a, b=b, nu=1e-12), 64)
-        g_rmt_path = g_of_z(z, ModelParams(a=a, b=b, nu=0.0))
+        g_lattice_path = solve_p(z, ModelParams(d=1, a=a, b=b, nu=1e-12), 64).g
+        g_rmt_path = solve_p(z, ModelParams(a=a, b=b, nu=0.0)).g
         worst_rmt = max(worst_rmt, abs(g_lattice_path - g_rmt_path))
 
     # at b = 0 the curve must coincide with the clean resolvent quadrature
@@ -251,8 +250,8 @@ def test_criterion_8_limit_cross_validation():
     for omega in np.linspace(0.2, 1.2, 10):
         z = 1e-3 + 1j * omega
         direct = z * np.mean(1.0 / (z * z + 1.0 - np.cos(k)))
-        worst_clean = max(worst_clean, abs(g_of_z(z, clean, 4096) - direct))
-        tiny = g_of_z(z, ModelParams(d=1, a=0.75, b=1e-12, nu=1.0), 4096)
+        worst_clean = max(worst_clean, abs(solve_p(z, clean, 4096).g - direct))
+        tiny = solve_p(z, ModelParams(d=1, a=0.75, b=1e-12, nu=1.0), 4096).g
         worst_clean = max(worst_clean, abs(tiny - direct))
 
     ok = worst_rmt <= 1e-8 and worst_clean <= 1e-10

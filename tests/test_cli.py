@@ -144,12 +144,23 @@ def test_cpa_dos_repeated_omega(tmp_path):
 
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_solve_p_nonpositive_z_re_is_usage_error(value, tmp_path, capsys):
-    # the library's own message points at g_of_z, which the CLI does not offer
+    # the CLI names its flag, not the library's solve_p
     out = tmp_path / "p.csv"
     rc = main([*FREQUENCY_MODES["solve-p"], f"--z-re={value}", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "usage error: --z-re must be positive" in err and "g_of_z" not in err
+    assert "usage error: --z-re must be positive" in err and "solve_p" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["cpa-dos", "rmt-dos"])
+def test_richardson_flag_is_gone(mode, tmp_path, capsys):
+    # a smaller --eps is the one route to the eps -> 0+ density
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*FREQUENCY_MODES[mode], "--richardson", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --richardson" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -420,12 +431,12 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
         "cpa": (["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1",
                  "--omega-max", "2", "--omega-steps", "12", "--kgrid", "64"],
                 ["version", "mode", "d", "a", "b", "nu", "omega_max",
-                 "omega_steps", "kgrid", "check_quadrature", "richardson",
-                 "out", "eps", "dirac_mass_at_zero", "normalization"]),
+                 "omega_steps", "kgrid", "check_quadrature", "out", "eps",
+                 "dirac_mass_at_zero", "normalization"]),
         "rmt": (["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "12"],
                 ["version", "mode", "d", "a", "b", "nu", "omega_max",
-                 "omega_steps", "richardson", "out", "eps",
-                 "dirac_mass_at_zero", "normalization"]),
+                 "omega_steps", "out", "eps", "dirac_mass_at_zero",
+                 "normalization"]),
         "mc": (["mc-dos", "--N", "16", "--M", "32", "--b", "1", "--nu", "0",
                 "--samples", "2", "--bins", "10"],
                ["version", "mode", "d", "N", "M", "a", "b", "nu", "samples",
