@@ -332,8 +332,6 @@ def _run_solve_p(args: argparse.Namespace) -> int:
     print(f"p = {cp.p.real!r} + {cp.p.imag!r}j  "
           f"(residual {cp.residual:.3e}, {cp.iterations} iterations)")
     print(f"branch: {cp.branch_tag}")
-    for flag in cp.flags:
-        print(f"warning: {flag}", file=sys.stderr)
     if args.out:
         if kgrid is not None:
             meta["kgrid"] = kgrid

@@ -30,23 +30,26 @@ Every zone mean goes through :mod:`bosondos.bzquad`, which also covers the
 random-matrix limit nu = 0, so the solver has no special case for it.  The
 solver's settings are the module constants below: Newton stops at a
 relative mismatch of NEWTON_TOL within MAX_ITER damped steps (step factor
-DAMPING, at most MAX_SIGN_LOSSES steps that only improve with Re p <= 0);
+DAMPING, taken until the trial p has Re p > 0 and lowers the mismatch);
 continuation starts at the real frequency Z_START_SCALE * max(b, nu) and
 marches straight-line paths in PATH_STEPS initial steps, halving a step at
 most MAX_PATH_REFINE times on a failed solve or a jump beyond JUMP_TOL.
+Every point the solver returns is a converged root on the physical branch;
+a point it cannot reach so raises SolverError or BranchError, and a sweep
+names the omega of that point.
 A sweep along z = eps + i*omega is a predictor-corrector continuation
 (Allgower & Georg, Introduction to Numerical Continuation Methods, 2003) in
 two parts.  On a skeleton of the grid, points at least SKELETON_STEP *
 max(b, nu) apart in omega, it runs point by point: the predictor
 extrapolates p through the last two or three converged points (none after
-a reseed or an unconverged point), and Newton corrects it.  Every other
-point is a lane: its predictor is the cubic through the four nearest
-skeleton points, and undamped Newton corrects all lanes at once, one array
-call of the zone means per step.  A lane that fails a test of the physical
-branch (Re p > 0, Re g >= -1e-9*|g|, a jump from its predictor within
-JUMP_TOL, finite means, convergence in five steps) is solved point by point
-from its left skeleton neighbour instead, so flags and reseeds come from
-that path alone.  SKELETON_STEP = 0.04 came from fine curves (steps of
+a reseed), and Newton corrects it.  Every other point is a lane: its
+predictor is the cubic through the four nearest skeleton points, and
+undamped Newton corrects all lanes at once, one array call of the zone
+means per step.  A lane that fails a test of the physical branch
+(Re p > 0, Re g >= -1e-9*|g|, a jump from its predictor within JUMP_TOL,
+finite means, convergence in five steps) is solved point by point from its
+left skeleton neighbour instead, so reseeds and errors come from that path
+alone.  SKELETON_STEP = 0.04 came from fine curves (steps of
 0.0025-0.005) at d = 1, 2, 3 and nu = 0 on a 2-core Xeon: 0.02 / 0.04 /
 0.08 / 0.16 took 11.7 / 9.5 / 9.1 / 8.5 ms at d = 1 (1200 points),
 72 / 63 / 67 / 69 ms at d = 2 and 173 / 180 / 204 / 236 ms at d = 3 (600
@@ -82,11 +85,12 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Newton iteration failed to converge."""
+    """Newton iteration or path continuation failed to converge."""
 
 
 class BranchError(RuntimeError):
-    """No admissible physical-branch solution (e.g. persistent Re p <= 0)."""
+    """A root or density off the physical branch: a converged Re g < 0, or a
+    curve's density below its tolerance."""
 
 
 NEWTON_TOL = 1e-12
@@ -96,7 +100,6 @@ Z_START_SCALE = 10.0  # >= 10 starts the continuation deep in the asymptotic reg
 PATH_STEPS = 8
 MAX_PATH_REFINE = 20
 JUMP_TOL = 0.5
-MAX_SIGN_LOSSES = 3
 DOUBLING_TOL = 1e-9  # relative tolerance of the grid-doubling check
 SKELETON_STEP = 0.04  # sweep skeleton spacing in omega, in units of max(b, nu)
 
@@ -105,13 +108,13 @@ class CoherentPotential(NamedTuple):
     """One solved coherent potential with its convergence metadata.
 
     ``residual`` is the relative mismatch of the self-consistency equation
-    (see the module docstring); ``branch_tag`` records how the branch was
-    reached (a lane of a sweep's tag starts with "lane"), ``flags`` carry
-    non-fatal diagnostics (sign losses, reseeds, unresolved jumps).  ``g``
-    is the resolvent trace z*mean_k 1/D at (z, p) on the solve's grid: read
-    off the converged Newton step's zone means, or a zone mean of its own
-    where no Newton solve ran (b = 0, and an unconverged point at its stale
-    p).  A named tuple, because the sweep builds one per omega point.
+    (see the module docstring), at most NEWTON_TOL; ``branch_tag`` records
+    how the branch was reached (a lane of a sweep's tag starts with "lane"),
+    and ``flags`` holds at most the note of a sweep point reached by a
+    reseed after its step failed.  ``g`` is the resolvent trace z*mean_k 1/D
+    at (z, p) on the solve's grid: read off the converged Newton step's zone
+    means, or a zone mean of its own at b = 0, where no Newton solve runs.
+    A named tuple, because the sweep builds one per omega point.
     """
 
     p: complex
@@ -170,21 +173,12 @@ def _G_terms(p: complex, z: complex, params: ModelParams, n: int):
     return G, dG, scale, g
 
 
-def _accept_branch(p, z, g, flags):
-    """Reject converged roots that violate physical-branch invariants.
-
-    The physical branch keeps Re p > 0 (up to rounding at branch pinches,
-    where the true value approaches 0+) and, because g is the resolvent of
-    a spectral measure on the imaginary axis, Re g > 0 for Re z > 0.  Roots
-    failing either test decisively belong to another sheet.  ``g`` comes
-    from the converged step's zone means, so the test takes none of its own.
+def _accept_branch(z, g):
+    """Reject a converged root off the physical branch: g is the resolvent
+    of a spectral measure on the imaginary axis, so Re g > 0 for Re z > 0
+    (Newton keeps Re p > 0 itself).  ``g`` comes from the converged step's
+    zone means, so the test takes none of its own.
     """
-    if p.real < -1e-9 * abs(p):
-        raise BranchError(
-            f"converged to a root with Re p < 0 at z={z}: p={p:.6g}"
-        )
-    if p.real <= 0:
-        flags.append("re_p_nonpositive")
     if g.real < -1e-9 * abs(g):
         raise BranchError(
             f"converged to a root with negative spectral weight at z={z}: "
@@ -193,13 +187,14 @@ def _accept_branch(p, z, g, flags):
 
 
 def _newton(z, p0, params, n):
-    """Damped Newton on the cleared residual; returns (p, g, residual, iters, flags)."""
+    """Damped Newton on the cleared residual, in the half-plane Re p > 0: a
+    step's factor is halved until the trial p has Re p > 0, which is tested
+    before its zone means are taken, and lowers |G|.  Returns (p, g,
+    residual, iterations)."""
     p = complex(p0)
-    if p == 0:
-        raise ValueError("seed p must be nonzero")
+    if not p.real > 0:
+        raise ValueError(f"seed p must have Re p > 0, got {p}")
     G, dG, scale, g = _G_terms(p, z, params, n)
-    flags: List[str] = []
-    sign_losses = 0
     it = 0
     while abs(G) > NEWTON_TOL * scale:
         if it == MAX_ITER:
@@ -212,51 +207,36 @@ def _newton(z, p0, params, n):
             raise SolverError(f"vanishing derivative at p={p}, z={z}")
         step = -G / dG
         lam = 1.0
-        accepted = False
-        fallback = None
         while lam >= 1e-12:
             pn = p + lam * step
-            if pn != 0:
+            if pn.real > 0:
                 Gn, dGn, scale_n, gn = _G_terms(pn, z, params, n)
                 if abs(Gn) < abs(G):
-                    if pn.real > 0:
-                        p, G, dG, scale, g = pn, Gn, dGn, scale_n, gn
-                        accepted = True
-                        break
-                    if fallback is None:
-                        fallback = (pn, Gn, dGn, scale_n, gn)
+                    break
             lam *= DAMPING
-        if not accepted:
-            if fallback is None:
-                raise SolverError(
-                    f"damped Newton stalled at z={z}: |G|={abs(G):.3e} "
-                    f"(relative {abs(G) / scale:.3e})"
-                )
-            # only improving steps had Re p <= 0
-            sign_losses += 1
-            if sign_losses > MAX_SIGN_LOSSES:
-                raise BranchError(
-                    f"persistent loss of Re p > 0 at z={z} (last p={fallback[0]})"
-                )
-            flags.append("re_p_nonpositive_step")
-            p, G, dG, scale, g = fallback
-    _accept_branch(p, z, g, flags)
-    return p, g, abs(G) / scale, it, tuple(flags)
+        else:
+            raise SolverError(
+                f"damped Newton stalled in Re p > 0 at z={z}: |G|={abs(G):.3e} "
+                f"(relative {abs(G) / scale:.3e})"
+            )
+        p, G, dG, scale, g = pn, Gn, dGn, scale_n, gn
+    _accept_branch(z, g)
+    return p, g, abs(G) / scale, it
 
 
 def _march(z_from, p_from, z_to, params, n, initial_steps=1, seed=None):
     """Continue the branch along the straight segment z_from -> z_to.
 
     Adaptive stepping: on solver failure or a jump larger than JUMP_TOL the
-    step is halved (bounded refinement); an unresolvable jump is flagged but
-    accepted.  ``seed`` replaces p_from as the Newton start of the first step
-    only; the jump test compares with p_from all the same, and a halving
-    restarts from it.  Returns (p, g, residual, iterations, flags) at z_to;
-    the last step lands on z_to exactly, so g is the zone mean there.
+    step is halved, at most down to the smallest path step, where the
+    failure or jump raises SolverError.  ``seed`` replaces p_from as the
+    Newton start of the first step only; the jump test compares with p_from
+    all the same, and a halving restarts from it.  Returns (p, g, residual,
+    iterations) at z_to; the last step lands on z_to exactly, so g is the
+    zone mean there.
     """
     z0, z1 = complex(z_from), complex(z_to)
     p, g, resid, its = complex(p_from), None, 0.0, 0
-    flags: List[str] = []
     dt0 = 1.0 / initial_steps
     dt_min = 0.5**MAX_PATH_REFINE / max(initial_steps, PATH_STEPS)
     t, dt = 0.0, dt0
@@ -265,25 +245,21 @@ def _march(z_from, p_from, z_to, params, n, initial_steps=1, seed=None):
         zt = (1.0 - tn) * z0 + tn * z1
         start, seed = p if seed is None else seed, None
         try:
-            pn, gn, resid_n, its_n, fl = _newton(zt, start, params, n)
+            pn, gn, resid_n, its_n = _newton(zt, start, params, n)
+            if abs(pn - p) > JUMP_TOL * max(1.0, abs(p)):
+                raise SolverError(
+                    f"path jump at z={zt:.6g}: |dp|={abs(pn - p):.3e} "
+                    f"beyond JUMP_TOL at the smallest path step"
+                )
         except (SolverError, BranchError):
             if dt * 0.5 < dt_min:
                 raise
             dt *= 0.5
             continue
-        if abs(pn - p) > JUMP_TOL * max(1.0, abs(p)):
-            if dt * 0.5 >= dt_min:
-                dt *= 0.5
-                continue
-            flags.append(
-                f"branch_jump at z={zt:.6g}: |dp|={abs(pn - p):.3e} "
-                f"with path step exhausted"
-            )
         p, g, resid, its = pn, gn, resid_n, its_n
-        flags.extend(fl)
         t = tn
         dt = min(dt * 1.5, dt0)
-    return p, g, resid, its, flags
+    return p, g, resid, its
 
 
 def solve_p(
@@ -314,18 +290,13 @@ def solve_p(
         )
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
     p0 = params.a * params.b
-    p, g, resid, its, flags0 = _newton(z_start, p0, params, n)
+    p, g, resid, its = _newton(z_start, p0, params, n)
     if z != z_start:
-        p, g, resid, its, flags1 = _march(
-            z_start, p, z, params, n, initial_steps=PATH_STEPS
-        )
-        flags = list(flags0) + list(flags1)
-    else:
-        flags = list(flags0)
+        p, g, resid, its = _march(z_start, p, z, params, n, initial_steps=PATH_STEPS)
     return CoherentPotential(
         p=p, z=z, residual=resid, iterations=its,
         branch_tag=f"continuation from z_start={z_start.real:.6g} (seed p=a*b)",
-        g=g, flags=tuple(flags),
+        g=g,
     )
 
 
@@ -350,29 +321,25 @@ def _extrapolated_seed(history, z: complex) -> Optional[complex]:
     return seed if seed.real > 0 else None
 
 
+def _solve_row(z: complex, params: ModelParams, n: int) -> CoherentPotential:
+    """``solve_p`` at a point of a sweep; its failure names the point's omega."""
+    try:
+        return solve_p(z, params, n)
+    except (SolverError, BranchError) as exc:
+        raise type(exc)(f"omega={z.imag:g}: {exc}") from exc
+
+
 def _sweep_step(prev: CoherentPotential, z_next: complex, params: ModelParams,
                 n: int, seed: Optional[complex] = None) -> CoherentPotential:
     """One step of the sequential sweep, from the solved point ``prev`` to
-    z_next: a march seeded by ``seed`` (prev's p where None); on failure a
-    reseed by full continuation; where that fails too, an unconverged point
-    that keeps prev's p and takes g there."""
+    z_next: a march seeded by ``seed`` (prev's p where None), and on failure
+    a reseed by full continuation, whose failure raises."""
     try:
-        p, g, resid, its, flags = _march(prev.z, prev.p, z_next, params, n, seed=seed)
-        return CoherentPotential(
-            p=p, z=z_next, residual=resid, iterations=its,
-            branch_tag="continued along the sweep", g=g, flags=tuple(flags),
-        )
+        p, g, resid, its = _march(prev.z, prev.p, z_next, params, n, seed=seed)
     except (SolverError, BranchError) as exc:
-        try:
-            fresh = solve_p(z_next, params, n)
-            return fresh._replace(flags=fresh.flags + (f"reseeded after failure: {exc}",))
-        except (SolverError, BranchError) as exc2:
-            return CoherentPotential(
-                p=prev.p, z=z_next, residual=math.inf, iterations=0,
-                branch_tag="unconverged",
-                g=bzquad.I_g(KernelParams(z_next, prev.p, params.nu), params.d, n),
-                flags=(f"unconverged: {exc2}",),
-            )
+        fresh = _solve_row(z_next, params, n)
+        return fresh._replace(flags=(f"reseeded after failure: {exc}",))
+    return CoherentPotential(p, z_next, resid, its, "continued along the sweep", g)
 
 
 def continuation_sweep(
@@ -392,23 +359,23 @@ def continuation_sweep(
     sweeps downward); its first point is reached by full continuation from
     the asymptotic regime.  Each later skeleton point's Newton run starts
     from p extrapolated in z through the last three skeleton points converged
-    since the start, the last reseed or the last unconverged point, or
-    through two where only two have.  With fewer, or where the extrapolation
-    has Re p <= 0, it starts from the predecessor's p, as every halved step
-    does.  Points where refinement fails are flagged, keep their
-    predecessor's p (and take g there), and the sweep continues from a fresh
-    reseed.
+    since the start or the last reseed, or through two where only two have.
+    With fewer, or where the extrapolation has Re p <= 0, it starts from the
+    predecessor's p, as every halved step does.  A point whose step fails is
+    reached by a fresh reseed instead, with a "reseeded after failure" note
+    in its flags; where the reseed fails too, its SolverError or BranchError
+    is raised, its message prefixed with "omega=<omega>: ", as is a failure
+    of the first point.  So every returned point is converged.
 
     A point between two skeleton points is a lane (``branch_tag`` starting
     with "lane"): Newton starts from p interpolated in z by the cubic
     through the four nearest skeleton points, and runs undamped on all lanes
     together.  A lane falls back to the sequential step from its left
-    skeleton neighbour, with that step's flags, reseed and messages, where
-    its omega is not strictly between its skeleton neighbours', its
-    interpolation nodes share a z or include an unconverged point, it has
-    not converged after five steps, its zone means are not finite, or it
-    lands with Re p <= 0, Re g < -1e-9*|g| or |p - seed| beyond
-    JUMP_TOL * max(1, |seed|).
+    skeleton neighbour, with that step's reseed note or error, where its
+    omega is not strictly between its skeleton neighbours', its
+    interpolation nodes share a z, it has not converged after five steps,
+    its zone means are not finite, or it lands with Re p <= 0,
+    Re g < -1e-9*|g| or |p - seed| beyond JUMP_TOL * max(1, |seed|).
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -429,15 +396,13 @@ def continuation_sweep(
     if len(w) > 1:
         skeleton.append(len(w) - 1)
     out: List[Optional[CoherentPotential]] = [None] * len(w)
-    cp = out[0] = solve_p(complex(eps, w[0]), params, n)
+    cp = out[0] = _solve_row(complex(eps, w[0]), params, n)
     history = [(cp.z, cp.p)]  # converged points since the last (re)start
     for i in skeleton[1:]:
         z_next = complex(eps, w[i])
         cp = out[i] = _sweep_step(cp, z_next, params, n, _extrapolated_seed(history, z_next))
         if cp.branch_tag == "continued along the sweep":
             history = history[-2:] + [(z_next, cp.p)]
-        elif cp.branch_tag == "unconverged":
-            history = []
         else:  # reseeded
             history = [(z_next, cp.p)]
     if len(skeleton) < len(w):
@@ -455,11 +420,10 @@ def _solve_lanes(out, skeleton: np.ndarray, omegas: np.ndarray, eps: float,
     left = np.searchsorted(skeleton, lanes) - 1  # skeleton position of the left neighbour
     w, w_skel = omegas[lanes], omegas[skeleton]
     p_skel = np.array([out[i].p for i in skeleton.tolist()])
-    converged = np.isfinite([out[i].residual for i in skeleton.tolist()])
     # the four nearest skeleton points, fewer on a shorter skeleton
     m = min(4, skeleton.size)
     nodes = np.clip(left - 1, 0, skeleton.size - m)[:, None] + np.arange(m)
-    ok = ((w - w_skel[left]) * (w_skel[left + 1] - w) > 0) & converged[nodes].all(axis=1)
+    ok = (w - w_skel[left]) * (w_skel[left + 1] - w) > 0
     w_nodes = w_skel[nodes]
     for j in range(m):
         for i in range(j):

@@ -203,6 +203,18 @@ def test_exit_code_per_error_type(exc, code, monkeypatch, tmp_path, capsys):
     assert "injected" in capsys.readouterr().err
 
 
+def test_unsolvable_row_exits_1_naming_its_omega(fail_at, tmp_path, capsys):
+    # neither the sweep step nor the reseed converges at the third omega
+    fail_at(np.linspace(0.25, 2.0, 8)[2])
+    out = tmp_path / "x.csv"
+    rc = main(["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1", "--kgrid", "512",
+               "--omega-min", "0.25", "--omega-max", "2", "--omega-steps", "8",
+               "--out", str(out)])
+    assert rc == 1
+    assert "error: SolverError: omega=0.75: injected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_path_is_io_error(capsys):
     rc = main([
         "rmt-dos", "--a", "1.0", "--b", "1.0", "--omega-steps", "3",

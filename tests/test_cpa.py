@@ -66,7 +66,7 @@ class TestSolveP:
     def test_seeded_solve(self):
         z = 0.2 + 1.0j
         ref = solve_p(z, LATTICE)
-        p, g, _, its, _ = cpa._newton(z, ref.p * 1.05, LATTICE, 4096)
+        p, g, _, its = cpa._newton(z, ref.p * 1.05, LATTICE, 4096)
         assert p == pytest.approx(ref.p, rel=1e-10)
         assert g == pytest.approx(ref.g, rel=1e-10)
         assert its > 0
@@ -76,8 +76,10 @@ class TestSolveP:
             solve_p(-1.0 + 0.5j, LATTICE)
 
     def test_zero_seed_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            cpa._newton(1.0 + 0.5j, 0.0, LATTICE, 4096)
+        # as is every seed off the half-plane Re p > 0 that Newton keeps to
+        for p0 in (0.0, 1j, -1e-300 + 0.5j, -0.6 + 0.1j):
+            with pytest.raises(ValueError, match="Re p > 0"):
+                cpa._newton(1.0 + 0.5j, p0, LATTICE, 4096)
 
     def test_nonconvergence_is_a_solver_error(self, monkeypatch):
         monkeypatch.setattr(cpa, "MAX_ITER", 1)
@@ -255,27 +257,19 @@ class TestCarriedResolvent:
         assert all(note.startswith("grid-doubling check failed") and
                    note.endswith("at n=64, d=1") for note in curve.notes)
 
-    def test_unconverged_point_takes_g_at_its_stale_p(self, monkeypatch):
+    def test_unsolvable_point_raises_naming_its_omega(self, fail_at):
         # neither the sweep step nor the reseed converges at omegas[2]
         omegas = self.GRID[:4]
-        march, solve = cpa._march, cpa.solve_p
+        fail_at(omegas[2])
+        with pytest.raises(SolverError, match=f"^omega={omegas[2]:g}: injected$"):
+            continuation_sweep(omegas, 1e-3, LATTICE, 512)
+        with pytest.raises(SolverError, match=f"^omega={omegas[2]:g}: injected$"):
+            dos_curve(omegas, 1e-3, LATTICE, 512)
 
-        def failing_march(z_from, p_from, z_to, *args, **kwargs):
-            if z_to.imag == omegas[2]:
-                raise SolverError("injected")
-            return march(z_from, p_from, z_to, *args, **kwargs)
-
-        def failing_solve(z, *args):
-            if z.imag == omegas[2]:
-                raise SolverError("injected")
-            return solve(z, *args)
-
-        monkeypatch.setattr(cpa, "_march", failing_march)
-        monkeypatch.setattr(cpa, "solve_p", failing_solve)
-        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
-        stale = sweep[2]
-        assert stale.branch_tag == "unconverged" and stale.p == sweep[1].p
-        assert stale.g == I_g(KernelParams(stale.z, stale.p, LATTICE.nu), 1, 512)
+    def test_failed_first_point_names_its_omega(self, fail_at):
+        fail_at(self.GRID[0])
+        with pytest.raises(SolverError, match=f"^omega={self.GRID[0]:g}: injected$"):
+            continuation_sweep(self.GRID, 1e-3, LATTICE, 512)
 
     @pytest.mark.parametrize("params,n", [
         (LATTICE, 512), (RMT_A2, 4), (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 16),
@@ -447,6 +441,75 @@ class TestSmallEpsLimit:
         curve = dos_curve(omegas, 1e-9 * b, ModelParams(a=a, b=b, nu=0.0))
         want = lsz_rho_at_zero_eps(omegas, a, b)
         assert np.abs(curve.rho - want).max() <= 1e-7 * want.max()
+        assert curve.notes == ()
+
+    def test_newton_stays_in_the_right_half_plane(self, monkeypatch):
+        # the first point's continuation out of the asymptote passes close
+        # to Re p = 0 here, where a step with Re p <= 0 can lower |G|
+        seen = []
+        real = cpa._G_terms
+
+        def spy(p, z, params, n):
+            if not isinstance(p, np.ndarray):
+                seen.append(p)
+            return real(p, z, params, n)
+
+        monkeypatch.setattr(cpa, "_G_terms", spy)
+        omegas = np.linspace(4.0 / 600, 4.0, 600)
+        dos_curve(omegas, 1e-9, ModelParams(a=0.25, b=1.0, nu=0.0))
+        assert seen and min(p.real for p in seen) > 0
+
+
+def box_draws(count, seed):
+    """Seeded curves over the parameter box the CLI accepts: d cycling 1, 1,
+    1, 2, 3; a log-uniform in [0.1, 5] and b in [0.01, 10]; nu = 0 on every
+    third curve, else log-uniform in [0.05, 10]; three grid points to check
+    against independent solves."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(count):
+        d = (1, 1, 1, 2, 3)[i % 5]
+        a, b = np.exp(rng.uniform(np.log([0.1, 0.01]), np.log([5.0, 10.0])))
+        nu = 0.0 if i % 3 == 0 else float(np.exp(rng.uniform(np.log(0.05), np.log(10.0))))
+        draws.append((d, float(a), float(b), nu, rng.integers(0, 1000, size=3)))
+    return draws
+
+
+# draws whose sweep raises, each with the point that fails
+BOX_FAILURES = {
+    14: "d = 3, a = 0.101, b = 2.41, nu = 0.784: Newton stalls in Re p > 0 at omega = 0.868",
+}
+
+
+class TestParameterBox:
+    """Every curve over the box is solved throughout (ROADMAP item 5)."""
+
+    @pytest.mark.parametrize("d,a,b,nu,checks", [
+        pytest.param(*draw, id=f"{i}-d{draw[0]}", marks=[pytest.mark.xfail(
+            strict=True, raises=(SolverError, BranchError),
+            reason=f"ROADMAP item 5, small a with disorder above nu: {BOX_FAILURES[i]}",
+        )] if i in BOX_FAILURES else [])
+        for i, draw in enumerate(box_draws(20, 2026))
+    ])
+    def test_curve_is_solved_throughout(self, d, a, b, nu, checks):
+        params = ModelParams(d=d, a=a, b=b, nu=nu)
+        scale = max(b, nu)
+        # from omega_max / size to past the support
+        omega_max = 1.2 * (np.sqrt(2.0) * nu + b * (1.0 + np.sqrt(a)) ** 2)
+        size = {1: 3000, 2: 600, 3: 300}[d]
+        omegas = np.linspace(omega_max / size, omega_max, size)
+        eps = cpa.default_eps(params)
+        curve = dos_curve(omegas, eps, params)
+        assert curve.residuals.max() <= cpa.NEWTON_TOL
+        assert curve.rho.min() >= -1e-6 / scale
+        # dos_curve ran the same sweep: a rerun, bit for bit
+        sweep = continuation_sweep(omegas, eps, params)
+        assert np.array([cp.p for cp in sweep]).tobytes() == curve.p.tobytes()
+        assert np.array([cp.residual for cp in sweep]).tobytes() == curve.residuals.tobytes()
+        g = np.array([cp.g for cp in sweep])
+        for i in checks * size // 1000:
+            want = solve_p(complex(eps, omegas[i]), params).g
+            assert abs(g[i] - want) <= 1e-10 * np.abs(g).max()
 
 
 class TestScaledCriticalRatio:
