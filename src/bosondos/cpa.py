@@ -49,11 +49,15 @@ means per step.  A lane that fails a test of the physical branch
 (Re p > 0, Re g >= -1e-9*|g|, a jump from its predictor within JUMP_TOL,
 finite means, convergence in five steps) is solved point by point from its
 left skeleton neighbour instead, so reseeds and errors come from that path
-alone.  SKELETON_STEP = 0.04 came from fine curves (steps of
-0.0025-0.005) at d = 1, 2, 3 and nu = 0 on a 2-core Xeon: 0.02 / 0.04 /
-0.08 / 0.16 took 11.7 / 9.5 / 9.1 / 8.5 ms at d = 1 (1200 points),
-72 / 63 / 67 / 69 ms at d = 2 and 173 / 180 / 204 / 236 ms at d = 3 (600
-points), where wider spacing costs lanes Newton steps on 561-node means.
+alone.  SKELETON_STEP = 0.12 came from fine curves (steps of
+0.0025-0.005, eps = 1e-3) at d = 1, 2, 3 (a = 0.75, b = 0.63, nu = 1) and
+nu = 0 (a = 0.75, b = 1), best CPU time of 40 on a 2-core Xeon: 0.04 /
+0.08 / 0.12 / 0.16 took 4.5 / 3.9 / 3.8 / 3.6 ms at d = 1 (1200 points),
+31 / 32 / 32 / 32 ms at d = 2, 77 / 82 / 88 / 98 ms at d = 3 and
+3.3 / 2.8 / 2.6 / 2.5 ms at nu = 0 (600 points each), and 17.0 / 15.5 /
+15.3 / 16.5 ms on 60 points at d = 3 (steps of 0.05, no lanes at 0.04).
+Wider spacing costs each lane more Newton steps (2.6 zone means per lane
+at 0.04, 3.3 at 0.12), and a d = 3 lane costs 0.6-0.8 of a scalar mean.
 A grid whose step is at least the spacing has no lanes.
 """
 
@@ -101,7 +105,7 @@ PATH_STEPS = 8
 MAX_PATH_REFINE = 20
 JUMP_TOL = 0.5
 DOUBLING_TOL = 1e-9  # relative tolerance of the grid-doubling check
-SKELETON_STEP = 0.04  # sweep skeleton spacing in omega, in units of max(b, nu)
+SKELETON_STEP = 0.12  # sweep skeleton spacing in omega, in units of max(b, nu)
 
 
 class CoherentPotential(NamedTuple):

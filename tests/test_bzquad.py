@@ -244,8 +244,10 @@ def test_zone_nodes_fold_the_full_grid():
 
 
 @pytest.mark.parametrize("d,n", [(1, 7), (1, 4096), (2, 33), (2, 64), (2, 101), (2, 256),
-                                 (3, 9), (3, 16)])
+                                 (3, 9), (3, 16), (3, 64), (3, 65)])
 def test_closed_form_means_match_meshgrid(d, n):
+    # the flat-band values, exactly, at t = 0
+    assert _symbol_excess(0j, d, n) == (0, 0)
     # means of 1/(1 - t dlt) and of its square, at 1/t in both half-planes
     # near and away from the band [-1, 1], and on the real axis outside it
     dlt = full_symbol(d, n).ravel()

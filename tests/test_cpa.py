@@ -18,6 +18,7 @@ from bosondos.cpa import _a1_scaled_root
 RMT_A2 = ModelParams(a=2.0, b=1.0, nu=0.0)
 RMT_A1 = ModelParams(a=1.0, b=1.0, nu=0.0)
 LATTICE = ModelParams(d=1, a=0.75, b=0.63, nu=1.0)
+D3 = ModelParams(d=3, a=0.75, b=0.63, nu=1.0)
 
 
 def residual(p, z, params):
@@ -314,7 +315,7 @@ class TestExtrapolatedSeeds:
         (LATTICE, 512, 1e-3, np.linspace(0.05, 3.0, 40)),
         (LATTICE, 512, 1e-3, np.linspace(3.0, 0.05, 40)),
         (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 32, 1e-2, np.linspace(0.1, 3.0, 30)),
-        (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 16, 1e-2, np.linspace(0.1, 3.0, 30)),
+        (D3, 16, 1e-2, np.linspace(0.1, 3.0, 30)),
         (RMT_A2, None, 1e-3, np.linspace(0.02, 1.5, 50)),
         (ModelParams(a=1.2, b=1.0, nu=0.0), None, 1e-6, np.linspace(0.002, 1.0, 50)),
         # repeated omegas: coincident extrapolation nodes, no extrapolation
@@ -326,28 +327,30 @@ class TestExtrapolatedSeeds:
         (LATTICE, 512, 1e-3, np.linspace(3.0, 0.005, 300)),
         (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 32, 1e-2, np.linspace(0.01, 3.0, 200)),
         (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 32, 1e-2, np.linspace(3.0, 0.01, 200)),
-        (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 16, 1e-2, np.linspace(0.01, 3.0, 200)),
-        (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 16, 1e-2, np.linspace(3.0, 0.01, 200)),
+        (D3, 16, 1e-2, np.linspace(0.01, 3.0, 200)),
+        (D3, 16, 1e-2, np.linspace(3.0, 0.01, 200)),
         (RMT_A2, None, 1e-3, np.linspace(0.005, 3.0, 300)),
         (ModelParams(a=0.75, b=1.0, nu=0.0), None, 1e-3, np.linspace(3.0, 0.005, 300)),
+        # the cpa-d3 benchmark grid: default 64^3 zone grid and eps
+        (D3, None, 1e-3, np.linspace(0.05, 3.0, 60)),
     ], ids=["d1", "d1-descending", "d2", "d3", "rmt-a2-gap-edge", "rmt-a1.2-eps1e-6",
             "revisit", "constant", "pairs", "d1-fine", "d1-fine-descending", "d2-fine",
             "d2-fine-descending", "d3-fine", "d3-fine-descending", "rmt-a2-fine",
-            "rmt-a0.75-fine-descending"])
+            "rmt-a0.75-fine-descending", "cpa-d3"])
     def test_sweep_points_match_independent_solves(self, params, n, eps, omegas):
         # Re g = pi * rho; each independent solve continues from the asymptote
         sweep = continuation_sweep(omegas, eps, params, n)
         got = np.array([cp.g.real for cp in sweep])
         want = np.array([solve_p(complex(eps, w), params, n).g.real for w in omegas])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-        # on the fine grids most points are lanes, not sequential steps
-        assert len(omegas) < 200 or any(cp.branch_tag.startswith("lane") for cp in sweep)
+        # on the fine grids and the cpa-d3 grid some points are lanes, not
+        # sequential steps
+        assert len(omegas) < 60 or any(cp.branch_tag.startswith("lane") for cp in sweep)
 
-    def test_readme_curve_takes_fewer_zone_means(self, monkeypatch):
-        # the d = 1 README run took 2167 zone means when every point started
-        # from its predecessor's p, and 1421 with extrapolated seeds before
-        # the points off the sweep skeleton became lanes; an array call for
-        # all lanes counts once
+    @staticmethod
+    def zone_means(monkeypatch, omegas, params, kgrid=None):
+        """Zone-mean calls of one curve at the default eps; an array call for
+        all lanes counts once."""
         calls = []
         real = cpa.bzquad.I_cpa_and_derivative
 
@@ -356,10 +359,23 @@ class TestExtrapolatedSeeds:
             return real(*args)
 
         monkeypatch.setattr(cpa.bzquad, "I_cpa_and_derivative", counted)
-        omegas = np.linspace(3.0 / 600, 3.0, 600)
-        curve = dos_curve(omegas, 1e-3, LATTICE, 4096)
+        curve = dos_curve(omegas, 1e-3, params, kgrid)
         assert curve.residuals.max() <= cpa.NEWTON_TOL
-        assert len(calls) <= 286
+        return len(calls)
+
+    def test_readme_curve_takes_fewer_zone_means(self, monkeypatch):
+        # the d = 1 README run took 2167 zone means when every point started
+        # from its predecessor's p, 1421 with extrapolated seeds before the
+        # points off the sweep skeleton became lanes, and 286 with a skeleton
+        # spacing of 0.04
+        omegas = np.linspace(3.0 / 600, 3.0, 600)
+        assert self.zone_means(monkeypatch, omegas, LATTICE, 4096) <= 169
+
+    def test_cpa_d3_curve_takes_fewer_zone_means(self, monkeypatch):
+        # the cpa-d3 benchmark flags took 233 zone means with a skeleton
+        # spacing of 0.04, which left its 0.05 steps without lanes
+        omegas = np.linspace(0.05, 3.0, 60)
+        assert self.zone_means(monkeypatch, omegas, D3) <= 124
 
     def test_failed_lane_falls_back_to_the_sequential_step(self, monkeypatch):
         omegas = np.linspace(0.005, 3.0, 300)
