@@ -8,7 +8,7 @@ random ensemble and diagonalizes them exactly.
 
 __version__ = "0.1.0"
 
-from .bzquad import KernelParams, I_cpa, I_g
+from .bzquad import I_cpa, I_g
 from .cpa import (
     BranchError,
     CoherentPotential,
@@ -38,7 +38,6 @@ __all__ = [
     "CoherentPotential",
     "ConeViolationError",
     "DosCurve",
-    "KernelParams",
     "ModelParams",
     "NotPsdError",
     "SolverError",

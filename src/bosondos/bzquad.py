@@ -18,15 +18,15 @@ k_i -> -k_i and axis permutations (``_zone_nodes``) and summed with orbit
 weights by numpy pairwise summation, independent of the BLAS thread count:
 1 / 129 / 561 evaluations per mean on the default d = 1 / 2 / 3 grids.  The
 means are carried as their excess over the flat-band values 1/alpha and
-1/alpha^2, which vanishes at nu = 0 (t = 0): there the node table is still
-built (at d >= 2) and summed, to exact zeros, on whatever grid is given.  Where
-the closed form is not finite, the folded n^d grid is summed node by node; it
-names the node where D vanishes, or gives the finite means at the removable
-point tau = -1 of an odd grid.
+1/alpha^2 (``_excess``), which vanishes at nu = 0 (t = 0): there the node
+table is still built (at d >= 2) and summed, to exact zeros, on any grid.
+The closed form is not finite where tau = +-1 or P = 1 at a node (D vanishes
+there, or it reads 0/0 at tau = -1 of an odd grid): a complex call raises
+ValueError there, and a lane comes back nan or inf.
 
-Every kernel takes the grid size n as a plain int and returns the mean on
-that grid alone; ``default_points_per_dim`` resolves and validates it.  The
-grid-doubling check of reported values is ``cpa.dos_curve``'s.
+Every kernel takes (z, p, nu, d, n), with the grid size n a plain int, and
+returns the mean on that grid alone; ``default_points_per_dim`` resolves
+and validates it.  The grid-doubling check is ``cpa.dos_curve``'s.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ import cmath
 import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["KernelParams", "default_points_per_dim", "I_g", "I_cpa", "dI_cpa_dp"]
+__all__ = ["default_points_per_dim", "I_g", "I_cpa", "dI_cpa_dp"]
 
 _DEFAULT_POINTS = {1: 4096, 2: 256, 3: 64}
 
@@ -66,16 +66,6 @@ def default_points_per_dim(d: int, nu: float, kgrid: Optional[int] = None) -> in
     return 16
 
 
-class KernelParams(NamedTuple):
-    """Arguments of the propagator kernels: frequency z, coherent potential p,
-    and the clean scale nu.  The physical frequency domain is Re z > 0.
-    A named tuple, because the solver builds one per Newton step."""
-
-    z: complex
-    p: complex
-    nu: float
-
-
 @lru_cache(maxsize=8)
 def _zone_nodes(d: int, n: int):
     """Distinct Laplacian-symbol nodes of the uniform n^d grid, cached.
@@ -84,9 +74,8 @@ def _zone_nodes(d: int, n: int):
     when the axes are permuted, so every grid point folds onto the sorted
     tuple of its axis classes c = min(j, n - j).  A class stands for one
     index at c = 0 and at c = n/2 (even n), for two otherwise.  Returns
-    ``(dlt, weight, rep)``: the symbol at each node, the node's orbit size
-    over n^d (the weights sum to 1), and the node's class tuple, which is
-    itself a grid index and names the node in error messages.
+    ``(dlt, weight)``: the symbol at each node and the node's orbit size
+    over n^d (the weights sum to 1).
     """
     c = np.arange(n // 2 + 1)
     mult = np.where((c == 0) | (2 * c == n), 1, 2)
@@ -100,16 +89,9 @@ def _zone_nodes(d: int, n: int):
         orbit //= np.sum(rep[:, : i + 1] == rep[:, i : i + 1], axis=1)
     weight = orbit / float(n) ** d
     dlt = np.cos(2.0 * np.pi * c / n)[rep].sum(axis=1) / d
-    for a in (dlt, weight, rep):
+    for a in (dlt, weight):
         a.setflags(write=False)
-    return dlt, weight, rep
-
-
-def _alpha_beta(kp: KernelParams):
-    """D = z^2 + p^2 + p*nu*(2 - dlt) + nu^2*(1 - dlt) = alpha - beta*dlt,
-    alpha = (p + nu)^2 + z^2 and beta = nu*(p + nu)."""
-    q = complex(kp.p + kp.nu)
-    return q * q + kp.z * kp.z, kp.nu * q
+    return dlt, weight
 
 
 def _power(x: np.ndarray, n: int, inplace: bool = False) -> np.ndarray:
@@ -138,17 +120,8 @@ def _axis_excess(tau, n: int, sqrt, power):
     return f1, (f1 + tau * tau + 2 * n * P * u * u) * (ir * ir)
 
 
-def _symbol_excess(t, d: int, n: int):
-    """Means of 1/(1 - t*dlt) and of its square over the n^d grid, minus 1;
-    not finite (ZeroDivisionError on the scalars of d = 1) where M1 is not."""
-    if d == 1:
-        return _axis_excess(t, n, cmath.sqrt, pow)
-    e1, e2 = _node_excess(t, d, n)
-    return complex(e1), complex(e2)
-
-
 def _node_excess(t, d: int, n: int):
-    """``_symbol_excess`` at d >= 2 as numpy values: the last axis in closed
+    """``_excess`` at d >= 2 as numpy values: the last axis in closed
     form at each node of the first d - 1, summed with orbit weights along the
     last array axis, so a column of t sums each lane as a scalar t would.
 
@@ -157,7 +130,7 @@ def _node_excess(t, d: int, n: int):
     numpy applies to a complex array faster than Python ints.  The arrays
     have at least three elements: numpy rounds an in-place product of
     one-element arrays differently, so the d = 1 lanes stay out of place."""
-    dlt, weight, _ = _zone_nodes(d - 1, n)
+    dlt, weight = _zone_nodes(d - 1, n)
     one, two = 1 + 0j, 2 + 0j
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b = dlt * (t * (d - 1))  # t*c
@@ -198,78 +171,71 @@ def _node_excess(t, d: int, n: int):
         return f1.sum(axis=-1), f2.sum(axis=-1)
 
 
-def _excess(alpha: complex, beta: complex, d: int, n: int):
-    """The excess means E1, E2 of D = alpha - beta*dlt on the n^d grid:
-    m1 = (1 + E1)/alpha and m2 = (1 + E2)/alpha^2."""
-    try:
-        e1, e2 = _symbol_excess(beta / alpha, d, n)
-        if cmath.isfinite(e1) and cmath.isfinite(e2):
-            return e1, e2
-    except (ZeroDivisionError, OverflowError):
-        pass
-    dlt, weight, rep = _zone_nodes(d, n)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        D = alpha - beta * dlt
-        x1 = beta * dlt / D  # alpha/D - 1
-        x2 = x1 * (alpha + D) / D  # (alpha/D)^2 - 1
-        e1, e2 = complex((weight * x1).sum()), complex((weight * x2).sum())
-    bad = np.flatnonzero(~np.isfinite(x2))
-    if bad.size:
-        idx = rep[bad[0]]
-        point = tuple(float(2.0 * np.pi * i / n) for i in idx)
-        raise ValueError(f"non-finite integrand sample at grid point k={point} "
-                         f"(index {tuple(int(i) for i in idx)}, {n} points per dimension)")
-    if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
-        raise ValueError(f"zone mean overflows at {n} points per dimension")
-    if alpha == 0:
-        raise ValueError("the zone means are singular at alpha = (p + nu)^2 + z^2 = 0")
+def _excess(t, d: int, n: int):
+    """The one zone mean: E1 = mean 1/(1 - t*dlt) - 1 and E2 = mean
+    1/(1 - t*dlt)^2 - 1 over the n^d grid, so D = alpha*(1 - t*dlt) has
+    m1 = (1 + E1)/alpha and m2 = (1 + E2)/alpha^2.  ``t`` is complex
+    (ValueError where the means are not finite) or a 1-d array of lanes
+    (nan or inf there)."""
+    if not isinstance(t, np.ndarray):
+        try:
+            e1, e2 = (_axis_excess(t, n, cmath.sqrt, pow) if d == 1
+                      else map(complex, _node_excess(t, d, n)))
+        except (ZeroDivisionError, OverflowError):
+            e1 = e2 = cmath.nan
+        if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
+            raise ValueError(f"the zone means are not finite at t = beta/alpha = {t} "
+                             f"(d = {d}, {n} points per dimension)")
+        return e1, e2
+    if d == 1:
+        return _axis_excess(t, n, np.sqrt, _power)
+    # blocks of about 4096 lanes x nodes (64 KB per complex array) stay in
+    # cache: on a 2-core Xeon with 2 MB of L2 per core, a 600-point d = 3 curve
+    # took 8-18% / 10-19% / 37% longer in blocks of 2048 / 8192 / 16384 (best
+    # CPU time of 25 in each of two runs)
+    e1, e2 = np.empty_like(t), np.empty_like(t)
+    step = max(1, 4096 // len(_zone_nodes(d - 1, n)[0]))
+    for s in range(0, t.size, step):
+        e1[s : s + step], e2[s : s + step] = _node_excess(t[s : s + step, None], d, n)
     return e1, e2
 
 
-def I_g(kp: KernelParams, d: int, n: int) -> complex:
-    """Resolvent integral: mean of z / D over the n^d grid, z * m1."""
-    alpha, beta = _alpha_beta(kp)
-    return kp.z * (1 + _excess(alpha, beta, d, n)[0]) / alpha
+def I_cpa_and_derivative(z, p, nu: float, d: int, n: int):
+    """(I_cpa, dI_cpa/dp, I_g) at frequency z (physical for Re z > 0),
+    coherent potential p and clean scale nu, from one pair of zone means on
+    the n^d grid, for each Newton step.
 
-
-def I_cpa_and_derivative(kp: KernelParams, d: int, n: int):
-    """(I_cpa, dI_cpa/dp, I_g) from one pair of zone means on the n^d grid,
-    for each Newton step.
-
-    I_cpa is the mean of (p + nu*(1 - dlt/2)) / D, differentiated under the
-    integral.  With q = p + nu the numerator is A + D/(2q), A = q - alpha/(2q),
-    and dD/dp = 2A + D/q, so I_cpa = 1/(2q) + A*m1 and dI_cpa/dp = m1 -
-    2A^2*m2 - 2A*m1/q - 1/(2q^2).  On the excess means the flat-band terms
-    cancel exactly: I_cpa = (q + A*E1)/alpha and
+    With q = p + nu, D = z^2 + p^2 + p*nu*(2 - dlt) + nu^2*(1 - dlt) =
+    alpha - beta*dlt, alpha = q^2 + z^2 and beta = nu*q.  I_cpa is the mean
+    of (p + nu*(1 - dlt/2)) / D, differentiated under the integral.  Its
+    numerator is A + D/(2q), A = q - alpha/(2q), and dD/dp = 2A + D/q, so
+    I_cpa = 1/(2q) + A*m1 and dI_cpa/dp = m1 - 2A^2*m2 - 2A*m1/q - 1/(2q^2).
+    On the excess means the flat-band terms cancel exactly:
+    I_cpa = (q + A*E1)/alpha and
     dI_cpa/dp = E1*z^2/(q^2*alpha) - 2A*(q + A*E2)/alpha^2.  I_g = z*m1 comes
-    from the same means, bit for bit what ``I_g`` returns, so the solver
-    reads g off its converged step instead of taking another zone mean.
+    from the same means, so the solver reads g off its converged step
+    instead of taking another zone mean.
 
-    ``kp.z`` and ``kp.p`` may also be 1-d arrays of equal length, one lane
-    each: the same algebra on arrays, with the zone means of all lanes taken
-    together (at d >= 2 in blocks of about 4096 lanes x nodes, 64 KB per
-    complex array, which stay in cache: on a 2-core Xeon with 2 MB of L2 per
-    core, a 600-point d = 3 curve took 8-18% longer in blocks of 2048,
-    10-19% longer in blocks of 8192 and 37% longer in blocks of 16384, best
-    CPU time of 25 in each of two runs).  A lane whose means are not finite
-    comes back nan or inf instead of raising.
+    z and p are complex, or 1-d arrays of equal length, one lane each, whose
+    zone means are taken together.  A complex call raises ValueError at
+    p = -nu or alpha = 0, where there is no closed form, and where the zone
+    means are not finite; a lane there comes back nan or inf.
     """
-    z, p, nu = kp
     if isinstance(z, np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return _kernels(z, p + nu, nu, d, n, _lane_excess)
-    q = complex(p + nu)
-    if q == 0:
-        raise ValueError("I_cpa has no closed form at p = -nu")
-    return _kernels(z, q, nu, d, n, _excess)
+            return _kernels(z, p + nu, nu, d, n)
+    try:
+        return _kernels(z, complex(p + nu), nu, d, n)
+    except ZeroDivisionError:
+        raise ValueError(f"the kernels have no closed form at z={z}, p={p}: p = -nu "
+                         "or alpha = (p + nu)^2 + z^2 = 0") from None
 
 
-def _kernels(z, q, nu: float, d: int, n: int, excess):
-    """The algebra of ``I_cpa_and_derivative`` at q = p + nu, on scalars or
-    arrays; ``excess`` takes the zone means."""
+def _kernels(z, q, nu: float, d: int, n: int):
+    """The algebra of ``I_cpa_and_derivative`` at q = p + nu."""
     zz, qq = z * z, q * q
-    alpha = qq + zz  # as in _alpha_beta
-    e1, e2 = excess(alpha, nu * q, d, n)
+    alpha = qq + zz
+    e1, e2 = _excess(nu * q / alpha, d, n)
     A = (qq - zz) / (2 * q)
     return (
         (q + A * e1) / alpha,
@@ -278,31 +244,16 @@ def _kernels(z, q, nu: float, d: int, n: int, excess):
     )
 
 
-def _lane_excess(alpha: np.ndarray, beta: np.ndarray, d: int, n: int):
-    """``_excess`` on 1-d arrays, nan where the scalar raises."""
-    t = beta / alpha
-    if d == 1:
-        e1, e2 = _axis_excess(t, n, np.sqrt, _power)
-    else:
-        e1, e2 = np.empty_like(t), np.empty_like(t)
-        step = max(1, 4096 // len(_zone_nodes(d - 1, n)[0]))
-        for s in range(0, t.size, step):
-            e1[s : s + step], e2[s : s + step] = _node_excess(t[s : s + step, None], d, n)
-    # where the closed form is not finite, the scalar means decide: the node
-    # sum of the folded grid, or nan where that raises
-    for i in np.flatnonzero(~(np.isfinite(e1) & np.isfinite(e2))):
-        try:
-            e1[i], e2[i] = _excess(complex(alpha[i]), complex(beta[i]), d, n)
-        except ValueError:
-            e1[i] = e2[i] = np.nan
-    return e1, e2
+def I_g(z, p, nu: float, d: int, n: int) -> complex:
+    """Resolvent integral: mean of z / D over the n^d grid, z * m1."""
+    return I_cpa_and_derivative(z, p, nu, d, n)[2]
 
 
-def I_cpa(kp: KernelParams, d: int, n: int) -> complex:
+def I_cpa(z, p, nu: float, d: int, n: int) -> complex:
     """Self-consistency integral: mean of (p + nu*(1 - dlt/2)) / D."""
-    return I_cpa_and_derivative(kp, d, n)[0]
+    return I_cpa_and_derivative(z, p, nu, d, n)[0]
 
 
-def dI_cpa_dp(kp: KernelParams, d: int, n: int) -> complex:
+def dI_cpa_dp(z, p, nu: float, d: int, n: int) -> complex:
     """Analytic p-derivative of ``I_cpa`` (differentiation under the integral)."""
-    return I_cpa_and_derivative(kp, d, n)[1]
+    return I_cpa_and_derivative(z, p, nu, d, n)[1]

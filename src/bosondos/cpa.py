@@ -71,7 +71,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bzquad
-from .bzquad import KernelParams
 from .model import ModelParams
 
 __all__ = [
@@ -170,10 +169,22 @@ def _G_terms(p: complex, z: complex, params: ModelParams, n: int):
     1-d arrays of p and z for lanes."""
     a, b = params.a, params.b
     # looked up on the module at each call, where a tracer can wrap it
-    I, dI, g = bzquad.I_cpa_and_derivative(KernelParams(z, p, params.nu), params.d, n)
+    I, dI, g = bzquad.I_cpa_and_derivative(z, p, params.nu, params.d, n)
     G = p - a * b + b * p * I
     dG = 1.0 + b * I + b * p * dI
     scale = a * b + abs(p) * (1.0 + b * abs(I))
+    return G, dG, scale, g
+
+
+def _newton_terms(p: complex, z: complex, params: ModelParams, n: int):
+    """``_G_terms`` at one Newton iterate, a SolverError where the zone means,
+    G or g are not finite (z^2 overflows past |z| ~ 1e154)."""
+    try:
+        G, dG, scale, g = _G_terms(p, z, params, n)
+    except ValueError as exc:
+        raise SolverError(f"at z={z}, p={p}: {exc}") from exc
+    if not (cmath.isfinite(G) and cmath.isfinite(g)):
+        raise SolverError(f"non-finite mismatch G={G} or g={g} at p={p}, z={z}")
     return G, dG, scale, g
 
 
@@ -193,12 +204,12 @@ def _accept_branch(z, g):
 def _newton(z, p0, params, n):
     """Damped Newton on the cleared residual, in the half-plane Re p > 0: a
     step's factor is halved until the trial p has Re p > 0, which is tested
-    before its zone means are taken, and lowers |G|.  Returns (p, g,
-    residual, iterations)."""
+    before its zone means are taken, and lowers |G|; a non-finite iterate is
+    a SolverError.  Returns (p, g, residual, iterations)."""
     p = complex(p0)
     if not p.real > 0:
         raise ValueError(f"seed p must have Re p > 0, got {p}")
-    G, dG, scale, g = _G_terms(p, z, params, n)
+    G, dG, scale, g = _newton_terms(p, z, params, n)
     it = 0
     while abs(G) > NEWTON_TOL * scale:
         if it == MAX_ITER:
@@ -214,7 +225,7 @@ def _newton(z, p0, params, n):
         while lam >= 1e-12:
             pn = p + lam * step
             if pn.real > 0:
-                Gn, dGn, scale_n, gn = _G_terms(pn, z, params, n)
+                Gn, dGn, scale_n, gn = _newton_terms(pn, z, params, n)
                 if abs(Gn) < abs(G):
                     break
             lam *= DAMPING
@@ -290,7 +301,7 @@ def solve_p(
         return CoherentPotential(
             p=0j, z=z, residual=0.0, iterations=0,
             branch_tag="pure system (b = 0): p = 0",
-            g=bzquad.I_g(KernelParams(z, 0j, params.nu), params.d, n),
+            g=bzquad.I_g(z, 0j, params.nu, params.d, n),
         )
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
     p0 = params.a * params.b
@@ -511,7 +522,7 @@ def dos_curve(
     notes = []
     if check:
         for i, cp in enumerate(sweep):
-            g[i] = g2 = bzquad.I_g(KernelParams(cp.z, cp.p, params.nu), params.d, 2 * n)
+            g[i] = g2 = bzquad.I_g(cp.z, cp.p, params.nu, params.d, 2 * n)
             if abs(cp.g - g2) > DOUBLING_TOL * max(abs(g2), np.finfo(float).tiny):
                 notes.append(
                     f"grid-doubling check failed: |I_n - I_2n| = {abs(cp.g - g2):.3e} "

@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from bosondos import (
-    KernelParams,
     ModelParams,
     I_g,
     dos_curve,
@@ -162,9 +161,7 @@ def test_criterion_7_invariant_suite(tmp_path):
     for _ in range(10):
         z = complex(rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0))
         p = complex(rng.uniform(0.05, 1.0), rng.uniform(-1.0, 1.0))
-        s = I_g(KernelParams(z=z, p=p, nu=1.0), 1, 64) + I_g(
-            KernelParams(z=-z, p=p, nu=1.0), 1, 64
-        )
+        s = I_g(z, p, 1.0, 1, 64) + I_g(-z, p, 1.0, 1, 64)
         worst = max(worst, abs(s))
     checks["oddness <= 1e-12"] = worst <= 1e-12
 

@@ -215,6 +215,22 @@ def test_unsolvable_row_exits_1_naming_its_omega(fail_at, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-p", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
+     "--z-re", "1", "--z-im", "1e200"],
+    ["rmt-dos", "--a", "0.75", "--b", "1", "--omega-steps", "5", "--omega-max", "1e300"],
+    ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
+     "--omega-steps", "3", "--omega-max", "1e160"],
+])
+def test_overflowing_frequency_exits_1_without_a_file(argv, tmp_path, capsys):
+    # z^2 overflows past |omega| ~ 1e154: a numerical failure, not a row or a
+    # solution with residual nan
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "error: SolverError: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_path_is_io_error(capsys):
     rc = main([
         "rmt-dos", "--a", "1.0", "--b", "1.0", "--omega-steps", "3",

@@ -12,7 +12,7 @@ from bosondos import (
     solve_p,
 )
 from bosondos import bzquad, cpa
-from bosondos.bzquad import I_cpa, I_g, KernelParams
+from bosondos.bzquad import I_cpa, I_g
 from bosondos.cpa import _a1_scaled_root
 
 RMT_A2 = ModelParams(a=2.0, b=1.0, nu=0.0)
@@ -25,7 +25,7 @@ def residual(p, z, params):
     """Mismatch 1/b - a/p + I_cpa(z, p) of the uncleared equation, on the
     default grid; zero exactly on a solution."""
     n = bzquad.default_points_per_dim(params.d, params.nu)
-    return 1.0 / params.b - params.a / p + I_cpa(KernelParams(z, p, params.nu), params.d, n)
+    return 1.0 / params.b - params.a / p + I_cpa(z, p, params.nu, params.d, n)
 
 
 class TestResidual:
@@ -87,6 +87,23 @@ class TestSolveP:
         with pytest.raises(SolverError, match="no convergence after 1 iterations"):
             cpa._newton(0.01 + 0.34j, 50.0 + 50.0j, RMT_A2, 4096)
 
+    def test_overflowing_mismatch_is_a_solver_error(self):
+        # past |z| ~ 1e154 z^2 overflows and the mismatch is nan, which fails
+        # the step instead of passing the convergence test with a stale p;
+        # the continuation halves its step until it raises, naming the z
+        with pytest.raises(SolverError, match=r"at z=\("):
+            solve_p(1e-3 + 1e160j, LATTICE)
+        with pytest.raises(SolverError, match=r"non-finite mismatch G=\(nan"):
+            cpa._newton(1e-3 + 1e160j, 0.5 + 0j, LATTICE, 64)
+
+    def test_singular_zone_means_are_a_solver_error(self, monkeypatch):
+        def singular(*args):
+            raise ValueError("the zone means are not finite")
+
+        monkeypatch.setattr(cpa.bzquad, "I_cpa_and_derivative", singular)
+        with pytest.raises(SolverError, match="zone means are not finite"):
+            cpa._newton(0.01 + 0.34j, 0.5 + 0j, LATTICE, 64)
+
     @pytest.mark.parametrize("z", [1e-3 + np.nan * 1j, complex(np.nan, 1.0),
                                    complex(np.inf, 1.0), complex(1.0, -np.inf)])
     def test_non_finite_z_rejected(self, z):
@@ -108,7 +125,7 @@ class TestSolveP:
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
         cp = solve_p(0.5 + 0.5j, clean)
         assert cp.p == 0 and cp.residual == 0.0
-        assert cp.g == I_g(KernelParams(cp.z, 0j, 1.0), 1, 4096)
+        assert cp.g == I_g(cp.z, 0j, 1.0, 1, 4096)
 
 
 class TestContinuationSweep:
@@ -223,13 +240,14 @@ class TestCarriedResolvent:
 
     @staticmethod
     def count_means(monkeypatch):
-        """Grid sizes of the zone means taken, one entry per mean."""
+        """Grid sizes of the zone means taken, one entry per mean (an array
+        call for all lanes counts once)."""
         sizes = []
         real = bzquad._excess
 
-        def counted(alpha, beta, d, n):
+        def counted(t, d, n):
             sizes.append(n)
-            return real(alpha, beta, d, n)
+            return real(t, d, n)
 
         monkeypatch.setattr(bzquad, "_excess", counted)
         return sizes
@@ -244,7 +262,7 @@ class TestCarriedResolvent:
     def test_checked_curve_takes_one_doubled_mean_per_point(self, monkeypatch):
         # a grid too coarse for eps, so that the doubling check fires
         sweep = continuation_sweep(self.GRID, 1e-3, LATTICE, 64)
-        g_2n = [I_g(KernelParams(cp.z, cp.p, LATTICE.nu), LATTICE.d, 128) for cp in sweep]
+        g_2n = [I_g(cp.z, cp.p, LATTICE.nu, LATTICE.d, 128) for cp in sweep]
         failed = [abs(cp.g - g) > 1e-9 * abs(g) for cp, g in zip(sweep, g_2n)]
         assert 0 < sum(failed) < len(failed)
         sizes = self.count_means(monkeypatch)
@@ -280,7 +298,7 @@ class TestCarriedResolvent:
         solved = [solve_p(0.01 + 0.7j, params, n)]
         solved += continuation_sweep(self.GRID, 1e-3, params, n)
         for cp in solved:
-            assert cp.g == I_g(KernelParams(cp.z, cp.p, params.nu), params.d, n)
+            assert cp.g == I_g(cp.z, cp.p, params.nu, params.d, n)
 
 
 def lsz_rho(omegas, eps, a, b):
@@ -385,11 +403,11 @@ class TestExtrapolatedSeeds:
         target = omegas[i]
         real = cpa.bzquad.I_cpa_and_derivative
 
-        def one_lane_nan(kp, d, n):
-            out = real(kp, d, n)
-            if isinstance(kp.z, np.ndarray):
+        def one_lane_nan(z, p, nu, d, n):
+            out = real(z, p, nu, d, n)
+            if isinstance(z, np.ndarray):
                 for x in out:
-                    x[kp.z.imag == target] = np.nan
+                    x[z.imag == target] = np.nan
             return out
 
         monkeypatch.setattr(cpa.bzquad, "I_cpa_and_derivative", one_lane_nan)
