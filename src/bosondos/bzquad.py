@@ -201,9 +201,9 @@ def _excess(t, d: int, n: int):
 
 
 def I_cpa_and_derivative(z, p, nu: float, d: int, n: int):
-    """(I_cpa, dI_cpa/dp, I_g) at frequency z (physical for Re z > 0),
-    coherent potential p and clean scale nu, from one pair of zone means on
-    the n^d grid, for each Newton step.
+    """(I_cpa, dI_cpa/dp, I_g, dI_cpa/dz) at frequency z (physical for
+    Re z > 0), coherent potential p and clean scale nu, from one pair of zone
+    means on the n^d grid, for each Newton step.
 
     With q = p + nu, D = z^2 + p^2 + p*nu*(2 - dlt) + nu^2*(1 - dlt) =
     alpha - beta*dlt, alpha = q^2 + z^2 and beta = nu*q.  I_cpa is the mean
@@ -212,9 +212,13 @@ def I_cpa_and_derivative(z, p, nu: float, d: int, n: int):
     I_cpa = 1/(2q) + A*m1 and dI_cpa/dp = m1 - 2A^2*m2 - 2A*m1/q - 1/(2q^2).
     On the excess means the flat-band terms cancel exactly:
     I_cpa = (q + A*E1)/alpha and
-    dI_cpa/dp = E1*z^2/(q^2*alpha) - 2A*(q + A*E2)/alpha^2.  I_g = z*m1 comes
-    from the same means, so the solver reads g off its converged step
-    instead of taking another zone mean.
+    dI_cpa/dp = E1*z^2/(q^2*alpha) - 2(A/alpha)*((q + A*E2)/alpha).  With
+    dD/dz = 2z and dA/dz = -z/q, dI_cpa/dz = -2z*(A*m2 + m1/(2q)), which on
+    the excess means is -(z/alpha)*(2q*(1 + E2)/alpha + (E1 - E2)/q).  Both
+    derivatives are written in these scaled forms, finite wherever z^2 is
+    (alpha^2 overflows past |z| ~ 1e77).  I_g = z*m1 and dI_cpa/dz come
+    from the same means, so the solver reads g and the tangent dp/dz off its
+    converged step instead of taking another zone mean.
 
     z and p are complex, or 1-d arrays of equal length, one lane each, whose
     zone means are taken together.  A complex call raises ValueError at
@@ -239,8 +243,9 @@ def _kernels(z, q, nu: float, d: int, n: int):
     A = (qq - zz) / (2 * q)
     return (
         (q + A * e1) / alpha,
-        e1 * zz / (qq * alpha) - 2 * A * (q + A * e2) / (alpha * alpha),
+        e1 * zz / (qq * alpha) - 2 * (A / alpha) * ((q + A * e2) / alpha),
         z * (1 + e1) / alpha,
+        -(z / alpha) * (2 * q * (1 + e2) / alpha + (e1 - e2) / q),
     )
 
 

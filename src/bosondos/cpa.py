@@ -39,26 +39,27 @@ a point it cannot reach so raises SolverError or BranchError, and a sweep
 names the omega of that point.
 A sweep along z = eps + i*omega is a predictor-corrector continuation
 (Allgower & Georg, Introduction to Numerical Continuation Methods, 2003) in
-two parts.  On a skeleton of the grid, points at least SKELETON_STEP *
-max(b, nu) apart in omega, it runs point by point: the predictor
-extrapolates p through the last two or three converged points (none after
-a reseed), and Newton corrects it.  Every other point is a lane: its
-predictor is the cubic through the four nearest skeleton points, and
-undamped Newton corrects all lanes at once, one array call of the zone
-means per step.  A lane that fails a test of the physical branch
-(Re p > 0, Re g >= -1e-9*|g|, a jump from its predictor within JUMP_TOL,
-finite means, convergence in five steps) is solved point by point from its
-left skeleton neighbour instead, so reseeds and errors come from that path
-alone.  SKELETON_STEP = 0.12 came from fine curves (steps of
-0.0025-0.005, eps = 1e-3) at d = 1, 2, 3 (a = 0.75, b = 0.63, nu = 1) and
-nu = 0 (a = 0.75, b = 1), best CPU time of 40 on a 2-core Xeon: 0.04 /
-0.08 / 0.12 / 0.16 took 4.5 / 3.9 / 3.8 / 3.6 ms at d = 1 (1200 points),
-31 / 32 / 32 / 32 ms at d = 2, 77 / 82 / 88 / 98 ms at d = 3 and
-3.3 / 2.8 / 2.6 / 2.5 ms at nu = 0 (600 points each), and 17.0 / 15.5 /
-15.3 / 16.5 ms on 60 points at d = 3 (steps of 0.05, no lanes at 0.04).
-Wider spacing costs each lane more Newton steps (2.6 zone means per lane
-at 0.04, 3.3 at 0.12), and a d = 3 lane costs 0.6-0.8 of a scalar mean.
-A grid whose step is at least the spacing has no lanes.
+two parts, with one predictor: the tangent dp/dz = -(dG/dz)/(dG/dp), which
+the zone means of every converged Newton step give along with g.  On a
+skeleton of the grid, points at least SKELETON_STEP * max(b, nu) apart in
+omega, it runs point by point: each continuation step starts from
+p + (dp/dz)*dz of the last solved point, and Newton corrects it.  Every
+other point is a lane: its predictor is the cubic Hermite interpolant of p
+and dp/dz at its two skeleton neighbours, and undamped Newton corrects all
+lanes at once, one array call of the zone means per step.  A lane that
+fails a test of the physical branch (Re p > 0, Re g >= -1e-9*|g|, a jump
+from its predictor within JUMP_TOL, finite means, convergence in five
+steps) is solved point by point from its left skeleton neighbour instead,
+so reseeds and errors come from that path alone.  SKELETON_STEP = 0.12
+came from fine curves (steps of 0.0025-0.005, eps = 1e-3) at d = 1, 2, 3
+(a = 0.75, b = 0.63, nu = 1) and nu = 0 (a = 0.75, b = 1), best CPU time
+of 40 on a 2-core Xeon: 0.08 / 0.12 / 0.16 took 4.2 / 3.3 / 3.3 ms at
+d = 1 (1200 points), 23.6 / 23.9 / 24.0 ms at d = 2, 62 / 67 / 72 ms at
+d = 3 and 2.4 / 2.3 / 2.9 ms at nu = 0 (600 points each), and 13.6 / 12.0
+/ 13.1 ms on 60 points at d = 3 (steps of 0.05).  Wider spacing costs each
+lane more Newton steps (2.7 / 3.0 / 3.2 zone means per lane at d = 1),
+and a d = 3 lane costs 0.6-0.8 of a scalar mean.  A grid whose step is at
+least the spacing has no lanes.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ class CoherentPotential(NamedTuple):
     reseed after its step failed.  ``g`` is the resolvent trace z*mean_k 1/D
     at (z, p) on the solve's grid: read off the converged Newton step's zone
     means, or a zone mean of its own at b = 0, where no Newton solve runs.
+    ``slope`` is the tangent dp/dz of the branch at (z, p), read off the
+    same zone means (0 at b = 0); the sweep's next point starts from it.
     A named tuple, because the sweep builds one per omega point.
     """
 
@@ -126,6 +129,7 @@ class CoherentPotential(NamedTuple):
     iterations: int
     branch_tag: str
     g: complex
+    slope: complex
     flags: Tuple[str, ...] = ()
 
 
@@ -164,28 +168,33 @@ def default_eps(params: ModelParams) -> float:
 
 
 def _G_terms(p: complex, z: complex, params: ModelParams, n: int):
-    """Cleared residual G = p - a*b + b*p*I, its p-derivative, its scale,
-    and g at (z, p), all from one pair of zone means on the n^d grid; on
-    1-d arrays of p and z for lanes."""
+    """Cleared residual G = p - a*b + b*p*I, its p-derivative, its scale, g
+    and the tangent dp/dz = -(dG/dz)/(dG/dp) = -b*p*(dI/dz)/(dG/dp) at
+    (z, p), all from one pair of zone means on the n^d grid; on 1-d arrays
+    of p and z for lanes."""
     a, b = params.a, params.b
     # looked up on the module at each call, where a tracer can wrap it
-    I, dI, g = bzquad.I_cpa_and_derivative(z, p, params.nu, params.d, n)
-    G = p - a * b + b * p * I
-    dG = 1.0 + b * I + b * p * dI
+    I, dI, g, dIz = bzquad.I_cpa_and_derivative(z, p, params.nu, params.d, n)
+    bp = b * p
+    G = p - a * b + bp * I
+    dG = 1.0 + b * I + bp * dI
     scale = a * b + abs(p) * (1.0 + b * abs(I))
-    return G, dG, scale, g
+    return G, dG, scale, g, -bp * dIz / dG
 
 
 def _newton_terms(p: complex, z: complex, params: ModelParams, n: int):
     """``_G_terms`` at one Newton iterate, a SolverError where the zone means,
-    G or g are not finite (z^2 overflows past |z| ~ 1e154)."""
+    G or g are not finite (z^2 overflows past |z| ~ 1e154) or dG/dp
+    vanishes."""
     try:
-        G, dG, scale, g = _G_terms(p, z, params, n)
+        G, dG, scale, g, slope = _G_terms(p, z, params, n)
     except ValueError as exc:
         raise SolverError(f"at z={z}, p={p}: {exc}") from exc
+    except ZeroDivisionError:
+        raise SolverError(f"vanishing derivative at p={p}, z={z}") from None
     if not (cmath.isfinite(G) and cmath.isfinite(g)):
         raise SolverError(f"non-finite mismatch G={G} or g={g} at p={p}, z={z}")
-    return G, dG, scale, g
+    return G, dG, scale, g, slope
 
 
 def _accept_branch(z, g):
@@ -205,11 +214,11 @@ def _newton(z, p0, params, n):
     """Damped Newton on the cleared residual, in the half-plane Re p > 0: a
     step's factor is halved until the trial p has Re p > 0, which is tested
     before its zone means are taken, and lowers |G|; a non-finite iterate is
-    a SolverError.  Returns (p, g, residual, iterations)."""
+    a SolverError.  Returns (p, g, residual, iterations, slope)."""
     p = complex(p0)
     if not p.real > 0:
         raise ValueError(f"seed p must have Re p > 0, got {p}")
-    G, dG, scale, g = _newton_terms(p, z, params, n)
+    G, dG, scale, g, slope = _newton_terms(p, z, params, n)
     it = 0
     while abs(G) > NEWTON_TOL * scale:
         if it == MAX_ITER:
@@ -218,15 +227,13 @@ def _newton(z, p0, params, n):
                 f"relative residual {abs(G) / scale:.3e}"
             )
         it += 1
-        if dG == 0:
-            raise SolverError(f"vanishing derivative at p={p}, z={z}")
         step = -G / dG
         lam = 1.0
         while lam >= 1e-12:
             pn = p + lam * step
             if pn.real > 0:
-                Gn, dGn, scale_n, gn = _newton_terms(pn, z, params, n)
-                if abs(Gn) < abs(G):
+                terms = _newton_terms(pn, z, params, n)
+                if abs(terms[0]) < abs(G):
                     break
             lam *= DAMPING
         else:
@@ -234,33 +241,40 @@ def _newton(z, p0, params, n):
                 f"damped Newton stalled in Re p > 0 at z={z}: |G|={abs(G):.3e} "
                 f"(relative {abs(G) / scale:.3e})"
             )
-        p, G, dG, scale, g = pn, Gn, dGn, scale_n, gn
+        p = pn
+        G, dG, scale, g, slope = terms
     _accept_branch(z, g)
-    return p, g, abs(G) / scale, it
+    return p, g, abs(G) / scale, it, slope
 
 
-def _march(z_from, p_from, z_to, params, n, initial_steps=1, seed=None):
-    """Continue the branch along the straight segment z_from -> z_to.
+def _march(z_from, p_from, slope, z_to, params, n, initial_steps=1):
+    """Continue the branch along the straight segment z_from -> z_to, from
+    the root p_from at z_from with tangent dp/dz = ``slope``.
 
+    Each step's Newton run starts from the tangent predictor p + slope*dz of
+    the last solved point, or from its p where that is not finite, has
+    Re <= 0 or lies beyond JUMP_TOL of p, where the jump test would reject
+    a root near it (as on a long first step out of the asymptote).
     Adaptive stepping: on solver failure or a jump larger than JUMP_TOL the
     step is halved, at most down to the smallest path step, where the
-    failure or jump raises SolverError.  ``seed`` replaces p_from as the
-    Newton start of the first step only; the jump test compares with p_from
-    all the same, and a halving restarts from it.  Returns (p, g, residual,
-    iterations) at z_to; the last step lands on z_to exactly, so g is the
-    zone mean there.
+    failure or jump raises SolverError.  Returns (p, g, residual,
+    iterations, slope) at z_to; the last step lands on z_to exactly, so g
+    and the slope are read off the zone means there.
     """
     z0, z1 = complex(z_from), complex(z_to)
-    p, g, resid, its = complex(p_from), None, 0.0, 0
+    z, p, g, resid, its = z0, complex(p_from), None, 0.0, 0
     dt0 = 1.0 / initial_steps
     dt_min = 0.5**MAX_PATH_REFINE / max(initial_steps, PATH_STEPS)
     t, dt = 0.0, dt0
     while t < 1.0:
         tn = min(1.0, t + dt)
         zt = (1.0 - tn) * z0 + tn * z1
-        start, seed = p if seed is None else seed, None
+        start = p + slope * (zt - z)
+        if not (cmath.isfinite(start) and start.real > 0
+                and abs(start - p) <= JUMP_TOL * max(1.0, abs(p))):
+            start = p
         try:
-            pn, gn, resid_n, its_n = _newton(zt, start, params, n)
+            pn, gn, resid_n, its_n, slope_n = _newton(zt, start, params, n)
             if abs(pn - p) > JUMP_TOL * max(1.0, abs(p)):
                 raise SolverError(
                     f"path jump at z={zt:.6g}: |dp|={abs(pn - p):.3e} "
@@ -271,10 +285,10 @@ def _march(z_from, p_from, z_to, params, n, initial_steps=1, seed=None):
                 raise
             dt *= 0.5
             continue
-        p, g, resid, its = pn, gn, resid_n, its_n
+        z, p, g, resid, its, slope = zt, pn, gn, resid_n, its_n, slope_n
         t = tn
         dt = min(dt * 1.5, dt0)
-    return p, g, resid, its
+    return p, g, resid, its, slope
 
 
 def solve_p(
@@ -301,39 +315,19 @@ def solve_p(
         return CoherentPotential(
             p=0j, z=z, residual=0.0, iterations=0,
             branch_tag="pure system (b = 0): p = 0",
-            g=bzquad.I_g(z, 0j, params.nu, params.d, n),
+            g=bzquad.I_g(z, 0j, params.nu, params.d, n), slope=0j,
         )
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
     p0 = params.a * params.b
-    p, g, resid, its = _newton(z_start, p0, params, n)
+    p, g, resid, its, slope = _newton(z_start, p0, params, n)
     if z != z_start:
-        p, g, resid, its = _march(z_start, p, z, params, n, initial_steps=PATH_STEPS)
+        p, g, resid, its, slope = _march(z_start, p, slope, z, params, n,
+                                         initial_steps=PATH_STEPS)
     return CoherentPotential(
         p=p, z=z, residual=resid, iterations=its,
         branch_tag=f"continuation from z_start={z_start.real:.6g} (seed p=a*b)",
-        g=g,
+        g=g, slope=slope,
     )
-
-
-def _extrapolated_seed(history, z: complex) -> Optional[complex]:
-    """Newton start at z: p extrapolated through the last two or three
-    converged (z, p) of the sweep (Lagrange, in Newton's form); None from
-    fewer points, where two of them share z (a grid that repeats or revisits
-    an omega) or where the extrapolation leaves the half-plane Re p > 0."""
-    if len(history) < 2:
-        return None
-    (z1, p1), (z2, p2) = history[-2:]
-    if z1 == z2:
-        return None
-    d21 = (p2 - p1) / (z2 - z1)
-    seed = p2 + d21 * (z - z2)
-    if len(history) > 2:
-        z0, p0 = history[-3]
-        if z0 in (z1, z2):
-            return None
-        d10 = (p1 - p0) / (z1 - z0)
-        seed += (d21 - d10) / (z2 - z0) * (z - z2) * (z - z1)
-    return seed if seed.real > 0 else None
 
 
 def _solve_row(z: complex, params: ModelParams, n: int) -> CoherentPotential:
@@ -345,16 +339,16 @@ def _solve_row(z: complex, params: ModelParams, n: int) -> CoherentPotential:
 
 
 def _sweep_step(prev: CoherentPotential, z_next: complex, params: ModelParams,
-                n: int, seed: Optional[complex] = None) -> CoherentPotential:
+                n: int) -> CoherentPotential:
     """One step of the sequential sweep, from the solved point ``prev`` to
-    z_next: a march seeded by ``seed`` (prev's p where None), and on failure
-    a reseed by full continuation, whose failure raises."""
+    z_next: a march from prev's tangent, and on failure a reseed by full
+    continuation, whose failure raises."""
     try:
-        p, g, resid, its = _march(prev.z, prev.p, z_next, params, n, seed=seed)
+        p, g, resid, its, slope = _march(prev.z, prev.p, prev.slope, z_next, params, n)
     except (SolverError, BranchError) as exc:
         fresh = _solve_row(z_next, params, n)
         return fresh._replace(flags=(f"reseeded after failure: {exc}",))
-    return CoherentPotential(p, z_next, resid, its, "continued along the sweep", g)
+    return CoherentPotential(p, z_next, resid, its, "continued along the sweep", g, slope)
 
 
 def continuation_sweep(
@@ -372,23 +366,21 @@ def continuation_sweep(
     SKELETON_STEP * max(b, nu) in omega from the previous skeleton point, and
     the last point.  It is marched in the order given (so a reversed grid
     sweeps downward); its first point is reached by full continuation from
-    the asymptotic regime.  Each later skeleton point's Newton run starts
-    from p extrapolated in z through the last three skeleton points converged
-    since the start or the last reseed, or through two where only two have.
-    With fewer, or where the extrapolation has Re p <= 0, it starts from the
-    predecessor's p, as every halved step does.  A point whose step fails is
+    the asymptotic regime.  Each later skeleton point is marched from the
+    one before, every step starting from the tangent predictor p + slope*dz
+    of the last solved point (see ``_march``).  A point whose step fails is
     reached by a fresh reseed instead, with a "reseeded after failure" note
     in its flags; where the reseed fails too, its SolverError or BranchError
     is raised, its message prefixed with "omega=<omega>: ", as is a failure
     of the first point.  So every returned point is converged.
 
     A point between two skeleton points is a lane (``branch_tag`` starting
-    with "lane"): Newton starts from p interpolated in z by the cubic
-    through the four nearest skeleton points, and runs undamped on all lanes
-    together.  A lane falls back to the sequential step from its left
-    skeleton neighbour, with that step's reseed note or error, where its
-    omega is not strictly between its skeleton neighbours', its
-    interpolation nodes share a z, it has not converged after five steps,
+    with "lane"): Newton starts from the cubic Hermite interpolant, in z, of
+    p and slope at its two skeleton neighbours, and runs undamped on all
+    lanes together; a lane's slope is read off its converged step.  A lane
+    falls back to the sequential step from its left skeleton neighbour, with
+    that step's reseed note or error, where its omega is not strictly
+    between its skeleton neighbours', it has not converged after five steps,
     its zone means are not finite, or it lands with Re p <= 0,
     Re g < -1e-9*|g| or |p - seed| beyond JUMP_TOL * max(1, |seed|).
     """
@@ -412,14 +404,8 @@ def continuation_sweep(
         skeleton.append(len(w) - 1)
     out: List[Optional[CoherentPotential]] = [None] * len(w)
     cp = out[0] = _solve_row(complex(eps, w[0]), params, n)
-    history = [(cp.z, cp.p)]  # converged points since the last (re)start
     for i in skeleton[1:]:
-        z_next = complex(eps, w[i])
-        cp = out[i] = _sweep_step(cp, z_next, params, n, _extrapolated_seed(history, z_next))
-        if cp.branch_tag == "continued along the sweep":
-            history = history[-2:] + [(z_next, cp.p)]
-        else:  # reseeded
-            history = [(z_next, cp.p)]
+        cp = out[i] = _sweep_step(cp, complex(eps, w[i]), params, n)
     if len(skeleton) < len(w):
         _solve_lanes(out, np.array(skeleton), omegas, eps, params, n)
     return out
@@ -434,33 +420,27 @@ def _solve_lanes(out, skeleton: np.ndarray, omegas: np.ndarray, eps: float,
     lanes = np.flatnonzero(off)
     left = np.searchsorted(skeleton, lanes) - 1  # skeleton position of the left neighbour
     w, w_skel = omegas[lanes], omegas[skeleton]
-    p_skel = np.array([out[i].p for i in skeleton.tolist()])
-    # the four nearest skeleton points, fewer on a shorter skeleton
-    m = min(4, skeleton.size)
-    nodes = np.clip(left - 1, 0, skeleton.size - m)[:, None] + np.arange(m)
     ok = (w - w_skel[left]) * (w_skel[left + 1] - w) > 0
-    w_nodes = w_skel[nodes]
-    for j in range(m):
-        for i in range(j):
-            ok &= w_nodes[:, i] != w_nodes[:, j]
-    w, w_nodes, p_nodes = w[ok], w_nodes[ok], p_skel[nodes[ok]]
-    # Lagrange form in omega, which is z up to the constant eps and a factor i
-    seed = np.zeros(w.size, dtype=complex)
-    for j in range(m):
-        term = p_nodes[:, j]
-        for i in range(m):
-            if i != j:
-                term = term * ((w - w_nodes[:, i]) / (w_nodes[:, j] - w_nodes[:, i]))
-        seed += term
+    lo, w = left[ok], w[ok]
+    skel = [out[i] for i in skeleton.tolist()]
+    p_skel = np.array([cp.p for cp in skel])
+    # cubic Hermite interpolant in omega, which is z up to the constant eps
+    # and a factor i: dp/domega = i*dp/dz
+    h = w_skel[lo + 1] - w_skel[lo]
+    dp_skel = 1j * np.array([cp.slope for cp in skel])
+    x = (w - w_skel[lo]) / h
+    seed = ((1 - x) ** 2 * ((1 + 2 * x) * p_skel[lo] + x * h * dp_skel[lo])
+            + x * x * ((3 - 2 * x) * p_skel[lo + 1] - (1 - x) * h * dp_skel[lo + 1]))
     z = eps + 1j * w  # complex(eps, w), exactly
-    p, g, resid, its = _lane_newton(z, seed, params, n)
+    p, g, resid, its, slope = _lane_newton(z, seed, params, n)
     good = (np.isfinite(resid) & (p.real > 0) & (g.real >= -1e-9 * np.abs(g))
             & (np.abs(p - seed) <= JUMP_TOL * np.maximum(1.0, np.abs(seed))))
-    tag = "lane: undamped Newton from the skeleton's cubic interpolant"
-    for i, pi, zi, ri, ki, gi in zip(lanes[ok][good].tolist(), p[good].tolist(),
-                                     z[good].tolist(), resid[good].tolist(),
-                                     its[good].tolist(), g[good].tolist()):
-        out[i] = CoherentPotential(pi, zi, ri, ki, tag, gi)
+    tag = "lane: undamped Newton from the skeleton's cubic Hermite interpolant"
+    for i, pi, zi, ri, ki, gi, si in zip(lanes[ok][good].tolist(), p[good].tolist(),
+                                         z[good].tolist(), resid[good].tolist(),
+                                         its[good].tolist(), g[good].tolist(),
+                                         slope[good].tolist()):
+        out[i] = CoherentPotential(pi, zi, ri, ki, tag, gi, si)
     for i, s in zip(lanes.tolist(), skeleton[left].tolist()):
         if out[i] is None:
             out[i] = _sweep_step(out[s], complex(eps, float(omegas[i])), params, n)
@@ -469,10 +449,11 @@ def _solve_lanes(out, skeleton: np.ndarray, omegas: np.ndarray, eps: float,
 def _lane_newton(z: np.ndarray, p: np.ndarray, params: ModelParams, n: int):
     """Undamped Newton on the cleared residual, every lane at once: one array
     zone-mean call per step, lanes dropping out as they converge.  Returns
-    (p, g, residual, iterations); a lane that fails (not converged after
-    five steps, or means not finite) has residual inf."""
+    (p, g, residual, iterations, slope); a lane that fails (not converged
+    after five steps, or means not finite) has residual inf."""
     p = p.copy()
     g = np.full(p.size, np.nan, dtype=complex)
+    slope = g.copy()
     resid = np.full(p.size, math.inf)
     its = np.zeros(p.size, dtype=int)
     live = np.arange(p.size)
@@ -481,14 +462,15 @@ def _lane_newton(z: np.ndarray, p: np.ndarray, params: ModelParams, n: int):
             if not live.size:
                 break
             pl = p[live]
-            G, dG, scale, gl = _G_terms(pl, z[live], params, n)
+            G, dG, scale, gl, sl = _G_terms(pl, z[live], params, n)
             done = (abs(G) <= NEWTON_TOL * scale) & np.isfinite(gl)
             fin = live[done]
             resid[fin], g[fin], its[fin] = abs(G[done]) / scale[done], gl[done], it
+            slope[fin] = sl[done]
             go = ~done & np.isfinite(G)
             p[live[go]] = pl[go] - G[go] / dG[go]
             live = live[go]
-    return p, g, resid, its
+    return p, g, resid, its, slope
 
 
 def dos_curve(

@@ -12,10 +12,10 @@ def fail_at(monkeypatch):
     def inject(omega):
         march, solve = cpa._march, cpa.solve_p
 
-        def failing_march(z_from, p_from, z_to, *args, **kwargs):
+        def failing_march(z_from, p_from, slope, z_to, *args, **kwargs):
             if z_to.imag == omega:
                 raise SolverError("injected")
-            return march(z_from, p_from, z_to, *args, **kwargs)
+            return march(z_from, p_from, slope, z_to, *args, **kwargs)
 
         def failing_solve(z, *args):
             if z.imag == omega:

@@ -209,7 +209,8 @@ def test_zone_nodes_fold_the_full_grid():
         D = z * z + p * p + p * nu * (2 - full) + nu * nu * (1 - full)
         N = p + nu * (1 - full / 2)
         kernels = (I_g(z, p, nu, d, n), *I_cpa_and_derivative(z, p, nu, d, n))
-        integrands = (z / D, N / D, 1 / D - N * (2 * p + nu * (2 - full)) / D**2)
+        integrands = (z / D, N / D, 1 / D - N * (2 * p + nu * (2 - full)) / D**2,
+                      z / D, -2 * z * N / D**2)
         for got, f in zip(kernels, integrands):
             want = np.mean(f)
             assert abs(got - want) <= 1e-14 * abs(want)
@@ -252,8 +253,27 @@ def test_singular_closed_form_raises_and_gives_nonfinite_lanes(d, n):
         for kernel in (I_g, I_cpa_and_derivative):
             with pytest.raises(ValueError, match="p = -nu or alpha"):
                 kernel(z0, p0, 1.0, d, n)
-    I, dI, g = I_cpa_and_derivative(np.array([0.5j]), np.array([-1 + 0j]), 1.0, d, n)
+    I, dI, g, dIz = I_cpa_and_derivative(np.array([0.5j]), np.array([-1 + 0j]), 1.0, d, n)
     assert not np.isfinite(I[0]) and not np.isfinite(dI[0]) and np.isfinite(g[0])
+    assert not np.isfinite(dIz[0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_derivatives_are_finite_wherever_z_squared_is(d):
+    # alpha^2 overflows past |z| ~ 1e77, z^2 past 1e154: both derivatives
+    # are written in scaled forms, so they stay finite in between
+    n = default_points_per_dim(d, 1.0)
+    p = 0.47 + 1e-3j
+    for w in (1e80, 1e140, 1e150):
+        z = 1e-3 + 1j * w
+        for nu in (1.0, 0.0):
+            kernels = I_cpa_and_derivative(z, p, nu, d, n)
+            assert all(cmath.isfinite(k) for k in kernels)
+            # I_cpa -> (p + nu)/z^2 at large z, without cancellation in either
+            # derivative; dI_cpa/dz ~ 1/z^3 is below the doubles past 1e103
+            want = (1 / (z * z), -2 * (p + nu) / z / z / z if w < 1e103 else 0j)
+            for got, x in zip(kernels[1::2], want):
+                assert abs(got - x) <= 1e-12 * abs(x)
 
 
 @pytest.mark.parametrize("d,n", [(1, 7), (1, 4096), (2, 33), (2, 64), (2, 101), (2, 256),

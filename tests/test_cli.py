@@ -216,6 +216,24 @@ def test_unsolvable_row_exits_1_naming_its_omega(fail_at, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1"],
+    ["cpa-dos", "--d", "3", "--a", "0.75", "--b", "0.63", "--nu", "1"],
+    ["rmt-dos", "--a", "0.75", "--b", "1"],
+])
+def test_frequency_below_the_overflow_is_solved(argv, tmp_path):
+    # alpha^2 overflows past |omega| ~ 1e77, z^2 only past 1e154: the
+    # derivatives stay finite between, and rho is the tail eps/(pi omega^2)
+    # of the unit mass, less the zero-mode mass at nu = 0
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--omega-steps", "3", "--omega-max", "1e140",
+                 "--out", str(out)]) == 0
+    meta, cols = parse_csv(str(out))
+    eps, dirac = float(meta["eps"]), float(meta["dirac_mass_at_zero"])
+    want = (1 - dirac) * eps / np.pi / cols["omega"] ** 2
+    assert np.abs(cols["rho"] - want).max() <= 1e-12 * want.min()
+
+
+@pytest.mark.parametrize("argv", [
     ["solve-p", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
      "--z-re", "1", "--z-im", "1e200"],
     ["rmt-dos", "--a", "0.75", "--b", "1", "--omega-steps", "5", "--omega-max", "1e300"],
