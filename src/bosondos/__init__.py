@@ -26,7 +26,6 @@ from .ensemble import (
     SpectrumHistogram,
     assemble_H,
     mc_dos,
-    sample_block,
     spectrum_X,
 )
 from .linalg import NotPsdError, cholesky_psd, hermitian_eig
@@ -54,7 +53,6 @@ __all__ = [
     "hermitian_eig",
     "mc_dos",
     "rmt_scaled_a1",
-    "sample_block",
     "solve_p",
     "spectrum_X",
 ]

@@ -30,10 +30,11 @@ Every zone mean goes through :mod:`bosondos.bzquad`, which also covers the
 random-matrix limit nu = 0, so the solver has no special case for it.  The
 solver's settings are the module constants below: Newton stops at a
 relative mismatch of NEWTON_TOL within MAX_ITER damped steps (step factor
-DAMPING, taken until the trial p has Re p > 0 and lowers the mismatch);
-continuation starts at the real frequency Z_START_SCALE * max(b, nu) and
-marches straight-line paths in PATH_STEPS initial steps, halving a step at
-most MAX_PATH_REFINE times on a failed solve or a jump beyond JUMP_TOL.
+DAMPING, taken until the trial p has Re(p + nu) > 0 and lowers the
+mismatch); continuation starts at the real frequency
+Z_START_SCALE * max(b, nu) and marches straight-line paths in PATH_STEPS
+initial steps, halving a step at most MAX_PATH_REFINE times on a failed
+solve or a jump beyond JUMP_TOL.
 Every point the solver returns is a converged root on the physical branch;
 a point it cannot reach so raises SolverError or BranchError, and a sweep
 names the omega of that point.
@@ -47,8 +48,8 @@ p + (dp/dz)*dz of the last solved point, and Newton corrects it.  Every
 other point is a lane: its predictor is the cubic Hermite interpolant of p
 and dp/dz at its two skeleton neighbours, and undamped Newton corrects all
 lanes at once, one array call of the zone means per step.  A lane that
-fails a test of the physical branch (Re p > 0, Re g >= -1e-9*|g|, a jump
-from its predictor within JUMP_TOL, finite means, convergence in five
+fails a test of the physical branch (Re(p + nu) > 0, Re g >= -1e-9*|g|, a
+jump from its predictor within JUMP_TOL, finite means, convergence in five
 steps) is solved point by point from its left skeleton neighbour instead,
 so reseeds and errors come from that path alone.  SKELETON_STEP = 0.12
 came from fine curves (steps of 0.0025-0.005, eps = 1e-3) at d = 1, 2, 3
@@ -200,8 +201,8 @@ def _newton_terms(p: complex, z: complex, params: ModelParams, n: int):
 def _accept_branch(z, g):
     """Reject a converged root off the physical branch: g is the resolvent
     of a spectral measure on the imaginary axis, so Re g > 0 for Re z > 0
-    (Newton keeps Re p > 0 itself).  ``g`` comes from the converged step's
-    zone means, so the test takes none of its own.
+    (Newton keeps Re(p + nu) > 0 itself).  ``g`` comes from the converged
+    step's zone means, so the test takes none of its own.
     """
     if g.real < -1e-9 * abs(g):
         raise BranchError(
@@ -211,13 +212,15 @@ def _accept_branch(z, g):
 
 
 def _newton(z, p0, params, n):
-    """Damped Newton on the cleared residual, in the half-plane Re p > 0: a
-    step's factor is halved until the trial p has Re p > 0, which is tested
-    before its zone means are taken, and lowers |G|; a non-finite iterate is
-    a SolverError.  Returns (p, g, residual, iterations, slope)."""
+    """Damped Newton on the cleared residual, in the half-plane
+    Re(p + nu) > 0, off the kernels' pole at q = p + nu = 0: a step's factor
+    is halved until the trial p has Re(p + nu) > 0, which is tested before
+    its zone means are taken, and lowers |G|; a non-finite iterate is a
+    SolverError.  Returns (p, g, residual, iterations, slope)."""
     p = complex(p0)
-    if not p.real > 0:
-        raise ValueError(f"seed p must have Re p > 0, got {p}")
+    nu = params.nu
+    if not p.real + nu > 0:
+        raise ValueError(f"seed p must have Re(p + nu) > 0, got p={p}, nu={nu}")
     G, dG, scale, g, slope = _newton_terms(p, z, params, n)
     it = 0
     while abs(G) > NEWTON_TOL * scale:
@@ -231,14 +234,14 @@ def _newton(z, p0, params, n):
         lam = 1.0
         while lam >= 1e-12:
             pn = p + lam * step
-            if pn.real > 0:
+            if pn.real + nu > 0:
                 terms = _newton_terms(pn, z, params, n)
                 if abs(terms[0]) < abs(G):
                     break
             lam *= DAMPING
         else:
             raise SolverError(
-                f"damped Newton stalled in Re p > 0 at z={z}: |G|={abs(G):.3e} "
+                f"damped Newton stalled in Re(p + nu) > 0 at z={z}: |G|={abs(G):.3e} "
                 f"(relative {abs(G) / scale:.3e})"
             )
         p = pn
@@ -253,8 +256,8 @@ def _march(z_from, p_from, slope, z_to, params, n, initial_steps=1):
 
     Each step's Newton run starts from the tangent predictor p + slope*dz of
     the last solved point, or from its p where that is not finite, has
-    Re <= 0 or lies beyond JUMP_TOL of p, where the jump test would reject
-    a root near it (as on a long first step out of the asymptote).
+    Re(p + nu) <= 0 or lies beyond JUMP_TOL of p, where the jump test would
+    reject a root near it (as on a long first step out of the asymptote).
     Adaptive stepping: on solver failure or a jump larger than JUMP_TOL the
     step is halved, at most down to the smallest path step, where the
     failure or jump raises SolverError.  Returns (p, g, residual,
@@ -270,7 +273,7 @@ def _march(z_from, p_from, slope, z_to, params, n, initial_steps=1):
         tn = min(1.0, t + dt)
         zt = (1.0 - tn) * z0 + tn * z1
         start = p + slope * (zt - z)
-        if not (cmath.isfinite(start) and start.real > 0
+        if not (cmath.isfinite(start) and start.real + params.nu > 0
                 and abs(start - p) <= JUMP_TOL * max(1.0, abs(p))):
             start = p
         try:
@@ -381,7 +384,7 @@ def continuation_sweep(
     falls back to the sequential step from its left skeleton neighbour, with
     that step's reseed note or error, where its omega is not strictly
     between its skeleton neighbours', it has not converged after five steps,
-    its zone means are not finite, or it lands with Re p <= 0,
+    its zone means are not finite, or it lands with Re(p + nu) <= 0,
     Re g < -1e-9*|g| or |p - seed| beyond JUMP_TOL * max(1, |seed|).
     """
     omegas = np.asarray(omega_grid, dtype=float)
@@ -433,7 +436,8 @@ def _solve_lanes(out, skeleton: np.ndarray, omegas: np.ndarray, eps: float,
             + x * x * ((3 - 2 * x) * p_skel[lo + 1] - (1 - x) * h * dp_skel[lo + 1]))
     z = eps + 1j * w  # complex(eps, w), exactly
     p, g, resid, its, slope = _lane_newton(z, seed, params, n)
-    good = (np.isfinite(resid) & (p.real > 0) & (g.real >= -1e-9 * np.abs(g))
+    good = (np.isfinite(resid) & (p.real + params.nu > 0)
+            & (g.real >= -1e-9 * np.abs(g))
             & (np.abs(p - seed) <= JUMP_TOL * np.maximum(1.0, np.abs(seed))))
     tag = "lane: undamped Newton from the skeleton's cubic Hermite interpolant"
     for i, pi, zi, ri, ki, gi, si in zip(lanes[ok][good].tolist(), p[good].tolist(),

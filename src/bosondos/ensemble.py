@@ -2,7 +2,8 @@
 
 A realization of the generator is X = K + R with R built site by site from
 rectangular Gaussian couplings L_j subject to the reality condition
-conj(L) = L * Sigma1, which is solved identically by L = (A | conj(A)).
+conj(L) = L * Sigma1, which is solved identically by L = (A | conj(A)), the
+M x N entries of A i.i.d. complex Gaussians with E|A_mn|^2 = b / (2N).
 Stability (all eigenfrequencies real) holds by construction because
 H = i*Sigma3*X = i*Sigma3*K + blockdiag(L_j^dagger L_j) is positive
 semidefinite.
@@ -10,7 +11,8 @@ semidefinite.
 The reality condition makes the oracle real.  In the quadrature basis
 (q, p) of each site, a = (q + i p)/sqrt(2), i.e. under
 U = (1/sqrt(2)) [[I, iI], [I, -iI]], each coupling becomes
-L U = sqrt(2) (Re A | -Im A) and H becomes real symmetric, while Sigma3
+L U = sqrt(2) W with W = (Re A | -Im A) real, so the oracle draws W and
+never forms L, and H becomes real symmetric, while Sigma3
 becomes U^dagger Sigma3 U = i*J with J = [[0, I], [-I, 0]].  With
 H = C C^T (real Cholesky) the frequencies are the eigenvalues of i*S,
 S = C^T J C real skew-symmetric, i.e. +/- the singular values of S
@@ -21,8 +23,8 @@ modes, as in the flat band at M < 2N) or an ill-conditioned S
 (mu_min < 1e-3 * mu_max, where squaring would lose more than about
 5e2 * eps * mu_max) takes one SVD of S instead.
 
-Each realization takes one path through plain real arrays: ``sample_block``
-returns a site's L, ``draw_sample`` the quadrature-basis H (via
+Each realization takes one path through plain real arrays: ``draw_sample``
+draws every site's W in one call and returns the quadrature-basis H (via
 ``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  The
 deterministic term ``quadrature_K`` is computed once per run.  ``mc_dos``
 bins the spectra of many realizations into a :class:`SpectrumHistogram`.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .model import ModelParams, assemble_K
 __all__ = [
     "ConeViolationError",
     "SpectrumHistogram",
-    "sample_block",
     "quadrature_K",
     "assemble_H",
     "spectrum_X",
@@ -112,23 +113,6 @@ class SpectrumHistogram:
             )
 
 
-def sample_block(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
-    """Draw one site coupling L = (A | conj(A)) from the Gaussian measure of
-    strength b; L satisfies the reality condition conj(L) = L * Sigma1
-    identically.
-
-    The free entries A_{mn} are i.i.d. complex Gaussians with
-    E|A_{mn}|^2 = b / (2N), i.e. real and imaginary parts of variance
-    b / (4N) each.
-    """
-    if params.M is None or params.N is None:
-        raise ValueError("sampling requires both M and N")
-    std = np.sqrt(params.b / (4.0 * params.N))
-    shape = (params.M, params.N)
-    A = std * rng.normal(size=shape) + 1j * std * rng.normal(size=shape)
-    return np.hstack([A, A.conj()])
-
-
 def quadrature_K(K: np.ndarray, N: int) -> np.ndarray:
     """Deterministic part U^dagger (i*Sigma3*K) U of H in the quadrature
     basis, for the generator K of ``assemble_K``.
@@ -158,23 +142,26 @@ def quadrature_K(K: np.ndarray, N: int) -> np.ndarray:
 
 def assemble_H(
     params: ModelParams,
-    blocks: Sequence[np.ndarray],
+    W: np.ndarray,
     K: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Real symmetric H = U^dagger (i*Sigma3*K + blockdiag(L_j^dagger L_j)) U
     in the quadrature basis.
 
-    ``blocks`` holds one coupling L_j = (A_j | conj(A_j)) per site, as drawn
-    by ``sample_block``; its Gram matrix enters as that of L_j U =
-    sqrt(2) (Re A_j | -Im A_j).  ``K`` is the real deterministic term
-    ``quadrature_K(assemble_K(params), N)``; it may be omitted at nu = 0,
-    where K vanishes.
+    ``W`` is the real (n_sites, M, 2N) array of the couplings in quadrature
+    form, W_j = L_j U / sqrt(2) = (Re A_j | -Im A_j), as ``draw_sample``
+    draws them; each site's block gains 2 W_j^T W_j.  ``K`` is the real
+    deterministic term ``quadrature_K(assemble_K(params), N)``; it may be
+    omitted at nu = 0, where K vanishes.
     """
     N = params.N
     if N is None:
         raise ValueError("assemble_H requires the band count N")
-    n_sites = len(blocks)
-    dim = 2 * N * n_sites
+    shape = (params.n_sites, params.M, 2 * N)
+    if np.iscomplexobj(W) or W.shape != shape:
+        raise ValueError(f"W is {W.dtype} {W.shape}, not real (n_sites, M, 2N) "
+                         f"= {shape}")
+    dim = 2 * N * params.n_sites
     if K is None:
         if params.nu != 0:
             raise ValueError("K may be omitted only in the nu = 0 limit")
@@ -185,11 +172,9 @@ def assemble_H(
         raise ValueError(f"K has shape {K.shape}, expected {(dim, dim)}")
     else:
         H = K.copy()
-    for j, L in enumerate(blocks):
+    for j, Wj in enumerate(W):
         sl = slice(2 * N * j, 2 * N * (j + 1))
-        A = L[:, :N]
-        W = np.hstack((A.real, -A.imag))
-        H[sl, sl] += 2.0 * (W.T @ W)
+        H[sl, sl] += 2.0 * (Wj.T @ Wj)
     return H
 
 
@@ -236,10 +221,16 @@ def draw_sample(
     K: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The quadrature-basis H of one realization on ``params.n_sites``
-    sites, drawn from a spawned per-sample seed sequence."""
-    rng = np.random.default_rng(child)
-    blocks = [sample_block(params, rng) for _ in range(params.n_sites)]
-    return assemble_H(params, blocks, K=K)
+    sites, drawn from a spawned per-sample seed sequence: one call draws
+    the standard normals x of Re A_j and Im A_j for every site j, shaped
+    (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1)."""
+    N, M, n_sites = params.N, params.M, params.n_sites
+    if N is None:
+        raise ValueError("sampling requires both M and N")
+    x = np.random.default_rng(child).normal(size=(n_sites, 2, M, N))
+    W = np.concatenate((x[:, 0], -x[:, 1]), axis=2)
+    W *= np.sqrt(params.b / (4.0 * N))
+    return assemble_H(params, W, K=K)
 
 
 def mc_dos(

@@ -1,4 +1,4 @@
-"""Clean (disorder-free) lattice model: parameters, dispersion, generator blocks.
+"""Clean (disorder-free) lattice model: parameters and the real-space generator.
 
 Conventions used throughout the package: hbar = 1, so every energy is an
 angular frequency; finite lattices are periodic; the per-site phase-space
@@ -16,9 +16,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "delta_k",
-    "dispersion",
-    "k1_block",
     "assemble_K",
 ]
 
@@ -110,45 +107,9 @@ class ModelParams:
         return self.nu == 0
 
 
-def delta_k(k, d: Optional[int] = None):
-    """Scaled lattice-Laplacian symbol (1/d) * sum_i cos(k_i), always in [-1, 1].
-
-    ``k`` is a length-d wavevector or an array of them stacked along the
-    leading axes.
-    """
-    k = np.asarray(k, dtype=float)
-    if k.ndim == 0:
-        k = k[np.newaxis]
-    if d is not None and k.shape[-1] != d:
-        raise ValueError(
-            f"wavevector has {k.shape[-1]} components, expected d={d}"
-        )
-    return np.cos(k).mean(axis=-1)
-
-
-def dispersion(k, nu: float, d: Optional[int] = None):
-    """Clean single-boson frequency nu * sqrt(1 - delta_k(k)) >= 0."""
-    arg = 1.0 - delta_k(k, d)
-    # rounding can push 1 - delta to -1e-17 at the zone center
-    return nu * np.sqrt(np.clip(arg, 0.0, None))
-
-
-def k1_block(k, nu: float, d: Optional[int] = None) -> np.ndarray:
-    """Momentum-space 2x2 block of the deterministic generator.
-
-    Returns -(i*nu/2) * [[2 - dlt, -dlt], [dlt, -2 + dlt]] with dlt the
-    scaled Laplacian symbol at ``k``; its eigenvalues are +/- i*dispersion(k)
-    (characteristic polynomial lambda^2 + nu^2 (1 - dlt)).
-    """
-    dlt = float(delta_k(k, d))
-    return -0.5j * nu * np.array(
-        [[2.0 - dlt, -dlt], [dlt, -2.0 + dlt]], dtype=complex
-    )
-
-
 def _site_blocks(nu: float, d: int):
     onsite = -0.5j * nu * np.diag([2.0, -2.0]).astype(complex)
-    # factor 1/(2d): the symbol of the adjacency operator is 2d * delta_k,
+    # factor 1/(2d): the symbol of the adjacency operator is 2d * dlt_k,
     # so each directed bond carries delta_{jj'} = 1/(2d)
     bond = -0.5j * nu / (2.0 * d) * np.array(
         [[-1.0, -1.0], [1.0, 1.0]], dtype=complex
@@ -163,7 +124,10 @@ def assemble_K(params: ModelParams) -> np.ndarray:
     site-major with the (a, a*) split inside each site.  On-site blocks are
     -(i*nu/2) diag(2, -2) (x) Id_N; each directed nearest-neighbor bond
     carries -(i*nu/2) (1/(2d)) [[-1, -1], [1, 1]] (x) Id_N, so that the
-    discrete Fourier transform reproduces ``k1_block``.
+    discrete Fourier transform is the momentum-space block
+    -(i*nu/2) [[2 - dlt_k, -dlt_k], [dlt_k, -2 + dlt_k]] (x) Id_N, with
+    dlt_k = (1/d) sum_i cos(k_i) the scaled Laplacian symbol; its
+    eigenvalues are +/- i*nu*sqrt(1 - dlt_k), the clean dispersion.
 
     Dense output: the matrix is consumed by dense factorizations at the
     desk scales this package targets (dimension <= a few thousand).

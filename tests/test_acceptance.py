@@ -15,7 +15,6 @@ from bosondos import (
     find_gap_edge,
     mc_dos,
     rmt_scaled_a1,
-    sample_block,
     solve_p,
     spectrum_X,
 )
@@ -200,11 +199,12 @@ def test_criterion_7_invariant_suite(tmp_path):
                         check=True)
     checks["doubling 1e-9"] = not any("doubling" in note for note in checked.notes)
 
-    # Gaussian trace moment: E Tr L^dagger L = M b within 3 standard errors
+    # Gaussian trace moment: on the flat band E Tr H = E Tr L^dagger L = M b
+    # within 3 standard errors
     mparams = ModelParams(a=0.75, N=2, M=3, b=0.7, nu=0.0)
-    gen = np.random.default_rng(4)
     traces = np.array([
-        np.sum(np.abs(sample_block(mparams, gen)) ** 2) for _ in range(10_000)
+        np.trace(draw_sample(mparams, child))
+        for child in np.random.SeedSequence(4).spawn(10_000)
     ])
     stderr = traces.std(ddof=1) / np.sqrt(traces.size)
     checks["moment 3se"] = abs(traces.mean() - mparams.M * mparams.b) <= 3 * stderr

@@ -14,7 +14,7 @@ from bosondos.bzquad import (
     dI_cpa_dp,
     default_points_per_dim,
 )
-from bosondos.model import delta_k
+from clean_model import delta_k
 
 SMALL = 64
 

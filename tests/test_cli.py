@@ -215,6 +215,18 @@ def test_unsolvable_row_exits_1_naming_its_omega(fail_at, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_small_a_curve_with_re_p_below_zero_is_solved(tmp_path):
+    # at small a with disorder above nu the physical branch crosses into
+    # Re p < 0 (down to about -0.015 here) while Re(p + nu) stays positive
+    out = tmp_path / "x.csv"
+    assert main(["cpa-dos", "--d", "1", "--a", "0.25", "--b", "1.5", "--nu", "0.078",
+                 "--omega-max", "6", "--omega-steps", "3000", "--out", str(out)]) == 0
+    meta, cols = parse_csv(str(out))
+    assert cols["p_re"].min() < 0 < (cols["p_re"] + 0.078).min()
+    assert cols["rho"].min() > 0
+    assert abs(float(meta["normalization"]) - 1.0) <= 1e-2
+
+
 @pytest.mark.parametrize("argv", [
     ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1"],
     ["cpa-dos", "--d", "3", "--a", "0.75", "--b", "0.63", "--nu", "1"],

@@ -78,9 +78,10 @@ class TestSolveP:
             solve_p(-1.0 + 0.5j, LATTICE)
 
     def test_zero_seed_rejected(self):
-        # as is every seed off the half-plane Re p > 0 that Newton keeps to
-        for p0 in (0.0, 1j, -1e-300 + 0.5j, -0.6 + 0.1j):
-            with pytest.raises(ValueError, match="Re p > 0"):
+        # q = p + nu = 0 is the kernels' pole; so is every seed off the
+        # half-plane Re(p + nu) > 0 that Newton keeps to (nu = 1 here)
+        for p0 in (-1.0, -1.0 + 1j, -1.0 - 1e-12 + 0.5j, -1.6 + 0.1j):
+            with pytest.raises(ValueError, match=r"Re\(p \+ nu\) > 0"):
                 cpa._newton(1.0 + 0.5j, p0, LATTICE, 4096)
 
     def test_nonconvergence_is_a_solver_error(self, monkeypatch):
@@ -541,33 +542,29 @@ def box_draws(count, seed):
     return draws
 
 
-# draws whose sweep raises, each with the point that fails
-BOX_FAILURES = {
-    14: "d = 3, a = 0.101, b = 2.41, nu = 0.784: Newton stalls in Re p > 0 at omega = 0.868",
-}
+def box_curve(d, a, b, nu):
+    """The model, omega grid and eps of a box draw's curve: from
+    omega_max / size to past the support, 3000 / 600 / 300 points at
+    d = 1 / 2 / 3."""
+    params = ModelParams(d=d, a=a, b=b, nu=nu)
+    omega_max = 1.2 * (np.sqrt(2.0) * nu + b * (1.0 + np.sqrt(a)) ** 2)
+    size = {1: 3000, 2: 600, 3: 300}[d]
+    return params, np.linspace(omega_max / size, omega_max, size), cpa.default_eps(params)
 
 
 class TestParameterBox:
-    """Every curve over the box is solved throughout (ROADMAP item 5)."""
+    """Every curve over the box is solved throughout."""
 
     @pytest.mark.parametrize("d,a,b,nu,checks", [
-        pytest.param(*draw, id=f"{i}-d{draw[0]}", marks=[pytest.mark.xfail(
-            strict=True, raises=(SolverError, BranchError),
-            reason=f"ROADMAP item 5, small a with disorder above nu: {BOX_FAILURES[i]}",
-        )] if i in BOX_FAILURES else [])
+        pytest.param(*draw, id=f"{i}-d{draw[0]}")
         for i, draw in enumerate(box_draws(20, 2026))
     ])
     def test_curve_is_solved_throughout(self, d, a, b, nu, checks):
-        params = ModelParams(d=d, a=a, b=b, nu=nu)
-        scale = max(b, nu)
-        # from omega_max / size to past the support
-        omega_max = 1.2 * (np.sqrt(2.0) * nu + b * (1.0 + np.sqrt(a)) ** 2)
-        size = {1: 3000, 2: 600, 3: 300}[d]
-        omegas = np.linspace(omega_max / size, omega_max, size)
-        eps = cpa.default_eps(params)
+        params, omegas, eps = box_curve(d, a, b, nu)
+        size = omegas.size
         curve = dos_curve(omegas, eps, params)
         assert curve.residuals.max() <= cpa.NEWTON_TOL
-        assert curve.rho.min() >= -1e-6 / scale
+        assert curve.rho.min() >= -1e-6 / max(b, nu)
         # the README's two-sided normalization: the grid covers the support
         assert abs(curve.normalization - 1.0) <= 1e-2
         # dos_curve ran the same sweep: a rerun, bit for bit

@@ -12,23 +12,15 @@ from bosondos import (
     assemble_K,
     dos_curve,
     mc_dos,
-    sample_block,
     spectrum_X,
 )
 from bosondos import ensemble
 from bosondos.ensemble import draw_sample, quadrature_K
 from bosondos.linalg import cholesky_psd, skew_spectrum
-from bosondos.model import delta_k, dispersion
+from clean_model import delta_k, dispersion
 
 RMT = ModelParams(a=0.75, N=4, M=6, b=1.0, nu=0.0)
-
-
-def rng_for(seed=0):
-    return np.random.default_rng(seed)
-
-
-def sigma3(N):
-    return np.diag(np.repeat([1.0, -1.0], N))
+CHAIN = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
 
 
 def symplectic_J(N):
@@ -41,9 +33,22 @@ def quadrature_U(N):
     return np.kron([[1.0, 1.0j], [1.0, -1.0j]], np.eye(N)) / np.sqrt(2.0)
 
 
-def complex_reference_spectrum(params, blocks, K=None):
-    """Frequencies from the (a, a*)-basis reduction C^dagger Sigma3 C of
-    H = i Sigma3 K + blockdiag(L^dagger L), in complex arithmetic."""
+def complex_couplings(params, child):
+    """The couplings L_j = (A_j | conj(A_j)) of ``draw_sample(params,
+    child)`` in the (a, a*) basis, drawn one site at a time: the real, then
+    the imaginary parts of A_j, each of variance b / (4N)."""
+    rng = np.random.default_rng(child)
+    std = np.sqrt(params.b / (4.0 * params.N))
+    shape = (params.M, params.N)
+    blocks = []
+    for _ in range(params.n_sites):
+        A = std * rng.normal(size=shape) + 1j * std * rng.normal(size=shape)
+        blocks.append(np.hstack([A, A.conj()]))
+    return blocks
+
+
+def complex_H(params, blocks, K=None):
+    """H = i Sigma3 K + blockdiag(L_j^dagger L_j) in the (a, a*) basis."""
     N, n_sites = params.N, len(blocks)
     s3 = np.tile(np.repeat([1.0, -1.0], N), n_sites)
     dim = 2 * N * n_sites
@@ -51,81 +56,94 @@ def complex_reference_spectrum(params, blocks, K=None):
     for j, L in enumerate(blocks):
         sl = slice(2 * N * j, 2 * N * (j + 1))
         H[sl, sl] += L.conj().T @ L
-    C, _ = cholesky_psd(H)
+    return H
+
+
+def complex_reference_spectrum(params, blocks, K=None):
+    """Frequencies from the (a, a*)-basis reduction C^dagger Sigma3 C of
+    ``complex_H``, in complex arithmetic."""
+    s3 = np.tile(np.repeat([1.0, -1.0], params.N), len(blocks))
+    C, _ = cholesky_psd(complex_H(params, blocks, K))
     R = C.conj().T @ (s3[:, None] * C)
     return np.linalg.eigvalsh(0.5 * (R + R.conj().T))
 
 
-def local_R(L):
-    """Single-site random generator -i*Sigma3*L^dagger*L (size 2N)."""
-    return -1j * sigma3(L.shape[1] // 2) @ (L.conj().T @ L)
+def lattice_K(params):
+    """The real deterministic term of H, or None on a single site."""
+    return None if params.extents is None else quadrature_K(assemble_K(params), params.N)
 
 
-class TestSampleBlock:
-    def test_reality_condition_exact(self):
-        L = sample_block(RMT, rng_for())
-        eye, zero = np.eye(RMT.N), np.zeros((RMT.N, RMT.N))
-        sigma1 = np.block([[zero, eye], [eye, zero]])
-        assert np.array_equal(L.conj(), L @ sigma1)
+class TestDrawSample:
+    @pytest.mark.parametrize("params", [RMT, CHAIN], ids=["flat", "chain"])
+    def test_matches_the_complex_coupling_form(self, params):
+        # H = U^dagger (i Sigma3 K + blockdiag(L_j^dagger L_j)) U with L built
+        # in (a, a*) form from the same seeded draws
+        K = None if params.extents is None else assemble_K(params)
+        U = np.kron(np.eye(params.n_sites), quadrature_U(params.N))
+        for seed in range(3):
+            child = np.random.SeedSequence(seed)
+            want = U.conj().T @ complex_H(params, complex_couplings(params, child), K) @ U
+            H = draw_sample(params, child, K=lattice_K(params))
+            assert H.dtype == float
+            assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_zero_disorder_gives_zero_coupling(self):
-        params = ModelParams(a=0.75, N=4, M=6, b=0.0, nu=1.0)
-        L = sample_block(params, rng_for())
-        assert np.all(L == 0)
+        params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.0, nu=1.0)
+        K = lattice_K(params)
+        assert np.array_equal(draw_sample(params, np.random.SeedSequence(0), K=K), K)
 
     def test_trace_moment(self):
-        # E Tr L^dagger L = M b: Tr L^dagger L = 2 Tr A^dagger A and each of
-        # the M*N entries of A has second moment b/(2N)
+        # on the flat band E Tr H = E Tr L^dagger L = M b: Tr L^dagger L =
+        # 2 Tr A^dagger A and each of the M*N entries of A has second moment
+        # b/(2N)
         params = ModelParams(a=0.75, N=2, M=3, b=0.7, nu=0.0)
-        rng = rng_for(42)
-        traces = np.array([
-            np.sum(np.abs(sample_block(params, rng)) ** 2)
-            for _ in range(10_000)
-        ])
-        want = params.M * params.b
+        traces = np.array([np.trace(draw_sample(params, child))
+                           for child in np.random.SeedSequence(42).spawn(10_000)])
         stderr = traces.std(ddof=1) / np.sqrt(traces.size)
-        assert abs(traces.mean() - want) <= 3.0 * stderr
-
-    def test_single_auxiliary_dimension_flagged(self):
-        # the run carries one note, however many blocks it draws; drawing a
-        # block is silent
-        params = ModelParams(a=0.25, N=2, M=1, b=1.0, nu=0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sample_block(params, rng_for())
-            hist = mc_dos(params, n_samples=3, bins=4, seed=0)
-        assert len(hist.notes) == 1 and "M >= 2" in hist.notes[0]
-        assert mc_dos(RMT, n_samples=3, bins=4, seed=0).notes == ()
+        assert abs(traces.mean() - params.M * params.b) <= 3.0 * stderr
 
     def test_requires_sampling_parameters(self):
         with pytest.raises(ValueError, match="M and N"):
-            sample_block(ModelParams(a=0.75, b=1.0, nu=0.0), rng_for())
+            draw_sample(ModelParams(a=0.75, b=1.0, nu=0.0), np.random.SeedSequence(0))
+
+    @pytest.mark.parametrize("N, M, b", [(4, 8, 1.0), (8, 12, 1.0), (3, 11, 0.7), (16, 8, 2.0)])
+    def test_second_moment_sum_rule(self, N, M, b):
+        # the flat band's sum rule E mean(mu^2) = a b^2 (a - 1/(2N)), exact at
+        # every N: sum mu^2 = -Tr (J H)^2, a quartic in the entries of W of
+        # variance b/(4N).  The 1/(2N) term is 9-23 standard errors here
+        params = ModelParams(N=N, M=M, b=b, nu=0.0)
+        want = params.a * b * b * (params.a - 1.0 / (2 * N))
+        for seed in (0, 1):
+            m2 = np.array([np.mean(spectrum_X(draw_sample(params, child), N) ** 2)
+                           for child in np.random.SeedSequence(seed).spawn(2000)])
+            stderr = m2.std(ddof=1) / np.sqrt(m2.size)
+            assert abs(m2.mean() - want) <= 3.0 * stderr
 
 
 class TestLocalR:
+    """The single-site random generator R = J H of a flat-band draw, which
+    is all of X at nu = 0 on one site."""
+
     def test_rank_deficiency_below_critical_ratio(self):
-        # L^dagger L inherits rank min(M, 2N): kernel dimension 2N - M
-        L = sample_block(RMT, rng_for(1))
-        gram = L.conj().T @ L
-        w = np.linalg.eigvalsh(gram)
+        # H = 2 W^T W inherits rank min(M, 2N): kernel dimension 2N - M
+        w = np.linalg.eigvalsh(draw_sample(RMT, np.random.SeedSequence(1)))
         n_zero = int(np.sum(np.abs(w) < 1e-12 * w.max()))
         assert n_zero == 2 * RMT.N - RMT.M
 
     def test_full_rank_at_critical_ratio(self):
         params = ModelParams(a=1.0, N=4, M=8, b=1.0, nu=0.0)
-        L = sample_block(params, rng_for(2))
-        w = np.linalg.eigvalsh(L.conj().T @ L)
+        w = np.linalg.eigvalsh(draw_sample(params, np.random.SeedSequence(2)))
         assert w.min() > 0
 
     def test_symplectic_condition(self):
-        R = local_R(sample_block(RMT, rng_for(3)))
         J = symplectic_J(RMT.N)
+        R = J @ draw_sample(RMT, np.random.SeedSequence(3))
         resid = R + J @ R.T @ np.linalg.inv(J)
         assert np.abs(resid).max() <= 1e-13 * np.abs(R).max()
 
     def test_reduction_is_psd(self):
-        R = local_R(sample_block(RMT, rng_for(4)))
-        w = np.linalg.eigvalsh(1j * sigma3(RMT.N) @ R)
+        # -J R = H is the reduction i Sigma3 R in the quadrature basis
+        w = np.linalg.eigvalsh(draw_sample(RMT, np.random.SeedSequence(4)))
         assert w.min() >= -1e-12 * w.max()
 
 
@@ -133,9 +151,8 @@ class TestAssembleH:
     def test_clean_limit_spectrum(self):
         # b = 0: H = i Sigma3 K with per-mode eigenvalues {nu, nu(1-delta_k)}
         params = ModelParams(d=1, extents=(8,), N=2, M=4, b=0.0, nu=1.3)
-        K = quadrature_K(assemble_K(params), params.N)
-        blocks = tuple(sample_block(params, rng_for()) for _ in range(8))
-        H = assemble_H(params, blocks, K)
+        K = lattice_K(params)
+        H = assemble_H(params, np.zeros((8, params.M, 2 * params.N)), K)
         w = np.linalg.eigvalsh(H)
         per_mode = []
         for m in range(8):
@@ -144,12 +161,13 @@ class TestAssembleH:
         assert np.allclose(np.sort(w), np.sort(per_mode), atol=1e-12)
 
     def test_flat_band_single_site_is_gram_matrix(self):
-        # in the quadrature basis H is the Gram matrix of the real L U
-        L = sample_block(RMT, rng_for(5))
-        H = assemble_H(RMT, [L])
+        # in the quadrature basis H is the Gram matrix of the real L U,
+        # with L U = sqrt(2) W
+        L = complex_couplings(RMT, np.random.SeedSequence(5))[0]
         LU = L @ quadrature_U(RMT.N)
         assert np.abs(LU.imag).max() <= 1e-15 * np.abs(LU).max()
         gram = LU.real.T @ LU.real
+        H = assemble_H(RMT, LU.real[np.newaxis] / np.sqrt(2.0))
         assert H.dtype == float
         assert np.abs(H - gram).max() <= 1e-14 * np.abs(gram).max()
 
@@ -171,31 +189,34 @@ class TestAssembleH:
             quadrature_K(K, params.N)
 
     def test_hermiticity(self):
-        params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
-        K = quadrature_K(assemble_K(params), params.N)
-        blocks = tuple(sample_block(params, rng_for(6)) for _ in range(4))
-        H = assemble_H(params, blocks, K)
-        assert np.abs(H - H.conj().T).max() <= 1e-13 * np.abs(H).max()
+        H = draw_sample(CHAIN, np.random.SeedSequence(6), K=lattice_K(CHAIN))
+        assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
 
     def test_complex_generator_rejected(self):
-        params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
-        blocks = tuple(sample_block(params, rng_for()) for _ in range(4))
+        W = np.ones((4, CHAIN.M, 2 * CHAIN.N))
         with pytest.raises(ValueError, match="quadrature_K"):
-            assemble_H(params, blocks, assemble_K(params))
+            assemble_H(CHAIN, W, assemble_K(CHAIN))
 
     def test_K_required_on_lattice(self):
-        params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
-        blocks = tuple(sample_block(params, rng_for()) for _ in range(4))
+        W = np.ones((4, CHAIN.M, 2 * CHAIN.N))
         with pytest.raises(ValueError, match="nu = 0"):
-            assemble_H(params, blocks, K=None)
+            assemble_H(CHAIN, W, K=None)
+
+    @pytest.mark.parametrize("W", [
+        np.ones((3, 3, 4)),  # one site short
+        np.ones((4, 4, 4)),  # M + 1 rows
+        np.ones((4, 3, 2)),  # the (a) half of a coupling alone
+        np.ones((4, 3, 4), dtype=complex),  # a complex L = (A | conj(A))
+    ], ids=["sites", "rows", "columns", "complex"])
+    def test_coupling_of_the_wrong_shape_rejected(self, W):
+        with pytest.raises(ValueError, match=r"not real \(n_sites, M, 2N\)"):
+            assemble_H(CHAIN, W, lattice_K(CHAIN))
 
 
 class TestSpectrumX:
     def test_clean_chain_frequencies(self):
         params = ModelParams(d=1, extents=(8,), N=1, M=2, b=0.0, nu=1.0)
-        K = quadrature_K(assemble_K(params), params.N)
-        blocks = tuple(sample_block(params, rng_for()) for _ in range(8))
-        H = assemble_H(params, blocks, K)
+        H = draw_sample(params, np.random.SeedSequence(0), K=lattice_K(params))
         mu = spectrum_X(H, params.N)
         want = np.sort(np.repeat([dispersion([2 * np.pi * m / 8], 1.0) for m in range(8)], 2))
         assert np.allclose(np.sort(np.abs(mu)), want, atol=1e-7)
@@ -234,12 +255,10 @@ class TestSpectrumX:
     )
     def test_matches_complex_reduction(self, params):
         K = None if params.extents is None else assemble_K(params)
-        Kq = None if K is None else quadrature_K(K, params.N)
         for seed in range(3):
-            rng = rng_for(seed)
-            blocks = [sample_block(params, rng) for _ in range(params.n_sites)]
-            mu = spectrum_X(assemble_H(params, blocks, Kq), params.N)
-            want = complex_reference_spectrum(params, blocks, K)
+            child = np.random.SeedSequence(seed)
+            mu = spectrum_X(draw_sample(params, child, K=lattice_K(params)), params.N)
+            want = complex_reference_spectrum(params, complex_couplings(params, child), K)
             assert np.all(np.diff(mu) >= 0)
             # at odd M a zero mode of X sits in a 2x2 Jordan block, which the
             # Cholesky shift splits by ~sqrt(shift) ~ 1e-8, differently in
@@ -271,7 +290,7 @@ class TestSpectrumX:
         ids=["chain6", "square4x4", "mc-lattice"],
     )
     def test_definite_H_takes_the_gram_route(self, params, n_samples, monkeypatch):
-        K = quadrature_K(assemble_K(params), params.N)
+        K = lattice_K(params)
         Hs = [draw_sample(params, child, K=K)
               for child in np.random.SeedSequence(0).spawn(n_samples)]
         gram, calls = ensemble.skew_spectrum_gram, []
@@ -290,8 +309,7 @@ class TestSpectrumX:
     def test_ill_conditioned_definite_H_takes_the_svd_route(self, monkeypatch):
         # the weakly disordered chain keeps its acoustic mode near 0
         params = ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0)
-        H = draw_sample(params, np.random.SeedSequence(2),
-                        K=quadrature_K(assemble_K(params), params.N))
+        H = draw_sample(params, np.random.SeedSequence(2), K=lattice_K(params))
         mu = spectrum_X(H, params.N)
         monkeypatch.setattr(ensemble, "skew_spectrum_gram", skew_spectrum)
         want = spectrum_X(H, params.N)
@@ -316,6 +334,17 @@ class TestSpectrumX:
 
 
 class TestMcDos:
+    def test_single_auxiliary_dimension_flagged(self):
+        # the run carries one note, however many samples it draws; drawing a
+        # sample is silent
+        params = ModelParams(a=0.25, N=2, M=1, b=1.0, nu=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draw_sample(params, np.random.SeedSequence(0))
+            hist = mc_dos(params, n_samples=3, bins=4, seed=0)
+        assert len(hist.notes) == 1 and "M >= 2" in hist.notes[0]
+        assert mc_dos(RMT, n_samples=3, bins=4, seed=0).notes == ()
+
     @pytest.mark.parametrize(
         "params, n_samples, seed",
         [
@@ -382,7 +411,7 @@ class TestMcDos:
     def test_moment_identity_with_lattice(self):
         # E[(2N|L|)^-1 Tr(i Sigma3 X)] = nu + a b, independent of the solver
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
-        K = quadrature_K(assemble_K(params), params.N)
+        K = lattice_K(params)
         dim = K.shape[0]
         traces = []
         for child in np.random.SeedSequence(77).spawn(300):

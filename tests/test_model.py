@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosondos import ModelParams, assemble_K
-from bosondos.model import delta_k, dispersion, k1_block
+from clean_model import delta_k, dispersion, k1_block
 
 wavevectors = st.lists(
     st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True),
