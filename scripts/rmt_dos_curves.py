@@ -2,7 +2,7 @@
 """Flat-band (no lattice) density curves across the ratio a = M/2N.
 
 Produces, for b = 1:
-  * the gapped curve at a = 2 together with its bisected gap edge,
+  * the gapped curve at a = 2 together with its closed-form gap edge,
   * the a = 0.75 curve whose missing weight sits in the zero-frequency
     point mass (1 - a),
   * the critical a = 1 curve with its x^(-1/3) small-frequency law,

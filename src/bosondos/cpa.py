@@ -51,7 +51,7 @@ lanes at once, one array call of the zone means per step.  A lane that
 fails a test of the physical branch (Re(p + nu) > 0, Re g >= -1e-9*|g|, a
 jump from its predictor within JUMP_TOL, finite means, convergence in five
 steps) is solved point by point from its left skeleton neighbour instead,
-so reseeds and errors come from that path alone.  SKELETON_STEP = 0.12
+so errors come from that path alone.  SKELETON_STEP = 0.12
 came from fine curves (steps of 0.0025-0.005, eps = 1e-3) at d = 1, 2, 3
 (a = 0.75, b = 0.63, nu = 1) and nu = 0 (a = 0.75, b = 1), best CPU time
 of 40 on a 2-core Xeon: 0.08 / 0.12 / 0.16 took 4.2 / 3.3 / 3.3 ms at
@@ -114,11 +114,10 @@ class CoherentPotential(NamedTuple):
 
     ``residual`` is the relative mismatch of the self-consistency equation
     (see the module docstring), at most NEWTON_TOL; ``branch_tag`` records
-    how the branch was reached (a lane of a sweep's tag starts with "lane"),
-    and ``flags`` holds at most the note of a sweep point reached by a
-    reseed after its step failed.  ``g`` is the resolvent trace z*mean_k 1/D
-    at (z, p) on the solve's grid: read off the converged Newton step's zone
-    means, or a zone mean of its own at b = 0, where no Newton solve runs.
+    how the branch was reached (a lane of a sweep's tag starts with "lane").
+    ``g`` is the resolvent trace z*mean_k 1/D at (z, p) on the solve's grid:
+    read off the converged Newton step's zone means, or a zone mean of its
+    own at b = 0, where no Newton solve runs.
     ``slope`` is the tangent dp/dz of the branch at (z, p), read off the
     same zone means (0 at b = 0); the sweep's next point starts from it.
     A named tuple, because the sweep builds one per omega point.
@@ -131,7 +130,6 @@ class CoherentPotential(NamedTuple):
     branch_tag: str
     g: complex
     slope: complex
-    flags: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -333,24 +331,15 @@ def solve_p(
     )
 
 
-def _solve_row(z: complex, params: ModelParams, n: int) -> CoherentPotential:
-    """``solve_p`` at a point of a sweep; its failure names the point's omega."""
-    try:
-        return solve_p(z, params, n)
-    except (SolverError, BranchError) as exc:
-        raise type(exc)(f"omega={z.imag:g}: {exc}") from exc
-
-
 def _sweep_step(prev: CoherentPotential, z_next: complex, params: ModelParams,
                 n: int) -> CoherentPotential:
-    """One step of the sequential sweep, from the solved point ``prev`` to
-    z_next: a march from prev's tangent, and on failure a reseed by full
-    continuation, whose failure raises."""
+    """One step of the sequential sweep: a march from the solved point
+    ``prev`` to z_next, from prev's tangent; its failure names z_next's
+    omega."""
     try:
         p, g, resid, its, slope = _march(prev.z, prev.p, prev.slope, z_next, params, n)
     except (SolverError, BranchError) as exc:
-        fresh = _solve_row(z_next, params, n)
-        return fresh._replace(flags=(f"reseeded after failure: {exc}",))
+        raise type(exc)(f"omega={z_next.imag:g}: {exc}") from exc
     return CoherentPotential(p, z_next, resid, its, "continued along the sweep", g, slope)
 
 
@@ -371,21 +360,20 @@ def continuation_sweep(
     sweeps downward); its first point is reached by full continuation from
     the asymptotic regime.  Each later skeleton point is marched from the
     one before, every step starting from the tangent predictor p + slope*dz
-    of the last solved point (see ``_march``).  A point whose step fails is
-    reached by a fresh reseed instead, with a "reseeded after failure" note
-    in its flags; where the reseed fails too, its SolverError or BranchError
-    is raised, its message prefixed with "omega=<omega>: ", as is a failure
-    of the first point.  So every returned point is converged.
+    of the last solved point (see ``_march``).  Where a point's step fails,
+    its SolverError or BranchError is raised, its message prefixed with
+    "omega=<omega>: ", as is a failure of the first point.  So every
+    returned point is converged.
 
     A point between two skeleton points is a lane (``branch_tag`` starting
     with "lane"): Newton starts from the cubic Hermite interpolant, in z, of
     p and slope at its two skeleton neighbours, and runs undamped on all
     lanes together; a lane's slope is read off its converged step.  A lane
-    falls back to the sequential step from its left skeleton neighbour, with
-    that step's reseed note or error, where its omega is not strictly
-    between its skeleton neighbours', it has not converged after five steps,
-    its zone means are not finite, or it lands with Re(p + nu) <= 0,
-    Re g < -1e-9*|g| or |p - seed| beyond JUMP_TOL * max(1, |seed|).
+    falls back to the sequential step from its left skeleton neighbour, and
+    that step's error, where its omega is not strictly between its skeleton
+    neighbours', it has not converged after five steps, its zone means are
+    not finite, or it lands with Re(p + nu) <= 0, Re g < -1e-9*|g| or
+    |p - seed| beyond JUMP_TOL * max(1, |seed|).
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -406,7 +394,10 @@ def continuation_sweep(
     if len(w) > 1:
         skeleton.append(len(w) - 1)
     out: List[Optional[CoherentPotential]] = [None] * len(w)
-    cp = out[0] = _solve_row(complex(eps, w[0]), params, n)
+    try:
+        cp = out[0] = solve_p(complex(eps, w[0]), params, n)
+    except (SolverError, BranchError) as exc:
+        raise type(exc)(f"omega={w[0]:g}: {exc}") from exc
     for i in skeleton[1:]:
         cp = out[i] = _sweep_step(cp, complex(eps, w[i]), params, n)
     if len(skeleton) < len(w):
@@ -524,9 +515,6 @@ def dos_curve(
             f"negative density {rho.min():.3e} beyond tolerance: "
             "the solved branch is not the physical one"
         )
-    for cp in sweep:
-        for fl in cp.flags:
-            notes.append(f"omega={cp.z.imag:g}: {fl}")
     return DosCurve(
         omegas=omegas,
         rho=rho,
@@ -577,44 +565,25 @@ def rmt_scaled_a1(x_grid: Sequence[float]) -> np.ndarray:
 
 
 def find_gap_edge(params: ModelParams) -> float:
-    """Locate the low-frequency spectral-gap edge by bisection on
-    rho(omega) <= 1e-6 / scale, on the default grid.
+    """Low-frequency spectral-gap edge of the flat band (nu = 0): 0.0 when
+    a <= 1, else the square-root edge where the cubic's real roots turn
+    into a complex pair (Velicky, Kirkpatrick & Ehrenreich, Phys. Rev. 175,
+    747 (1968)).
 
-    With scale = max(b, nu), the unit in which omega and 1/rho scale, the
-    search starts at omega = 1e-6 * scale and doubles up to 100 * scale.
-    Each query solves the branch afresh, so the routine works at the very
-    small regularization (1e-9 * scale) needed to resolve an exponentially
-    clean gap.  Returns 0.0 when there is no gap.
-
-    The bisection brackets the omega where rho crosses the 1e-6 / scale
-    threshold to 1e-4 relative; that crossing is not the edge.  At eps > 0
-    the density leaks into the gap, so at nu = 0 the result is off the
-    closed-form edge by 7.1e-6 relative at (a, b) = (2, 1), -2.2e-4 at
-    (1.2, 2) and -2.9e-3 at (1.1, 1), more as the gap closes (a -> 1+).
+    At z = i*omega the flat-band equation clears to the real cubic
+    p^3 + b(1 - a)p^2 - omega^2 p + a*b*omega^2 = 0.  With B = 1 - a and
+    w = (omega/b)^2 its discriminant vanishes where
+    4w^2 + (B^2 - 18aB - 27a^2)w - 4aB^3 = 0, whose roots w+ > w- > 0 are
+    the upper support edge and the gap edge.  That quadratic's discriminant
+    is (8a + 1)^3, so w+ = (8a^2 + 20a - 1 + (8a + 1)^1.5) / 8, and w- is
+    the product of the roots over w+, a(a - 1)^3 / w+, so nothing cancels
+    as a -> 1+.  The edge b*sqrt(w-) scales with b exactly.  A lattice
+    (nu > 0) has no closed form here: ValueError.
     """
-    scale = max(params.b, params.nu)
-    eps = 1e-9 * scale
-    threshold = 1e-6 / scale
-
-    def rho_at(w):
-        return solve_p(complex(eps, w), params).g.real / np.pi
-
-    lo = 1e-6 * scale
-    if rho_at(lo) > threshold:
+    if params.nu > 0:
+        raise ValueError(f"find_gap_edge needs the flat band (nu = 0), got nu={params.nu}")
+    a = params.a
+    if a <= 1:
         return 0.0
-    hi = 2.0 * lo
-    hi_cap = 100.0 * scale
-    while rho_at(hi) <= threshold:
-        hi *= 2.0
-        if hi > hi_cap:
-            raise BranchError(
-                f"no density above threshold below omega={hi_cap:g}; "
-                "is the spectrum empty?"
-            )
-    while hi - lo > 1e-4 * hi:
-        mid = 0.5 * (lo + hi)
-        if rho_at(mid) <= threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    w_upper = (8.0 * a * a + 20.0 * a - 1.0 + (8.0 * a + 1.0) ** 1.5) / 8.0
+    return params.b * ((a - 1.0) * math.sqrt(a * (a - 1.0) / w_upper))

@@ -6,8 +6,9 @@ from bosondos.cpa import SolverError
 
 @pytest.fixture
 def fail_at(monkeypatch):
-    """Make both the sweep step to a given omega and its reseed there fail
-    with SolverError("injected")."""
+    """Make the sweep step to a given omega fail with SolverError("injected"),
+    and ``solve_p`` there too, which is how a sweep reaches its first
+    point."""
 
     def inject(omega):
         march, solve = cpa._march, cpa.solve_p

@@ -204,7 +204,7 @@ def test_exit_code_per_error_type(exc, code, monkeypatch, tmp_path, capsys):
 
 
 def test_unsolvable_row_exits_1_naming_its_omega(fail_at, tmp_path, capsys):
-    # neither the sweep step nor the reseed converges at the third omega
+    # the sweep step to the third omega does not converge
     fail_at(np.linspace(0.25, 2.0, 8)[2])
     out = tmp_path / "x.csv"
     rc = main(["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1", "--kgrid", "512",

@@ -280,7 +280,7 @@ class TestCarriedResolvent:
                    note.endswith("at n=64, d=1") for note in curve.notes)
 
     def test_unsolvable_point_raises_naming_its_omega(self, fail_at):
-        # neither the sweep step nor the reseed converges at omegas[2]
+        # the sweep step to omegas[2] does not converge
         omegas = self.GRID[:4]
         fail_at(omegas[2])
         with pytest.raises(SolverError, match=f"^omega={omegas[2]:g}: injected$"):
@@ -454,33 +454,38 @@ class TestExtrapolatedSeeds:
 
     def test_skeleton_steps_start_from_the_tangent(self, monkeypatch):
         # steps wider than the skeleton spacing: every point is a skeleton
-        # point, and the step to omegas[6] fails, so that point is reseeded
+        # point
         omegas = np.linspace(0.1, 2.0, 12)
         starts = []
-        newton, march = cpa._newton, cpa._march
+        newton = cpa._newton
 
         def spy(z, p0, params, n):
             starts.append((z, p0))
             return newton(z, p0, params, n)
+
+        monkeypatch.setattr(cpa, "_newton", spy)
+        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
+        assert all(cp.branch_tag == "continued along the sweep" for cp in sweep[1:])
+        # each step's first Newton run is at its own z, from the tangent
+        # predictor of the point before
+        for prev, cp in zip(sweep, sweep[1:]):
+            first = next(p0 for z, p0 in starts if z == cp.z)
+            assert first == prev.p + prev.slope * (cp.z - prev.z)
+
+    def test_failed_skeleton_step_raises_naming_its_omega(self, monkeypatch):
+        # a sweep point has one solve path, the step from the point before:
+        # where it fails, the sweep raises, naming that point's omega
+        omegas = np.linspace(0.1, 2.0, 12)
+        march = cpa._march
 
         def failing(z_from, p_from, slope, z_to, params, n, initial_steps=1):
             if initial_steps == 1 and z_to.imag == omegas[6]:
                 raise SolverError("injected")
             return march(z_from, p_from, slope, z_to, params, n, initial_steps)
 
-        monkeypatch.setattr(cpa, "_newton", spy)
         monkeypatch.setattr(cpa, "_march", failing)
-        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
-        assert [bool(cp.flags) for cp in sweep] == [i == 6 for i in range(12)]
-        assert all(cp.branch_tag == "continued along the sweep"
-                   for i, cp in enumerate(sweep) if i not in (0, 6))
-        # each step's first Newton run is at its own z, from the tangent
-        # predictor of the point before, the reseeded point included
-        for prev, cp in zip(sweep, sweep[1:]):
-            if cp.flags:
-                continue
-            first = next(p0 for z, p0 in starts if z == cp.z)
-            assert first == prev.p + prev.slope * (cp.z - prev.z)
+        with pytest.raises(SolverError, match=f"^omega={omegas[6]:g}: injected$"):
+            continuation_sweep(omegas, 1e-3, LATTICE, 512)
 
 
 def lsz_rho_at_zero_eps(omegas, a, b):
@@ -525,6 +530,32 @@ class TestSmallEpsLimit:
         omegas = np.linspace(4.0 / 600, 4.0, 600)
         dos_curve(omegas, 1e-9, ModelParams(a=0.25, b=1.0, nu=0.0))
         assert seen and min(p.real for p in seen) > 0
+
+
+class TestMomentSumRules:
+    """The density's two-sided moments m_2k, point mass included, are the
+    large-z coefficients of z*g = 1 - m2/z^2 + m4/z^4 - ...: a check of the
+    mean-field route that needs no binning and no omega grid."""
+
+    @pytest.mark.parametrize("params", [
+        *(ModelParams(d=d, a=0.75, b=0.63, nu=1.0) for d in (1, 2, 3)),
+        ModelParams(d=3, a=2.0, b=0.3, nu=0.7),
+        ModelParams(d=2, a=0.2, b=3.0, nu=0.1),
+        *(ModelParams(a=a, b=b, nu=0.0) for a, b in ((0.5, 1.0), (0.75, 1.0),
+                                                     (2.0, 1.0), (1.0, 2.0))),
+    ])
+    def test_second_and_fourth_moments(self, params):
+        # (1 - z*g)*z^2 = m2 - m4/z^2 + m6/z^4 - ..., fitted as a cubic in
+        # 1/z^2 at real z; m2 holds within 5.1e-11, m4 within 1.3e-7
+        a, b, nu = params.a, params.b, params.nu
+        scale = max(b, nu)
+        z = scale * np.linspace(40.0, 120.0, 9)
+        g = np.array([solve_p(zi, params).g for zi in z])
+        y = ((1.0 - z * g) * z * z).real / scale**2
+        c = np.polynomial.polynomial.polyfit((scale / z) ** 2, y, 3)
+        assert c[0] * scale**2 == pytest.approx((nu + a * b) ** 2, rel=1e-9)
+        if nu == 0:
+            assert -c[1] * scale**4 == pytest.approx(a**3 * (a + 2) * b**4, rel=1e-6)
 
 
 def box_draws(count, seed):
@@ -665,9 +696,6 @@ class TestGapEdge:
         edge = find_gap_edge(ModelParams(a=a, b=1.0, nu=0.0))
         assert edge == pytest.approx(algebraic, rel=1e-3)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4 (band edges as fold "
-                       "points): the bisection brackets the 1e-6/scale threshold "
-                       "crossing, not the band edge")
     @pytest.mark.parametrize("b", [1e-3, 1.0, 1e6])
     @pytest.mark.parametrize("a", [1.1, 1.2, 1.25, 1.5, 2.0, 3.0])
     def test_gap_edge_is_the_discriminant_root(self, a, b):
@@ -683,16 +711,40 @@ class TestGapEdge:
     def test_no_gap_below_critical_ratio(self):
         assert find_gap_edge(ModelParams(a=0.75, b=1.0, nu=0.0)) == 0.0
 
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("a", [1.1, 1.5, 3.0])
+    def test_density_is_pure_broadening_below_the_edge(self, a, b):
+        # an independent check of the edge on the solver's own density:
+        # just below it rho is the eps-broadening alone, linear in eps;
+        # just above it rho is finite and independent of eps
+        params = ModelParams(a=a, b=b, nu=0.0)
+        edge = find_gap_edge(params)
+
+        def rho(omega):  # in units of 1/b, at eps = 1e-9*b and 1e-12*b
+            return np.array([b * solve_p(complex(f * b, omega), params).g.real / np.pi
+                             for f in (1e-9, 1e-12)])
+
+        below, above = rho(edge * (1 - 1e-6)), rho(edge * (1 + 1e-6))
+        assert below[0] >= 500.0 * below[1] > 0
+        assert above.min() >= 1e-4
+        assert abs(above[0] - above[1]) <= 2e-3 * above[1]
+
+    def test_lattice_raises_naming_nu(self):
+        with pytest.raises(ValueError, match="nu=0.5"):
+            find_gap_edge(ModelParams(d=1, a=2.0, b=1.0, nu=0.5))
+
 
 class TestScaleFreeThresholds:
-    """rho scales as 1/max(b, nu), so the density thresholds are read in
-    that unit: at scale 1 they are the absolute 1e-6 they used to be."""
+    """omega scales as max(b, nu) and rho as 1/max(b, nu), so the gap edge
+    scales with b and the density thresholds are read in the unit of rho:
+    at scale 1 they are the absolute 1e-6 they used to be."""
 
     def test_gap_edge_scales_with_b(self):
-        unit = find_gap_edge(ModelParams(a=2.0, b=1.0, nu=0.0))
-        for s in (1e-3, 1e3, 1e6):
-            edge = find_gap_edge(ModelParams(a=2.0, b=s, nu=0.0)) / s
-            assert edge == pytest.approx(unit, rel=1e-4)
+        # computed at b = 1 and multiplied by b: exact, with no overflow
+        for a in (1.1, 2.0, 3.0):
+            unit = find_gap_edge(ModelParams(a=a, b=1.0, nu=0.0))
+            for s in (1e-300, 1e-3, 1e3, 1e6, 1e300):
+                assert find_gap_edge(ModelParams(a=a, b=s, nu=0.0)) == s * unit
 
     @pytest.mark.parametrize("b", [1.0, 1e6])
     def test_negative_density_guard_scales_with_b(self, b, monkeypatch):
