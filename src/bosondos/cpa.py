@@ -32,9 +32,9 @@ solver's settings are the module constants below: Newton stops at a
 relative mismatch of NEWTON_TOL within MAX_ITER damped steps (step factor
 DAMPING, taken until the trial p has Re(p + nu) > 0 and lowers the
 mismatch); continuation starts at the real frequency
-Z_START_SCALE * max(b, nu) and marches straight-line paths in PATH_STEPS
-initial steps, halving a step at most MAX_PATH_REFINE times on a failed
-solve or a jump beyond JUMP_TOL.
+Z_START_SCALE * max(b, nu) and marches each straight-line path, the first
+point's too, in one step, halved on a failed solve or a jump beyond JUMP_TOL
+down to 2^-23 (0.5**MAX_PATH_REFINE) of the path and grown 1.5x when solved.
 Every point the solver returns is a converged root on the physical branch;
 a point it cannot reach so raises SolverError or BranchError, and a sweep
 names the omega of that point.
@@ -102,8 +102,7 @@ NEWTON_TOL = 1e-12
 MAX_ITER = 100
 DAMPING = 0.5
 Z_START_SCALE = 10.0  # >= 10 starts the continuation deep in the asymptotic regime
-PATH_STEPS = 8
-MAX_PATH_REFINE = 20
+MAX_PATH_REFINE = 23
 JUMP_TOL = 0.5
 DOUBLING_TOL = 1e-9  # relative tolerance of the grid-doubling check
 SKELETON_STEP = 0.12  # sweep skeleton spacing in omega, in units of max(b, nu)
@@ -248,7 +247,7 @@ def _newton(z, p0, params, n):
     return p, g, abs(G) / scale, it, slope
 
 
-def _march(z_from, p_from, slope, z_to, params, n, initial_steps=1):
+def _march(z_from, p_from, slope, z_to, params, n):
     """Continue the branch along the straight segment z_from -> z_to, from
     the root p_from at z_from with tangent dp/dz = ``slope``.
 
@@ -256,17 +255,16 @@ def _march(z_from, p_from, slope, z_to, params, n, initial_steps=1):
     the last solved point, or from its p where that is not finite, has
     Re(p + nu) <= 0 or lies beyond JUMP_TOL of p, where the jump test would
     reject a root near it (as on a long first step out of the asymptote).
-    Adaptive stepping: on solver failure or a jump larger than JUMP_TOL the
-    step is halved, at most down to the smallest path step, where the
-    failure or jump raises SolverError.  Returns (p, g, residual,
-    iterations, slope) at z_to; the last step lands on z_to exactly, so g
-    and the slope are read off the zone means there.
+    Adaptive stepping: one step over the whole segment, halved on a failed
+    solve or a jump beyond JUMP_TOL down to 0.5**MAX_PATH_REFINE of it, where
+    the failure is raised, and grown 1.5x after each solved step.  Returns
+    (p, g, residual, iterations, slope) at z_to; the last step lands on z_to
+    exactly, so g and the slope are read off the zone means there.
     """
     z0, z1 = complex(z_from), complex(z_to)
     z, p, g, resid, its = z0, complex(p_from), None, 0.0, 0
-    dt0 = 1.0 / initial_steps
-    dt_min = 0.5**MAX_PATH_REFINE / max(initial_steps, PATH_STEPS)
-    t, dt = 0.0, dt0
+    dt_min = 0.5**MAX_PATH_REFINE
+    t, dt = 0.0, 1.0
     while t < 1.0:
         tn = min(1.0, t + dt)
         zt = (1.0 - tn) * z0 + tn * z1
@@ -288,7 +286,7 @@ def _march(z_from, p_from, slope, z_to, params, n, initial_steps=1):
             continue
         z, p, g, resid, its, slope = zt, pn, gn, resid_n, its_n, slope_n
         t = tn
-        dt = min(dt * 1.5, dt0)
+        dt = min(dt * 1.5, 1.0)
     return p, g, resid, its, slope
 
 
@@ -300,11 +298,12 @@ def solve_p(
     """Solve the self-consistency equation for p(z) on the physical branch.
 
     The branch is pinned by continuation from the large-z asymptote p = a*b
-    at z_start = Z_START_SCALE * max(b, nu).  Without ``kgrid`` the grid is
-    ``default_points_per_dim``'s, which a lattice above d = 3 lacks
-    (ValueError).  z must be finite with Re z > 0 (ValueError).  At b = 0
-    there is no equation to solve, p = 0, and g is the clean resolvent's
-    zone mean.
+    at z_start = Z_START_SCALE * max(b, nu): one ``_march`` to z, which like
+    every sweep step starts with a single step and halves it down to 2^-23
+    of the segment.  Without ``kgrid`` the grid is ``default_points_per_dim``'s,
+    which a lattice above d = 3 lacks (ValueError).  z must be finite with
+    Re z > 0 (ValueError).  At b = 0 there is no equation to solve, p = 0,
+    and g is the clean resolvent's zone mean.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -322,8 +321,7 @@ def solve_p(
     p0 = params.a * params.b
     p, g, resid, its, slope = _newton(z_start, p0, params, n)
     if z != z_start:
-        p, g, resid, its, slope = _march(z_start, p, slope, z, params, n,
-                                         initial_steps=PATH_STEPS)
+        p, g, resid, its, slope = _march(z_start, p, slope, z, params, n)
     return CoherentPotential(
         p=p, z=z, residual=resid, iterations=its,
         branch_tag=f"continuation from z_start={z_start.real:.6g} (seed p=a*b)",

@@ -370,9 +370,9 @@ class TestExtrapolatedSeeds:
         assert len(omegas) < 60 or any(cp.branch_tag.startswith("lane") for cp in sweep)
 
     @staticmethod
-    def zone_means(monkeypatch, omegas, params, kgrid=None):
-        """Zone-mean calls of one curve at the default eps; an array call for
-        all lanes counts once."""
+    def counted_zone_means(monkeypatch):
+        """The list that every later zone-mean call is appended to; an array
+        call for all lanes counts once."""
         calls = []
         real = cpa.bzquad.I_cpa_and_derivative
 
@@ -381,6 +381,12 @@ class TestExtrapolatedSeeds:
             return real(*args)
 
         monkeypatch.setattr(cpa.bzquad, "I_cpa_and_derivative", counted)
+        return calls
+
+    @classmethod
+    def zone_means(cls, monkeypatch, omegas, params, kgrid=None):
+        """Zone-mean calls of one curve at the default eps."""
+        calls = cls.counted_zone_means(monkeypatch)
         curve = dos_curve(omegas, 1e-3, params, kgrid)
         assert curve.residuals.max() <= cpa.NEWTON_TOL
         return len(calls)
@@ -389,17 +395,30 @@ class TestExtrapolatedSeeds:
         # the d = 1 README run took 2167 zone means when every point started
         # from its predecessor's p, 1421 with extrapolated seeds before the
         # points off the sweep skeleton became lanes, 286 with a skeleton
-        # spacing of 0.04 and 169 with the 0.12 spacing, before the tangent
-        # predictor
+        # spacing of 0.04, 169 with the 0.12 spacing before the tangent
+        # predictor and 163 while the march to its first point started in
+        # eight steps
         omegas = np.linspace(3.0 / 600, 3.0, 600)
-        assert self.zone_means(monkeypatch, omegas, LATTICE, 4096) <= 163
+        assert self.zone_means(monkeypatch, omegas, LATTICE, 4096) <= 142
 
     def test_cpa_d3_curve_takes_fewer_zone_means(self, monkeypatch):
         # the cpa-d3 benchmark flags took 233 zone means with a skeleton
-        # spacing of 0.04, which left its 0.05 steps without lanes, and 124
-        # at 0.12 before the tangent predictor
+        # spacing of 0.04, which left its 0.05 steps without lanes, 124 at
+        # 0.12 before the tangent predictor and 119 while the march to its
+        # first point started in eight steps
         omegas = np.linspace(0.05, 3.0, 60)
-        assert self.zone_means(monkeypatch, omegas, D3) <= 119
+        assert self.zone_means(monkeypatch, omegas, D3) <= 98
+
+    @pytest.mark.parametrize("z,params,kgrid", [
+        (complex(1e-3, 0.05), D3, None),
+        (complex(1e-3, 3.0 / 600), LATTICE, 4096),
+    ], ids=["cpa-d3", "readme-d1"])
+    def test_first_point_is_one_adaptive_march(self, monkeypatch, z, params, kgrid):
+        # the march from the asymptote took 29 zone means at both points
+        # when it started in eight fixed steps
+        calls = self.counted_zone_means(monkeypatch)
+        assert solve_p(z, params, kgrid).residual <= cpa.NEWTON_TOL
+        assert len(calls) <= 8
 
     def test_failed_lane_falls_back_to_the_sequential_step(self, monkeypatch):
         omegas = np.linspace(0.005, 3.0, 300)
@@ -478,10 +497,12 @@ class TestExtrapolatedSeeds:
         omegas = np.linspace(0.1, 2.0, 12)
         march = cpa._march
 
-        def failing(z_from, p_from, slope, z_to, params, n, initial_steps=1):
-            if initial_steps == 1 and z_to.imag == omegas[6]:
+        def failing(z_from, p_from, slope, z_to, params, n):
+            # sweep steps start off the real axis; solve_p's march starts on
+            # it, at z_start
+            if z_from.imag != 0 and z_to.imag == omegas[6]:
                 raise SolverError("injected")
-            return march(z_from, p_from, slope, z_to, params, n, initial_steps)
+            return march(z_from, p_from, slope, z_to, params, n)
 
         monkeypatch.setattr(cpa, "_march", failing)
         with pytest.raises(SolverError, match=f"^omega={omegas[6]:g}: injected$"):
