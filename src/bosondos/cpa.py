@@ -27,14 +27,15 @@ with the carried g at relative tolerance DOUBLING_TOL; the doubled grid's
 value is reported, and each disagreement is one of the curve's notes.
 
 Every zone mean goes through :mod:`bosondos.bzquad`, which also covers the
-random-matrix limit nu = 0, so the solver has no special case for it.  The
-solver's settings are the module constants below: Newton stops at a
-relative mismatch of NEWTON_TOL within MAX_ITER damped steps (step factor
-DAMPING, taken until the trial p has Re(p + nu) > 0 and lowers the
-mismatch); continuation starts at the real frequency
-Z_START_SCALE * max(b, nu) and marches each straight-line path, the first
-point's too, in one step, halved on a failed solve or a jump beyond JUMP_TOL
-down to 2^-23 (0.5**MAX_PATH_REFINE) of the path and grown 1.5x when solved.
+random-matrix limit nu = 0, so the solver has no special case for it, nor
+for b = 0, where Newton starts at the root p = 0.  The solver's settings are
+the module constants below: Newton stops at a relative mismatch of
+NEWTON_TOL within MAX_ITER damped steps (step factor DAMPING, taken until
+the trial p has Re(p + nu) > 0 and lowers the mismatch); continuation
+starts at the real frequency Z_START_SCALE * max(b, nu) and marches each
+straight-line path, the first point's too, in one step, halved on a failed
+solve or a jump beyond JUMP_TOL down to 2^-23 (0.5**MAX_PATH_REFINE) of the
+path and grown 1.5x when solved.
 Every point the solver returns is a converged root on the physical branch;
 a point it cannot reach so raises SolverError or BranchError, and a sweep
 names the omega of that point.
@@ -51,24 +52,25 @@ lanes at once, one array call of the zone means per step.  A lane that
 fails a test of the physical branch (Re(p + nu) > 0, Re g >= -1e-9*|g|, a
 jump from its predictor within JUMP_TOL, finite means, convergence in five
 steps) is solved point by point from its left skeleton neighbour instead,
-so errors come from that path alone.  SKELETON_STEP = 0.12
-came from fine curves (steps of 0.0025-0.005, eps = 1e-3) at d = 1, 2, 3
-(a = 0.75, b = 0.63, nu = 1) and nu = 0 (a = 0.75, b = 1), best CPU time
-of 40 on a 2-core Xeon: 0.08 / 0.12 / 0.16 took 4.2 / 3.3 / 3.3 ms at
-d = 1 (1200 points), 23.6 / 23.9 / 24.0 ms at d = 2, 62 / 67 / 72 ms at
-d = 3 and 2.4 / 2.3 / 2.9 ms at nu = 0 (600 points each), and 13.6 / 12.0
-/ 13.1 ms on 60 points at d = 3 (steps of 0.05).  Wider spacing costs each
-lane more Newton steps (2.7 / 3.0 / 3.2 zone means per lane at d = 1),
-and a d = 3 lane costs 0.6-0.8 of a scalar mean.  A grid whose step is at
-least the spacing has no lanes.
+so errors come from that path alone.  A sweep returns arrays in grid order
+and one summary tag.  SKELETON_STEP = 0.12 came from fine curves (steps of
+0.0025-0.005, eps = 1e-3) at d = 1, 2, 3 (a = 0.75, b = 0.63, nu = 1) and
+nu = 0 (a = 0.75, b = 1), best CPU time of 40 on a 2-core Xeon: 0.08 /
+0.12 / 0.16 took 4.2 / 3.3 / 3.3 ms at d = 1 (1200 points), 23.6 / 23.9 /
+24.0 ms at d = 2, 62 / 67 / 72 ms at d = 3 and 2.4 / 2.3 / 2.9 ms at
+nu = 0 (600 points each), and 13.6 / 12.0 / 13.1 ms on 60 points at d = 3
+(steps of 0.05).  Wider spacing costs each lane more Newton steps (2.7 /
+3.0 / 3.2 zone means per lane at d = 1), and a d = 3 lane costs 0.6-0.8 of
+a scalar mean.  A grid whose step is at least the spacing has no lanes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,17 +111,16 @@ SKELETON_STEP = 0.12  # sweep skeleton spacing in omega, in units of max(b, nu)
 
 
 class CoherentPotential(NamedTuple):
-    """One solved coherent potential with its convergence metadata.
+    """Solved coherent potential with its convergence metadata: complex fields
+    for ``solve_p``'s point, 1-d arrays in grid order for a sweep.
 
     ``residual`` is the relative mismatch of the self-consistency equation
     (see the module docstring), at most NEWTON_TOL; ``branch_tag`` records
-    how the branch was reached (a lane of a sweep's tag starts with "lane").
-    ``g`` is the resolvent trace z*mean_k 1/D at (z, p) on the solve's grid:
-    read off the converged Newton step's zone means, or a zone mean of its
-    own at b = 0, where no Newton solve runs.
+    how the branch was reached, one string for a whole sweep.
+    ``g`` is the resolvent trace z*mean_k 1/D at (z, p) on the solve's grid,
+    read off the converged Newton step's zone means.
     ``slope`` is the tangent dp/dz of the branch at (z, p), read off the
-    same zone means (0 at b = 0); the sweep's next point starts from it.
-    A named tuple, because the sweep builds one per omega point.
+    same zone means; a sweep's next point starts from it.
     """
 
     p: complex
@@ -176,7 +177,8 @@ def _G_terms(p: complex, z: complex, params: ModelParams, n: int):
     bp = b * p
     G = p - a * b + bp * I
     dG = 1.0 + b * I + bp * dI
-    scale = a * b + abs(p) * (1.0 + b * abs(I))
+    # floored so that |G|/scale is defined at p = b = 0, where G = 0
+    scale = a * b + abs(p) * (1.0 + b * abs(I)) + sys.float_info.min
     return G, dG, scale, g, -bp * dIz / dG
 
 
@@ -262,7 +264,7 @@ def _march(z_from, p_from, slope, z_to, params, n):
     exactly, so g and the slope are read off the zone means there.
     """
     z0, z1 = complex(z_from), complex(z_to)
-    z, p, g, resid, its = z0, complex(p_from), None, 0.0, 0
+    z, p, g, resid, its, slope = z0, complex(p_from), None, 0.0, 0, complex(slope)
     dt_min = 0.5**MAX_PATH_REFINE
     t, dt = 0.0, 1.0
     while t < 1.0:
@@ -302,8 +304,8 @@ def solve_p(
     every sweep step starts with a single step and halves it down to 2^-23
     of the segment.  Without ``kgrid`` the grid is ``default_points_per_dim``'s,
     which a lattice above d = 3 lacks (ValueError).  z must be finite with
-    Re z > 0 (ValueError).  At b = 0 there is no equation to solve, p = 0,
-    and g is the clean resolvent's zone mean.
+    Re z > 0 (ValueError).  b = 0 is no special case: there the seed p = 0
+    solves the equation, and every Newton run ends where it starts.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -311,15 +313,8 @@ def solve_p(
     if not z.real > 0:
         raise ValueError(f"solve_p requires Re z > 0, got {z}")
     n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
-    if params.b == 0:
-        return CoherentPotential(
-            p=0j, z=z, residual=0.0, iterations=0,
-            branch_tag="pure system (b = 0): p = 0",
-            g=bzquad.I_g(z, 0j, params.nu, params.d, n), slope=0j,
-        )
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
-    p0 = params.a * params.b
-    p, g, resid, its, slope = _newton(z_start, p0, params, n)
+    p, g, resid, its, slope = _newton(z_start, params.a * params.b, params, n)
     if z != z_start:
         p, g, resid, its, slope = _march(z_start, p, slope, z, params, n)
     return CoherentPotential(
@@ -329,16 +324,19 @@ def solve_p(
     )
 
 
-def _sweep_step(prev: CoherentPotential, z_next: complex, params: ModelParams,
-                n: int) -> CoherentPotential:
-    """One step of the sequential sweep: a march from the solved point
-    ``prev`` to z_next, from prev's tangent; its failure names z_next's
-    omega."""
+def _sweep_step(z_from, p_from, slope, z_next, params: ModelParams, n: int):
+    """A sequential sweep step: ``_march`` from the solved point (z_from, p_from)
+    with tangent ``slope`` to z_next, whose failure names z_next's omega."""
     try:
-        p, g, resid, its, slope = _march(prev.z, prev.p, prev.slope, z_next, params, n)
+        return _march(z_from, p_from, slope, z_next, params, n)
     except (SolverError, BranchError) as exc:
         raise type(exc)(f"omega={z_next.imag:g}: {exc}") from exc
-    return CoherentPotential(p, z_next, resid, its, "continued along the sweep", g, slope)
+
+
+def _put(sweep: CoherentPotential, at, solved) -> None:
+    """Write (p, g, residual, iterations, slope) into the sweep's arrays at ``at``."""
+    (sweep.p[at], sweep.g[at], sweep.residual[at], sweep.iterations[at],
+     sweep.slope[at]) = solved
 
 
 def continuation_sweep(
@@ -346,11 +344,14 @@ def continuation_sweep(
     eps: float,
     params: ModelParams,
     kgrid: Optional[int] = None,
-) -> List[CoherentPotential]:
+) -> CoherentPotential:
     """Solve p along z = eps + i*omega for every omega: a sequential sweep on
     a coarse skeleton of the grid, then every other point as one lane of a
     vectorized Newton run.  Every omega and eps must be finite, and eps
-    positive (ValueError).
+    positive (ValueError).  Returns one CoherentPotential of 1-d arrays in
+    grid order, z = complex(eps, omega) exactly, whose ``branch_tag`` adds the
+    counts of skeleton points, lanes and lane fallbacks (among the lanes) to
+    the first point's.  b = 0 is no special case.
 
     The skeleton is the first point, each point at least
     SKELETON_STEP * max(b, nu) in omega from the previous skeleton point, and
@@ -363,15 +364,15 @@ def continuation_sweep(
     "omega=<omega>: ", as is a failure of the first point.  So every
     returned point is converged.
 
-    A point between two skeleton points is a lane (``branch_tag`` starting
-    with "lane"): Newton starts from the cubic Hermite interpolant, in z, of
-    p and slope at its two skeleton neighbours, and runs undamped on all
-    lanes together; a lane's slope is read off its converged step.  A lane
-    falls back to the sequential step from its left skeleton neighbour, and
-    that step's error, where its omega is not strictly between its skeleton
-    neighbours', it has not converged after five steps, its zone means are
-    not finite, or it lands with Re(p + nu) <= 0, Re g < -1e-9*|g| or
-    |p - seed| beyond JUMP_TOL * max(1, |seed|).
+    A point between two skeleton points is a lane: Newton starts from the
+    cubic Hermite interpolant, in z, of p and slope at its two skeleton
+    neighbours, and runs undamped on all lanes together; a lane's slope is
+    read off its converged step.  A lane falls back to the sequential step
+    from its left skeleton neighbour, and that step's error, where its omega
+    is not strictly between its skeleton neighbours', it has not converged
+    after five steps, its zone means are not finite, or it lands with
+    Re(p + nu) <= 0, Re g < -1e-9*|g| or |p - seed| beyond
+    JUMP_TOL * max(1, |seed|).
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -381,8 +382,6 @@ def continuation_sweep(
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
     n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
-    if params.b == 0:
-        return [solve_p(complex(eps, w), params, n) for w in omegas]
     w = omegas.tolist()
     spacing = SKELETON_STEP * max(params.b, params.nu)
     skeleton = [0]
@@ -391,52 +390,52 @@ def continuation_sweep(
             skeleton.append(i)
     if len(w) > 1:
         skeleton.append(len(w) - 1)
-    out: List[Optional[CoherentPotential]] = [None] * len(w)
+    z = eps + 1j * omegas  # complex(eps, w), exactly
+    sweep = CoherentPotential(p=np.empty_like(z), z=z, residual=np.empty(z.size),
+                              iterations=np.empty(z.size, dtype=int), branch_tag="",
+                              g=np.empty_like(z), slope=np.empty_like(z))
     try:
-        cp = out[0] = solve_p(complex(eps, w[0]), params, n)
+        first = solve_p(z[0], params, n)
     except (SolverError, BranchError) as exc:
         raise type(exc)(f"omega={w[0]:g}: {exc}") from exc
-    for i in skeleton[1:]:
-        cp = out[i] = _sweep_step(cp, complex(eps, w[i]), params, n)
-    if len(skeleton) < len(w):
-        _solve_lanes(out, np.array(skeleton), omegas, eps, params, n)
-    return out
+    _put(sweep, 0, (first.p, first.g, first.residual, first.iterations, first.slope))
+    for s, i in zip(skeleton, skeleton[1:]):
+        _put(sweep, i, _sweep_step(z[s], sweep.p[s], sweep.slope[s], z[i], params, n))
+    lanes = z.size - len(skeleton)
+    fallbacks = _solve_lanes(sweep, np.array(skeleton), params, n) if lanes else 0
+    counts = f"{len(skeleton)} skeleton points, {lanes} lanes, {fallbacks} lane fallbacks"
+    return sweep._replace(branch_tag=f"{first.branch_tag}; swept: {counts}")
 
 
-def _solve_lanes(out, skeleton: np.ndarray, omegas: np.ndarray, eps: float,
-                 params: ModelParams, n: int) -> None:
-    """Fill the points of ``out`` off the skeleton, as ``continuation_sweep``
-    describes."""
-    off = np.ones(omegas.size, dtype=bool)
+def _solve_lanes(sweep, skeleton: np.ndarray, params: ModelParams, n: int) -> int:
+    """Solve the lanes of ``sweep`` in place, as ``continuation_sweep``
+    describes, the converged ones by mask; returns the number of fallbacks."""
+    z = sweep.z
+    off = np.ones(z.size, dtype=bool)
     off[skeleton] = False
     lanes = np.flatnonzero(off)
     left = np.searchsorted(skeleton, lanes) - 1  # skeleton position of the left neighbour
-    w, w_skel = omegas[lanes], omegas[skeleton]
+    w, w_skel = z.imag[lanes], z.imag[skeleton]
     ok = (w - w_skel[left]) * (w_skel[left + 1] - w) > 0
     lo, w = left[ok], w[ok]
-    skel = [out[i] for i in skeleton.tolist()]
-    p_skel = np.array([cp.p for cp in skel])
+    p_skel = sweep.p[skeleton]
     # cubic Hermite interpolant in omega, which is z up to the constant eps
     # and a factor i: dp/domega = i*dp/dz
     h = w_skel[lo + 1] - w_skel[lo]
-    dp_skel = 1j * np.array([cp.slope for cp in skel])
+    dp_skel = 1j * sweep.slope[skeleton]
     x = (w - w_skel[lo]) / h
     seed = ((1 - x) ** 2 * ((1 + 2 * x) * p_skel[lo] + x * h * dp_skel[lo])
             + x * x * ((3 - 2 * x) * p_skel[lo + 1] - (1 - x) * h * dp_skel[lo + 1]))
-    z = eps + 1j * w  # complex(eps, w), exactly
-    p, g, resid, its, slope = _lane_newton(z, seed, params, n)
+    p, g, resid, _, _ = solved = _lane_newton(z[lanes[ok]], seed, params, n)
     good = (np.isfinite(resid) & (p.real + params.nu > 0)
             & (g.real >= -1e-9 * np.abs(g))
             & (np.abs(p - seed) <= JUMP_TOL * np.maximum(1.0, np.abs(seed))))
-    tag = "lane: undamped Newton from the skeleton's cubic Hermite interpolant"
-    for i, pi, zi, ri, ki, gi, si in zip(lanes[ok][good].tolist(), p[good].tolist(),
-                                         z[good].tolist(), resid[good].tolist(),
-                                         its[good].tolist(), g[good].tolist(),
-                                         slope[good].tolist()):
-        out[i] = CoherentPotential(pi, zi, ri, ki, tag, gi, si)
-    for i, s in zip(lanes.tolist(), skeleton[left].tolist()):
-        if out[i] is None:
-            out[i] = _sweep_step(out[s], complex(eps, float(omegas[i])), params, n)
+    done = lanes[ok][good]
+    _put(sweep, done, tuple(col[good] for col in solved))
+    off[done] = False
+    for i, s in zip(np.flatnonzero(off).tolist(), skeleton[left[off[lanes]]].tolist()):
+        _put(sweep, i, _sweep_step(z[s], sweep.p[s], sweep.slope[s], z[i], params, n))
+    return int(off.sum())
 
 
 def _lane_newton(z: np.ndarray, p: np.ndarray, params: ModelParams, n: int):
@@ -493,19 +492,19 @@ def dos_curve(
     n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     dirac = max(0.0, 1.0 - params.a) if (params.is_rmt and params.a < 1) else 0.0
     sweep = continuation_sweep(omegas, eps, params, n)
-    g = np.array([cp.g for cp in sweep], dtype=complex)
+    g = sweep.g  # the sweep's own array: rewritten in place below
     notes = []
     if check:
-        for i, cp in enumerate(sweep):
-            g[i] = g2 = bzquad.I_g(cp.z, cp.p, params.nu, params.d, 2 * n)
-            if abs(cp.g - g2) > DOUBLING_TOL * max(abs(g2), np.finfo(float).tiny):
+        for i, (z, p, g1) in enumerate(zip(sweep.z.tolist(), sweep.p.tolist(), g.tolist())):
+            g[i] = g2 = bzquad.I_g(z, p, params.nu, params.d, 2 * n)
+            if abs(g1 - g2) > DOUBLING_TOL * max(abs(g2), np.finfo(float).tiny):
                 notes.append(
-                    f"grid-doubling check failed: |I_n - I_2n| = {abs(cp.g - g2):.3e} "
+                    f"grid-doubling check failed: |I_n - I_2n| = {abs(g1 - g2):.3e} "
                     f"exceeds rel_tol={DOUBLING_TOL:g} * |I_2n| at n={n}, d={params.d}")
     if dirac:
         # the point mass is the pole dirac/z of g; keep its broadened
         # Lorentzian out of rho so the mass is booked once
-        g -= dirac / np.array([cp.z for cp in sweep], dtype=complex)
+        g -= dirac / sweep.z
     rho = g.real / np.pi
     # rho scales as 1/max(b, nu), and so does the tolerance
     if rho.size and rho.min() < -1e-6 / max(params.b, params.nu):
@@ -516,8 +515,8 @@ def dos_curve(
     return DosCurve(
         omegas=omegas,
         rho=rho,
-        p=np.array([cp.p for cp in sweep], dtype=complex),
-        residuals=np.array([cp.residual for cp in sweep], dtype=float),
+        p=sweep.p,
+        residuals=sweep.residual,
         dirac_mass_at_zero=dirac,
         eps=eps,
         notes=tuple(notes),

@@ -410,6 +410,18 @@ def test_solve_p_prints_and_writes(tmp_path, capsys):
     assert cols["residual"][0] <= 1e-12
 
 
+def test_solve_p_on_a_lattice_records_its_zone_grid(tmp_path):
+    out = tmp_path / "p.csv"
+    assert main([
+        "solve-p", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
+        "--z-re", "1e-3", "--z-im", "1.0", "--out", str(out),
+    ]) == 0
+    meta, cols = parse_csv(str(out))
+    assert meta["kgrid"] == "4096"
+    assert list(meta)[-2:] == ["kgrid", "branch_tag"]
+    assert cols["residual"][0] <= 1e-12
+
+
 def test_compare_round_trip(tmp_path):
     rmt = tmp_path / "rmt.csv"
     mc = tmp_path / "mc.csv"

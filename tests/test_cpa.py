@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,40 @@ def residual(p, z, params):
     default grid; zero exactly on a solution."""
     n = bzquad.default_points_per_dim(params.d, params.nu)
     return 1.0 / params.b - params.a / p + I_cpa(z, p, params.nu, params.d, n)
+
+
+def sweep_counts(sweep):
+    """(skeleton points, lanes, lane fallbacks) from a sweep's summary tag;
+    the lanes include the fallbacks."""
+    m = re.search(r"(\d+) skeleton points, (\d+) lanes, (\d+) lane fallbacks$",
+                  sweep.branch_tag)
+    return tuple(int(k) for k in m.groups())
+
+
+def traced_sweep(monkeypatch, omegas, eps, params, n):
+    """``continuation_sweep`` with ``_lane_newton`` and ``_sweep_step``
+    spied on.  Returns the sweep, a mask of its converged lanes (points that
+    a lane run took and no sequential step reached afterwards), and the
+    (z_from, z_next) of every sequential step, in order."""
+    laned, steps = [], []
+    lane_newton, sweep_step = cpa._lane_newton, cpa._sweep_step
+
+    def spy_lanes(z, p, params, n):
+        laned.extend(z.tolist())
+        return lane_newton(z, p, params, n)
+
+    def spy_step(z_from, p_from, slope, z_next, params, n):
+        steps.append((complex(z_from), complex(z_next)))
+        return sweep_step(z_from, p_from, slope, z_next, params, n)
+
+    monkeypatch.setattr(cpa, "_lane_newton", spy_lanes)
+    monkeypatch.setattr(cpa, "_sweep_step", spy_step)
+    sweep = continuation_sweep(omegas, eps, params, n)
+    monkeypatch.setattr(cpa, "_lane_newton", lane_newton)
+    monkeypatch.setattr(cpa, "_sweep_step", sweep_step)
+    z = sweep.z.tolist()
+    lanes = np.isin(z, laned) & ~np.isin(z, [z_next for _, z_next in steps])
+    return sweep, lanes, steps
 
 
 class TestResidual:
@@ -135,9 +171,7 @@ class TestContinuationSweep:
     def test_gap_versus_bulk_in_flat_band_limit(self):
         omegas = np.array([0.05, 0.15, 1.0, 1.5])
         sweep = continuation_sweep(omegas, 1e-9, RMT_A2)
-        rho = np.array(
-            [(c.z / (c.z**2 + c.p**2)).real / np.pi for c in sweep]
-        )
+        rho = (sweep.z / (sweep.z**2 + sweep.p**2)).real / np.pi
         assert np.all(rho[:2] <= 1e-6)  # inside the gap
         assert np.all(rho[2:] > 1e-2)  # in the bulk
 
@@ -152,9 +186,42 @@ class TestContinuationSweep:
         omegas = np.linspace(0.05, 2.6, 60)
         up = continuation_sweep(omegas, 1e-3, LATTICE)
         down = continuation_sweep(omegas[::-1], 1e-3, LATTICE)
-        p_up = np.array([c.p for c in up])
-        p_down = np.array([c.p for c in down])[::-1]
-        assert np.abs(p_up - p_down).max() <= 1e-8
+        assert np.abs(up.p - down.p[::-1]).max() <= 1e-8
+
+    def test_curve_reads_the_sweep_arrays(self):
+        # the cpa-d1 flags: one CoherentPotential of arrays in grid order,
+        # whose tag counts 26 skeleton points and the rest as lanes
+        omegas = np.linspace(3.0 / 600, 3.0, 600)
+        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 4096)
+        for field in (sweep.p, sweep.z, sweep.residual, sweep.iterations, sweep.g,
+                      sweep.slope):
+            assert field.shape == omegas.shape
+        assert sweep.z.tobytes() == np.array([complex(1e-3, w) for w in omegas]).tobytes()
+        skeleton, lanes, fallbacks = sweep_counts(sweep)
+        assert skeleton == 26 and skeleton + lanes == omegas.size
+        assert 0 <= fallbacks < lanes
+        curve = dos_curve(omegas, 1e-3, LATTICE, 4096)
+        assert curve.p.tobytes() == sweep.p.tobytes()
+        assert curve.residuals.tobytes() == sweep.residual.tobytes()
+        assert curve.rho.tobytes() == (sweep.g.real / np.pi).tobytes()
+        # a one-point sweep is solve_p's point
+        one, cp = continuation_sweep([0.7], 1e-3, LATTICE), solve_p(1e-3 + 0.7j, LATTICE)
+        assert (one.p[0], one.g[0], one.slope[0]) == (cp.p, cp.g, cp.slope)
+        assert sweep_counts(one) == (1, 0, 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pure_system_takes_the_one_solve_path(self, d):
+        # b = 0: every Newton run, lanes included, ends where it starts, at
+        # p = 0, with the clean resolvent's zone mean as g
+        clean = ModelParams(d=d, a=0.75, b=0.0, nu=1.0)
+        omegas = np.linspace(0.01, 3.0, 300)
+        sweep = continuation_sweep(omegas, 1e-3, clean)
+        skeleton, lanes, fallbacks = sweep_counts(sweep)
+        assert lanes > skeleton and fallbacks == 0
+        assert not sweep.p.any() and not sweep.residual.any()
+        n = bzquad.default_points_per_dim(d, 1.0)
+        want = np.array([I_g(z, 0j, 1.0, d, n) for z in sweep.z.tolist()])
+        assert np.abs(sweep.g - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -265,8 +332,9 @@ class TestCarriedResolvent:
     def test_checked_curve_takes_one_doubled_mean_per_point(self, monkeypatch):
         # a grid too coarse for eps, so that the doubling check fires
         sweep = continuation_sweep(self.GRID, 1e-3, LATTICE, 64)
-        g_2n = [I_g(cp.z, cp.p, LATTICE.nu, LATTICE.d, 128) for cp in sweep]
-        failed = [abs(cp.g - g) > 1e-9 * abs(g) for cp, g in zip(sweep, g_2n)]
+        g_2n = [I_g(z, p, LATTICE.nu, LATTICE.d, 128)
+                for z, p in zip(sweep.z.tolist(), sweep.p.tolist())]
+        failed = [abs(g_n - g) > 1e-9 * abs(g) for g_n, g in zip(sweep.g.tolist(), g_2n)]
         assert 0 < sum(failed) < len(failed)
         sizes = self.count_means(monkeypatch)
         curve = dos_curve(self.GRID, 1e-3, LATTICE, 64, check=True)
@@ -298,10 +366,11 @@ class TestCarriedResolvent:
         (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 8),
     ])
     def test_carried_g_is_the_zone_mean_at_the_solution(self, params, n):
-        solved = [solve_p(0.01 + 0.7j, params, n)]
-        solved += continuation_sweep(self.GRID, 1e-3, params, n)
-        for cp in solved:
-            assert cp.g == I_g(cp.z, cp.p, params.nu, params.d, n)
+        cp = solve_p(0.01 + 0.7j, params, n)
+        assert cp.g == I_g(cp.z, cp.p, params.nu, params.d, n)
+        sweep = continuation_sweep(self.GRID, 1e-3, params, n)
+        for z, p, g in zip(sweep.z.tolist(), sweep.p.tolist(), sweep.g.tolist()):
+            assert g == I_g(z, p, params.nu, params.d, n)
 
 
 def lsz_rho(omegas, eps, a, b):
@@ -362,12 +431,12 @@ class TestExtrapolatedSeeds:
     def test_sweep_points_match_independent_solves(self, params, n, eps, omegas):
         # Re g = pi * rho; each independent solve continues from the asymptote
         sweep = continuation_sweep(omegas, eps, params, n)
-        got = np.array([cp.g.real for cp in sweep])
         want = np.array([solve_p(complex(eps, w), params, n).g.real for w in omegas])
-        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.abs(sweep.g.real - want).max() <= 1e-10 * np.abs(want).max()
         # on the fine grids and the cpa-d3 grid some points are lanes, not
         # sequential steps
-        assert len(omegas) < 60 or any(cp.branch_tag.startswith("lane") for cp in sweep)
+        _, lanes, fallbacks = sweep_counts(sweep)
+        assert len(omegas) < 60 or lanes > fallbacks
 
     @staticmethod
     def counted_zone_means(monkeypatch):
@@ -422,8 +491,8 @@ class TestExtrapolatedSeeds:
 
     def test_failed_lane_falls_back_to_the_sequential_step(self, monkeypatch):
         omegas = np.linspace(0.005, 3.0, 300)
-        is_lane = [cp.branch_tag.startswith("lane")
-                   for cp in continuation_sweep(omegas, 1e-3, LATTICE, 512)]
+        sweep, is_lane, steps = traced_sweep(monkeypatch, omegas, 1e-3, LATTICE, 512)
+        skeleton, lanes, fallbacks = sweep_counts(sweep)
         i = next(i for i in range(1, omegas.size - 1) if all(is_lane[i - 1 : i + 2]))
         target = omegas[i]
         real = cpa.bzquad.I_cpa_and_derivative
@@ -436,16 +505,21 @@ class TestExtrapolatedSeeds:
             return out
 
         monkeypatch.setattr(cpa.bzquad, "I_cpa_and_derivative", one_lane_nan)
-        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
-        assert [cp.branch_tag.startswith("lane") for cp in sweep] == (
-            is_lane[:i] + [False] + is_lane[i + 1 :])
-        fallback = sweep[i]
-        assert fallback.branch_tag == "continued along the sweep"
-        assert fallback.residual <= cpa.NEWTON_TOL
+        sweep, now_lane, now_steps = traced_sweep(monkeypatch, omegas, 1e-3, LATTICE, 512)
+        want = is_lane.copy()
+        want[i] = False
+        assert np.array_equal(now_lane, want)
+        assert sweep_counts(sweep) == (skeleton, lanes, fallbacks + 1)
+        # the one step more is the fallback's, from its left skeleton neighbour
+        fallback = complex(sweep.z[i])
+        left = max((z for z, _ in steps if z.imag < fallback.imag), key=lambda z: z.imag)
+        assert len(now_steps) == len(steps) + 1
+        assert set(now_steps) == set(steps) | {(left, fallback)}
+        assert sweep.residual[i] <= cpa.NEWTON_TOL
         monkeypatch.undo()
-        ref = solve_p(fallback.z, LATTICE, 512)
-        assert fallback.p == pytest.approx(ref.p, rel=1e-10)
-        assert fallback.g == pytest.approx(ref.g, rel=1e-10)
+        ref = solve_p(fallback, LATTICE, 512)
+        assert sweep.p[i] == pytest.approx(ref.p, rel=1e-10)
+        assert sweep.g[i] == pytest.approx(ref.g, rel=1e-10)
 
     @pytest.mark.parametrize("params,n", [
         (LATTICE, 4096), (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 256), (D3, 64),
@@ -460,16 +534,16 @@ class TestExtrapolatedSeeds:
             slope = solve_p(z, params, n).slope
             assert abs(slope - centered) <= 1e-6 * abs(centered)
 
-    def test_lanes_carry_the_slope_of_their_converged_step(self):
+    def test_lanes_carry_the_slope_of_their_converged_step(self, monkeypatch):
         omegas = np.linspace(0.005, 3.0, 300)
-        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
-        lanes = [cp for cp in sweep if cp.branch_tag.startswith("lane")]
-        assert len(lanes) > len(sweep) // 2
-        for cp in lanes:
+        sweep, is_lane, _ = traced_sweep(monkeypatch, omegas, 1e-3, LATTICE, 512)
+        assert is_lane.sum() > omegas.size // 2
+        for p, z, lane_slope in zip(sweep.p[is_lane].tolist(), sweep.z[is_lane].tolist(),
+                                    sweep.slope[is_lane].tolist()):
             # the scalar terms at the lane's own root; numpy's and Python's
             # complex division round differently
-            slope = cpa._G_terms(cp.p, cp.z, LATTICE, 512)[4]
-            assert abs(cp.slope - slope) <= 1e-12 * abs(slope)
+            slope = cpa._G_terms(p, z, LATTICE, 512)[4]
+            assert abs(lane_slope - slope) <= 1e-12 * abs(slope)
 
     def test_skeleton_steps_start_from_the_tangent(self, monkeypatch):
         # steps wider than the skeleton spacing: every point is a skeleton
@@ -483,13 +557,15 @@ class TestExtrapolatedSeeds:
             return newton(z, p0, params, n)
 
         monkeypatch.setattr(cpa, "_newton", spy)
-        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 512)
-        assert all(cp.branch_tag == "continued along the sweep" for cp in sweep[1:])
+        sweep, is_lane, steps = traced_sweep(monkeypatch, omegas, 1e-3, LATTICE, 512)
+        assert sweep_counts(sweep) == (omegas.size, 0, 0) and not is_lane.any()
+        z, p, slope = sweep.z.tolist(), sweep.p.tolist(), sweep.slope.tolist()
+        assert steps == list(zip(z, z[1:]))
         # each step's first Newton run is at its own z, from the tangent
         # predictor of the point before
-        for prev, cp in zip(sweep, sweep[1:]):
-            first = next(p0 for z, p0 in starts if z == cp.z)
-            assert first == prev.p + prev.slope * (cp.z - prev.z)
+        for i in range(1, omegas.size):
+            first = next(p0 for zn, p0 in starts if zn == z[i])
+            assert first == p[i - 1] + slope[i - 1] * (z[i] - z[i - 1])
 
     def test_failed_skeleton_step_raises_naming_its_omega(self, monkeypatch):
         # a sweep point has one solve path, the step from the point before:
@@ -621,12 +697,11 @@ class TestParameterBox:
         assert abs(curve.normalization - 1.0) <= 1e-2
         # dos_curve ran the same sweep: a rerun, bit for bit
         sweep = continuation_sweep(omegas, eps, params)
-        assert np.array([cp.p for cp in sweep]).tobytes() == curve.p.tobytes()
-        assert np.array([cp.residual for cp in sweep]).tobytes() == curve.residuals.tobytes()
-        g = np.array([cp.g for cp in sweep])
+        assert sweep.p.tobytes() == curve.p.tobytes()
+        assert sweep.residual.tobytes() == curve.residuals.tobytes()
         for i in checks * size // 1000:
             want = solve_p(complex(eps, omegas[i]), params).g
-            assert abs(g[i] - want) <= 1e-10 * np.abs(g).max()
+            assert abs(sweep.g[i] - want) <= 1e-10 * np.abs(sweep.g).max()
 
 
 class TestScaledCriticalRatio:
@@ -775,7 +850,7 @@ class TestScaleFreeThresholds:
 
         def one_negated(*args):
             sweep = real(*args)
-            sweep[5] = sweep[5]._replace(g=-sweep[5].g)
+            sweep.g[5] = -sweep.g[5]
             return sweep
 
         assert dos_curve(omegas, 1e-3 * b, params).rho.min() > 0
