@@ -22,15 +22,8 @@ import numpy as np
 
 from . import __version__
 from .bzquad import default_points_per_dim
-from .cpa import (
-    BranchError,
-    SolverError,
-    default_eps,
-    dos_curve,
-    solve_p,
-)
+from .cpa import SolverError, default_eps, dos_curve, solve_p
 from .ensemble import ConeViolationError, mc_dos
-from .linalg import NotPsdError
 from .model import ModelParams
 
 __all__ = ["main", "emit_csv", "parse_csv", "compare_curves"]
@@ -398,11 +391,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one mode; returns the process exit status (0 success, 1 numerical
     or I/O failure, 2 usage error)."""
     args = build_parser().parse_args(argv)
-    # NotPsdError is a LinAlgError, hence a ValueError: the numerical
+    # a LinAlgError (NotPsdError among them) is a ValueError: the numerical
     # errors are caught before the usage errors
     try:
         return MODES[args.mode](args)
-    except (SolverError, BranchError, ConeViolationError, NotPsdError) as exc:
+    except (SolverError, ConeViolationError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -34,11 +34,12 @@ NEWTON_TOL within MAX_ITER damped steps (step factor DAMPING, taken until
 the trial p has Re(p + nu) > 0 and lowers the mismatch); continuation
 starts at the real frequency Z_START_SCALE * max(b, nu) and marches each
 straight-line path, the first point's too, in one step, halved on a failed
-solve or a jump beyond JUMP_TOL down to 2^-23 (0.5**MAX_PATH_REFINE) of the
-path and grown 1.5x when solved.
-Every point the solver returns is a converged root on the physical branch;
-a point it cannot reach so raises SolverError or BranchError, and a sweep
-names the omega of that point.
+step down to 2^-23 (0.5**MAX_PATH_REFINE) of the path and grown 1.5x when
+solved.  A step fails where Newton does or where its root fails
+``_on_branch``, the one test of a converged root.  So every point the
+solver returns is a converged root on the physical branch; a point it
+cannot reach raises SolverError (BranchError, a subclass, off the branch),
+and a sweep names the omega of that point.
 A sweep along z = eps + i*omega is a predictor-corrector continuation
 (Allgower & Georg, Introduction to Numerical Continuation Methods, 2003) in
 two parts, with one predictor: the tangent dp/dz = -(dG/dz)/(dG/dp), which
@@ -48,14 +49,14 @@ omega, it runs point by point: each continuation step starts from
 p + (dp/dz)*dz of the last solved point, and Newton corrects it.  Every
 other point is a lane: its predictor is the cubic Hermite interpolant of p
 and dp/dz at its two skeleton neighbours, and undamped Newton corrects all
-lanes at once, one array call of the zone means per step.  A lane that
-fails a test of the physical branch (Re(p + nu) > 0, Re g >= -1e-9*|g|, a
-jump from its predictor within JUMP_TOL, finite means, convergence in five
-steps) is solved point by point from its left skeleton neighbour instead,
-so errors come from that path alone.  A sweep returns arrays in grid order
-and one summary tag.  SKELETON_STEP = 0.12 came from fine curves (steps of
-0.0025-0.005, eps = 1e-3) at d = 1, 2, 3 (a = 0.75, b = 0.63, nu = 1) and
-nu = 0 (a = 0.75, b = 1), best CPU time of 40 on a 2-core Xeon: 0.08 /
+lanes at once, one array call of the zone means per step.  A lane whose
+means are not finite, that has not converged in five steps, or whose root
+fails ``_on_branch`` against its predictor is solved point by point from
+its left skeleton neighbour instead, so errors come from that path alone.
+A sweep returns arrays in grid order and one summary tag.
+SKELETON_STEP = 0.12 came from fine curves (steps of 0.0025-0.005,
+eps = 1e-3) at d = 1, 2, 3 (a = 0.75, b = 0.63, nu = 1) and nu = 0
+(a = 0.75, b = 1), best CPU time of 40 on a 2-core Xeon: 0.08 /
 0.12 / 0.16 took 4.2 / 3.3 / 3.3 ms at d = 1 (1200 points), 23.6 / 23.9 /
 24.0 ms at d = 2, 62 / 67 / 72 ms at d = 3 and 2.4 / 2.3 / 2.9 ms at
 nu = 0 (600 points each), and 13.6 / 12.0 / 13.1 ms on 60 points at d = 3
@@ -92,12 +93,13 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Newton iteration or path continuation failed to converge."""
+    """Newton or the path continuation failed to reach a point."""
 
 
-class BranchError(RuntimeError):
-    """A root or density off the physical branch: a converged Re g < 0, or a
-    curve's density below its tolerance."""
+class BranchError(SolverError):
+    """A root or density off the physical branch: a root that fails
+    ``_on_branch`` at the smallest path step, or a curve's density below
+    its tolerance."""
 
 
 NEWTON_TOL = 1e-12
@@ -197,17 +199,16 @@ def _newton_terms(p: complex, z: complex, params: ModelParams, n: int):
     return G, dG, scale, g, slope
 
 
-def _accept_branch(z, g):
-    """Reject a converged root off the physical branch: g is the resolvent
-    of a spectral measure on the imaginary axis, so Re g > 0 for Re z > 0
-    (Newton keeps Re(p + nu) > 0 itself).  ``g`` comes from the converged
-    step's zone means, so the test takes none of its own.
-    """
-    if g.real < -1e-9 * abs(g):
-        raise BranchError(
-            f"converged to a root with negative spectral weight at z={z}: "
-            f"g={g:.6g}"
-        )
+def _on_branch(p, g, ref, nu):
+    """The one test of a converged root (p, g), on complex values or lane
+    arrays: Re(p + nu) > 0, off the kernels' pole q = p + nu = 0;
+    Re g >= -1e-9*|g|, as g is the resolvent of a spectral measure on the
+    imaginary axis (Re g > 0 for Re z > 0); and |p - ref| within
+    JUMP_TOL * max(1, |ref|) of the reference p.  No zone mean is taken."""
+    jump = abs(p - ref)
+    # two comparisons instead of max(1, |ref|): no numpy call on scalars
+    return ((p.real + nu > 0) & (g.real >= -1e-9 * abs(g))
+            & ((jump <= JUMP_TOL) | (jump <= JUMP_TOL * abs(ref))))
 
 
 def _newton(z, p0, params, n):
@@ -245,7 +246,6 @@ def _newton(z, p0, params, n):
             )
         p = pn
         G, dG, scale, g, slope = terms
-    _accept_branch(z, g)
     return p, g, abs(G) / scale, it, slope
 
 
@@ -257,11 +257,13 @@ def _march(z_from, p_from, slope, z_to, params, n):
     the last solved point, or from its p where that is not finite, has
     Re(p + nu) <= 0 or lies beyond JUMP_TOL of p, where the jump test would
     reject a root near it (as on a long first step out of the asymptote).
-    Adaptive stepping: one step over the whole segment, halved on a failed
-    solve or a jump beyond JUMP_TOL down to 0.5**MAX_PATH_REFINE of it, where
-    the failure is raised, and grown 1.5x after each solved step.  Returns
-    (p, g, residual, iterations, slope) at z_to; the last step lands on z_to
-    exactly, so g and the slope are read off the zone means there.
+    A step is solved when Newton converges to a root that passes
+    ``_on_branch`` against p.  Adaptive stepping: one step over the whole
+    segment, halved on a failed step down to 0.5**MAX_PATH_REFINE of it,
+    where the failure is raised (a BranchError for a root off the branch),
+    and grown 1.5x after each solved step.  Returns (p, g, residual,
+    iterations, slope) at z_to; the last step lands on z_to exactly, so g
+    and the slope are read off the zone means there.
     """
     z0, z1 = complex(z_from), complex(z_to)
     z, p, g, resid, its, slope = z0, complex(p_from), None, 0.0, 0, complex(slope)
@@ -276,12 +278,10 @@ def _march(z_from, p_from, slope, z_to, params, n):
             start = p
         try:
             pn, gn, resid_n, its_n, slope_n = _newton(zt, start, params, n)
-            if abs(pn - p) > JUMP_TOL * max(1.0, abs(p)):
-                raise SolverError(
-                    f"path jump at z={zt:.6g}: |dp|={abs(pn - p):.3e} "
-                    f"beyond JUMP_TOL at the smallest path step"
-                )
-        except (SolverError, BranchError):
+            if not _on_branch(pn, gn, p, params.nu):
+                raise BranchError(f"root p={pn:.6g}, g={gn:.6g} at z={zt:.6g} is off the "
+                                  f"branch from p={p:.6g} at the smallest path step")
+        except SolverError:
             if dt * 0.5 < dt_min:
                 raise
             dt *= 0.5
@@ -300,12 +300,14 @@ def solve_p(
     """Solve the self-consistency equation for p(z) on the physical branch.
 
     The branch is pinned by continuation from the large-z asymptote p = a*b
-    at z_start = Z_START_SCALE * max(b, nu): one ``_march`` to z, which like
-    every sweep step starts with a single step and halves it down to 2^-23
-    of the segment.  Without ``kgrid`` the grid is ``default_points_per_dim``'s,
-    which a lattice above d = 3 lacks (ValueError).  z must be finite with
-    Re z > 0 (ValueError).  b = 0 is no special case: there the seed p = 0
-    solves the equation, and every Newton run ends where it starts.
+    at z_start = Z_START_SCALE * max(b, nu), where the root must pass
+    ``_on_branch`` against a*b (BranchError), then one ``_march`` to z,
+    which like every sweep step starts with a single step and halves it
+    down to 2^-23 of the segment.  Without ``kgrid`` the grid is
+    ``default_points_per_dim``'s, which a lattice above d = 3 lacks
+    (ValueError).  z must be finite with Re z > 0 (ValueError).  b = 0 is
+    no special case: there the seed p = 0 solves the equation, and every
+    Newton run ends where it starts.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -314,7 +316,11 @@ def solve_p(
         raise ValueError(f"solve_p requires Re z > 0, got {z}")
     n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
-    p, g, resid, its, slope = _newton(z_start, params.a * params.b, params, n)
+    ab = params.a * params.b
+    p, g, resid, its, slope = _newton(z_start, ab, params, n)
+    if not _on_branch(p, g, ab, params.nu):
+        raise BranchError(f"root p={p:.6g}, g={g:.6g} at z_start={z_start:.6g} is "
+                          f"off the branch from the asymptote p=a*b={ab:.6g}")
     if z != z_start:
         p, g, resid, its, slope = _march(z_start, p, slope, z, params, n)
     return CoherentPotential(
@@ -329,7 +335,7 @@ def _sweep_step(z_from, p_from, slope, z_next, params: ModelParams, n: int):
     with tangent ``slope`` to z_next, whose failure names z_next's omega."""
     try:
         return _march(z_from, p_from, slope, z_next, params, n)
-    except (SolverError, BranchError) as exc:
+    except SolverError as exc:
         raise type(exc)(f"omega={z_next.imag:g}: {exc}") from exc
 
 
@@ -360,7 +366,7 @@ def continuation_sweep(
     the asymptotic regime.  Each later skeleton point is marched from the
     one before, every step starting from the tangent predictor p + slope*dz
     of the last solved point (see ``_march``).  Where a point's step fails,
-    its SolverError or BranchError is raised, its message prefixed with
+    its SolverError (or BranchError) is raised, its message prefixed with
     "omega=<omega>: ", as is a failure of the first point.  So every
     returned point is converged.
 
@@ -370,9 +376,8 @@ def continuation_sweep(
     read off its converged step.  A lane falls back to the sequential step
     from its left skeleton neighbour, and that step's error, where its omega
     is not strictly between its skeleton neighbours', it has not converged
-    after five steps, its zone means are not finite, or it lands with
-    Re(p + nu) <= 0, Re g < -1e-9*|g| or |p - seed| beyond
-    JUMP_TOL * max(1, |seed|).
+    after five steps, its zone means are not finite, or its root fails
+    ``_on_branch`` against its seed.
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -396,7 +401,7 @@ def continuation_sweep(
                               g=np.empty_like(z), slope=np.empty_like(z))
     try:
         first = solve_p(z[0], params, n)
-    except (SolverError, BranchError) as exc:
+    except SolverError as exc:
         raise type(exc)(f"omega={w[0]:g}: {exc}") from exc
     _put(sweep, 0, (first.p, first.g, first.residual, first.iterations, first.slope))
     for s, i in zip(skeleton, skeleton[1:]):
@@ -427,9 +432,7 @@ def _solve_lanes(sweep, skeleton: np.ndarray, params: ModelParams, n: int) -> in
     seed = ((1 - x) ** 2 * ((1 + 2 * x) * p_skel[lo] + x * h * dp_skel[lo])
             + x * x * ((3 - 2 * x) * p_skel[lo + 1] - (1 - x) * h * dp_skel[lo + 1]))
     p, g, resid, _, _ = solved = _lane_newton(z[lanes[ok]], seed, params, n)
-    good = (np.isfinite(resid) & (p.real + params.nu > 0)
-            & (g.real >= -1e-9 * np.abs(g))
-            & (np.abs(p - seed) <= JUMP_TOL * np.maximum(1.0, np.abs(seed))))
+    good = np.isfinite(resid) & _on_branch(p, g, seed, params.nu)
     done = lanes[ok][good]
     _put(sweep, done, tuple(col[good] for col in solved))
     off[done] = False
@@ -523,27 +526,6 @@ def dos_curve(
     )
 
 
-_A1_EDGE = 1.5 * math.sqrt(3.0)  # support edge of the scaled a = 1 density
-
-
-def _a1_scaled_root(x: float) -> complex:
-    """Physical root of gt^3 - gt + 1/x = 0 for real x > 0.
-
-    Inside the support (x < 3*sqrt(3)/2) the root is the complex one with
-    Im gt > 0 (nonnegative density); outside it is the smallest positive
-    real root, the continuation of the large-x decay gt ~ 1/x.
-    """
-    roots = np.roots([1.0, 0.0, -1.0, 1.0 / x])
-    tol = 1e-9 * max(1.0, float(np.abs(roots).max()))
-    complex_roots = roots[roots.imag > tol]
-    if complex_roots.size:
-        return complex(complex_roots[np.argmax(complex_roots.imag)])
-    real_roots = np.sort(roots.real[roots.real > 0])
-    if real_roots.size == 0:
-        raise BranchError(f"no admissible root of the scaled cubic at x={x}")
-    return complex(real_roots[0])
-
-
 def rmt_scaled_a1(x_grid: Sequence[float]) -> np.ndarray:
     """Scaled density of the critical-ratio (a = 1) random-matrix limit.
 
@@ -551,14 +533,18 @@ def rmt_scaled_a1(x_grid: Sequence[float]) -> np.ndarray:
     scaled frequency x > 0 is Im(gt(x)) / pi with gt the physical root of
     gt^3 - gt + 1/x = 0; it diverges like x**(-1/3) at small x and vanishes
     beyond the edge x = 3*sqrt(3)/2.
+
+    By Cardano, with q = 1/(2x) and c = 1/sqrt(27): inside the support,
+    q > c, Im gt = (sqrt(3)/2) * (u - 1/(3u)), u = cbrt(q + sqrt(q^2 - c^2)).
+    The second Cardano term is -1/(3u) by the product of the two, which does
+    not cancel as x -> 0; sqrt(q - c)*sqrt(q + c) keeps q^2 from overflowing.
     """
     x = np.asarray(x_grid, dtype=float)
-    if x.size == 0:
-        return np.zeros(0)
     if np.any(~np.isfinite(x)) or np.any(x <= 0):
         raise ValueError("x_grid must contain finite positive values")
-    flat = np.array([_a1_scaled_root(xi).imag / np.pi for xi in x.ravel()])
-    return flat.reshape(x.shape)
+    q, c = 0.5 / x, 1.0 / math.sqrt(27.0)
+    u = np.cbrt(q + np.sqrt(np.maximum(q - c, 0.0)) * np.sqrt(q + c))
+    return np.where(q > c, math.sqrt(3.0) / (2.0 * math.pi) * (u - 1.0 / (3.0 * u)), 0.0)
 
 
 def find_gap_edge(params: ModelParams) -> float:

@@ -13,7 +13,7 @@ of about 5e2 * eps * mu_max).  The value added here is validation
 (Hermiticity and finiteness on input, cone membership for the
 factorization) and the diagonal shift for semidefinite matrices: a ladder
 of a few multiples of eps * max A_ii, with no eigensolve.  Real input stays
-in real arithmetic throughout.
+in real arithmetic throughout; LAPACK's own LinAlgError passes through.
 """
 
 from __future__ import annotations
@@ -74,14 +74,7 @@ def check_hermitian(A) -> np.ndarray:
 
 def hermitian_eig(A) -> np.ndarray:
     """All-real ascending spectrum of a Hermitian matrix (LAPACK-backed)."""
-    A = check_hermitian(A)
-    try:
-        return np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise np.linalg.LinAlgError(
-            f"Hermitian eigensolver failed to converge on a "
-            f"{A.shape[0]}x{A.shape[0]} matrix: {exc}"
-        ) from exc
+    return np.linalg.eigvalsh(check_hermitian(A))
 
 
 def skew_spectrum(S) -> np.ndarray:
@@ -94,14 +87,7 @@ def skew_spectrum(S) -> np.ndarray:
     guarantee (``spectrum_X`` builds S as T - T^T from a validated H); it is
     not checked again here.
     """
-    S = _real_even(S)
-    try:
-        s = np.linalg.svd(S, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise np.linalg.LinAlgError(
-            f"singular value decomposition failed to converge on a "
-            f"{S.shape[0]}x{S.shape[0]} matrix: {exc}"
-        ) from exc
+    s = np.linalg.svd(_real_even(S), compute_uv=False)
     return np.concatenate((-s[::2], s[-1::-2]))
 
 
@@ -117,13 +103,7 @@ def skew_spectrum_gram(S) -> np.ndarray:
     S^T S is symmetric by construction and is not checked.
     """
     S = _real_even(S)
-    try:
-        w = np.linalg.eigvalsh(S.T @ S)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise np.linalg.LinAlgError(
-            f"symmetric eigensolver failed to converge on a "
-            f"{S.shape[0]}x{S.shape[0]} matrix: {exc}"
-        ) from exc
+    w = np.linalg.eigvalsh(S.T @ S)
     if not w[0] > 1e-6 * w[-1]:
         return skew_spectrum(S)
     mu = np.sqrt(w[1::2])

@@ -186,6 +186,7 @@ def test_lattice_above_d3_needs_kgrid(tmp_path, capsys):
         (BranchError, 1),
         (ConeViolationError, 1),
         (NotPsdError, 1),
+        (np.linalg.LinAlgError, 1),
         (OSError, 1),
         (ValueError, 2),
     ],
@@ -201,6 +202,21 @@ def test_exit_code_per_error_type(exc, code, monkeypatch, tmp_path, capsys):
     ])
     assert rc == code
     assert "injected" in capsys.readouterr().err
+
+
+def test_lapack_failure_exits_1(monkeypatch, tmp_path, capsys):
+    # LinAlgError is a ValueError, but a LAPACK routine that does not
+    # converge is a numerical failure, not a usage error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    out = tmp_path / "x.csv"
+    rc = main(["mc-dos", "--N", "8", "--M", "12", "--b", "1", "--nu", "0",
+               "--samples", "2", "--out", str(out)])
+    assert rc == 1
+    assert "error: LinAlgError: SVD did not converge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unsolvable_row_exits_1_naming_its_omega(fail_at, tmp_path, capsys):
@@ -472,6 +488,32 @@ def test_compare_rejects_mismatched_inputs(tmp_path, capsys):
     assert main(["compare", "--cpa", str(curves["late"]), "--mc", str(mc)]) == 2
     assert "omega" in capsys.readouterr().err
     assert main(["compare", "--cpa", str(curves["match"]), "--mc", str(mc)]) == 0
+
+
+def test_compare_derives_a_histogram_s_missing_ratio(tmp_path, capsys):
+    # a histogram written before mc-dos recorded a: its M/(2N) = 0.75 must
+    # still be checked against the curve's a = 1
+    mc, rmt = tmp_path / "mc.csv", tmp_path / "rmt.csv"
+    assert main(["mc-dos", "--N", "8", "--M", "12", "--b", "1", "--nu", "0",
+                 "--samples", "2", "--bins", "4", "--out", str(mc)]) == 0
+    lines = mc.read_text().splitlines(keepends=True)
+    assert "# a = 0.75\n" in lines
+    mc.write_text("".join(line for line in lines if not line.startswith("# a = ")))
+    assert main(["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "50",
+                 "--out", str(rmt)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--cpa", str(rmt), "--mc", str(mc), "--threshold", "10"]) == 2
+    assert "a differs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--bins"])
+def test_mc_dos_needs_a_sample_and_a_bin(flag, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["mc-dos", "--N", "2", "--M", "3", "--b", "1", "--nu", "0",
+               flag, "0", "--out", str(out)])
+    assert rc == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_downward_curve(tmp_path, capsys):

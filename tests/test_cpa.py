@@ -15,7 +15,6 @@ from bosondos import (
 )
 from bosondos import bzquad, cpa
 from bosondos.bzquad import I_cpa, I_g
-from bosondos.cpa import _a1_scaled_root
 
 RMT_A2 = ModelParams(a=2.0, b=1.0, nu=0.0)
 RMT_A1 = ModelParams(a=1.0, b=1.0, nu=0.0)
@@ -705,12 +704,14 @@ class TestParameterBox:
 
 
 class TestScaledCriticalRatio:
-    def test_large_x_series(self):
-        # gt = 1/x + 1/x^3 + O(x^-5)
-        for x in (50.0, 200.0):
-            root = _a1_scaled_root(x)
-            assert root.imag == 0.0
-            assert abs(root - 1.0 / x) <= 2.0 / x**3
+    def test_closed_form_matches_the_cubic_roots(self):
+        # Cardano's closed form against numpy's companion-matrix roots of
+        # gt^3 - gt + 1/x = 0, from deep in the x^(-1/3) divergence up to
+        # the edge
+        x_edge = 1.5 * np.sqrt(3.0)
+        x = np.logspace(-6, np.log10(x_edge), 400)[:-1]
+        want = [np.roots([1.0, 0.0, -1.0, 1.0 / xi]).imag.max() / np.pi for xi in x]
+        assert np.abs(rmt_scaled_a1(x) - want).max() <= 1e-9
 
     def test_small_x_power_law(self):
         x = np.logspace(-6, -3, 40)

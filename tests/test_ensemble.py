@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bosondos import (
     ConeViolationError,
     ModelParams,
+    SpectrumHistogram,
     assemble_H,
     assemble_K,
     dos_curve,
@@ -188,6 +189,12 @@ class TestAssembleH:
         with pytest.raises(ValueError, match="reality condition"):
             quadrature_K(K, params.N)
 
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 8), (16,)],
+                             ids=["not-a-multiple", "not-square", "1-d"])
+    def test_quadrature_K_rejects_a_generator_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match="not a square multiple of 2N=4"):
+            quadrature_K(np.zeros(shape, dtype=complex), 2)
+
     def test_hermiticity(self):
         H = draw_sample(CHAIN, np.random.SeedSequence(6), K=lattice_K(CHAIN))
         assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
@@ -201,6 +208,16 @@ class TestAssembleH:
         W = np.ones((4, CHAIN.M, 2 * CHAIN.N))
         with pytest.raises(ValueError, match="nu = 0"):
             assemble_H(CHAIN, W, K=None)
+
+    def test_band_count_required(self):
+        with pytest.raises(ValueError, match="band count N"):
+            assemble_H(ModelParams(a=1.0, b=1.0), np.ones((1, 2, 2)))
+
+    def test_deterministic_term_of_the_wrong_shape_rejected(self):
+        # a larger K would be returned as H, its extra rows untouched
+        W = np.ones((4, CHAIN.M, 2 * CHAIN.N))
+        with pytest.raises(ValueError, match=r"K has shape \(18, 18\), expected \(16, 16\)"):
+            assemble_H(CHAIN, W, np.zeros((18, 18)))
 
     @pytest.mark.parametrize("W", [
         np.ones((3, 3, 4)),  # one site short
@@ -320,6 +337,10 @@ class TestSpectrumX:
     def test_complex_H_rejected(self):
         with pytest.raises(ValueError, match="quadrature"):
             spectrum_X(np.eye(4, dtype=complex), 2)
+
+    def test_dimension_must_be_a_multiple_of_2N(self):
+        with pytest.raises(ValueError, match="H dimension 6 is not a multiple of 2N=4"):
+            spectrum_X(np.eye(6), 2)
 
     def test_cone_violation_detected(self):
         H = np.diag([1.0, 1.0, -0.5, 1.0])
@@ -453,3 +474,16 @@ class TestMcDos:
         params = ModelParams(N=2, M=3, b=1.0, nu=0.0)
         with pytest.raises(ValueError, match="omega_max must be positive and finite"):
             mc_dos(params, n_samples=2, bins=3, seed=0, omega_max=omega_max)
+
+    def test_samples_and_bins_must_be_positive(self):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            mc_dos(RMT, n_samples=0, bins=3, seed=0)
+        with pytest.raises(ValueError, match="bins must be at least 1"):
+            mc_dos(RMT, n_samples=2, bins=0, seed=0)
+
+    def test_histogram_bookkeeping_must_add_up(self):
+        # 3 binned + 1 zero mode + 1 overflow books 5 of 6 eigenvalues
+        with pytest.raises(ValueError, match="bookkeeping broken: 5 binned"):
+            SpectrumHistogram(bin_edges=np.array([0.0, 1.0, 2.0]), counts=np.array([1, 2]),
+                              total_eigenvalues=6, zero_mode_count=1, zero_tol=1e-8,
+                              seed=0, overflow_count=1)

@@ -42,6 +42,12 @@ def test_non_hermitian_rejected():
     check_hermitian(np.array([[1.0, 2.0], [2.0, 3.0]]))  # fine
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_non_square_rejected(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        check_hermitian(np.zeros(shape))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rejected(bad):
     # nan > tol is False, so a residual test alone would let these through

@@ -156,6 +156,12 @@ def test_assemble_K_rejects_short_dimensions():
         assemble_K(short)
 
 
+def test_assemble_K_requires_the_band_count():
+    params = ModelParams(d=1, extents=(4,), a=0.75, b=0.1, nu=1.0)
+    with pytest.raises(ValueError, match="band count N"):
+        assemble_K(params)
+
+
 class TestModelParams:
     def test_ratio_derived_from_M_and_N(self):
         p = ModelParams(a=None, N=4, M=6, b=1.0)
@@ -195,3 +201,27 @@ class TestModelParams:
                 given = {"a": 1.0, "b": 1.0, "nu": 1.0, name: bad}
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     ModelParams(**given)
+
+    @pytest.mark.parametrize("d", [0, 1.5])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            ModelParams(d=d, a=1.0, b=1.0)
+
+    @pytest.mark.parametrize("name,bad", [("N", 0), ("N", 1.5), ("M", 0), ("M", 2.5)])
+    def test_band_counts_must_be_positive_integers(self, name, bad):
+        counts = {"N": 2, "M": 4, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            ModelParams(b=1.0, **counts)
+
+    def test_ratio_or_band_counts_required(self):
+        with pytest.raises(ValueError, match="either a or the pair"):
+            ModelParams(b=1.0)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5])
+    def test_ratio_must_be_positive(self, a):
+        with pytest.raises(ValueError, match="a must be positive"):
+            ModelParams(a=a, b=1.0)
+
+    def test_extents_must_be_positive(self):
+        with pytest.raises(ValueError, match="extents must be positive"):
+            ModelParams(d=2, extents=(4, 0), a=1.0, b=1.0, nu=1.0)
