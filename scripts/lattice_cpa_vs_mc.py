@@ -5,6 +5,13 @@ Sweeps the two disorder strengths that bracket the interesting regime:
 b = 0.15 (van Hove remnant still visible near omega = sqrt(2) nu) and
 b = 0.63 (low-frequency peak, bulk pushed upward).  Writes CSV curves and
 prints the L1 agreement between the two routes.
+
+Both routes take one ``ModelParams``, so the mean field averages over the
+momenta of the same periodic chain the oracle samples.  At the defaults
+(32 sites, N = 8, 200 samples, seed 0) the L1 is 0.013 at b = 0.15 and
+0.0124 at b = 0.63; against the 4096-point stand-in for the infinite chain
+it was 0.136 at b = 0.15, the chain's finite-size floor, and the same
+0.0124 at b = 0.63.
 """
 
 import argparse
@@ -31,20 +38,18 @@ def main():
     M = int(round(2 * args.N * a))
     omegas = np.linspace(0.01, 3.2, 480)
     for b in (0.15, 0.63):
-        cpa_params = ModelParams(d=1, a=a, b=b, nu=nu)
-        curve = dos_curve(omegas, 1e-3, cpa_params)
+        params = ModelParams(d=1, extents=(args.sites,), N=args.N, M=M, b=b, nu=nu)
+        curve = dos_curve(omegas, 1e-3, params)
         emit_csv(str(out / f"cpa_b{b}.csv"),
-                 {"b": b, "eps": curve.eps, "normalization": curve.normalization},
+                 {"extents": params.extents, "b": b, "eps": curve.eps,
+                  "normalization": curve.normalization},
                  {"omega": curve.omegas, "rho": curve.rho,
                   "p_re": curve.p.real, "p_im": curve.p.imag,
                   "residual": curve.residuals})
 
-        mc_params = ModelParams(d=1, extents=(args.sites,), N=args.N, M=M,
-                                b=b, nu=nu)
-        hist = mc_dos(mc_params, n_samples=args.samples, bins=100,
-                      seed=args.seed)
+        hist = mc_dos(params, n_samples=args.samples, bins=100, seed=args.seed)
         emit_csv(str(out / f"mc_b{b}.csv"),
-                 {"b": b, "seed": hist.seed,
+                 {"extents": params.extents, "b": b, "seed": hist.seed,
                   "total_eigenvalues": hist.total_eigenvalues},
                  {"bin_left": hist.bin_edges[:-1],
                   "bin_right": hist.bin_edges[1:],

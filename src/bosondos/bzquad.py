@@ -1,6 +1,7 @@
-"""Normalized Brillouin-zone quadrature on periodic tensor-product grids.
+"""Normalized Brillouin-zone means on periodic tensor-product grids.
 
-All integrals are means over the uniform n^d grid on [0, 2*pi)^d.  Every
+All integrals are means over the uniform n^d grid on [0, 2*pi)^d: the
+momenta 2*pi*j/n of the periodic lattice with n sites per dimension.  Every
 propagator kernel depends on k only through the Laplacian symbol
 dlt_k = mean_i cos k_i, and its denominator is linear in it, D = alpha -
 beta*dlt, so every kernel is scalar algebra on two grid means, m1 = mean 1/D
@@ -25,8 +26,8 @@ there, or it reads 0/0 at tau = -1 of an odd grid): a complex call raises
 ValueError there, and a lane comes back nan or inf.
 
 Every kernel takes (z, p, nu, d, n), with the grid size n a plain int, and
-returns the mean on that grid alone; ``default_points_per_dim`` resolves
-and validates it.  The grid-doubling check is ``cpa.dos_curve``'s.
+returns the mean on that grid alone; ``points_per_dim`` resolves it from a
+model's lattice.  The grid-doubling check is ``cpa.dos_curve``'s.
 """
 
 from __future__ import annotations
@@ -35,34 +36,36 @@ import cmath
 import itertools
 import math
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-__all__ = ["default_points_per_dim", "I_g", "I_cpa", "dI_cpa_dp"]
+from .model import ModelParams
+
+__all__ = ["points_per_dim", "I_g", "I_cpa", "dI_cpa_dp"]
 
 _DEFAULT_POINTS = {1: 4096, 2: 256, 3: 64}
 
 
-def default_points_per_dim(d: int, nu: float, kgrid: Optional[int] = None) -> int:
-    """The zone grid size per dimension: ``kgrid`` when given (at least 4,
-    else ValueError), else the default balancing cost against
-    broadening-limited accuracy.
+def points_per_dim(params: ModelParams) -> int:
+    """The zone grid size per dimension: L for a lattice of extents
+    (L, ..., L), whose momenta the mean runs over (unequal extents:
+    ValueError), else the default that stands in for the infinite lattice,
+    balancing cost against broadening-limited accuracy.
 
-    A lattice (nu > 0) above d = 3 has no default, so the grid must be given
-    (ValueError): 16 points per dimension put the d = 4 density about 1% of
-    its maximum off the 32-point one.  At nu = 0 the means are the flat-band
-    values on any grid, and 16 points serve.
+    A lattice (nu > 0) above d = 3 has no default, so its extents must be
+    given (ValueError): 16 points per dimension put the d = 4 density about
+    1% of its maximum off the 32-point one.  At nu = 0 the means are the
+    flat-band values on any grid, and 16 points serve.
     """
-    if kgrid is not None:
-        if kgrid < 4:
-            raise ValueError(f"kgrid must be at least 4, got {kgrid}")
-        return kgrid
-    if d in _DEFAULT_POINTS:
-        return _DEFAULT_POINTS[d]
-    if nu > 0:
-        raise ValueError(f"no default zone grid for a lattice at d = {d} > 3; give "
-                         "kgrid (--kgrid) explicitly")
+    if params.extents is not None:
+        if len(set(params.extents)) > 1:
+            raise ValueError(f"the mean field needs equal extents, got {params.extents}")
+        return params.extents[0]
+    if params.d in _DEFAULT_POINTS:
+        return _DEFAULT_POINTS[params.d]
+    if params.nu > 0:
+        raise ValueError(f"no default zone grid for a lattice at d = {params.d} > 3; give "
+                         "its extents (--kgrid) explicitly")
     return 16
 
 

@@ -4,9 +4,10 @@ Each mode's handler runs from the parsed flags of that mode alone.  Output
 files are plain CSV with a ``#``-comment preamble, one uncommented header
 row, and full-precision (round-trip exact) numeric columns.  The preamble
 holds, in order: ``version`` and ``mode``; the resolved model parameters
-(``d``, ``extents``, ``N``, ``M``, ``a``, ``b``, ``nu``, each when set);
-the mode's other flags as parsed (unset ones left out); then results and
-warnings.  Identical configurations produce byte-identical files.
+(``d``, ``extents``, ``N``, ``M``, ``a``, ``b``, ``nu``, each when set;
+a lattice's zone grid is its ``extents``); the mode's other flags as parsed
+(unset ones left out); then results and warnings.  Identical configurations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .bzquad import default_points_per_dim
+from .bzquad import points_per_dim
 from .cpa import SolverError, default_eps, dos_curve, solve_p
 from .ensemble import ConeViolationError, mc_dos
 from .model import ModelParams
@@ -114,8 +115,10 @@ def _model_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
 
 def _kgrid_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kgrid", type=int, default=None,
-                   help="quadrature points per dimension (default 4096 for "
-                   "d=1, 256 for d=2, 64 for d=3; required for d >= 4)")
+                   help="sites L per dimension of the periodic lattice, whose "
+                   "L^d momenta the zone mean runs over, as mc-dos --extents "
+                   "L,..,L samples it (default 4096 for d=1, 256 for d=2, 64 "
+                   "for d=3; required for d >= 4)")
 
 
 def _omega_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
@@ -200,16 +203,32 @@ def _model(args: argparse.Namespace) -> Tuple[ModelParams, Dict[str, object]]:
     """The model the flags describe, and the preamble that records the run:
     version and mode, the resolved model, then the mode's other flags as
     parsed.  A model flag the mode lacks keeps the ``ModelParams`` default
-    (rmt-dos: d = 1, nu = 0)."""
+    (rmt-dos: d = 1, nu = 0).  ``--kgrid`` is read into the extents."""
     given = {f.name: getattr(args, f.name) for f in fields(ModelParams) if f.name in args}
     if given.get("extents") is not None:
         given["extents"] = tuple(int(tok) for tok in given["extents"].split(","))
     params = ModelParams(**given)
+    if "kgrid" in args:
+        params = _zone_lattice(args, params)
     meta: Dict[str, object] = {"version": __version__, "mode": args.mode}
     meta.update((k, v) for k, v in asdict(params).items() if v is not None)
     meta.update((k, v) for k, v in vars(args).items()
-                if k != "mode" and k not in given and v is not None)
+                if k not in ("mode", "kgrid") and k not in given and v is not None)
     return params, meta
+
+
+def _zone_lattice(args: argparse.Namespace, params: ModelParams) -> ModelParams:
+    """``params`` on the lattice the zone mean runs over: extents (L,)*d for
+    ``--kgrid L``, else the default grid's.  Unchanged at nu = 0, where no
+    grid is read and neither quadrature flag may be given."""
+    if params.nu == 0:
+        for flag, given in (("--kgrid", args.kgrid is not None),
+                            ("--check-quadrature", getattr(args, "check_quadrature", False))):
+            if given:
+                raise ValueError(f"{flag} given, but no zone grid is used at nu = 0")
+        return params
+    n = points_per_dim(params) if args.kgrid is None else args.kgrid
+    return replace(params, extents=(n,) * params.d)
 
 
 def _check_finite(args: argparse.Namespace, *flags: str) -> None:
@@ -218,19 +237,6 @@ def _check_finite(args: argparse.Namespace, *flags: str) -> None:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
-
-
-def _kgrid(args: argparse.Namespace, params: ModelParams) -> Optional[int]:
-    """The zone grid per dimension the run uses; None at nu = 0, where no
-    grid is read and neither quadrature flag may be given."""
-    kgrid = getattr(args, "kgrid", None)
-    if params.nu == 0:
-        for flag, given in (("--kgrid", kgrid is not None),
-                            ("--check-quadrature", getattr(args, "check_quadrature", False))):
-            if given:
-                raise ValueError(f"{flag} given, but no zone grid is used at nu = 0")
-        return None
-    return default_points_per_dim(params.d, params.nu, kgrid)
 
 
 def _record_notes(meta: Dict[str, object], notes: Sequence[str]) -> None:
@@ -260,7 +266,6 @@ def _run_dos(args: argparse.Namespace) -> int:
     result at nu = 0 does not depend on the grid."""
     _check_finite(args, "--omega-min", "--omega-max", "--eps")
     params, meta = _model(args)
-    kgrid = _kgrid(args, params)
     omegas = _omega_grid(args)
     if omegas.size == 0:
         print("warning: empty frequency grid, emitting header-only file",
@@ -270,12 +275,9 @@ def _run_dos(args: argparse.Namespace) -> int:
                  {"omega": [], "rho": [], "p_re": [], "p_im": [], "residual": []})
         return 0
     eps = default_eps(params) if args.eps is None else args.eps
-    curve = dos_curve(omegas, eps, params, kgrid,
-                      check=getattr(args, "check_quadrature", False))
+    curve = dos_curve(omegas, eps, params, check=getattr(args, "check_quadrature", False))
     _record_notes(meta, curve.notes)
     meta["eps"] = curve.eps
-    if kgrid is not None:
-        meta["kgrid"] = kgrid
     meta["dirac_mass_at_zero"] = curve.dirac_mass_at_zero
     meta["normalization"] = curve.normalization
     emit_csv(args.out, meta, {
@@ -320,14 +322,11 @@ def _run_solve_p(args: argparse.Namespace) -> int:
     if args.z_re <= 0:
         raise ValueError(f"--z-re must be positive, got {args.z_re}")
     params, meta = _model(args)
-    kgrid = _kgrid(args, params)
-    cp = solve_p(complex(args.z_re, args.z_im), params, kgrid)
+    cp = solve_p(complex(args.z_re, args.z_im), params)
     print(f"p = {cp.p.real!r} + {cp.p.imag!r}j  "
           f"(residual {cp.residual:.3e}, {cp.iterations} iterations)")
     print(f"branch: {cp.branch_tag}")
     if args.out:
-        if kgrid is not None:
-            meta["kgrid"] = kgrid
         meta["branch_tag"] = cp.branch_tag
         emit_csv(args.out, meta, {
             "z_re": [cp.z.real], "z_im": [cp.z.imag],

@@ -19,12 +19,14 @@ which is equivalent to the equation above for p != 0 but free of the
 catastrophic 1/b vs a/p cancellation at weak disorder.  Convergence and the
 reported ``residual`` are measured relative to the natural scale of G.
 The zone means of the converged Newton step also give g = mean_k z/D at the
-solution, so a solved point costs no further zone mean.  The zone grid is
-the plain int ``kgrid`` (points per dimension, default
-``bzquad.default_points_per_dim``).  Only ``dos_curve(..., check=True)``
-checks it: one zone mean per reported point on the doubled grid, compared
-with the carried g at relative tolerance DOUBLING_TOL; the doubled grid's
-value is reported, and each disagreement is one of the curve's notes.
+solution, so a solved point costs no further zone mean.  The zone mean
+runs over the L^d momenta of the lattice ``params.extents`` = (L, ..., L)
+that the Monte Carlo oracle samples, or the default grid that stands in
+for the infinite lattice (``bzquad.points_per_dim``).  Only
+``dos_curve(..., check=True)`` checks it: one zone mean per reported point
+on the (2L)^d grid, compared with the carried g at relative tolerance
+DOUBLING_TOL; the doubled grid's value is reported, and each disagreement
+is one of the curve's notes.
 
 Every zone mean goes through :mod:`bosondos.bzquad`, which also covers the
 random-matrix limit nu = 0, so the solver has no special case for it, nor
@@ -71,7 +73,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -204,11 +206,11 @@ def _on_branch(p, g, ref, nu):
     arrays: Re(p + nu) > 0, off the kernels' pole q = p + nu = 0;
     Re g >= -1e-9*|g|, as g is the resolvent of a spectral measure on the
     imaginary axis (Re g > 0 for Re z > 0); and |p - ref| within
-    JUMP_TOL * max(1, |ref|) of the reference p.  No zone mean is taken."""
-    jump = abs(p - ref)
-    # two comparisons instead of max(1, |ref|): no numpy call on scalars
+    JUMP_TOL * |ref| of the reference p.  The bound has no absolute floor:
+    p is a frequency, so the test is the same in any unit.  No zone mean is
+    taken."""
     return ((p.real + nu > 0) & (g.real >= -1e-9 * abs(g))
-            & ((jump <= JUMP_TOL) | (jump <= JUMP_TOL * abs(ref))))
+            & (abs(p - ref) <= JUMP_TOL * abs(ref)))
 
 
 def _newton(z, p0, params, n):
@@ -292,20 +294,16 @@ def _march(z_from, p_from, slope, z_to, params, n):
     return p, g, resid, its, slope
 
 
-def solve_p(
-    z: complex,
-    params: ModelParams,
-    kgrid: Optional[int] = None,
-) -> CoherentPotential:
+def solve_p(z: complex, params: ModelParams) -> CoherentPotential:
     """Solve the self-consistency equation for p(z) on the physical branch.
 
     The branch is pinned by continuation from the large-z asymptote p = a*b
     at z_start = Z_START_SCALE * max(b, nu), where the root must pass
     ``_on_branch`` against a*b (BranchError), then one ``_march`` to z,
     which like every sweep step starts with a single step and halves it
-    down to 2^-23 of the segment.  Without ``kgrid`` the grid is
-    ``default_points_per_dim``'s, which a lattice above d = 3 lacks
-    (ValueError).  z must be finite with Re z > 0 (ValueError).  b = 0 is
+    down to 2^-23 of the segment.  The zone grid is
+    ``bzquad.points_per_dim``'s, which a lattice above d = 3 without extents
+    lacks (ValueError).  z must be finite with Re z > 0 (ValueError).  b = 0 is
     no special case: there the seed p = 0 solves the equation, and every
     Newton run ends where it starts.
     """
@@ -314,7 +312,7 @@ def solve_p(
         raise ValueError(f"solve_p requires a finite z, got {z}")
     if not z.real > 0:
         raise ValueError(f"solve_p requires Re z > 0, got {z}")
-    n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
+    n = bzquad.points_per_dim(params)
     z_start = complex(Z_START_SCALE * max(params.b, params.nu))
     ab = params.a * params.b
     p, g, resid, its, slope = _newton(z_start, ab, params, n)
@@ -346,10 +344,7 @@ def _put(sweep: CoherentPotential, at, solved) -> None:
 
 
 def continuation_sweep(
-    omega_grid: Sequence[float],
-    eps: float,
-    params: ModelParams,
-    kgrid: Optional[int] = None,
+    omega_grid: Sequence[float], eps: float, params: ModelParams
 ) -> CoherentPotential:
     """Solve p along z = eps + i*omega for every omega: a sequential sweep on
     a coarse skeleton of the grid, then every other point as one lane of a
@@ -386,7 +381,7 @@ def continuation_sweep(
         raise ValueError("omega_grid must be finite")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps}")
-    n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
+    n = bzquad.points_per_dim(params)
     w = omegas.tolist()
     spacing = SKELETON_STEP * max(params.b, params.nu)
     skeleton = [0]
@@ -400,7 +395,7 @@ def continuation_sweep(
                               iterations=np.empty(z.size, dtype=int), branch_tag="",
                               g=np.empty_like(z), slope=np.empty_like(z))
     try:
-        first = solve_p(z[0], params, n)
+        first = solve_p(z[0], params)
     except SolverError as exc:
         raise type(exc)(f"omega={w[0]:g}: {exc}") from exc
     _put(sweep, 0, (first.p, first.g, first.residual, first.iterations, first.slope))
@@ -469,11 +464,7 @@ def _lane_newton(z: np.ndarray, p: np.ndarray, params: ModelParams, n: int):
 
 
 def dos_curve(
-    omega_grid: Sequence[float],
-    eps: float,
-    params: ModelParams,
-    kgrid: Optional[int] = None,
-    check: bool = False,
+    omega_grid: Sequence[float], eps: float, params: ModelParams, *, check: bool = False
 ) -> DosCurve:
     """Frequency density rho(omega) = Re g(eps + i*omega) / pi on the grid,
     from one continuation sweep.
@@ -481,8 +472,9 @@ def dos_curve(
     The broadening error is O(eps): a smaller eps, down to about
     1e-9 * max(b, nu), brings rho closer to the eps -> 0+ limit.  Omega and
     eps must be finite and positive (ValueError).  ``check=True`` takes g at
-    every solved point on the doubled grid instead, and notes each point
-    where it differs from the carried g by more than DOUBLING_TOL relative.
+    every solved point on the doubled grid, (2L)^d, instead, and notes each
+    point where it differs from the carried g by more than DOUBLING_TOL
+    relative.
     The zero-frequency point mass max(0, 1 - a) is reported separately, and
     only in the random-matrix limit (nu = 0, a < 1) where the rank
     deficiency of the couplings enforces it; its pole (1 - a)/z is
@@ -492,12 +484,12 @@ def dos_curve(
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.size and omegas.min() <= 0:
         raise ValueError("omega_grid must be strictly positive")
-    n = bzquad.default_points_per_dim(params.d, params.nu, kgrid)
     dirac = max(0.0, 1.0 - params.a) if (params.is_rmt and params.a < 1) else 0.0
-    sweep = continuation_sweep(omegas, eps, params, n)
+    sweep = continuation_sweep(omegas, eps, params)
     g = sweep.g  # the sweep's own array: rewritten in place below
     notes = []
     if check:
+        n = bzquad.points_per_dim(params)
         for i, (z, p, g1) in enumerate(zip(sweep.z.tolist(), sweep.p.tolist(), g.tolist())):
             g[i] = g2 = bzquad.I_g(z, p, params.nu, params.d, 2 * n)
             if abs(g1 - g2) > DOUBLING_TOL * max(abs(g2), np.finfo(float).tiny):

@@ -29,8 +29,10 @@ class ModelParams:
     d : int
         Spatial dimension of the lattice.
     extents : tuple of int, optional
-        Per-dimension site counts of the periodic lattice.  ``None`` selects
-        the single-site (pure random-matrix) geometry, valid only for nu = 0.
+        Per-dimension site counts L >= 3 of the periodic lattice that the
+        oracle samples and whose momenta 2*pi*j/L the mean field averages
+        over.  ``None`` selects the single-site (pure random-matrix) oracle,
+        valid only for nu = 0, and the mean field's infinite-lattice grid.
     N : int, optional
         Number of identical bands per site.  Required for sampling, not for
         the mean-field equations (which depend on N only through ``a``).
@@ -93,8 +95,9 @@ class ModelParams:
                 raise ValueError(
                     f"extents {extents} do not match dimension d={self.d}"
                 )
-            if any(n < 1 for n in extents):
-                raise ValueError(f"extents must be positive, got {extents}")
+            if any(n < 3 for n in extents):
+                raise ValueError(f"each periodic dimension needs at least 3 sites, "
+                                 f"got extents {extents}")
             object.__setattr__(self, "extents", extents)
 
     @property
@@ -136,11 +139,6 @@ def assemble_K(params: ModelParams) -> np.ndarray:
         raise ValueError("assemble_K requires a finite lattice (extents)")
     if params.N is None:
         raise ValueError("assemble_K requires the band count N")
-    if any(n < 3 for n in params.extents):
-        raise ValueError(
-            "each periodic dimension needs at least 3 sites; with 2 the "
-            "directed-bond enumeration would double-count every pair"
-        )
     d, N, nu = params.d, params.N, params.nu
     extents = params.extents
     nsite = params.n_sites

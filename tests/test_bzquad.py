@@ -1,4 +1,5 @@
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,16 @@ from bosondos.bzquad import (
     _excess,
     _zone_nodes,
     dI_cpa_dp,
-    default_points_per_dim,
+    points_per_dim,
 )
 from clean_model import delta_k
 
 SMALL = 64
+
+
+def default_points(d, nu=1.0):
+    """The default grid per dimension of a model without extents."""
+    return points_per_dim(ModelParams(d=d, a=1.0, b=1.0, nu=nu))
 
 
 def grid_mean(f, d, n):
@@ -177,7 +183,7 @@ PURE_CHAIN = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
 
 
 def test_doubling_check_quiet_when_converged():
-    curve = dos_curve([0.8], 0.1, PURE_CHAIN, 256, check=True)
+    curve = dos_curve([0.8], 0.1, replace(PURE_CHAIN, extents=(256,)), check=True)
     assert curve.notes == ()
     assert curve.rho[0] == I_g(0.1 + 0.8j, 0.0, 1.0, 1, 512).real / np.pi
 
@@ -186,7 +192,8 @@ def test_doubling_check_flags_unresolved_broadening():
     # eps far below the grid resolution: the check must fire, and the
     # doubled grid's value is the one reported
     z = 1e-4 + 0.5j
-    curve = dos_curve([0.5], 1e-4, PURE_CHAIN, 4096, check=True)
+    chain = replace(PURE_CHAIN, extents=(4096,))
+    curve = dos_curve([0.5], 1e-4, chain, check=True)
     g_n, g_2n = I_g(z, 0.0, 1.0, 1, 4096), I_g(z, 0.0, 1.0, 1, 8192)
     assert abs(g_n - g_2n) > 1e-9 * abs(g_2n)
     assert curve.notes == (
@@ -194,7 +201,7 @@ def test_doubling_check_flags_unresolved_broadening():
         "exceeds rel_tol=1e-09 * |I_2n| at n=4096, d=1",)
     assert curve.rho[0] == g_2n.real / np.pi
     # unchecked, the same curve reports the grid's own value without a note
-    plain = dos_curve([0.5], 1e-4, PURE_CHAIN, 4096)
+    plain = dos_curve([0.5], 1e-4, chain)
     assert plain.notes == () and plain.rho[0] == g_n.real / np.pi
 
 
@@ -215,7 +222,7 @@ def test_zone_nodes_fold_the_full_grid():
             want = np.mean(f)
             assert abs(got - want) <= 1e-14 * abs(want)
     for d in (1, 2, 3):
-        n_nodes = len(_zone_nodes(d, default_points_per_dim(d, 1.0))[0])
+        n_nodes = len(_zone_nodes(d, default_points(d))[0])
         assert n_nodes == {1: 2049, 2: 8385, 3: 6545}[d]
 
 
@@ -262,7 +269,7 @@ def test_singular_closed_form_raises_and_gives_nonfinite_lanes(d, n):
 def test_derivatives_are_finite_wherever_z_squared_is(d):
     # alpha^2 overflows past |z| ~ 1e77, z^2 past 1e154: both derivatives
     # are written in scaled forms, so they stay finite in between
-    n = default_points_per_dim(d, 1.0)
+    n = default_points(d)
     p = 0.47 + 1e-3j
     for w in (1e80, 1e140, 1e150):
         z = 1e-3 + 1j * w
@@ -308,7 +315,7 @@ def test_closed_form_means_match_meshgrid(d, n):
 
 def test_vanishing_nu_gives_flat_band_kernels():
     for d in (1, 2, 3):
-        n = default_points_per_dim(d, 1.0)
+        n = default_points(d)
         for z, p in ((0.4 + 1.1j, 0.2 + 0.6j), (1e-3 + 2.0j, 0.05 - 0.3j)):
             def kernels(nu):
                 return I_g(z, p, nu, d, n), *I_cpa_and_derivative(z, p, nu, d, n)
@@ -320,23 +327,26 @@ def test_vanishing_nu_gives_flat_band_kernels():
 
 
 def test_default_grid_sizes():
-    assert default_points_per_dim(1, 1.0) == 4096
-    assert default_points_per_dim(2, 1.0) == 256
-    assert default_points_per_dim(3, 1.0) == 64
+    assert default_points(1) == 4096
+    assert default_points(2) == 256
+    assert default_points(3) == 64
     # no default for a lattice above d = 3; at nu = 0 the means are the
     # flat-band values on any grid
     with pytest.raises(ValueError, match="--kgrid"):
-        default_points_per_dim(4, 1.0)
-    assert default_points_per_dim(4, 0.0) == 16
+        default_points(4)
+    assert default_points(4, 0.0) == 16
 
 
 def test_spec_validation():
-    # a given grid is checked where the default is resolved
-    for n in (2, 3):
-        with pytest.raises(ValueError, match="kgrid must be at least 4"):
-            default_points_per_dim(1, 1.0, n)
-    assert default_points_per_dim(1, 1.0, 4) == 4
-    assert default_points_per_dim(4, 1.0, 8) == 8
+    # a lattice's grid is its extents, checked where the model is built;
+    # the zone mean takes equal extents only
+    with pytest.raises(ValueError, match="at least 3 sites"):
+        ModelParams(d=1, extents=(2,), a=1.0, b=1.0, nu=1.0)
+    for extents in ((3,), (4,), (8, 8, 8, 8)):
+        params = ModelParams(d=len(extents), extents=extents, a=1.0, b=1.0, nu=1.0)
+        assert points_per_dim(params) == extents[0]
+    with pytest.raises(ValueError, match="equal extents"):
+        points_per_dim(ModelParams(d=2, extents=(4, 3), a=1.0, b=1.0, nu=1.0))
 
 
 # lanes in both half-planes of Re z, near and away from the pole of D's flat
@@ -348,7 +358,7 @@ LANE_P = [0.4 + 0.2j, 0.05 - 0.3j, 1.2 + 0.8j]
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("nu", [1.0, 0.0])
 def test_lanes_match_scalar_kernel(d, nu):
-    n = default_points_per_dim(d, nu)
+    n = default_points(d, nu)
     z, p = (np.array(v) for v in zip(*[(z, p) for z in LANE_Z for p in LANE_P]))
     lanes = I_cpa_and_derivative(z, p, nu, d, n)
     # numpy's complex division rounds differently from Python's, and the

@@ -379,6 +379,23 @@ def test_mc_dos_reports_each_warning_once(argv, tmp_path, capsys):
     assert capsys.readouterr().err.count("warning:") == 1
 
 
+def test_small_p_row_stays_on_the_band_root(tmp_path):
+    # box draw (1, 37) at eps = 1e-5: near omega = 0.0956 a gap root with
+    # p = -0.124 passes every test but the jump test, whose bound there is
+    # half of |p| = 0.02 away; with an absolute floor of 1 it read
+    # rho = 3.3e-4, between neighbours of 1.85
+    out = tmp_path / "x.csv"
+    assert main(["cpa-dos", "--d", "1", "--a", "0.1627250342688202",
+                 "--b", "1.587710742419931", "--nu", "0.13525719320603743",
+                 "--omega-max", "3.9819515124454283", "--omega-steps", "3000",
+                 "--eps", "1e-5", "--out", str(out)]) == 0
+    _, cols = parse_csv(str(out))
+    i = int(np.argmin(np.abs(cols["omega"] - 0.0955668)))
+    assert cols["omega"][i] == pytest.approx(0.0955668, abs=1e-6)
+    assert cols["rho"][i] == pytest.approx(1.85953, abs=1e-5)
+    assert cols["rho"][i - 1] < cols["rho"][i] < cols["rho"][i + 1]
+
+
 def test_check_quadrature_records_each_failed_point(tmp_path, capsys):
     # 64 points cannot resolve eps = 1e-3 on a chain: the check fails at some
     # points, and each failure is one warning line, after the flags
@@ -433,8 +450,10 @@ def test_solve_p_on_a_lattice_records_its_zone_grid(tmp_path):
         "--z-re", "1e-3", "--z-im", "1.0", "--out", str(out),
     ]) == 0
     meta, cols = parse_csv(str(out))
-    assert meta["kgrid"] == "4096"
-    assert list(meta)[-2:] == ["kgrid", "branch_tag"]
+    # the default grid, once, as the lattice in the model block
+    assert meta["extents"] == "(4096,)"
+    assert list(meta)[2:4] == ["d", "extents"] and "kgrid" not in meta
+    assert list(meta)[-1] == "branch_tag"
     assert cols["residual"][0] <= 1e-12
 
 
@@ -542,8 +561,8 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
     runs = {
         "cpa": (["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1",
                  "--omega-max", "2", "--omega-steps", "12", "--kgrid", "64"],
-                ["version", "mode", "d", "a", "b", "nu", "omega_max",
-                 "omega_steps", "kgrid", "check_quadrature", "out", "eps",
+                ["version", "mode", "d", "extents", "a", "b", "nu", "omega_max",
+                 "omega_steps", "check_quadrature", "out", "eps",
                  "dirac_mass_at_zero", "normalization"]),
         "rmt": (["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "12"],
                 ["version", "mode", "d", "a", "b", "nu", "omega_max",
@@ -566,7 +585,7 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
         meta[name] = parse_csv(str(out))[0]
         assert list(meta[name]) == keys, name
     assert meta["mc"]["a"] == "1.0"
-    assert meta["cpa"]["kgrid"] == "64" and "kgrid" not in meta["p"]
+    assert meta["cpa"]["extents"] == "(64,)" and "extents" not in meta["p"]
     assert meta["rmt"]["d"] == "1" and meta["rmt"]["nu"] == "0.0"
     # the flat-band curve still refuses a lattice histogram on nu
     lattice = tmp_path / "lattice.csv"
@@ -585,7 +604,7 @@ def test_nu_zero_reads_no_grid(tmp_path, capsys):
     out = tmp_path / "dos.csv"
     assert main(["cpa-dos", "--a", "1", "--b", "1", "--nu", "0",
                  "--omega-steps", "5", "--out", str(out)]) == 0
-    assert "kgrid" not in parse_csv(str(out))[0]
+    assert not {"kgrid", "extents"} & parse_csv(str(out))[0].keys()
     for argv in (["cpa-dos", "--a", "1", "--b", "1", "--nu", "0", "--kgrid", "3",
                   "--omega-steps", "5"],
                  ["solve-p", "--a", "2", "--b", "1", "--nu", "0", "--kgrid", "64"]):

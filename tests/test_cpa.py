@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from bosondos import (
     continuation_sweep,
     dos_curve,
     find_gap_edge,
+    mc_dos,
     rmt_scaled_a1,
     solve_p,
 )
 from bosondos import bzquad, cpa
 from bosondos.bzquad import I_cpa, I_g
+from bosondos.cli import compare_curves
 
 RMT_A2 = ModelParams(a=2.0, b=1.0, nu=0.0)
 RMT_A1 = ModelParams(a=1.0, b=1.0, nu=0.0)
@@ -22,10 +25,16 @@ LATTICE = ModelParams(d=1, a=0.75, b=0.63, nu=1.0)
 D3 = ModelParams(d=3, a=0.75, b=0.63, nu=1.0)
 
 
+def on_grid(params, n):
+    """``params`` on the periodic lattice of n sites per dimension, whose
+    momenta are the n^d zone grid; unchanged for n = None."""
+    return params if n is None else replace(params, extents=(n,) * params.d)
+
+
 def residual(p, z, params):
     """Mismatch 1/b - a/p + I_cpa(z, p) of the uncleared equation, on the
     default grid; zero exactly on a solution."""
-    n = bzquad.default_points_per_dim(params.d, params.nu)
+    n = bzquad.points_per_dim(params)
     return 1.0 / params.b - params.a / p + I_cpa(z, p, params.nu, params.d, n)
 
 
@@ -55,7 +64,7 @@ def traced_sweep(monkeypatch, omegas, eps, params, n):
 
     monkeypatch.setattr(cpa, "_lane_newton", spy_lanes)
     monkeypatch.setattr(cpa, "_sweep_step", spy_step)
-    sweep = continuation_sweep(omegas, eps, params, n)
+    sweep = continuation_sweep(omegas, eps, on_grid(params, n))
     monkeypatch.setattr(cpa, "_lane_newton", lane_newton)
     monkeypatch.setattr(cpa, "_sweep_step", sweep_step)
     z = sweep.z.tolist()
@@ -155,7 +164,7 @@ class TestSolveP:
             solve_p(1.0 + 0.5j, lattice)
         with pytest.raises(ValueError, match="kgrid"):
             dos_curve([0.5, 1.0], 1e-2, lattice)
-        assert solve_p(1.0 + 0.5j, lattice, 8).residual <= cpa.NEWTON_TOL
+        assert solve_p(1.0 + 0.5j, on_grid(lattice, 8)).residual <= cpa.NEWTON_TOL
         flat = ModelParams(d=4, a=2.0, b=1.0, nu=0.0)
         assert solve_p(1.0 + 0.5j, flat).p == solve_p(1.0 + 0.5j, RMT_A2).p
 
@@ -191,7 +200,7 @@ class TestContinuationSweep:
         # the cpa-d1 flags: one CoherentPotential of arrays in grid order,
         # whose tag counts 26 skeleton points and the rest as lanes
         omegas = np.linspace(3.0 / 600, 3.0, 600)
-        sweep = continuation_sweep(omegas, 1e-3, LATTICE, 4096)
+        sweep = continuation_sweep(omegas, 1e-3, on_grid(LATTICE, 4096))
         for field in (sweep.p, sweep.z, sweep.residual, sweep.iterations, sweep.g,
                       sweep.slope):
             assert field.shape == omegas.shape
@@ -199,7 +208,7 @@ class TestContinuationSweep:
         skeleton, lanes, fallbacks = sweep_counts(sweep)
         assert skeleton == 26 and skeleton + lanes == omegas.size
         assert 0 <= fallbacks < lanes
-        curve = dos_curve(omegas, 1e-3, LATTICE, 4096)
+        curve = dos_curve(omegas, 1e-3, on_grid(LATTICE, 4096))
         assert curve.p.tobytes() == sweep.p.tobytes()
         assert curve.residuals.tobytes() == sweep.residual.tobytes()
         assert curve.rho.tobytes() == (sweep.g.real / np.pi).tobytes()
@@ -218,7 +227,7 @@ class TestContinuationSweep:
         skeleton, lanes, fallbacks = sweep_counts(sweep)
         assert lanes > skeleton and fallbacks == 0
         assert not sweep.p.any() and not sweep.residual.any()
-        n = bzquad.default_points_per_dim(d, 1.0)
+        n = bzquad.points_per_dim(clean)
         want = np.array([I_g(z, 0j, 1.0, d, n) for z in sweep.z.tolist()])
         assert np.abs(sweep.g - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -272,7 +281,7 @@ class TestDosCurve:
         # no self-consistency at b = 0: the curve is the clean-chain density
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
         omegas = np.array([0.3, 0.7, 1.1])
-        curve = dos_curve(omegas, 1e-4, clean, 65536)
+        curve = dos_curve(omegas, 1e-4, on_grid(clean, 65536))
         want = 1.0 / (np.pi * np.sqrt(2.0 - omegas**2))
         assert np.abs(curve.rho - want).max() <= 1e-3
 
@@ -323,20 +332,20 @@ class TestCarriedResolvent:
 
     def test_unchecked_curve_takes_no_extra_zone_mean(self, monkeypatch):
         sizes = self.count_means(monkeypatch)
-        continuation_sweep(self.GRID, 1e-3, LATTICE, 512)
+        continuation_sweep(self.GRID, 1e-3, on_grid(LATTICE, 512))
         newton = len(sizes)
-        dos_curve(self.GRID, 1e-3, LATTICE, 512)
+        dos_curve(self.GRID, 1e-3, on_grid(LATTICE, 512))
         assert sizes == [512] * (2 * newton)
 
     def test_checked_curve_takes_one_doubled_mean_per_point(self, monkeypatch):
         # a grid too coarse for eps, so that the doubling check fires
-        sweep = continuation_sweep(self.GRID, 1e-3, LATTICE, 64)
+        sweep = continuation_sweep(self.GRID, 1e-3, on_grid(LATTICE, 64))
         g_2n = [I_g(z, p, LATTICE.nu, LATTICE.d, 128)
                 for z, p in zip(sweep.z.tolist(), sweep.p.tolist())]
         failed = [abs(g_n - g) > 1e-9 * abs(g) for g_n, g in zip(sweep.g.tolist(), g_2n)]
         assert 0 < sum(failed) < len(failed)
         sizes = self.count_means(monkeypatch)
-        curve = dos_curve(self.GRID, 1e-3, LATTICE, 64, check=True)
+        curve = dos_curve(self.GRID, 1e-3, on_grid(LATTICE, 64), check=True)
         assert sizes.count(128) == self.GRID.size
         assert sizes[-self.GRID.size:] == [128] * self.GRID.size
         assert set(sizes) == {64, 128}
@@ -351,23 +360,23 @@ class TestCarriedResolvent:
         omegas = self.GRID[:4]
         fail_at(omegas[2])
         with pytest.raises(SolverError, match=f"^omega={omegas[2]:g}: injected$"):
-            continuation_sweep(omegas, 1e-3, LATTICE, 512)
+            continuation_sweep(omegas, 1e-3, on_grid(LATTICE, 512))
         with pytest.raises(SolverError, match=f"^omega={omegas[2]:g}: injected$"):
-            dos_curve(omegas, 1e-3, LATTICE, 512)
+            dos_curve(omegas, 1e-3, on_grid(LATTICE, 512))
 
     def test_failed_first_point_names_its_omega(self, fail_at):
         fail_at(self.GRID[0])
         with pytest.raises(SolverError, match=f"^omega={self.GRID[0]:g}: injected$"):
-            continuation_sweep(self.GRID, 1e-3, LATTICE, 512)
+            continuation_sweep(self.GRID, 1e-3, on_grid(LATTICE, 512))
 
     @pytest.mark.parametrize("params,n", [
         (LATTICE, 512), (RMT_A2, 4), (ModelParams(d=2, a=0.75, b=0.63, nu=1.0), 16),
         (ModelParams(d=3, a=0.75, b=0.63, nu=1.0), 8),
     ])
     def test_carried_g_is_the_zone_mean_at_the_solution(self, params, n):
-        cp = solve_p(0.01 + 0.7j, params, n)
+        cp = solve_p(0.01 + 0.7j, on_grid(params, n))
         assert cp.g == I_g(cp.z, cp.p, params.nu, params.d, n)
-        sweep = continuation_sweep(self.GRID, 1e-3, params, n)
+        sweep = continuation_sweep(self.GRID, 1e-3, on_grid(params, n))
         for z, p, g in zip(sweep.z.tolist(), sweep.p.tolist(), sweep.g.tolist()):
             assert g == I_g(z, p, params.nu, params.d, n)
 
@@ -429,8 +438,9 @@ class TestExtrapolatedSeeds:
             "rmt-a0.75-fine-descending", "cpa-d3"])
     def test_sweep_points_match_independent_solves(self, params, n, eps, omegas):
         # Re g = pi * rho; each independent solve continues from the asymptote
-        sweep = continuation_sweep(omegas, eps, params, n)
-        want = np.array([solve_p(complex(eps, w), params, n).g.real for w in omegas])
+        params = on_grid(params, n)
+        sweep = continuation_sweep(omegas, eps, params)
+        want = np.array([solve_p(complex(eps, w), params).g.real for w in omegas])
         assert np.abs(sweep.g.real - want).max() <= 1e-10 * np.abs(want).max()
         # on the fine grids and the cpa-d3 grid some points are lanes, not
         # sequential steps
@@ -452,10 +462,10 @@ class TestExtrapolatedSeeds:
         return calls
 
     @classmethod
-    def zone_means(cls, monkeypatch, omegas, params, kgrid=None):
+    def zone_means(cls, monkeypatch, omegas, params):
         """Zone-mean calls of one curve at the default eps."""
         calls = cls.counted_zone_means(monkeypatch)
-        curve = dos_curve(omegas, 1e-3, params, kgrid)
+        curve = dos_curve(omegas, 1e-3, params)
         assert curve.residuals.max() <= cpa.NEWTON_TOL
         return len(calls)
 
@@ -467,7 +477,7 @@ class TestExtrapolatedSeeds:
         # predictor and 163 while the march to its first point started in
         # eight steps
         omegas = np.linspace(3.0 / 600, 3.0, 600)
-        assert self.zone_means(monkeypatch, omegas, LATTICE, 4096) <= 142
+        assert self.zone_means(monkeypatch, omegas, on_grid(LATTICE, 4096)) <= 142
 
     def test_cpa_d3_curve_takes_fewer_zone_means(self, monkeypatch):
         # the cpa-d3 benchmark flags took 233 zone means with a skeleton
@@ -477,15 +487,15 @@ class TestExtrapolatedSeeds:
         omegas = np.linspace(0.05, 3.0, 60)
         assert self.zone_means(monkeypatch, omegas, D3) <= 98
 
-    @pytest.mark.parametrize("z,params,kgrid", [
-        (complex(1e-3, 0.05), D3, None),
-        (complex(1e-3, 3.0 / 600), LATTICE, 4096),
+    @pytest.mark.parametrize("z,params", [
+        (complex(1e-3, 0.05), D3),
+        (complex(1e-3, 3.0 / 600), on_grid(LATTICE, 4096)),
     ], ids=["cpa-d3", "readme-d1"])
-    def test_first_point_is_one_adaptive_march(self, monkeypatch, z, params, kgrid):
+    def test_first_point_is_one_adaptive_march(self, monkeypatch, z, params):
         # the march from the asymptote took 29 zone means at both points
         # when it started in eight fixed steps
         calls = self.counted_zone_means(monkeypatch)
-        assert solve_p(z, params, kgrid).residual <= cpa.NEWTON_TOL
+        assert solve_p(z, params).residual <= cpa.NEWTON_TOL
         assert len(calls) <= 8
 
     def test_failed_lane_falls_back_to_the_sequential_step(self, monkeypatch):
@@ -516,7 +526,7 @@ class TestExtrapolatedSeeds:
         assert set(now_steps) == set(steps) | {(left, fallback)}
         assert sweep.residual[i] <= cpa.NEWTON_TOL
         monkeypatch.undo()
-        ref = solve_p(fallback, LATTICE, 512)
+        ref = solve_p(fallback, on_grid(LATTICE, 512))
         assert sweep.p[i] == pytest.approx(ref.p, rel=1e-10)
         assert sweep.g[i] == pytest.approx(ref.g, rel=1e-10)
 
@@ -525,12 +535,13 @@ class TestExtrapolatedSeeds:
         (ModelParams(a=0.75, b=1.0, nu=0.0), 4096),
     ], ids=["d1", "d2", "d3", "nu0"])
     def test_slope_is_the_derivative_of_independent_solves(self, params, n):
+        params = on_grid(params, n)
         h = 1e-5
         for w in (0.3, 1.1, 2.2):
             z = complex(1e-3, w)
-            centered = (solve_p(z + 1j * h, params, n).p
-                        - solve_p(z - 1j * h, params, n).p) / (2j * h)
-            slope = solve_p(z, params, n).slope
+            centered = (solve_p(z + 1j * h, params).p
+                        - solve_p(z - 1j * h, params).p) / (2j * h)
+            slope = solve_p(z, params).slope
             assert abs(slope - centered) <= 1e-6 * abs(centered)
 
     def test_lanes_carry_the_slope_of_their_converged_step(self, monkeypatch):
@@ -581,7 +592,7 @@ class TestExtrapolatedSeeds:
 
         monkeypatch.setattr(cpa, "_march", failing)
         with pytest.raises(SolverError, match=f"^omega={omegas[6]:g}: injected$"):
-            continuation_sweep(omegas, 1e-3, LATTICE, 512)
+            continuation_sweep(omegas, 1e-3, on_grid(LATTICE, 512))
 
 
 def lsz_rho_at_zero_eps(omegas, a, b):
@@ -752,17 +763,17 @@ class TestLimitConsistency:
             z = complex(rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.5))
             rmt = ModelParams(a=a, b=b, nu=0.0)
             near = ModelParams(d=1, a=a, b=b, nu=1e-12)
-            assert abs(solve_p(z, near, 64).g - solve_p(z, rmt).g) <= 1e-8
+            assert abs(solve_p(z, on_grid(near, 64)).g - solve_p(z, rmt).g) <= 1e-8
 
     def test_weak_disorder_matches_clean_resolvent(self):
         clean = ModelParams(d=1, a=0.75, b=0.0, nu=1.0)
         omegas = np.linspace(0.2, 1.0, 9)
-        r0 = dos_curve(omegas, 1e-3, clean, 4096).rho
+        r0 = dos_curve(omegas, 1e-3, on_grid(clean, 4096)).rho
         tiny = ModelParams(d=1, a=0.75, b=1e-12, nu=1.0)
-        r1 = dos_curve(omegas, 1e-3, tiny, 4096).rho
+        r1 = dos_curve(omegas, 1e-3, on_grid(tiny, 4096)).rho
         assert np.abs(r1 - r0).max() <= 1e-10
         weak = ModelParams(d=1, a=0.75, b=1e-8, nu=1.0)
-        r2 = dos_curve(omegas, 1e-3, weak, 4096).rho
+        r2 = dos_curve(omegas, 1e-3, on_grid(weak, 4096)).rho
         assert np.abs(r2 - r0).max() <= 1e-4
 
 
@@ -858,3 +869,57 @@ class TestScaleFreeThresholds:
         monkeypatch.setattr(cpa, "continuation_sweep", one_negated)
         with pytest.raises(BranchError, match="negative density"):
             dos_curve(omegas, 1e-3 * b, params)
+
+    def test_branch_test_is_scale_free(self):
+        # lambda * rho(lambda * omega; lambda * b, lambda * nu, lambda * eps) is
+        # one curve.  On box draw (1, 37) at eps = 1e-5 a jump bound with an
+        # absolute floor of 1 let the point at omega = 0.0956 land on a gap
+        # root (rho = 3.3e-4 between neighbours of 1.85) at lambda = 0.01
+        # and 1, though not at 100
+        d, a, b, nu, _ = box_draws(100, 1)[37]
+        params, omegas, _ = box_curve(d, a, b, nu)
+        curves = {lam: lam * dos_curve(lam * omegas, lam * 1e-5,
+                                       replace(params, b=lam * b, nu=lam * nu)).rho
+                  for lam in (0.01, 1.0, 100.0)}
+        for lam in (0.01, 100.0):
+            assert np.abs(curves[lam] - curves[1.0]).max() <= 1e-10 * curves[1.0].max()
+
+
+class TestOneLattice:
+    """``ModelParams.extents`` is the lattice of both routes: the mean field
+    averages over the momenta of the periodic lattice the oracle samples."""
+
+    CHAIN = ModelParams(d=1, extents=(16,), N=4, M=6, b=0.15, nu=1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_curve_matches_the_histogram_of_its_own_lattice(self, seed):
+        # L1 0.032-0.038 on the chain's own 16 momenta; the default
+        # 4096-point grid, standing in for the infinite chain, stays near
+        # 0.26, the 16-site chain's finite-size floor that no N removes
+        hist = mc_dos(self.CHAIN, n_samples=100, bins=60, seed=seed)
+        omegas = np.linspace(2.2 / 600, 2.2, 600)
+        assert hist.bin_edges[-1] < omegas[-1]
+        eps = cpa.default_eps(self.CHAIN)
+        l1 = {}
+        for name, params in (("own", self.CHAIN), ("default", replace(self.CHAIN, extents=None))):
+            rho = dos_curve(omegas, eps, params).rho
+            l1[name], _ = compare_curves(omegas, rho, hist.bin_centers, hist.widths,
+                                         hist.densities)
+        assert l1["own"] <= 0.06 < 0.2 <= l1["default"]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_smallest_lattice_solves(self, d):
+        params = ModelParams(d=d, extents=(3,) * d, a=0.75, b=0.63, nu=1.0)
+        curve = dos_curve(np.linspace(3.0 / 600, 3.0, 600), 1e-3, params)
+        assert curve.residuals.max() <= cpa.NEWTON_TOL
+        assert abs(curve.normalization - 1.0) <= 1e-2
+
+    def test_unequal_extents_are_rejected(self):
+        # the zone mean runs over an L^d grid; a lattice of extents (4, 3)
+        # is still the oracle's to sample
+        rect = ModelParams(d=2, extents=(4, 3), N=2, M=3, b=0.63, nu=1.0)
+        with pytest.raises(ValueError, match=r"equal extents, got \(4, 3\)"):
+            solve_p(1.0 + 0.5j, rect)
+        with pytest.raises(ValueError, match="equal extents"):
+            dos_curve([0.5, 1.0], 1e-3, rect)
+        assert mc_dos(rect, n_samples=1, bins=4, seed=0).total_eigenvalues == 2 * 2 * 12

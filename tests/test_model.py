@@ -151,9 +151,9 @@ def test_assemble_K_rejects_short_dimensions():
     params = ModelParams(d=1, extents=(2,) if False else None, a=0.5, b=0.1, nu=1.0)
     with pytest.raises(ValueError, match="finite lattice"):
         assemble_K(params)
-    short = ModelParams(d=1, extents=(2,), N=1, M=2, b=0.1, nu=1.0)
+    # a short dimension is rejected where the model is built
     with pytest.raises(ValueError, match="at least 3 sites"):
-        assemble_K(short)
+        ModelParams(d=1, extents=(2,), N=1, M=2, b=0.1, nu=1.0)
 
 
 def test_assemble_K_requires_the_band_count():
@@ -223,5 +223,8 @@ class TestModelParams:
             ModelParams(a=a, b=1.0)
 
     def test_extents_must_be_positive(self):
-        with pytest.raises(ValueError, match="extents must be positive"):
-            ModelParams(d=2, extents=(4, 0), a=1.0, b=1.0, nu=1.0)
+        # at least 3 sites per dimension, for the oracle and the mean field
+        for extents in ((4, 0), (4, 2), (-3, 4)):
+            with pytest.raises(ValueError, match="at least 3 sites"):
+                ModelParams(d=2, extents=extents, a=1.0, b=1.0, nu=1.0)
+        assert ModelParams(d=2, extents=(3, 3), a=1.0, b=1.0, nu=1.0).n_sites == 9
