@@ -358,6 +358,11 @@ def _run_compare(args: argparse.Namespace) -> int:
                     f"{key} differs between {args.cpa} ({cpa_meta[key]}) "
                     f"and {args.mc} ({mc_meta[key]})"
                 )
+    lattices = cpa_meta.get("extents"), mc_meta.get("extents")
+    if None not in lattices and lattices[0] != lattices[1]:
+        print(f"warning: extents differ between {args.cpa} ({lattices[0]}) and "
+              f"{args.mc} ({lattices[1]}); the L1 then includes the finite-"
+              f"lattice mismatch", file=sys.stderr)
     # np.interp needs ascending omega; a curve may be swept downward
     order = np.argsort(cpa_cols["omega"], kind="stable")
     omegas, rho = cpa_cols["omega"][order], cpa_cols["rho"][order]

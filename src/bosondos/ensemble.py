@@ -150,18 +150,22 @@ def assemble_H(
 
     ``W`` is the real (n_sites, M, 2N) array of the couplings in quadrature
     form, W_j = L_j U / sqrt(2) = (Re A_j | -Im A_j), as ``draw_sample``
-    draws them; each site's block gains 2 W_j^T W_j.  ``K`` is the real
+    draws them.  Through the (site, band, site, band) view
+    ``H.reshape(n_sites, 2N, n_sites, 2N)`` every site's diagonal block gains
+    2 W_j^T W_j from one stacked product, which numpy takes slice by slice
+    with syrk, so each block is exactly symmetric.  ``K`` is the real
     deterministic term ``quadrature_K(assemble_K(params), N)``; it may be
     omitted at nu = 0, where K vanishes.
     """
     N = params.N
     if N is None:
         raise ValueError("assemble_H requires the band count N")
-    shape = (params.n_sites, params.M, 2 * N)
+    n, sites = 2 * N, params.n_sites
+    shape = (sites, params.M, n)
     if np.iscomplexobj(W) or W.shape != shape:
         raise ValueError(f"W is {W.dtype} {W.shape}, not real (n_sites, M, 2N) "
                          f"= {shape}")
-    dim = 2 * N * params.n_sites
+    dim = n * sites
     if K is None:
         if params.nu != 0:
             raise ValueError("K may be omitted only in the nu = 0 limit")
@@ -172,9 +176,9 @@ def assemble_H(
         raise ValueError(f"K has shape {K.shape}, expected {(dim, dim)}")
     else:
         H = K.copy()
-    for j, Wj in enumerate(W):
-        sl = slice(2 * N * j, 2 * N * (j + 1))
-        H[sl, sl] += 2.0 * (Wj.T @ Wj)
+    # einsum's repeated index gives a writable view of the diagonal blocks
+    diagonal = np.einsum("jajb->jab", H.reshape(sites, n, sites, n))
+    diagonal += 2.0 * (W.transpose(0, 2, 1) @ W)
     return H
 
 

@@ -525,6 +525,46 @@ def test_compare_derives_a_histogram_s_missing_ratio(tmp_path, capsys):
     assert "a differs" in capsys.readouterr().err
 
 
+def test_compare_names_a_lattice_mismatch(tmp_path, capsys):
+    curve = tmp_path / "chain16.csv"
+    assert main(["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.15", "--nu", "1",
+                 "--kgrid", "16", "--omega-max", "2.2", "--omega-steps", "100",
+                 "--out", str(curve)]) == 0
+    hists = {}
+    for L in ("16", "12"):
+        hists[L] = tmp_path / f"mc{L}.csv"
+        assert main(["mc-dos", "--d", "1", "--extents", L, "--N", "4", "--M", "6",
+                     "--b", "0.15", "--nu", "1", "--samples", "3", "--bins", "20",
+                     "--seed", "0", "--out", str(hists[L])]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--cpa", str(curve), "--mc", str(hists["16"]),
+                 "--threshold", "10"]) == 0
+    matched = capsys.readouterr()
+    assert "warning" not in matched.err
+    # another lattice still compares, to the same exit code, with one line
+    # naming both
+    assert main(["compare", "--cpa", str(curve), "--mc", str(hists["12"]),
+                 "--threshold", "10"]) == 0
+    mismatched = capsys.readouterr()
+    warnings = [line for line in mismatched.err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "(16,)" in warnings[0] and "(12,)" in warnings[0]
+    assert "finite-lattice mismatch" in warnings[0]
+    assert mismatched.out.startswith("L1 = ")
+    # the flat band records no extents on either side
+    rmt, flat = tmp_path / "rmt.csv", tmp_path / "flat.csv"
+    assert main(["rmt-dos", "--a", "1", "--b", "1", "--omega-max", "3",
+                 "--omega-steps", "100", "--out", str(rmt)]) == 0
+    assert main(["mc-dos", "--a", "1", "--N", "8", "--M", "16", "--b", "1",
+                 "--nu", "0", "--samples", "3", "--bins", "20", "--seed", "0",
+                 "--out", str(flat)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--cpa", str(rmt), "--mc", str(flat),
+                 "--threshold", "10"]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--samples", "--bins"])
 def test_mc_dos_needs_a_sample_and_a_bin(flag, tmp_path, capsys):
     out = tmp_path / "x.csv"

@@ -172,6 +172,25 @@ class TestAssembleH:
         assert H.dtype == float
         assert np.abs(H - gram).max() <= 1e-14 * np.abs(gram).max()
 
+    @pytest.mark.parametrize("params", [
+        ModelParams(d=3, extents=(3, 4, 5), N=2, M=3, b=0.8, nu=1.0),
+        ModelParams(d=2, extents=(4, 3), N=3, M=7, b=0.8, nu=0.0),
+    ], ids=["lattice", "nu=0"])
+    def test_every_site_gains_its_own_gram_block(self, params):
+        n, sites = 2 * params.N, params.n_sites
+        W = np.random.default_rng(3).normal(size=(sites, params.M, n))
+        K = lattice_K(params)
+        K_blocks = (np.zeros((sites, n, sites, n)) if K is None
+                    else K.reshape(sites, n, sites, n))
+        H_blocks = assemble_H(params, W, K).reshape(sites, n, sites, n)
+        for j in range(sites):
+            # bitwise the per-site sum, and exactly symmetric
+            block = H_blocks[j, :, j]
+            assert np.array_equal(block, K_blocks[j, :, j] + 2.0 * (W[j].T @ W[j]))
+            assert np.array_equal(block, block.T)
+            others = np.arange(sites) != j
+            assert np.array_equal(H_blocks[j][:, others], K_blocks[j][:, others])
+
     def test_quadrature_K_is_the_rotated_generator(self):
         params = ModelParams(d=1, extents=(3,), N=2, M=3, b=0.8, nu=1.0)
         K = assemble_K(params)

@@ -128,7 +128,7 @@ def test_assemble_K_stability_cone(chain8):
     assert np.allclose(np.sort(w), expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("d,extents", [(1, (8,)), (2, (4, 3))])
+@pytest.mark.parametrize("d,extents", [(1, (8,)), (2, (4, 3)), (3, (3, 4, 5))])
 def test_assemble_K_fourier_consistency(d, extents):
     N = 2
     params = ModelParams(d=d, extents=extents, N=N, M=4, b=0.1, nu=0.7)
