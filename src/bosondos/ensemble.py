@@ -27,7 +27,8 @@ Each realization takes one path through plain real arrays: ``draw_sample``
 draws every site's W in one call and returns the quadrature-basis H (via
 ``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  The
 deterministic term ``quadrature_K`` is computed once per run.  ``mc_dos``
-bins the spectra of many realizations into a :class:`SpectrumHistogram`.
+keeps |mu| of many realizations in one array, a row each, and bins it in
+row blocks into a :class:`SpectrumHistogram`.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ __all__ = [
 class ConeViolationError(RuntimeError):
     """A sampled generator left the stability cone (model invariant breach)."""
 
+
+# mc_dos bins its |mu| array in blocks of whole rows of about this many values
+_BIN_BLOCK = 8192
 
 _M1_NOTE = ("M = 1 ensembles are sampled as requested, but the large-N "
             "mean-field benchmark is only controlled for M >= 2")
@@ -194,7 +198,9 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
     a shifted H has zero modes that squares cannot resolve at ``zero_tol``,
     and goes to the SVD of ``skew_spectrum`` directly.  The output comes in
     +/- pairs; a Cholesky failure means H left the stability cone.  A
-    complex H (the (a, a*) basis) is rejected.
+    complex H (the (a, a*) basis) is rejected.  The reference to H is
+    dropped once it is factored, so an H the caller passes as a temporary
+    is freed before the reduction and the kernel allocate theirs.
     """
     if np.iscomplexobj(H):
         raise ValueError(
@@ -210,6 +216,7 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
         raise ConeViolationError(
             f"sampled generator is outside the stability cone: {exc}"
         ) from exc
+    del H
     rows = C.reshape(dim // (2 * N), 2, N, dim)
     T = rows[:, 0].reshape(-1, dim).T @ rows[:, 1].reshape(-1, dim)
     # drop C and T before the kernel allocates its own dim^2 arrays
@@ -248,13 +255,21 @@ def mc_dos(
 
     The lattice geometry comes from ``params.extents`` (``None`` selects the
     single-site random-matrix limit, which requires nu = 0).  Each sample
-    gets its own RNG stream spawned from (seed, sample index), so results
-    are reproducible and independent of any execution order.  Zero modes
-    (|mu| <= zero_tol, with zero_tol = 1e-8 * max|mu| over all samples) are
-    counted separately from the binned density.  The scale is the largest
-    frequency, not a typical one, because at a < 1/2 most modes are zero
-    modes.  An ensemble with M < 2 is sampled as requested, with a note that
-    the mean-field benchmark does not control it.
+    gets its own RNG stream, made when the sample is drawn as
+    ``SeedSequence(seed, spawn_key=(i,))``, which is
+    ``SeedSequence(seed).spawn(n_samples)[i]``; so results are reproducible
+    and independent of any execution order.  Zero modes (|mu| <= zero_tol,
+    with zero_tol = 1e-8 * max|mu| over all samples) are counted separately
+    from the binned density, and a zero mode past ``omega_max`` is not also
+    overflow.  The scale is the largest frequency, not a typical one,
+    because at a < 1/2 most modes are zero modes.  An ensemble with M < 2 is
+    sampled as requested, with a note that the mean-field benchmark does not
+    control it.
+
+    Memory: the run holds one float64 per eigenvalue, the |mu| of sample i
+    in row i of one (n_samples, 2N * n_sites) array, plus one sample's
+    working set and one block of whole rows (about 8192 values) that the
+    histogram is summed over; nothing is kept per realization.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -271,26 +286,33 @@ def mc_dos(
     else:
         K = quadrature_K(assemble_K(params), params.N)
 
-    values = np.concatenate([
-        np.abs(spectrum_X(draw_sample(params, child, K=K), params.N))
-        for child in np.random.SeedSequence(seed).spawn(n_samples)
-    ])
-    total = values.size
+    values = np.empty((n_samples, 2 * params.N * params.n_sites))
+    for i, row in enumerate(values):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        np.abs(spectrum_X(draw_sample(params, child, K=K), params.N), out=row)
 
-    zero_tol = 1e-8 * float(values.max())
-    nonzero = values[values > zero_tol]
-    zero_count = total - nonzero.size
-
-    top = float(nonzero.max()) if nonzero.size else 1.0
+    largest = float(values.max())
+    zero_tol = 1e-8 * largest
+    # the largest nonzero mode, if any, is the largest mode
+    top = largest if largest > zero_tol else 1.0
     hi = top if omega_max is None else float(omega_max)
-    binned = nonzero[nonzero <= hi]
-    overflow = nonzero.size - binned.size
-    counts, edges = np.histogram(binned, bins=bins, range=(0.0, hi))
+    # the counts are summed over blocks of whole rows, so the tail's
+    # temporaries stay at one block whatever n_samples
+    rows = max(1, _BIN_BLOCK // values.shape[1])
+    counts = np.zeros(bins, dtype=np.intp)
+    nonzero_count = overflow = 0
+    for start in range(0, n_samples, rows):
+        block = values[start:start + rows].ravel()
+        nonzero = block[block > zero_tol]
+        nonzero_count += nonzero.size
+        overflow += int(np.count_nonzero(nonzero > hi))
+        block_counts, edges = np.histogram(nonzero, bins=bins, range=(0.0, hi))
+        counts += block_counts
     return SpectrumHistogram(
         bin_edges=edges,
         counts=counts,
-        total_eigenvalues=total,
-        zero_mode_count=zero_count,
+        total_eigenvalues=values.size,
+        zero_mode_count=values.size - nonzero_count,
         zero_tol=zero_tol,
         seed=seed,
         overflow_count=overflow,

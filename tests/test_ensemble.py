@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -373,6 +374,35 @@ class TestSpectrumX:
             assert w.min() >= -1e-10 * np.abs(w).max()
 
 
+def concatenated_histogram(params, n_samples, bins, seed, omega_max=None):
+    """``mc_dos``'s bookkeeping done on all spectra at once: the spawned
+    seeds, one concatenated |mu| array, full-size masks and one
+    ``np.histogram``.  Returns (counts, edges, zero modes, overflow,
+    zero_tol)."""
+    K = lattice_K(params)
+    values = np.concatenate([
+        np.abs(spectrum_X(draw_sample(params, child, K=K), params.N))
+        for child in np.random.SeedSequence(seed).spawn(n_samples)
+    ])
+    zero_tol = 1e-8 * float(values.max())
+    nonzero = values[values > zero_tol]
+    top = float(nonzero.max()) if nonzero.size else 1.0
+    hi = top if omega_max is None else omega_max
+    binned = nonzero[nonzero <= hi]
+    counts, edges = np.histogram(binned, bins=bins, range=(0.0, hi))
+    return counts, edges, values.size - nonzero.size, nonzero.size - binned.size, zero_tol
+
+
+def traced_peak(params, n_samples):
+    """tracemalloc's peak over one ``mc_dos`` run, in bytes."""
+    tracemalloc.start()
+    try:
+        mc_dos(params, n_samples=n_samples, bins=20, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMcDos:
     def test_single_auxiliary_dimension_flagged(self):
         # the run carries one note, however many samples it draws; drawing a
@@ -423,6 +453,42 @@ class TestMcDos:
         assert hist.zero_mode_count == want.zero_mode_count
         assert hist.overflow_count == want.overflow_count
         np.testing.assert_allclose(hist.bin_edges, want.bin_edges, rtol=1e-12, atol=0)
+
+    # the benchmark's mc-flat ensemble: 3000 samples of 16 values span
+    # several of the tail's row blocks
+    MC_FLAT = ModelParams(N=8, M=12, b=1.0, nu=0.0)
+
+    @pytest.mark.parametrize(
+        "params, n_samples, bins, omega_max",
+        [
+            (MC_FLAT, 3000, 100, None),
+            (MC_FLAT, 3000, 100, 2.0),
+            # every zero mode lies above omega_max, and none may be booked
+            # as overflow as well
+            (ModelParams(N=8, M=11, b=1.0, nu=0.0), 200, 10, 1e-9),
+        ],
+        ids=["mc-flat", "mc-flat-overflow", "zero-modes-past-omega-max"],
+    )
+    def test_matches_the_concatenated_bookkeeping(self, params, n_samples, bins, omega_max):
+        hist = mc_dos(params, n_samples=n_samples, bins=bins, seed=0, omega_max=omega_max)
+        counts, edges, zero_count, overflow, zero_tol = concatenated_histogram(
+            params, n_samples, bins, seed=0, omega_max=omega_max)
+        assert np.array_equal(hist.counts, counts)
+        assert np.array_equal(hist.bin_edges, edges)
+        assert hist.zero_mode_count == zero_count
+        assert hist.overflow_count == overflow
+        assert hist.zero_tol == zero_tol
+        assert (overflow > 0) == (omega_max is not None)
+
+    def test_memory_is_one_float_per_eigenvalue(self):
+        # past one row block of the tail, the traced peak grows by the |mu|
+        # array's 8 bytes per eigenvalue (12 allowed); holding every
+        # spectrum, seed and full-size mask at once costs over 40
+        params = ModelParams(N=32, M=48, b=1.0, nu=0.0)
+        mc_dos(params, n_samples=2, bins=20, seed=1)  # first-call allocations
+        small, large = 150, 600
+        growth = traced_peak(params, large) - traced_peak(params, small)
+        assert growth <= 12 * (large - small) * 2 * params.N
 
     def test_bookkeeping_identity(self):
         hist = mc_dos(RMT, n_samples=10, bins=20, seed=3)

@@ -148,7 +148,7 @@ def test_assemble_K_fourier_consistency(d, extents):
 
 
 def test_assemble_K_rejects_short_dimensions():
-    params = ModelParams(d=1, extents=(2,) if False else None, a=0.5, b=0.1, nu=1.0)
+    params = ModelParams(d=1, extents=None, a=0.5, b=0.1, nu=1.0)
     with pytest.raises(ValueError, match="finite lattice"):
         assemble_K(params)
     # a short dimension is rejected where the model is built
