@@ -26,7 +26,9 @@ modes, as in the flat band at M < 2N) or an ill-conditioned S
 Each realization takes one path through plain real arrays: ``draw_sample``
 draws every site's W in one call and returns the quadrature-basis H (via
 ``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  The
-deterministic term ``quadrature_K`` is computed once per run.  ``mc_dos``
+deterministic term is computed once per run by ``quadrature_K`` and held
+as its rotated site blocks (on-site and bond), which ``assemble_H`` writes
+into each fresh H, so no dim^2 term is held through the run.  ``mc_dos``
 keeps |mu| of many realizations in one array, a row each, and bins it in
 row blocks into a :class:`SpectrumHistogram`.
 """
@@ -117,23 +119,27 @@ class SpectrumHistogram:
             )
 
 
-def quadrature_K(K: np.ndarray, N: int) -> np.ndarray:
+def quadrature_K(K: np.ndarray, N: int) -> Tuple[np.ndarray, np.ndarray]:
     """Deterministic part U^dagger (i*Sigma3*K) U of H in the quadrature
-    basis, for the generator K of ``assemble_K``.
+    basis, for the generator K of ``assemble_K``, as its nonzero site blocks.
 
-    The reality condition of K makes this term real; that is checked here,
-    once, and the real symmetric array is returned.
+    Returns the pair (pairs, blocks): the (j, k) site pairs whose block K_jk
+    of the (site, band, site, band) view is not zero, as an (n_blocks, 2)
+    index array, and their real (n_blocks, 2N, 2N) rotations v K_jk u, with
+    v = u^dagger i*Sigma3 folded in, from one batched product.  On a lattice
+    that is the on-site block and the 2d bond blocks of each site, so no
+    dim^2 term is held and no dense complex temporary is made.  The reality
+    condition of K makes the blocks real; that is checked here, once.
     """
     n = 2 * N
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % n:
         raise ValueError(f"K has shape {K.shape}, not a square multiple of 2N={n}")
-    dim = K.shape[0]
-    sites = dim // n
+    sites = K.shape[0] // n
     u = np.kron([[1.0, 1.0j], [1.0, -1.0j]], np.eye(N)) / np.sqrt(2.0)
-    B = 1j * np.tile(np.repeat([1.0, -1.0], N), sites)[:, None] * K
-    # u^dagger on each site's rows, then u on each site's columns
-    Hq = ((u.conj().T @ B.reshape(sites, n, dim)).reshape(dim * sites, n) @ u)
-    Hq = Hq.reshape(dim, dim)
+    v = u.conj().T * (1j * np.repeat([1.0, -1.0], N))
+    view = K.reshape(sites, n, sites, n)
+    j, k = np.nonzero(view.any(axis=(1, 3)))
+    Hq = v @ view[j, :, k] @ u
     scale = max(float(np.abs(Hq).max(initial=0.0)), np.finfo(float).tiny)
     imag = float(np.abs(Hq.imag).max(initial=0.0))
     if not imag <= 1e-12 * scale:
@@ -141,25 +147,26 @@ def quadrature_K(K: np.ndarray, N: int) -> np.ndarray:
             f"K breaks the reality condition: its quadrature-basis term has "
             f"max |Im| = {imag:.3e} against max |entry| = {scale:.3e}"
         )
-    return Hq.real.copy()
+    return np.stack((j, k), axis=1), Hq.real.copy()
 
 
 def assemble_H(
     params: ModelParams,
     W: np.ndarray,
-    K: Optional[np.ndarray] = None,
+    K: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Real symmetric H = U^dagger (i*Sigma3*K + blockdiag(L_j^dagger L_j)) U
     in the quadrature basis.
 
     ``W`` is the real (n_sites, M, 2N) array of the couplings in quadrature
     form, W_j = L_j U / sqrt(2) = (Re A_j | -Im A_j), as ``draw_sample``
-    draws them.  Through the (site, band, site, band) view
-    ``H.reshape(n_sites, 2N, n_sites, 2N)`` every site's diagonal block gains
+    draws them.  ``K`` is the deterministic term as the site blocks
+    ``quadrature_K(assemble_K(params), N)``; it may be omitted at nu = 0,
+    where K vanishes.  Through the (site, band, site, band) view
+    ``H.reshape(n_sites, 2N, n_sites, 2N)`` of a zeroed H, the blocks are
+    written at their site pairs, then every site's diagonal block gains
     2 W_j^T W_j from one stacked product, which numpy takes slice by slice
-    with syrk, so each block is exactly symmetric.  ``K`` is the real
-    deterministic term ``quadrature_K(assemble_K(params), N)``; it may be
-    omitted at nu = 0, where K vanishes.
+    with syrk, so each block is exactly symmetric.
     """
     N = params.N
     if N is None:
@@ -169,19 +176,26 @@ def assemble_H(
     if np.iscomplexobj(W) or W.shape != shape:
         raise ValueError(f"W is {W.dtype} {W.shape}, not real (n_sites, M, 2N) "
                          f"= {shape}")
-    dim = n * sites
+    H = np.zeros((n * sites, n * sites))
+    blocks = H.reshape(sites, n, sites, n)
     if K is None:
         if params.nu != 0:
             raise ValueError("K may be omitted only in the nu = 0 limit")
-        H = np.zeros((dim, dim))
-    elif np.iscomplexobj(K):
-        raise ValueError("assemble_H takes the real term quadrature_K(K, N), not K")
-    elif K.shape != (dim, dim):
-        raise ValueError(f"K has shape {K.shape}, expected {(dim, dim)}")
+    elif not isinstance(K, tuple):
+        raise ValueError("assemble_H takes the site blocks (pairs, blocks) of "
+                         f"quadrature_K(K, N), got {type(K).__name__}")
     else:
-        H = K.copy()
+        pairs, terms = (np.asarray(x) for x in K)
+        if (np.iscomplexobj(terms) or terms.shape != (len(pairs), n, n)
+                or pairs.shape != (len(pairs), 2)):
+            raise ValueError(
+                f"K has blocks {terms.dtype} {terms.shape} at site pairs "
+                f"{pairs.shape}, expected real (n_blocks, {n}, {n}) at (n_blocks, 2)")
+        if pairs.size and not 0 <= pairs.min() <= pairs.max() < sites:
+            raise ValueError(f"K has a site index outside 0..{sites - 1}")
+        blocks[pairs[:, 0], :, pairs[:, 1]] = terms
     # einsum's repeated index gives a writable view of the diagonal blocks
-    diagonal = np.einsum("jajb->jab", H.reshape(sites, n, sites, n))
+    diagonal = np.einsum("jajb->jab", blocks)
     diagonal += 2.0 * (W.transpose(0, 2, 1) @ W)
     return H
 
@@ -229,12 +243,14 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
 def draw_sample(
     params: ModelParams,
     child: np.random.SeedSequence,
-    K: Optional[np.ndarray] = None,
+    K: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """The quadrature-basis H of one realization on ``params.n_sites``
     sites, drawn from a spawned per-sample seed sequence: one call draws
     the standard normals x of Re A_j and Im A_j for every site j, shaped
-    (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1)."""
+    (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1).  ``K`` is
+    the deterministic term as the site blocks of ``quadrature_K``, which
+    ``assemble_H`` writes into the fresh H."""
     N, M, n_sites = params.N, params.M, params.n_sites
     if N is None:
         raise ValueError("sampling requires both M and N")
@@ -267,9 +283,11 @@ def mc_dos(
     control it.
 
     Memory: the run holds one float64 per eigenvalue, the |mu| of sample i
-    in row i of one (n_samples, 2N * n_sites) array, plus one sample's
-    working set and one block of whole rows (about 8192 values) that the
-    histogram is summed over; nothing is kept per realization.
+    in row i of one (n_samples, 2N * n_sites) array, the deterministic term
+    as its rotated site blocks ((1 + 2d) * n_sites blocks of (2N)^2 floats on
+    a lattice, not a dim^2 matrix), plus one sample's working set and one
+    block of whole rows (about 8192 values) that the histogram is summed
+    over; nothing is kept per realization.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

@@ -71,8 +71,30 @@ def complex_reference_spectrum(params, blocks, K=None):
 
 
 def lattice_K(params):
-    """The real deterministic term of H, or None on a single site."""
+    """The deterministic term of H as quadrature_K's site blocks, or None on
+    a single site."""
     return None if params.extents is None else quadrature_K(assemble_K(params), params.N)
+
+
+def dense_term(params, K):
+    """The deterministic term of H as a dense real matrix."""
+    return assemble_H(params, np.zeros((params.n_sites, params.M, 2 * params.N)), K)
+
+
+def dense_rotation_H(params, W):
+    """H as a dense formula builds it: i Sigma3 K over all dim columns,
+    rotated by u^dagger on each site's rows and by u on each site's columns,
+    its real part, and each site's Gram block 2 W_j^T W_j added on the
+    diagonal."""
+    N, sites = params.N, params.n_sites
+    n, dim = 2 * N, 2 * N * sites
+    u = quadrature_U(N)
+    B = 1j * np.tile(np.repeat([1.0, -1.0], N), sites)[:, None] * assemble_K(params)
+    Hq = (u.conj().T @ B.reshape(sites, n, dim)).reshape(dim * sites, n) @ u
+    H = Hq.reshape(dim, dim).real.copy()
+    for j in range(sites):
+        H[j * n:(j + 1) * n, j * n:(j + 1) * n] += 2.0 * (W[j].T @ W[j])
+    return H
 
 
 class TestDrawSample:
@@ -92,7 +114,8 @@ class TestDrawSample:
     def test_zero_disorder_gives_zero_coupling(self):
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.0, nu=1.0)
         K = lattice_K(params)
-        assert np.array_equal(draw_sample(params, np.random.SeedSequence(0), K=K), K)
+        H = draw_sample(params, np.random.SeedSequence(0), K=K)
+        assert np.array_equal(H, dense_term(params, K))
 
     def test_trace_moment(self):
         # on the flat band E Tr H = E Tr L^dagger L = M b: Tr L^dagger L =
@@ -182,7 +205,7 @@ class TestAssembleH:
         W = np.random.default_rng(3).normal(size=(sites, params.M, n))
         K = lattice_K(params)
         K_blocks = (np.zeros((sites, n, sites, n)) if K is None
-                    else K.reshape(sites, n, sites, n))
+                    else dense_term(params, K).reshape(sites, n, sites, n))
         H_blocks = assemble_H(params, W, K).reshape(sites, n, sites, n)
         for j in range(sites):
             # bitwise the per-site sum, and exactly symmetric
@@ -198,8 +221,9 @@ class TestAssembleH:
         U = np.kron(np.eye(3), quadrature_U(2))
         s3 = np.tile(np.repeat([1.0, -1.0], 2), 3)
         want = U.conj().T @ (1j * s3[:, None] * K) @ U
-        got = quadrature_K(K, params.N)
-        assert got.dtype == float
+        pairs, blocks = quadrature_K(K, params.N)
+        assert blocks.dtype == float
+        got = dense_term(params, (pairs, blocks))
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_quadrature_K_rejects_a_generator_off_the_reality_condition(self):
@@ -214,6 +238,47 @@ class TestAssembleH:
     def test_quadrature_K_rejects_a_generator_of_the_wrong_shape(self, shape):
         with pytest.raises(ValueError, match="not a square multiple of 2N=4"):
             quadrature_K(np.zeros(shape, dtype=complex), 2)
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0),
+        ModelParams(d=3, extents=(3, 4, 5), N=2, M=3, b=0.63, nu=1.0),
+        ModelParams(d=2, extents=(3, 7), N=3, M=5, b=0.63, nu=1.0),
+        ModelParams(d=1, extents=(3,), N=2, M=3, b=0.8, nu=1.0),
+    ], ids=["chain32", "3x4x5", "3x7", "chain3"])
+    def test_block_term_gives_the_dense_rotation_bitwise(self, params):
+        # bit for bit, so mc-dos writes the same bytes as from the dense term
+        W = np.random.default_rng(4).normal(size=(params.n_sites, params.M, 2 * params.N))
+        H = assemble_H(params, W, lattice_K(params))
+        assert H.tobytes() == dense_rotation_H(params, W).tobytes()
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(d=1, extents=(3,), N=2, M=3, b=0.8, nu=1.0),
+        ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0),
+        ModelParams(d=2, extents=(3, 7), N=3, M=5, b=0.63, nu=1.0),
+        ModelParams(d=3, extents=(3, 4, 5), N=2, M=3, b=0.63, nu=1.0),
+    ], ids=["chain3", "chain32", "3x7", "3x4x5"])
+    def test_lattice_block_term_is_on_site_and_bonds(self, params):
+        # the on-site block and 2d bond blocks of each site, not dim^2 floats
+        pairs, blocks = lattice_K(params)
+        n = 2 * params.N
+        assert blocks.dtype == float
+        assert blocks.size <= (1 + 2 * params.d) * params.n_sites * n * n
+        assert len(np.unique(pairs, axis=0)) == len(pairs)
+
+    def test_generator_with_every_block_nonzero_round_trips(self):
+        # K = -i Sigma3 U Hq U^dagger for a dense real symmetric Hq: all 16
+        # site blocks are nonzero, though the chain couples only neighbours
+        params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
+        rng = np.random.default_rng(8)
+        Hq = rng.normal(size=(16, 16))
+        Hq += Hq.T
+        U = np.kron(np.eye(4), quadrature_U(2))
+        s3 = np.tile(np.repeat([1.0, -1.0], 2), 4)
+        K = -1j * s3[:, None] * (U @ Hq @ U.conj().T)
+        pairs, blocks = quadrature_K(K, params.N)
+        assert len(pairs) == 16
+        got = dense_term(params, (pairs, blocks))
+        assert np.abs(got - Hq).max() <= 1e-14 * np.abs(Hq).max()
 
     def test_hermiticity(self):
         H = draw_sample(CHAIN, np.random.SeedSequence(6), K=lattice_K(CHAIN))
@@ -234,10 +299,22 @@ class TestAssembleH:
             assemble_H(ModelParams(a=1.0, b=1.0), np.ones((1, 2, 2)))
 
     def test_deterministic_term_of_the_wrong_shape_rejected(self):
-        # a larger K would be returned as H, its extra rows untouched
+        # a block of one column would broadcast silently across the band,
+        # and a negative site index would wrap round to another site
         W = np.ones((4, CHAIN.M, 2 * CHAIN.N))
-        with pytest.raises(ValueError, match=r"K has shape \(18, 18\), expected \(16, 16\)"):
-            assemble_H(CHAIN, W, np.zeros((18, 18)))
+        pairs, blocks = lattice_K(CHAIN)
+        with pytest.raises(ValueError, match="quadrature_K"):
+            assemble_H(CHAIN, W, np.zeros((16, 16)))
+        for bands in ((6, 6), (4, 1)):
+            with pytest.raises(ValueError, match=r"expected real \(n_blocks, 4, 4\)"):
+                assemble_H(CHAIN, W, (pairs, np.zeros((len(pairs), *bands))))
+        with pytest.raises(ValueError, match="expected real"):
+            assemble_H(CHAIN, W, (pairs[:, :1], blocks))
+        for index in (4, -1):
+            bad = pairs.copy()
+            bad[-1, 1] = index
+            with pytest.raises(ValueError, match=r"site index outside 0\.\.3"):
+                assemble_H(CHAIN, W, (bad, blocks))
 
     @pytest.mark.parametrize("W", [
         np.ones((3, 3, 4)),  # one site short
@@ -518,7 +595,7 @@ class TestMcDos:
         # E[(2N|L|)^-1 Tr(i Sigma3 X)] = nu + a b, independent of the solver
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
         K = lattice_K(params)
-        dim = K.shape[0]
+        dim = 2 * params.N * params.n_sites
         traces = []
         for child in np.random.SeedSequence(77).spawn(300):
             H = draw_sample(params, child, K=K)

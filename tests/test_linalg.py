@@ -3,7 +3,13 @@ import pytest
 
 from bosondos import ModelParams, NotPsdError, cholesky_psd, hermitian_eig
 from bosondos.ensemble import draw_sample
-from bosondos.linalg import SHIFT_TOL, check_hermitian, skew_spectrum, skew_spectrum_gram
+from bosondos.linalg import (
+    HERMITIAN_TOL,
+    SHIFT_TOL,
+    check_hermitian,
+    skew_spectrum,
+    skew_spectrum_gram,
+)
 
 
 def random_hermitian(n, rng):
@@ -55,6 +61,78 @@ def test_non_finite_rejected(bad):
         hermitian_eig(np.array([[1.0, bad], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         cholesky_psd(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def symmetric_unit_scale(n, dtype=float):
+    """A random symmetric (Hermitian, for complex dtype) matrix with
+    max |A| = 1 at A[2, 2] = -1, so the scale comes from min A."""
+    rng = np.random.default_rng(n)
+    A = rng.uniform(-0.25, 0.25, size=(n, n)).astype(dtype)
+    if np.iscomplexobj(A):
+        A += 0.25j * rng.uniform(-1.0, 1.0, size=(n, n))
+    A = A + A.conj().T
+    A[2, 2] = -1.0
+    return A
+
+
+# dimensions that are not a multiple of check_hermitian's row block; the
+# pairs planted in the first block, and in the last, partial, one
+ODD_DIMS = [42, 70, 130]
+PLANTS = ["first", "first-row-last-column", "last"]
+
+
+def planted(n, where):
+    return {"first": (1, 5), "first-row-last-column": (0, n - 1),
+            "last": (n - 1, n - 2)}[where]
+
+
+@pytest.mark.parametrize("where", PLANTS)
+@pytest.mark.parametrize("n", ODD_DIMS)
+def test_asymmetry_just_past_the_tolerance_rejected(n, where):
+    A = symmetric_unit_scale(n)
+    i, j = planted(n, where)
+    tol = HERMITIAN_TOL * np.abs(A).max()
+    A[i, j], A[j, i] = tol, 0.0
+    assert check_hermitian(A) is A
+    A[i, j] = np.nextafter(tol, np.inf)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(A)
+    A[i, j], A[j, i] = 0.0, np.nextafter(tol, np.inf)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", PLANTS)
+@pytest.mark.parametrize("n", ODD_DIMS)
+def test_non_finite_rejected_in_any_block(n, where, bad):
+    # symmetric, so only the finiteness test can catch it
+    A = symmetric_unit_scale(n)
+    i, j = planted(n, where)
+    A[i, j] = A[j, i] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        check_hermitian(A)
+
+
+@pytest.mark.parametrize("where", PLANTS)
+@pytest.mark.parametrize("n", ODD_DIMS)
+def test_complex_input_scaled_by_its_modulus(n, where):
+    # max |A| = 1 sits at a complex entry whose real and imaginary parts are
+    # 0.8 and 0.6, so a scale read off the real parts would reject the
+    # asymmetry just below the tolerance
+    A = symmetric_unit_scale(n, complex)
+    A[2, 2] = 0.0
+    A[3, 4], A[4, 3] = 0.8 + 0.6j, 0.8 - 0.6j
+    i, j = planted(n, where)
+    tol = HERMITIAN_TOL * abs(A[3, 4])
+    A[i, j], A[j, i] = 1j * tol, 0.0
+    assert check_hermitian(A) is A
+    A[i, j] = 1j * np.nextafter(tol, np.inf)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(A)
+    # a complex symmetric, not Hermitian, matrix
+    with pytest.raises(ValueError, match="not Hermitian"):
+        check_hermitian(symmetric_unit_scale(n, complex) * (1.0 + 1j))
 
 
 def test_skew_spectrum_matches_hermitian_eig():
