@@ -28,8 +28,8 @@ from .ensemble import (
     mc_dos,
     spectrum_X,
 )
-from .linalg import NotPsdError, cholesky_psd, hermitian_eig
-from .model import ModelParams, assemble_K
+from .linalg import NotPsdError, cholesky_psd
+from .model import ModelParams
 
 __all__ = [
     "__version__",
@@ -44,13 +44,11 @@ __all__ = [
     "I_cpa",
     "I_g",
     "assemble_H",
-    "assemble_K",
     "cholesky_psd",
     "continuation_sweep",
     "default_eps",
     "dos_curve",
     "find_gap_edge",
-    "hermitian_eig",
     "mc_dos",
     "rmt_scaled_a1",
     "solve_p",

@@ -26,11 +26,11 @@ modes, as in the flat band at M < 2N) or an ill-conditioned S
 Each realization takes one path through plain real arrays: ``draw_sample``
 draws every site's W in one call and returns the quadrature-basis H (via
 ``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  The
-deterministic term is computed once per run by ``quadrature_K`` and held
-as its rotated site blocks (on-site and bond), which ``assemble_H`` writes
-into each fresh H, so no dim^2 term is held through the run.  ``mc_dos``
-keeps |mu| of many realizations in one array, a row each, and bins it in
-row blocks into a :class:`SpectrumHistogram`.
+deterministic term comes once per run from ``model.assemble_K`` in closed
+form, as its real quadrature-basis site blocks (on-site and bond), which
+``assemble_H`` writes into each fresh H, so no dim^2 term is ever built
+for it.  ``mc_dos`` keeps |mu| of many realizations in one array, a row
+each, and bins it in row blocks into a :class:`SpectrumHistogram`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .model import ModelParams, assemble_K
 __all__ = [
     "ConeViolationError",
     "SpectrumHistogram",
-    "quadrature_K",
     "assemble_H",
     "spectrum_X",
     "draw_sample",
@@ -119,37 +118,6 @@ class SpectrumHistogram:
             )
 
 
-def quadrature_K(K: np.ndarray, N: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic part U^dagger (i*Sigma3*K) U of H in the quadrature
-    basis, for the generator K of ``assemble_K``, as its nonzero site blocks.
-
-    Returns the pair (pairs, blocks): the (j, k) site pairs whose block K_jk
-    of the (site, band, site, band) view is not zero, as an (n_blocks, 2)
-    index array, and their real (n_blocks, 2N, 2N) rotations v K_jk u, with
-    v = u^dagger i*Sigma3 folded in, from one batched product.  On a lattice
-    that is the on-site block and the 2d bond blocks of each site, so no
-    dim^2 term is held and no dense complex temporary is made.  The reality
-    condition of K makes the blocks real; that is checked here, once.
-    """
-    n = 2 * N
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % n:
-        raise ValueError(f"K has shape {K.shape}, not a square multiple of 2N={n}")
-    sites = K.shape[0] // n
-    u = np.kron([[1.0, 1.0j], [1.0, -1.0j]], np.eye(N)) / np.sqrt(2.0)
-    v = u.conj().T * (1j * np.repeat([1.0, -1.0], N))
-    view = K.reshape(sites, n, sites, n)
-    j, k = np.nonzero(view.any(axis=(1, 3)))
-    Hq = v @ view[j, :, k] @ u
-    scale = max(float(np.abs(Hq).max(initial=0.0)), np.finfo(float).tiny)
-    imag = float(np.abs(Hq.imag).max(initial=0.0))
-    if not imag <= 1e-12 * scale:
-        raise ValueError(
-            f"K breaks the reality condition: its quadrature-basis term has "
-            f"max |Im| = {imag:.3e} against max |entry| = {scale:.3e}"
-        )
-    return np.stack((j, k), axis=1), Hq.real.copy()
-
-
 def assemble_H(
     params: ModelParams,
     W: np.ndarray,
@@ -161,8 +129,8 @@ def assemble_H(
     ``W`` is the real (n_sites, M, 2N) array of the couplings in quadrature
     form, W_j = L_j U / sqrt(2) = (Re A_j | -Im A_j), as ``draw_sample``
     draws them.  ``K`` is the deterministic term as the site blocks
-    ``quadrature_K(assemble_K(params), N)``; it may be omitted at nu = 0,
-    where K vanishes.  Through the (site, band, site, band) view
+    ``assemble_K(params)``; it may be omitted at nu = 0, where K vanishes.
+    Through the (site, band, site, band) view
     ``H.reshape(n_sites, 2N, n_sites, 2N)`` of a zeroed H, the blocks are
     written at their site pairs, then every site's diagonal block gains
     2 W_j^T W_j from one stacked product, which numpy takes slice by slice
@@ -183,7 +151,7 @@ def assemble_H(
             raise ValueError("K may be omitted only in the nu = 0 limit")
     elif not isinstance(K, tuple):
         raise ValueError("assemble_H takes the site blocks (pairs, blocks) of "
-                         f"quadrature_K(K, N), got {type(K).__name__}")
+                         f"assemble_K(params), got {type(K).__name__}")
     else:
         pairs, terms = (np.asarray(x) for x in K)
         if (np.iscomplexobj(terms) or terms.shape != (len(pairs), n, n)
@@ -249,7 +217,7 @@ def draw_sample(
     sites, drawn from a spawned per-sample seed sequence: one call draws
     the standard normals x of Re A_j and Im A_j for every site j, shaped
     (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1).  ``K`` is
-    the deterministic term as the site blocks of ``quadrature_K``, which
+    the deterministic term as the site blocks of ``assemble_K``, which
     ``assemble_H`` writes into the fresh H."""
     N, M, n_sites = params.N, params.M, params.n_sites
     if N is None:
@@ -284,10 +252,10 @@ def mc_dos(
 
     Memory: the run holds one float64 per eigenvalue, the |mu| of sample i
     in row i of one (n_samples, 2N * n_sites) array, the deterministic term
-    as its rotated site blocks ((1 + 2d) * n_sites blocks of (2N)^2 floats on
-    a lattice, not a dim^2 matrix), plus one sample's working set and one
-    block of whole rows (about 8192 values) that the histogram is summed
-    over; nothing is kept per realization.
+    as the site blocks of ``assemble_K`` ((1 + 2d) * n_sites blocks of (2N)^2
+    floats on a lattice, built in closed form, never as a dim^2 matrix), plus
+    one sample's working set and one block of whole rows (about 8192 values)
+    that the histogram is summed over; nothing is kept per realization.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -302,7 +270,7 @@ def mc_dos(
             )
         K = None
     else:
-        K = quadrature_K(assemble_K(params), params.N)
+        K = assemble_K(params)
 
     values = np.empty((n_samples, 2 * params.N * params.n_sites))
     for i, row in enumerate(values):

@@ -1,9 +1,9 @@
-"""Clean (disorder-free) lattice model: parameters and the real-space generator.
+"""Clean (disorder-free) lattice model: parameters and the deterministic term.
 
 Conventions used throughout the package: hbar = 1, so every energy is an
 angular frequency; finite lattices are periodic; the per-site phase-space
-basis is ordered (a_1 .. a_N, a*_1 .. a*_N), i.e. all annihilation
-components first, then all creation components.
+basis is the quadrature basis (q_1 .. q_N, p_1 .. p_N), with
+a = (q + i p)/sqrt(2), i.e. all coordinates first, then all momenta.
 """
 
 from __future__ import annotations
@@ -110,42 +110,37 @@ class ModelParams:
         return self.nu == 0
 
 
-def assemble_K(params: ModelParams) -> np.ndarray:
-    """Real-space deterministic generator on the periodic lattice.
+def assemble_K(params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic part U^dagger (i*Sigma3*K) U of the oracle's Hermitian
+    form H, for the clean generator K, in the quadrature basis (a, a*) =
+    U (q, p), as its site blocks (pairs, blocks).
 
-    Returns the dense block matrix of dimension 2N * n_sites, ordered
-    site-major with the (a, a*) split inside each site.  On-site blocks are
-    -(i*nu/2) diag(2, -2) (x) Id_N; each directed nearest-neighbor bond
-    carries -(i*nu/2) (1/(2d)) [[-1, -1], [1, 1]] (x) Id_N, so that the
-    discrete Fourier transform is the momentum-space block
-    -(i*nu/2) [[2 - dlt_k, -dlt_k], [dlt_k, -2 + dlt_k]] (x) Id_N, with
-    dlt_k = (1/d) sum_i cos(k_i) the scaled Laplacian symbol; its
-    eigenvalues are +/- i*nu*sqrt(1 - dlt_k), the clean dispersion.
+    Each site carries nu * Id_2N, and each directed nearest-neighbour bond
+    -nu/(2d) diag(Id_N, 0), a q-q coupling only.  The discrete Fourier
+    transform is nu diag((1 - dlt_k) Id_N, Id_N), with dlt_k = (1/d)
+    sum_i cos(k_i) the scaled Laplacian symbol, so the clean frequency is
+    nu * sqrt(1 - dlt_k).
 
-    Both are written through the (site, band, site, band) view of K: the
-    on-site block on its diagonal, the bond block at each site's -1 and +1
-    neighbour along every axis, read off ``np.roll`` of the site-index grid.
-
-    Dense output: the matrix is consumed by dense factorizations at the
-    desk scales this package targets (dimension <= a few thousand).
+    Returns the (j, k) site pairs as an ((1 + 2d) * n_sites, 2) index
+    array, each site with itself and its -1 and +1 neighbour along every
+    axis (read off ``np.roll`` of the site-index grid), and the real
+    ((1 + 2d) * n_sites, 2N, 2N) blocks at those pairs, which
+    ``ensemble.assemble_H`` writes into H.
     """
     if params.extents is None:
         raise ValueError("assemble_K requires a finite lattice (extents)")
     if params.N is None:
         raise ValueError("assemble_K requires the band count N")
     d, N, nu = params.d, params.N, params.nu
-    n, nsite = 2 * N, params.n_sites
-    onsite = -0.5j * nu * np.diag([2.0, -2.0])
-    # factor 1/(2d): the symbol of the adjacency operator is 2d * dlt_k,
-    # so each directed bond carries delta_{jj'} = 1/(2d)
-    bond = -0.5j * nu / (2.0 * d) * np.array([[-1.0, -1.0], [1.0, 1.0]])
-    site = np.arange(nsite)
+    site = np.arange(params.n_sites)
     grid = site.reshape(params.extents)
-    neighbours = np.stack([np.roll(grid, step, axis).ravel()
-                           for axis in range(d) for step in (1, -1)], axis=1)
-    K = np.zeros((n * nsite, n * nsite), dtype=complex)
-    blocks = K.reshape(nsite, n, nsite, n)
-    blocks[site, :, site] = np.kron(onsite, np.eye(N))
-    # L >= 3: a site's 2d neighbours are distinct, so each bond is written once
-    blocks[site[:, None], :, neighbours] = np.kron(bond, np.eye(N))
-    return K
+    # L >= 3: a site's 2d neighbours are distinct, so each bond is one pair
+    neighbours = [np.roll(grid, step, axis).ravel()
+                  for axis in range(d) for step in (1, -1)]
+    pairs = np.stack((np.repeat(site, 1 + 2 * d),
+                      np.stack([site] + neighbours, axis=1).ravel()), axis=1)
+    onsite = nu * np.eye(2 * N)
+    # factor 1/(2d): the symbol of the adjacency operator is 2d * dlt_k
+    bond = np.diag(np.repeat([-nu / (2.0 * d), 0.0], N))
+    blocks = np.tile(np.stack([onsite] + [bond] * (2 * d)), (params.n_sites, 1, 1))
+    return pairs, blocks

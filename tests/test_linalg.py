@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from bosondos import ModelParams, NotPsdError, cholesky_psd, hermitian_eig
+from bosondos import ModelParams, NotPsdError, cholesky_psd
 from bosondos.ensemble import draw_sample
 from bosondos.linalg import (
     HERMITIAN_TOL,
     SHIFT_TOL,
     check_hermitian,
+    hermitian_eig,
     skew_spectrum,
     skew_spectrum_gram,
 )

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosondos import ModelParams, assemble_K
-from clean_model import delta_k, dispersion, k1_block
+from bosondos import ModelParams
+from bosondos.model import assemble_K
+from clean_model import complex_K, delta_k, dispersion, k1_block
 
 wavevectors = st.lists(
     st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True),
@@ -83,7 +86,7 @@ def test_k1_block_eigenvalues_match_dispersion():
 @pytest.fixture(scope="module")
 def chain8():
     params = ModelParams(d=1, extents=(8,), N=1, M=2, b=0.1, nu=1.0)
-    return params, assemble_K(params)
+    return params, complex_K(params)
 
 
 def test_assemble_K_spectrum_matches_dispersion(chain8):
@@ -128,23 +131,62 @@ def test_assemble_K_stability_cone(chain8):
     assert np.allclose(np.sort(w), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("d,extents,N", [(1, (8,), 2), (2, (4, 3), 3), (3, (3, 4, 5), 2)])
+def test_assemble_K_blocks_are_the_closed_form(d, extents, N):
+    # bitwise nu Id_2N on each site and -nu/(2d) diag(Id_N, 0) on each
+    # directed bond, the bonds at each site's -1 and +1 neighbour per axis
+    params = ModelParams(d=d, extents=extents, N=N, M=4, b=0.1, nu=0.7)
+    pairs, blocks = assemble_K(params)
+    onsite = params.nu * np.eye(2 * N)
+    bond = -params.nu / (2 * d) * np.diag(np.repeat([1.0, 0.0], N))
+    assert blocks.dtype == float and blocks.shape == (len(pairs), 2 * N, 2 * N)
+    assert len(pairs) == (1 + 2 * d) * params.n_sites
+    assert len(np.unique(pairs, axis=0)) == len(pairs)
+    for (j, k), block in zip(pairs, blocks):
+        step = (np.subtract(np.unravel_index(k, extents), np.unravel_index(j, extents))
+                % np.asarray(extents))
+        if j == k:
+            assert np.array_equal(block, onsite)
+        else:
+            # one axis moved by +1 or -1 (L - 1 modulo L), the others fixed
+            moved = np.flatnonzero(step)
+            assert len(moved) == 1 and step[moved[0]] in (1, extents[moved[0]] - 1)
+            assert np.array_equal(block, bond)
+
+
 @pytest.mark.parametrize("d,extents", [(1, (8,)), (2, (4, 3)), (3, (3, 4, 5))])
 def test_assemble_K_fourier_consistency(d, extents):
+    # the symbol of the site blocks is u^dagger (i Sigma3 k1_block(k)) u
+    # (x) Id_N = nu diag((1 - dlt_k) Id_N, Id_N), with (a, a*) = u (q, p)
     N = 2
     params = ModelParams(d=d, extents=extents, N=N, M=4, b=0.1, nu=0.7)
-    K = assemble_K(params)
-    n_sites = params.n_sites
-    sites = list(np.ndindex(*extents))
-    # transform the first block row: sum_j K[0, j] e^{-i k.r_j} == k1_block(k)
+    pairs, blocks = assemble_K(params)
+    row = pairs[:, 0] == 0
+    sites = np.array(np.unravel_index(pairs[row, 1], extents)).T
+    u = np.kron([[1.0, 1.0j], [1.0, -1.0j]], np.eye(N)) / np.sqrt(2.0)
+    s3 = np.repeat([1.0, -1.0], N)
     for m in np.ndindex(*extents):
         k = 2 * np.pi * np.asarray(m, dtype=float) / np.asarray(extents)
-        symbol = np.zeros((2 * N, 2 * N), dtype=complex)
-        for j, site in enumerate(sites):
-            phase = np.exp(-1j * np.dot(k, site))
-            symbol += K[0 : 2 * N, 2 * N * j : 2 * N * (j + 1)] * phase
-        want = np.kron(k1_block(k, params.nu), np.eye(N))
-        scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(symbol - want).max() <= 1e-12 * scale
+        phases = np.exp(-1j * sites @ k)
+        symbol = np.einsum("j,jab->ab", phases, blocks[row])
+        closed = params.nu * np.diag(np.repeat([1.0 - delta_k(k), 1.0], N))
+        rotated = u.conj().T @ (1j * s3[:, None] * np.kron(k1_block(k, params.nu), np.eye(N))) @ u
+        # the phases e^{-i k.r} carry rounding; the blocks themselves do not
+        assert np.abs(symbol - closed).max() <= 1e-14 * params.nu
+        assert np.abs(rotated - closed).max() <= 1e-14 * params.nu
+
+
+def test_assemble_K_memory_is_its_blocks():
+    # the mc-lattice flags: 96 blocks of 16 x 16 floats (0.2 MB); the dense
+    # complex generator alone is 4 MB
+    params = ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0)
+    tracemalloc.start()
+    try:
+        assemble_K(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_assemble_K_rejects_short_dimensions():
