@@ -8,7 +8,6 @@ random ensemble and diagonalizes them exactly.
 
 __version__ = "0.1.0"
 
-from .bzquad import I_cpa, I_g
 from .cpa import (
     BranchError,
     CoherentPotential,
@@ -21,14 +20,8 @@ from .cpa import (
     rmt_scaled_a1,
     solve_p,
 )
-from .ensemble import (
-    ConeViolationError,
-    SpectrumHistogram,
-    assemble_H,
-    mc_dos,
-    spectrum_X,
-)
-from .linalg import NotPsdError, cholesky_psd
+from .ensemble import ConeViolationError, SpectrumHistogram, mc_dos
+from .linalg import NotPsdError
 from .model import ModelParams
 
 __all__ = [
@@ -41,10 +34,6 @@ __all__ = [
     "NotPsdError",
     "SolverError",
     "SpectrumHistogram",
-    "I_cpa",
-    "I_g",
-    "assemble_H",
-    "cholesky_psd",
     "continuation_sweep",
     "default_eps",
     "dos_curve",
@@ -52,5 +41,4 @@ __all__ = [
     "mc_dos",
     "rmt_scaled_a1",
     "solve_p",
-    "spectrum_X",
 ]

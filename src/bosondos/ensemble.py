@@ -25,12 +25,13 @@ modes, as in the flat band at M < 2N) or an ill-conditioned S
 
 Each realization takes one path through plain real arrays: ``draw_sample``
 draws every site's W in one call and returns the quadrature-basis H (via
-``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  The
-deterministic term comes once per run from ``model.assemble_K`` in closed
-form, as its real quadrature-basis site blocks (on-site and bond), which
-``assemble_H`` writes into each fresh H, so no dim^2 term is ever built
-for it.  ``mc_dos`` keeps |mu| of many realizations in one array, a row
-each, and bins it in row blocks into a :class:`SpectrumHistogram`.
+``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  Each H
+starts as ``model.assemble_K``'s fresh array with the deterministic term
+written in closed form (nu on the diagonal, -nu/(2d) at the q-q entries of
+each bond), and ``assemble_H`` adds the couplings in place, so the clean
+term costs no array beyond H itself.  ``mc_dos`` keeps |mu| of many
+realizations in one array, a row each, and bins it in row blocks into a
+:class:`SpectrumHistogram`.
 """
 
 from __future__ import annotations
@@ -118,23 +119,18 @@ class SpectrumHistogram:
             )
 
 
-def assemble_H(
-    params: ModelParams,
-    W: np.ndarray,
-    K: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
+def assemble_H(params: ModelParams, W: np.ndarray) -> np.ndarray:
     """Real symmetric H = U^dagger (i*Sigma3*K + blockdiag(L_j^dagger L_j)) U
     in the quadrature basis.
 
     ``W`` is the real (n_sites, M, 2N) array of the couplings in quadrature
     form, W_j = L_j U / sqrt(2) = (Re A_j | -Im A_j), as ``draw_sample``
-    draws them.  ``K`` is the deterministic term as the site blocks
-    ``assemble_K(params)``; it may be omitted at nu = 0, where K vanishes.
-    Through the (site, band, site, band) view
-    ``H.reshape(n_sites, 2N, n_sites, 2N)`` of a zeroed H, the blocks are
-    written at their site pairs, then every site's diagonal block gains
-    2 W_j^T W_j from one stacked product, which numpy takes slice by slice
-    with syrk, so each block is exactly symmetric.
+    draws them.  H starts as ``assemble_K(params)`` on a lattice, which
+    holds the clean term alone, and as zeros on a single site, which
+    requires nu = 0.  Through the (site, band, site, band) view
+    ``H.reshape(n_sites, 2N, n_sites, 2N)``, every site's diagonal block
+    then gains 2 W_j^T W_j from one stacked product, which numpy takes
+    slice by slice with syrk, so each block is exactly symmetric.
     """
     N = params.N
     if N is None:
@@ -144,26 +140,14 @@ def assemble_H(
     if np.iscomplexobj(W) or W.shape != shape:
         raise ValueError(f"W is {W.dtype} {W.shape}, not real (n_sites, M, 2N) "
                          f"= {shape}")
-    H = np.zeros((n * sites, n * sites))
-    blocks = H.reshape(sites, n, sites, n)
-    if K is None:
-        if params.nu != 0:
-            raise ValueError("K may be omitted only in the nu = 0 limit")
-    elif not isinstance(K, tuple):
-        raise ValueError("assemble_H takes the site blocks (pairs, blocks) of "
-                         f"assemble_K(params), got {type(K).__name__}")
+    if params.extents is not None:
+        H = assemble_K(params)
+    elif params.nu == 0:
+        H = np.zeros((n, n))
     else:
-        pairs, terms = (np.asarray(x) for x in K)
-        if (np.iscomplexobj(terms) or terms.shape != (len(pairs), n, n)
-                or pairs.shape != (len(pairs), 2)):
-            raise ValueError(
-                f"K has blocks {terms.dtype} {terms.shape} at site pairs "
-                f"{pairs.shape}, expected real (n_blocks, {n}, {n}) at (n_blocks, 2)")
-        if pairs.size and not 0 <= pairs.min() <= pairs.max() < sites:
-            raise ValueError(f"K has a site index outside 0..{sites - 1}")
-        blocks[pairs[:, 0], :, pairs[:, 1]] = terms
+        raise ValueError("single-site sampling (extents=None) requires nu = 0")
     # einsum's repeated index gives a writable view of the diagonal blocks
-    diagonal = np.einsum("jajb->jab", blocks)
+    diagonal = np.einsum("jajb->jab", H.reshape(sites, n, sites, n))
     diagonal += 2.0 * (W.transpose(0, 2, 1) @ W)
     return H
 
@@ -208,24 +192,19 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
     return skew_spectrum(S) if sigma else skew_spectrum_gram(S)
 
 
-def draw_sample(
-    params: ModelParams,
-    child: np.random.SeedSequence,
-    K: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
+def draw_sample(params: ModelParams, child: np.random.SeedSequence) -> np.ndarray:
     """The quadrature-basis H of one realization on ``params.n_sites``
     sites, drawn from a spawned per-sample seed sequence: one call draws
     the standard normals x of Re A_j and Im A_j for every site j, shaped
-    (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1).  ``K`` is
-    the deterministic term as the site blocks of ``assemble_K``, which
-    ``assemble_H`` writes into the fresh H."""
+    (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1), which
+    ``assemble_H`` adds to the clean term."""
     N, M, n_sites = params.N, params.M, params.n_sites
     if N is None:
         raise ValueError("sampling requires both M and N")
     x = np.random.default_rng(child).normal(size=(n_sites, 2, M, N))
     W = np.concatenate((x[:, 0], -x[:, 1]), axis=2)
     W *= np.sqrt(params.b / (4.0 * N))
-    return assemble_H(params, W, K=K)
+    return assemble_H(params, W)
 
 
 def mc_dos(
@@ -251,11 +230,10 @@ def mc_dos(
     control it.
 
     Memory: the run holds one float64 per eigenvalue, the |mu| of sample i
-    in row i of one (n_samples, 2N * n_sites) array, the deterministic term
-    as the site blocks of ``assemble_K`` ((1 + 2d) * n_sites blocks of (2N)^2
-    floats on a lattice, built in closed form, never as a dim^2 matrix), plus
-    one sample's working set and one block of whole rows (about 8192 values)
-    that the histogram is summed over; nothing is kept per realization.
+    in row i of one (n_samples, 2N * n_sites) array, plus one sample's
+    working set, whose H holds the deterministic term from the start, and
+    one block of whole rows (about 8192 values) that the histogram is summed
+    over; nothing is kept across realizations.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -263,19 +241,11 @@ def mc_dos(
         raise ValueError("bins must be at least 1")
     if omega_max is not None and not 0 < omega_max < math.inf:
         raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
-    if params.extents is None:
-        if params.nu != 0:
-            raise ValueError(
-                "single-site sampling (extents=None) requires nu = 0"
-            )
-        K = None
-    else:
-        K = assemble_K(params)
 
     values = np.empty((n_samples, 2 * params.N * params.n_sites))
     for i, row in enumerate(values):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
-        np.abs(spectrum_X(draw_sample(params, child, K=K), params.N), out=row)
+        np.abs(spectrum_X(draw_sample(params, child), params.N), out=row)
 
     largest = float(values.max())
     zero_tol = 1e-8 * largest

@@ -90,6 +90,8 @@ class ModelParams:
         if self.a <= 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if self.extents is not None:
+            if any(int(n) != n for n in self.extents):
+                raise ValueError(f"extents must be integers, got {self.extents!r}")
             extents = tuple(int(n) for n in self.extents)
             if len(extents) != self.d:
                 raise ValueError(
@@ -110,37 +112,33 @@ class ModelParams:
         return self.nu == 0
 
 
-def assemble_K(params: ModelParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic part U^dagger (i*Sigma3*K) U of the oracle's Hermitian
-    form H, for the clean generator K, in the quadrature basis (a, a*) =
-    U (q, p), as its site blocks (pairs, blocks).
+def assemble_K(params: ModelParams) -> np.ndarray:
+    """A fresh real dim x dim H, dim = 2N * n_sites, holding only the
+    deterministic part U^dagger (i*Sigma3*K) U of the oracle's Hermitian
+    form, for the clean generator K, in the quadrature basis (a, a*) =
+    U (q, p); ``ensemble.assemble_H`` adds the couplings to it in place.
 
-    Each site carries nu * Id_2N, and each directed nearest-neighbour bond
-    -nu/(2d) diag(Id_N, 0), a q-q coupling only.  The discrete Fourier
-    transform is nu diag((1 - dlt_k) Id_N, Id_N), with dlt_k = (1/d)
-    sum_i cos(k_i) the scaled Laplacian symbol, so the clean frequency is
-    nu * sqrt(1 - dlt_k).
-
-    Returns the (j, k) site pairs as an ((1 + 2d) * n_sites, 2) index
-    array, each site with itself and its -1 and +1 neighbour along every
-    axis (read off ``np.roll`` of the site-index grid), and the real
-    ((1 + 2d) * n_sites, 2N, 2N) blocks at those pairs, which
-    ``ensemble.assemble_H`` writes into H.
+    Each site carries nu on the diagonal, and each directed nearest-neighbour
+    bond -nu/(2d) at its q-q entries only, the bonds read off ``np.roll`` of
+    the site-index grid.  The discrete Fourier transform is
+    nu diag((1 - dlt_k) Id_N, Id_N), with dlt_k = (1/d) sum_i cos(k_i) the
+    scaled Laplacian symbol, so the clean frequency is nu * sqrt(1 - dlt_k).
     """
     if params.extents is None:
         raise ValueError("assemble_K requires a finite lattice (extents)")
     if params.N is None:
         raise ValueError("assemble_K requires the band count N")
     d, N, nu = params.d, params.N, params.nu
-    site = np.arange(params.n_sites)
+    n, sites = 2 * N, params.n_sites
+    H = np.zeros((n * sites, n * sites))
+    np.fill_diagonal(H, nu)
+    site = np.arange(sites)
     grid = site.reshape(params.extents)
-    # L >= 3: a site's 2d neighbours are distinct, so each bond is one pair
-    neighbours = [np.roll(grid, step, axis).ravel()
-                  for axis in range(d) for step in (1, -1)]
-    pairs = np.stack((np.repeat(site, 1 + 2 * d),
-                      np.stack([site] + neighbours, axis=1).ravel()), axis=1)
-    onsite = nu * np.eye(2 * N)
+    # L >= 3: a site's 2d neighbours are distinct and none is the site itself
+    neighbours = np.stack([np.roll(grid, step, axis).ravel()
+                           for axis in range(d) for step in (1, -1)], axis=1)
+    q = np.arange(N)
+    blocks = H.reshape(sites, n, sites, n)
     # factor 1/(2d): the symbol of the adjacency operator is 2d * dlt_k
-    bond = np.diag(np.repeat([-nu / (2.0 * d), 0.0], N))
-    blocks = np.tile(np.stack([onsite] + [bond] * (2 * d)), (params.n_sites, 1, 1))
-    return pairs, blocks
+    blocks[site[:, None, None], q, neighbours[..., None], q] = -nu / (2.0 * d)
+    return H

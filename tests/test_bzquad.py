@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from bosondos import ModelParams, I_cpa, I_g, dos_curve
+from bosondos import ModelParams, dos_curve
 from bosondos.bzquad import (
+    I_cpa,
+    I_g,
     I_cpa_and_derivative,
     _excess,
     _zone_nodes,

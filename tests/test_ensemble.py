@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosondos import (
-    ConeViolationError,
-    ModelParams,
-    SpectrumHistogram,
-    assemble_H,
-    dos_curve,
-    mc_dos,
-    spectrum_X,
-)
+from bosondos import ConeViolationError, ModelParams, SpectrumHistogram, dos_curve, mc_dos
 from bosondos import ensemble
-from bosondos.ensemble import draw_sample
+from bosondos.ensemble import assemble_H, draw_sample, spectrum_X
 from bosondos.linalg import cholesky_psd, skew_spectrum
 from bosondos.model import assemble_K
 from clean_model import complex_K, delta_k, dispersion
@@ -70,17 +62,6 @@ def complex_reference_spectrum(params, blocks, K=None):
     return np.linalg.eigvalsh(0.5 * (R + R.conj().T))
 
 
-def lattice_K(params):
-    """The deterministic term of H as assemble_K's site blocks, or None on
-    a single site."""
-    return None if params.extents is None else assemble_K(params)
-
-
-def dense_term(params, K):
-    """The deterministic term of H as a dense real matrix."""
-    return assemble_H(params, np.zeros((params.n_sites, params.M, 2 * params.N)), K)
-
-
 def dense_rotation_H(params, W):
     """H as a dense formula builds it: i Sigma3 K over all dim columns,
     rotated by u^dagger on each site's rows and by u on each site's columns,
@@ -107,15 +88,14 @@ class TestDrawSample:
         for seed in range(3):
             child = np.random.SeedSequence(seed)
             want = U.conj().T @ complex_H(params, complex_couplings(params, child), K) @ U
-            H = draw_sample(params, child, K=lattice_K(params))
+            H = draw_sample(params, child)
             assert H.dtype == float
             assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_zero_disorder_gives_zero_coupling(self):
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.0, nu=1.0)
-        K = lattice_K(params)
-        H = draw_sample(params, np.random.SeedSequence(0), K=K)
-        assert np.array_equal(H, dense_term(params, K))
+        H = draw_sample(params, np.random.SeedSequence(0))
+        assert np.array_equal(H, assemble_K(params))
 
     def test_trace_moment(self):
         # on the flat band E Tr H = E Tr L^dagger L = M b: Tr L^dagger L =
@@ -176,8 +156,7 @@ class TestAssembleH:
     def test_clean_limit_spectrum(self):
         # b = 0: H = i Sigma3 K with per-mode eigenvalues {nu, nu(1-delta_k)}
         params = ModelParams(d=1, extents=(8,), N=2, M=4, b=0.0, nu=1.3)
-        K = lattice_K(params)
-        H = assemble_H(params, np.zeros((8, params.M, 2 * params.N)), K)
+        H = assemble_H(params, np.zeros((8, params.M, 2 * params.N)))
         w = np.linalg.eigvalsh(H)
         per_mode = []
         for m in range(8):
@@ -203,10 +182,8 @@ class TestAssembleH:
     def test_every_site_gains_its_own_gram_block(self, params):
         n, sites = 2 * params.N, params.n_sites
         W = np.random.default_rng(3).normal(size=(sites, params.M, n))
-        K = lattice_K(params)
-        K_blocks = (np.zeros((sites, n, sites, n)) if K is None
-                    else dense_term(params, K).reshape(sites, n, sites, n))
-        H_blocks = assemble_H(params, W, K).reshape(sites, n, sites, n)
+        K_blocks = assemble_K(params).reshape(sites, n, sites, n)
+        H_blocks = assemble_H(params, W).reshape(sites, n, sites, n)
         for j in range(sites):
             # bitwise the per-site sum, and exactly symmetric
             block = H_blocks[j, :, j]
@@ -222,62 +199,26 @@ class TestAssembleH:
         ModelParams(d=1, extents=(3,), N=2, M=3, b=0.8, nu=1.0),
     ], ids=["chain32", "3x4x5", "3x7", "chain3"])
     def test_block_term_gives_the_dense_rotation(self, params):
-        # the closed-form blocks are exact; the rotation of the dense complex
+        # the closed-form term is exact; the rotation of the dense complex
         # generator leaves rounding of up to one ulp on the on-site diagonal
         W = np.random.default_rng(4).normal(size=(params.n_sites, params.M, 2 * params.N))
-        H = assemble_H(params, W, lattice_K(params))
+        H = assemble_H(params, W)
         want = dense_rotation_H(params, W)
         assert np.abs(H - want).max() <= 1e-15 * np.abs(want).max()
 
-    @pytest.mark.parametrize("params", [
-        ModelParams(d=1, extents=(3,), N=2, M=3, b=0.8, nu=1.0),
-        ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0),
-        ModelParams(d=2, extents=(3, 7), N=3, M=5, b=0.63, nu=1.0),
-        ModelParams(d=3, extents=(3, 4, 5), N=2, M=3, b=0.63, nu=1.0),
-    ], ids=["chain3", "chain32", "3x7", "3x4x5"])
-    def test_lattice_block_term_is_on_site_and_bonds(self, params):
-        # the on-site block and 2d bond blocks of each site, not dim^2 floats
-        pairs, blocks = lattice_K(params)
-        n = 2 * params.N
-        assert blocks.dtype == float
-        assert blocks.size <= (1 + 2 * params.d) * params.n_sites * n * n
-        assert len(np.unique(pairs, axis=0)) == len(pairs)
-
     def test_hermiticity(self):
-        H = draw_sample(CHAIN, np.random.SeedSequence(6), K=lattice_K(CHAIN))
+        H = draw_sample(CHAIN, np.random.SeedSequence(6))
         assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
 
-    def test_complex_generator_rejected(self):
-        W = np.ones((4, CHAIN.M, 2 * CHAIN.N))
-        with pytest.raises(ValueError, match=r"assemble_K\(params\)"):
-            assemble_H(CHAIN, W, complex_K(CHAIN))
-
-    def test_K_required_on_lattice(self):
-        W = np.ones((4, CHAIN.M, 2 * CHAIN.N))
-        with pytest.raises(ValueError, match="nu = 0"):
-            assemble_H(CHAIN, W, K=None)
+    def test_single_site_requires_nu_zero(self):
+        params = ModelParams(a=0.75, N=2, M=3, b=1.0, nu=1.0)
+        W = np.ones((1, params.M, 2 * params.N))
+        with pytest.raises(ValueError, match=r"extents=None\) requires nu = 0"):
+            assemble_H(params, W)
 
     def test_band_count_required(self):
         with pytest.raises(ValueError, match="band count N"):
             assemble_H(ModelParams(a=1.0, b=1.0), np.ones((1, 2, 2)))
-
-    def test_deterministic_term_of_the_wrong_shape_rejected(self):
-        # a block of one column would broadcast silently across the band,
-        # and a negative site index would wrap round to another site
-        W = np.ones((4, CHAIN.M, 2 * CHAIN.N))
-        pairs, blocks = lattice_K(CHAIN)
-        with pytest.raises(ValueError, match=r"assemble_K\(params\)"):
-            assemble_H(CHAIN, W, np.zeros((16, 16)))
-        for bands in ((6, 6), (4, 1)):
-            with pytest.raises(ValueError, match=r"expected real \(n_blocks, 4, 4\)"):
-                assemble_H(CHAIN, W, (pairs, np.zeros((len(pairs), *bands))))
-        with pytest.raises(ValueError, match="expected real"):
-            assemble_H(CHAIN, W, (pairs[:, :1], blocks))
-        for index in (4, -1):
-            bad = pairs.copy()
-            bad[-1, 1] = index
-            with pytest.raises(ValueError, match=r"site index outside 0\.\.3"):
-                assemble_H(CHAIN, W, (bad, blocks))
 
     @pytest.mark.parametrize("W", [
         np.ones((3, 3, 4)),  # one site short
@@ -287,13 +228,13 @@ class TestAssembleH:
     ], ids=["sites", "rows", "columns", "complex"])
     def test_coupling_of_the_wrong_shape_rejected(self, W):
         with pytest.raises(ValueError, match=r"not real \(n_sites, M, 2N\)"):
-            assemble_H(CHAIN, W, lattice_K(CHAIN))
+            assemble_H(CHAIN, W)
 
 
 class TestSpectrumX:
     def test_clean_chain_frequencies(self):
         params = ModelParams(d=1, extents=(8,), N=1, M=2, b=0.0, nu=1.0)
-        H = draw_sample(params, np.random.SeedSequence(0), K=lattice_K(params))
+        H = draw_sample(params, np.random.SeedSequence(0))
         mu = spectrum_X(H, params.N)
         want = np.sort(np.repeat([dispersion([2 * np.pi * m / 8], 1.0) for m in range(8)], 2))
         assert np.allclose(np.sort(np.abs(mu)), want, atol=1e-7)
@@ -334,7 +275,7 @@ class TestSpectrumX:
         K = None if params.extents is None else complex_K(params)
         for seed in range(3):
             child = np.random.SeedSequence(seed)
-            mu = spectrum_X(draw_sample(params, child, K=lattice_K(params)), params.N)
+            mu = spectrum_X(draw_sample(params, child), params.N)
             want = complex_reference_spectrum(params, complex_couplings(params, child), K)
             assert np.all(np.diff(mu) >= 0)
             # at odd M a zero mode of X sits in a 2x2 Jordan block, which the
@@ -367,8 +308,7 @@ class TestSpectrumX:
         ids=["chain6", "square4x4", "mc-lattice"],
     )
     def test_definite_H_takes_the_gram_route(self, params, n_samples, monkeypatch):
-        K = lattice_K(params)
-        Hs = [draw_sample(params, child, K=K)
+        Hs = [draw_sample(params, child)
               for child in np.random.SeedSequence(0).spawn(n_samples)]
         gram, calls = ensemble.skew_spectrum_gram, []
         monkeypatch.setattr(ensemble, "skew_spectrum_gram",
@@ -386,7 +326,7 @@ class TestSpectrumX:
     def test_ill_conditioned_definite_H_takes_the_svd_route(self, monkeypatch):
         # the weakly disordered chain keeps its acoustic mode near 0
         params = ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0)
-        H = draw_sample(params, np.random.SeedSequence(2), K=lattice_K(params))
+        H = draw_sample(params, np.random.SeedSequence(2))
         mu = spectrum_X(H, params.N)
         monkeypatch.setattr(ensemble, "skew_spectrum_gram", skew_spectrum)
         want = spectrum_X(H, params.N)
@@ -419,9 +359,8 @@ def concatenated_histogram(params, n_samples, bins, seed, omega_max=None):
     seeds, one concatenated |mu| array, full-size masks and one
     ``np.histogram``.  Returns (counts, edges, zero modes, overflow,
     zero_tol)."""
-    K = lattice_K(params)
     values = np.concatenate([
-        np.abs(spectrum_X(draw_sample(params, child, K=K), params.N))
+        np.abs(spectrum_X(draw_sample(params, child), params.N))
         for child in np.random.SeedSequence(seed).spawn(n_samples)
     ])
     zero_tol = 1e-8 * float(values.max())
@@ -557,11 +496,10 @@ class TestMcDos:
     def test_moment_identity_with_lattice(self):
         # E[(2N|L|)^-1 Tr(i Sigma3 X)] = nu + a b, independent of the solver
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
-        K = lattice_K(params)
         dim = 2 * params.N * params.n_sites
         traces = []
         for child in np.random.SeedSequence(77).spawn(300):
-            H = draw_sample(params, child, K=K)
+            H = draw_sample(params, child)
             traces.append(np.trace(H).real / dim)
         traces = np.asarray(traces)
         want = params.nu + params.a * params.b

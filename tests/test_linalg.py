@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from bosondos import ModelParams, NotPsdError, cholesky_psd
+from bosondos import ModelParams, NotPsdError
 from bosondos.ensemble import draw_sample
 from bosondos.linalg import (
     HERMITIAN_TOL,
     SHIFT_TOL,
     check_hermitian,
+    cholesky_psd,
     hermitian_eig,
     skew_spectrum,
     skew_spectrum_gram,

@@ -134,59 +134,67 @@ def test_assemble_K_stability_cone(chain8):
 @pytest.mark.parametrize("d,extents,N", [(1, (8,), 2), (2, (4, 3), 3), (3, (3, 4, 5), 2)])
 def test_assemble_K_blocks_are_the_closed_form(d, extents, N):
     # bitwise nu Id_2N on each site and -nu/(2d) diag(Id_N, 0) on each
-    # directed bond, the bonds at each site's -1 and +1 neighbour per axis
+    # directed bond, the bonds at each site's -1 and +1 neighbour per axis,
+    # and zero everywhere else
     params = ModelParams(d=d, extents=extents, N=N, M=4, b=0.1, nu=0.7)
-    pairs, blocks = assemble_K(params)
-    onsite = params.nu * np.eye(2 * N)
+    H = assemble_K(params)
+    sites, n = params.n_sites, 2 * N
+    onsite = params.nu * np.eye(n)
     bond = -params.nu / (2 * d) * np.diag(np.repeat([1.0, 0.0], N))
-    assert blocks.dtype == float and blocks.shape == (len(pairs), 2 * N, 2 * N)
-    assert len(pairs) == (1 + 2 * d) * params.n_sites
-    assert len(np.unique(pairs, axis=0)) == len(pairs)
-    for (j, k), block in zip(pairs, blocks):
-        step = (np.subtract(np.unravel_index(k, extents), np.unravel_index(j, extents))
-                % np.asarray(extents))
-        if j == k:
-            assert np.array_equal(block, onsite)
-        else:
-            # one axis moved by +1 or -1 (L - 1 modulo L), the others fixed
+    assert H.dtype == float and H.shape == (sites * n, sites * n)
+    blocks = H.reshape(sites, n, sites, n)
+    nonzero = 0
+    for j in range(sites):
+        for k in range(sites):
+            block = blocks[j, :, k]
+            step = (np.subtract(np.unravel_index(k, extents), np.unravel_index(j, extents))
+                    % np.asarray(extents))
             moved = np.flatnonzero(step)
-            assert len(moved) == 1 and step[moved[0]] in (1, extents[moved[0]] - 1)
-            assert np.array_equal(block, bond)
+            if j == k:
+                assert np.array_equal(block, onsite)
+            elif len(moved) == 1 and step[moved[0]] in (1, extents[moved[0]] - 1):
+                # one axis moved by +1 or -1 (L - 1 modulo L), the others fixed
+                assert np.array_equal(block, bond)
+            else:
+                assert not block.any()
+            nonzero += bool(block.any())
+    assert nonzero == (1 + 2 * d) * sites
 
 
 @pytest.mark.parametrize("d,extents", [(1, (8,)), (2, (4, 3)), (3, (3, 4, 5))])
 def test_assemble_K_fourier_consistency(d, extents):
-    # the symbol of the site blocks is u^dagger (i Sigma3 k1_block(k)) u
-    # (x) Id_N = nu diag((1 - dlt_k) Id_N, Id_N), with (a, a*) = u (q, p)
+    # the symbol of the term's site blocks is u^dagger (i Sigma3
+    # k1_block(k)) u (x) Id_N = nu diag((1 - dlt_k) Id_N, Id_N), with
+    # (a, a*) = u (q, p)
     N = 2
     params = ModelParams(d=d, extents=extents, N=N, M=4, b=0.1, nu=0.7)
-    pairs, blocks = assemble_K(params)
-    row = pairs[:, 0] == 0
-    sites = np.array(np.unravel_index(pairs[row, 1], extents)).T
+    row = assemble_K(params).reshape(params.n_sites, 2 * N, params.n_sites, 2 * N)[0]
+    sites = np.array(np.unravel_index(np.arange(params.n_sites), extents)).T
     u = np.kron([[1.0, 1.0j], [1.0, -1.0j]], np.eye(N)) / np.sqrt(2.0)
     s3 = np.repeat([1.0, -1.0], N)
     for m in np.ndindex(*extents):
         k = 2 * np.pi * np.asarray(m, dtype=float) / np.asarray(extents)
         phases = np.exp(-1j * sites @ k)
-        symbol = np.einsum("j,jab->ab", phases, blocks[row])
+        symbol = np.einsum("j,ajb->ab", phases, row)
         closed = params.nu * np.diag(np.repeat([1.0 - delta_k(k), 1.0], N))
         rotated = u.conj().T @ (1j * s3[:, None] * np.kron(k1_block(k, params.nu), np.eye(N))) @ u
-        # the phases e^{-i k.r} carry rounding; the blocks themselves do not
+        # the phases e^{-i k.r} carry rounding; the term itself does not
         assert np.abs(symbol - closed).max() <= 1e-14 * params.nu
         assert np.abs(rotated - closed).max() <= 1e-14 * params.nu
 
 
-def test_assemble_K_memory_is_its_blocks():
-    # the mc-lattice flags: 96 blocks of 16 x 16 floats (0.2 MB); the dense
-    # complex generator alone is 4 MB
+def test_assemble_K_memory_is_H_itself():
+    # the mc-lattice flags: the term is written into the sample's own H
+    # (dim = 512, 2 MB), with no other array of that size alongside it
     params = ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0)
+    dim = 2 * params.N * params.n_sites
     tracemalloc.start()
     try:
         assemble_K(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+    assert peak <= dim * dim * 8 + 64 * 1024
 
 
 def test_assemble_K_rejects_short_dimensions():
@@ -270,3 +278,11 @@ class TestModelParams:
             with pytest.raises(ValueError, match="at least 3 sites"):
                 ModelParams(d=2, extents=extents, a=1.0, b=1.0, nu=1.0)
         assert ModelParams(d=2, extents=(3, 3), a=1.0, b=1.0, nu=1.0).n_sites == 9
+
+    @pytest.mark.parametrize("d,extents", [(1, (3.7,)), (2, (4, 5.5)), (2, "33")],
+                             ids=["fraction", "one-fraction", "string"])
+    def test_extents_must_be_integers(self, d, extents):
+        # each was once truncated quietly: (3.7,) to (3,) and "33" to (3, 3)
+        with pytest.raises(ValueError, match="extents must be integers"):
+            ModelParams(d=d, extents=extents, a=1.0, b=1.0, nu=1.0)
+        assert ModelParams(d=2, extents=(4.0, 3), a=1.0, b=1.0, nu=1.0).extents == (4, 3)
