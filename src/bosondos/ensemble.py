@@ -26,12 +26,17 @@ modes, as in the flat band at M < 2N) or an ill-conditioned S
 Each realization takes one path through plain real arrays: ``draw_sample``
 draws every site's W in one call and returns the quadrature-basis H (via
 ``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  Each H
-starts as ``model.assemble_K``'s fresh array with the deterministic term
-written in closed form (nu on the diagonal, -nu/(2d) at the q-q entries of
-each bond), and ``assemble_H`` adds the couplings in place, so the clean
-term costs no array beyond H itself.  ``mc_dos`` keeps |mu| of many
+starts as ``model.assemble_K``'s array with the deterministic term written
+in closed form (nu on the diagonal, -nu/(2d) at the q-q entries of each
+bond), and ``assemble_H`` adds the couplings in place, so the clean term
+costs no array beyond H itself.  ``mc_dos`` keeps |mu| of many
 realizations in one array, a row each, and bins it in row blocks into a
 :class:`SpectrumHistogram`.
+
+Memory: ``mc_dos`` allocates one dim x dim H per run, which every sample
+rewrites from the clean term up and ``spectrum_X`` consumes as scratch for
+T, S and S^T S.  A sample still allocates the Cholesky factor, the copies
+of its q rows and p rows, and numpy's copies of each LAPACK input.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .linalg import (  # noqa: F401
     skew_spectrum,
     skew_spectrum_gram,
 )
-from .model import ModelParams, assemble_K
+from .model import ModelParams, _zeroed, assemble_K
 
 __all__ = [
     "ConeViolationError",
@@ -119,15 +124,17 @@ class SpectrumHistogram:
             )
 
 
-def assemble_H(params: ModelParams, W: np.ndarray) -> np.ndarray:
+def assemble_H(params: ModelParams, W: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """Real symmetric H = U^dagger (i*Sigma3*K + blockdiag(L_j^dagger L_j)) U
     in the quadrature basis.
 
     ``W`` is the real (n_sites, M, 2N) array of the couplings in quadrature
     form, W_j = L_j U / sqrt(2) = (Re A_j | -Im A_j), as ``draw_sample``
-    draws them.  H starts as ``assemble_K(params)`` on a lattice, which
-    holds the clean term alone, and as zeros on a single site, which
-    requires nu = 0.  Through the (site, band, site, band) view
+    draws them.  H starts as ``assemble_K(params, out)`` on a lattice,
+    which holds the clean term alone, and as zeros on a single site, which
+    requires nu = 0; it is ``out`` when given, else a new array.  Through
+    the (site, band, site, band) view
     ``H.reshape(n_sites, 2N, n_sites, 2N)``, every site's diagonal block
     then gains 2 W_j^T W_j from one stacked product, which numpy takes
     slice by slice with syrk, so each block is exactly symmetric.
@@ -141,9 +148,9 @@ def assemble_H(params: ModelParams, W: np.ndarray) -> np.ndarray:
         raise ValueError(f"W is {W.dtype} {W.shape}, not real (n_sites, M, 2N) "
                          f"= {shape}")
     if params.extents is not None:
-        H = assemble_K(params)
+        H = assemble_K(params, out)
     elif params.nu == 0:
-        H = np.zeros((n, n))
+        H = _zeroed(out, n)
     else:
         raise ValueError("single-site sampling (extents=None) requires nu = 0")
     # einsum's repeated index gives a writable view of the diagonal blocks
@@ -164,14 +171,18 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
     a shifted H has zero modes that squares cannot resolve at ``zero_tol``,
     and goes to the SVD of ``skew_spectrum`` directly.  The output comes in
     +/- pairs; a Cholesky failure means H left the stability cone.  A
-    complex H (the (a, a*) basis) is rejected.  The reference to H is
-    dropped once it is factored, so an H the caller passes as a temporary
-    is freed before the reduction and the kernel allocate theirs.
+    complex H (the (a, a*) basis) is rejected.
+
+    H is consumed: once it is factored, T goes into H's buffer, S into
+    C's and S^T S back into H's, so a caller that needs H afterwards
+    passes a copy.  H must be a writable C-contiguous float64 array, as
+    ``assemble_H`` returns.
     """
-    if np.iscomplexobj(H):
+    if (H.dtype != np.float64 or not H.flags.c_contiguous
+            or not H.flags.writeable):
         raise ValueError(
             "spectrum_X takes the real quadrature-basis H of assemble_H, "
-            f"got {H.dtype}"
+            f"a writable C-contiguous float64 array, got {H.dtype}"
         )
     dim = H.shape[0]
     if dim % (2 * N) != 0:
@@ -182,29 +193,32 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
         raise ConeViolationError(
             f"sampled generator is outside the stability cone: {exc}"
         ) from exc
-    del H
     rows = C.reshape(dim // (2 * N), 2, N, dim)
-    T = rows[:, 0].reshape(-1, dim).T @ rows[:, 1].reshape(-1, dim)
-    # drop C and T before the kernel allocates its own dim^2 arrays
-    del C, rows
-    S = T - T.T
-    del T
-    return skew_spectrum(S) if sigma else skew_spectrum_gram(S)
+    T = np.matmul(rows[:, 0].reshape(-1, dim).T, rows[:, 1].reshape(-1, dim), out=H)
+    S = np.subtract(T, T.T, out=C)
+    return skew_spectrum(S) if sigma else skew_spectrum_gram(S, work=H)
 
 
-def draw_sample(params: ModelParams, child: np.random.SeedSequence) -> np.ndarray:
+def _sample_dim(params: ModelParams) -> int:
+    """The dimension 2N * n_sites of a realization's H."""
+    if params.N is None:
+        raise ValueError("sampling requires both M and N")
+    return 2 * params.N * params.n_sites
+
+
+def draw_sample(params: ModelParams, child: np.random.SeedSequence,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """The quadrature-basis H of one realization on ``params.n_sites``
     sites, drawn from a spawned per-sample seed sequence: one call draws
     the standard normals x of Re A_j and Im A_j for every site j, shaped
     (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1), which
-    ``assemble_H`` adds to the clean term."""
+    ``assemble_H`` adds to the clean term, in ``out`` when given."""
+    _sample_dim(params)  # raises without the band counts
     N, M, n_sites = params.N, params.M, params.n_sites
-    if N is None:
-        raise ValueError("sampling requires both M and N")
     x = np.random.default_rng(child).normal(size=(n_sites, 2, M, N))
     W = np.concatenate((x[:, 0], -x[:, 1]), axis=2)
     W *= np.sqrt(params.b / (4.0 * N))
-    return assemble_H(params, W)
+    return assemble_H(params, W, out)
 
 
 def mc_dos(
@@ -230,10 +244,12 @@ def mc_dos(
     control it.
 
     Memory: the run holds one float64 per eigenvalue, the |mu| of sample i
-    in row i of one (n_samples, 2N * n_sites) array, plus one sample's
-    working set, whose H holds the deterministic term from the start, and
-    one block of whole rows (about 8192 values) that the histogram is summed
-    over; nothing is kept across realizations.
+    in row i of one (n_samples, 2N * n_sites) array, and one dim x dim H
+    that every sample rewrites and ``spectrum_X`` uses as scratch.  A
+    sample adds its couplings, the Cholesky factor (which also holds S),
+    the copies of its q rows and p rows and numpy's copies of each LAPACK
+    input; the tail adds one block of whole rows (about 8192 values) that
+    the histogram is summed over.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -242,10 +258,12 @@ def mc_dos(
     if omega_max is not None and not 0 < omega_max < math.inf:
         raise ValueError(f"omega_max must be positive and finite, got {omega_max}")
 
-    values = np.empty((n_samples, 2 * params.N * params.n_sites))
+    dim = _sample_dim(params)
+    values = np.empty((n_samples, dim))
+    H = np.empty((dim, dim))
     for i, row in enumerate(values):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
-        np.abs(spectrum_X(draw_sample(params, child), params.N), out=row)
+        np.abs(spectrum_X(draw_sample(params, child, H), params.N), out=row)
 
     largest = float(values.max())
     zero_tol = 1e-8 * largest

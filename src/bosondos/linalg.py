@@ -14,6 +14,12 @@ of about 5e2 * eps * mu_max).  The value added here is validation
 factorization) and the diagonal shift for semidefinite matrices: a ladder
 of a few multiples of eps * max A_ii, with no eigensolve.  Real input stays
 in real arithmetic throughout; LAPACK's own LinAlgError passes through.
+
+Memory: numpy copies every matrix into LAPACK's column order.  Real
+symmetric input is passed as its transpose, an F-contiguous view of the
+same numbers, which makes that copy contiguous rather than a strided
+transpose.  ``skew_spectrum_gram`` can write S^T S into a caller's
+``work`` array.
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ def skew_spectrum(S) -> np.ndarray:
     return np.concatenate((-s[::2], s[-1::-2]))
 
 
-def skew_spectrum_gram(S) -> np.ndarray:
+def skew_spectrum_gram(S, work=None) -> np.ndarray:
     """``skew_spectrum`` for a nonsingular S, from the Gram matrix S^T S.
 
     S^T S = -S^2 is symmetric positive definite, and its eigenvalues w are
@@ -118,10 +124,14 @@ def skew_spectrum_gram(S) -> np.ndarray:
     about eps * mu_max into about eps * mu_max^2 / mu, so when
     w_min <= 1e-6 * w_max (mu_min <= 1e-3 * mu_max, where that bound passes
     5e2 * eps * mu_max) the SVD route ``skew_spectrum`` takes S instead.
-    S^T S is symmetric by construction and is not checked.
+    S^T S is symmetric by construction and is not checked.  ``work``, a
+    float64 array of S's shape that does not overlap S, receives S^T S in
+    place of a new array; S itself is left intact for the SVD.
     """
     S = _real_even(S)
-    w = np.linalg.eigvalsh(S.T @ S)
+    # S^T S is exactly symmetric: its transpose is the same matrix, already
+    # in LAPACK's column order
+    w = np.linalg.eigvalsh(np.matmul(S.T, S, out=work).T)
     if not w[0] > 1e-6 * w[-1]:
         return skew_spectrum(S)
     mu = np.sqrt(w[1::2])
@@ -137,14 +147,17 @@ def cholesky_psd(A):
     max A_ii, at which the factorization succeeds; no eigensolve runs on
     that path.  A matrix that fails at every rung lies outside the stability
     cone, which signals a model bug upstream: :class:`NotPsdError` is raised
-    with its minimum eigenvalue.
+    with its minimum eigenvalue.  A real A is passed to LAPACK as A^T, the
+    same numbers when A is exactly symmetric and within ``HERMITIAN_TOL``
+    otherwise; a complex A is passed as given, since A^T = conj(A).
     """
     A = check_hermitian(A)
     scale = max(float(np.abs(A.diagonal()).max(initial=0.0)), np.finfo(float).tiny)
     eps = np.finfo(float).eps
+    At = A if np.iscomplexobj(A) else A.T
     for sigma in (m * scale for m in (0.0, eps, 1e2 * eps, 1e4 * eps, SHIFT_TOL)):
         try:
-            return np.linalg.cholesky(A + sigma * np.eye(len(A)) if sigma else A), sigma
+            return np.linalg.cholesky(At + sigma * np.eye(len(A)) if sigma else At), sigma
         except np.linalg.LinAlgError:
             pass
     raise NotPsdError(

@@ -112,11 +112,24 @@ class ModelParams:
         return self.nu == 0
 
 
-def assemble_K(params: ModelParams) -> np.ndarray:
-    """A fresh real dim x dim H, dim = 2N * n_sites, holding only the
+def _zeroed(out: Optional[np.ndarray], dim: int) -> np.ndarray:
+    """``out``, or a new dim x dim float64 array, set to zero.  A given
+    array must be C-contiguous, so that its block views are views."""
+    H = np.empty((dim, dim)) if out is None else out
+    if H.shape != (dim, dim) or H.dtype != np.float64 or not H.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{(dim, dim)}, got {H.dtype} {H.shape}")
+    H.fill(0.0)
+    return H
+
+
+def assemble_K(params: ModelParams, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A real dim x dim H, dim = 2N * n_sites, holding only the
     deterministic part U^dagger (i*Sigma3*K) U of the oracle's Hermitian
     form, for the clean generator K, in the quadrature basis (a, a*) =
     U (q, p); ``ensemble.assemble_H`` adds the couplings to it in place.
+    H is ``out`` when given (``ensemble.mc_dos`` passes one array for the
+    whole run), its old contents overwritten, and a new array otherwise.
 
     Each site carries nu on the diagonal, and each directed nearest-neighbour
     bond -nu/(2d) at its q-q entries only, the bonds read off ``np.roll`` of
@@ -130,7 +143,7 @@ def assemble_K(params: ModelParams) -> np.ndarray:
         raise ValueError("assemble_K requires the band count N")
     d, N, nu = params.d, params.N, params.nu
     n, sites = 2 * N, params.n_sites
-    H = np.zeros((n * sites, n * sites))
+    H = _zeroed(out, n * sites)
     np.fill_diagonal(H, nu)
     site = np.arange(sites)
     grid = site.reshape(params.extents)

@@ -71,6 +71,16 @@ def test_nonfinite_model_scale_is_usage_error(argv, name, tmp_path, capsys):
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
+def test_mc_dos_without_band_counts_is_usage_error(tmp_path, capsys):
+    # a is enough for the mean field, but sampling needs N and M
+    out = tmp_path / "x.csv"
+    rc = main(["mc-dos", "--a", "0.75", "--b", "1", "--nu", "0", "--samples", "2",
+               "--out", str(out)])
+    assert rc == 2
+    assert "sampling requires both M and N" in capsys.readouterr().err
+    assert not out.exists()
+
+
 FREQUENCY_MODES = {
     "cpa-dos": ["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1",
                 "--omega-steps", "3"],

@@ -62,6 +62,12 @@ def complex_reference_spectrum(params, blocks, K=None):
     return np.linalg.eigvalsh(0.5 * (R + R.conj().T))
 
 
+def svd_route(S, work=None):
+    """``skew_spectrum_gram``'s signature on the SVD route, patched in to
+    force that route."""
+    return skew_spectrum(S)
+
+
 def dense_rotation_H(params, W):
     """H as a dense formula builds it: i Sigma3 K over all dim columns,
     rotated by u^dagger on each site's rows and by u on each site's columns,
@@ -206,6 +212,14 @@ class TestAssembleH:
         want = dense_rotation_H(params, W)
         assert np.abs(H - want).max() <= 1e-15 * np.abs(want).max()
 
+    @pytest.mark.parametrize("params", [RMT, CHAIN], ids=["flat", "chain"])
+    def test_overwrites_a_given_array(self, params):
+        W = np.random.default_rng(5).normal(size=(params.n_sites, params.M, 2 * params.N))
+        dim = 2 * params.N * params.n_sites
+        out = np.full((dim, dim), np.nan)
+        assert assemble_H(params, W, out) is out
+        assert np.array_equal(out, assemble_H(params, W))
+
     def test_hermiticity(self):
         H = draw_sample(CHAIN, np.random.SeedSequence(6))
         assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
@@ -250,7 +264,7 @@ class TestSpectrumX:
         # n = 4: roots of det(lambda - X) via the naive coefficient route
         params = ModelParams(a=1.0, N=2, M=4, b=1.0, nu=0.0)
         H = draw_sample(params, np.random.SeedSequence(9))
-        mu = spectrum_X(H, params.N)
+        mu = spectrum_X(H.copy(), params.N)
         # X = -i Sigma3 H in the (a, a*) basis is J H in the quadrature basis
         X = symplectic_J(params.N) @ H
         roots = np.roots(np.poly(X))
@@ -312,10 +326,10 @@ class TestSpectrumX:
               for child in np.random.SeedSequence(0).spawn(n_samples)]
         gram, calls = ensemble.skew_spectrum_gram, []
         monkeypatch.setattr(ensemble, "skew_spectrum_gram",
-                            lambda S: calls.append(S.shape) or gram(S))
-        mus = [spectrum_X(H, params.N) for H in Hs]
+                            lambda S, work: calls.append(S.shape) or gram(S, work))
+        mus = [spectrum_X(H.copy(), params.N) for H in Hs]
         assert len(calls) == n_samples
-        monkeypatch.setattr(ensemble, "skew_spectrum_gram", skew_spectrum)
+        monkeypatch.setattr(ensemble, "skew_spectrum_gram", svd_route)
         for H, mu in zip(Hs, mus):
             want = spectrum_X(H, params.N)
             scale = np.abs(want).max()
@@ -327,12 +341,39 @@ class TestSpectrumX:
         # the weakly disordered chain keeps its acoustic mode near 0
         params = ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0)
         H = draw_sample(params, np.random.SeedSequence(2))
-        mu = spectrum_X(H, params.N)
-        monkeypatch.setattr(ensemble, "skew_spectrum_gram", skew_spectrum)
-        want = spectrum_X(H, params.N)
+        mu = spectrum_X(H.copy(), params.N)
+        monkeypatch.setattr(ensemble, "skew_spectrum_gram", svd_route)
+        want = spectrum_X(H.copy(), params.N)
         assert cholesky_psd(H)[1] == 0.0
         assert np.abs(want).min() < 1e-3 * np.abs(want).max()
         assert np.array_equal(mu, want)
+
+    @pytest.mark.parametrize(
+        "params, seed",
+        [
+            (ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0), 0),
+            # a shifted H, which goes to the SVD directly
+            (ModelParams(N=8, M=12, b=1.0, nu=0.0), 0),
+            # a definite H whose Gram route hands S to the SVD
+            (ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0), 2),
+        ],
+        ids=["gram", "shifted", "gram-to-svd"],
+    )
+    def test_consumes_H_as_scratch(self, params, seed):
+        # the result is that of an untouched copy; H itself is overwritten
+        H = draw_sample(params, np.random.SeedSequence(seed))
+        want = spectrum_X(H.copy(), params.N)
+        kept = H.copy()
+        assert np.array_equal(spectrum_X(H, params.N), want)
+        assert not np.array_equal(H, kept)
+
+    def test_H_it_cannot_overwrite_in_place_rejected(self):
+        H = draw_sample(CHAIN, np.random.SeedSequence(0))
+        readonly = H.copy()
+        readonly.flags.writeable = False
+        for bad in (np.asfortranarray(H), H[::2, ::2], readonly):
+            with pytest.raises(ValueError, match="writable C-contiguous float64"):
+                spectrum_X(bad, CHAIN.N)
 
     def test_complex_H_rejected(self):
         with pytest.raises(ValueError, match="quadrature"):
@@ -426,7 +467,7 @@ class TestMcDos:
         # at 0, so samples take both routes
         params = ModelParams(a=1.0, N=8, M=16, b=1.0, nu=0.0)
         hist = mc_dos(params, n_samples=200, bins=40, seed=0)
-        monkeypatch.setattr(ensemble, "skew_spectrum_gram", skew_spectrum)
+        monkeypatch.setattr(ensemble, "skew_spectrum_gram", svd_route)
         want = mc_dos(params, n_samples=200, bins=40, seed=0)
         assert np.array_equal(hist.counts, want.counts)
         assert hist.zero_mode_count == want.zero_mode_count
@@ -445,8 +486,15 @@ class TestMcDos:
             # every zero mode lies above omega_max, and none may be booked
             # as overflow as well
             (ModelParams(N=8, M=11, b=1.0, nu=0.0), 200, 10, 1e-9),
+            # lattices, whose one reused H must carry nothing from sample to
+            # sample: the mc-lattice ensemble, a 3 x 7 lattice that wraps
+            # round at L = 3, and one with no clean term
+            (ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0), 4, 50, None),
+            (ModelParams(d=2, extents=(3, 7), N=3, M=5, b=0.63, nu=1.0), 3, 10, None),
+            (ModelParams(d=2, extents=(4, 3), N=3, M=7, b=0.63, nu=0.0), 3, 10, None),
         ],
-        ids=["mc-flat", "mc-flat-overflow", "zero-modes-past-omega-max"],
+        ids=["mc-flat", "mc-flat-overflow", "zero-modes-past-omega-max",
+             "mc-lattice", "lattice-3x7", "lattice-4x3-nu0"],
     )
     def test_matches_the_concatenated_bookkeeping(self, params, n_samples, bins, omega_max):
         hist = mc_dos(params, n_samples=n_samples, bins=bins, seed=0, omega_max=omega_max)

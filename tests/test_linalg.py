@@ -178,6 +178,13 @@ def test_skew_spectrum_gram_matches_svd_route():
         assert np.abs(mu[len(mus):] - np.sort(mus)).max() <= 1e-12 * max(mus)
 
 
+def test_skew_spectrum_gram_writes_the_gram_matrix_into_work():
+    S = rotated_skew([1.0, 0.5, 0.25], np.random.default_rng(10))
+    work = np.full_like(S, np.nan)
+    assert np.array_equal(skew_spectrum_gram(S, work), skew_spectrum_gram(S))
+    assert np.array_equal(work, S.T @ S)
+
+
 @pytest.mark.parametrize("mu_min", [0.0, 1e-9, 1e-4, 0.99e-3])
 def test_skew_spectrum_gram_hands_ill_conditioned_S_to_the_svd(mu_min):
     # mu_min < 1e-3 mu_max: squares would lose too much, the SVD answers
@@ -199,14 +206,39 @@ def test_cholesky_identity():
 
 
 def test_cholesky_reconstruction(monkeypatch):
-    # a definite A takes no shift and one factorization
+    # a definite A takes no shift and one factorization, of the transposed
+    # view of A itself, which LAPACK reads without a transpose copy
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
     calls, factor = [], np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda B: calls.append(B) or factor(B))
     C, sigma = cholesky_psd(A)
     assert sigma == 0.0
-    assert len(calls) == 1 and calls[0] is A
+    assert len(calls) == 1 and calls[0].base is A and calls[0].flags.f_contiguous
     assert np.abs(C @ C.conj().T - A).max() < 1e-14
+
+
+def test_cholesky_of_a_real_matrix_symmetric_within_the_tolerance():
+    # the factor is that of A^T, which differs from A by at most the
+    # asymmetry check_hermitian lets through
+    rng = np.random.default_rng(8)
+    B = rng.normal(size=(12, 12))
+    A = B @ B.T + 12.0 * np.eye(12)
+    scale = np.abs(A).max()
+    A += np.triu(0.5 * HERMITIAN_TOL * scale * rng.uniform(-1.0, 1.0, size=A.shape), 1)
+    assert not np.array_equal(A, A.T)
+    C, sigma = cholesky_psd(A)
+    assert sigma == 0.0 and np.array_equal(C, np.tril(C))
+    assert np.abs(C @ C.T - A).max() <= (HERMITIAN_TOL + 1e-14) * scale
+
+
+def test_cholesky_of_a_complex_hermitian_matrix():
+    # A^T of a Hermitian A is conj(A), so complex input is factored as given
+    rng = np.random.default_rng(9)
+    A = random_hermitian(10, rng)
+    A = A @ A.conj().T + np.eye(10)
+    C, sigma = cholesky_psd(A)
+    assert sigma == 0.0 and np.array_equal(C, np.tril(C))
+    assert np.abs(C @ C.conj().T - A).max() <= 1e-14 * np.abs(A).max()
 
 
 def test_cholesky_semidefinite_boundary():

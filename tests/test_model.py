@@ -197,6 +197,20 @@ def test_assemble_K_memory_is_H_itself():
     assert peak <= dim * dim * 8 + 64 * 1024
 
 
+def test_assemble_K_overwrites_a_given_array():
+    # a reused H starts over from the clean term, whatever it held, and an
+    # array whose block views would be copies is rejected
+    params = ModelParams(d=2, extents=(4, 3), N=2, M=3, b=0.1, nu=0.7)
+    dim = 2 * params.N * params.n_sites
+    out = np.full((dim, dim), np.nan)
+    assert assemble_K(params, out) is out
+    assert np.array_equal(out, assemble_K(params))
+    for bad in (np.empty((dim, dim)).T, np.empty((dim, dim), np.float32),
+                np.empty((dim, dim + 1))):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            assemble_K(params, bad)
+
+
 def test_assemble_K_rejects_short_dimensions():
     params = ModelParams(d=1, extents=None, a=0.5, b=0.1, nu=1.0)
     with pytest.raises(ValueError, match="finite lattice"):
