@@ -23,6 +23,17 @@ modes, as in the flat band at M < 2N) or an ill-conditioned S
 (mu_min < 1e-3 * mu_max, where squaring would lose more than about
 5e2 * eps * mu_max) takes one SVD of S instead.
 
+The clean term couples sites only through q-q entries, and the couplings
+are site-local, so at nu > 0 every p-p block of H is site-local and at
+least nu * I.  There C is built p first, as a block Cholesky in the
+(p..., q...) order (Golub & Van Loan, section 4.2): a stacked Cholesky of
+the N x N p blocks, and ``cholesky_psd`` of the half-size q-q Schur
+complement.  S^T S is then assembled from those blocks, with no dense
+factorization of H; the eigensolve is left as the one dim-sized step.  At
+nu = 0, at b = 0 (the clean term's acoustic q mode is an exact zero mode),
+and when the p blocks or the Schur complement need a shift, H is factored
+whole as before.
+
 Each realization takes one path through plain real arrays: ``draw_sample``
 draws every site's W in one call and returns the quadrature-basis H (via
 ``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  Each H
@@ -34,9 +45,14 @@ realizations in one array, a row each, and bins it in row blocks into a
 :class:`SpectrumHistogram`.
 
 Memory: ``mc_dos`` allocates one dim x dim H per run, which every sample
-rewrites from the clean term up and ``spectrum_X`` consumes as scratch for
-T, S and S^T S.  A sample still allocates the Cholesky factor, the copies
-of its q rows and p rows, and numpy's copies of each LAPACK input.
+rewrites from the clean term up and ``spectrum_X`` consumes as scratch.  On
+the p-first route H's buffer receives S^T S, and a sample allocates the
+(dim/2)^2 Schur complement (which then holds the off-diagonal block of C^T
+J C), its Cholesky factor, numpy's copies of each LAPACK input and a few
+stacked N x N site blocks.  On the dense route H's buffer receives T and
+S^T S, and a sample allocates the dim^2 Cholesky factor (which also holds
+S), the copies of its q rows and p rows, and numpy's copies of each LAPACK
+input.
 """
 
 from __future__ import annotations
@@ -49,9 +65,11 @@ import numpy as np
 
 # hermitian_eig is unused here but stays bound: perfbench/tracing.py hooks
 # it under this module's name.
+from . import linalg
 from .linalg import (  # noqa: F401
     NotPsdError,
     cholesky_psd,
+    gram_spectrum,
     hermitian_eig,
     skew_spectrum,
     skew_spectrum_gram,
@@ -159,24 +177,32 @@ def assemble_H(params: ModelParams, W: np.ndarray,
     return H
 
 
-def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
+def spectrum_X(H: np.ndarray, params: ModelParams) -> np.ndarray:
     """All real eigenfrequencies mu of X, ascending, from the real
-    quadrature-basis H of ``assemble_H`` (PSD).
+    quadrature-basis H of ``assemble_H`` (PSD) for the model ``params``.
 
     With H = C C^T the spectrum of X equals that of i*S, S = C^T J C real
     skew-symmetric, so the computation stays in real arithmetic throughout.
-    Per site, J swaps the q and p rows, so S = T - T^T with T = C_q^T C_p.
-    If H factored with no shift, ``skew_spectrum_gram`` takes S (one
-    symmetric eigensolve of S^T S, or the SVD when mu_min < 1e-3 * mu_max);
-    a shifted H has zero modes that squares cannot resolve at ``zero_tol``,
-    and goes to the SVD of ``skew_spectrum`` directly.  The output comes in
-    +/- pairs; a Cholesky failure means H left the stability cone.  A
-    complex H (the (a, a*) basis) is rejected.
+    At nu > 0 every p-p block is site-local and at least nu * I, and C comes
+    from eliminating each site's p block first: one stacked Cholesky of the
+    p blocks and one ``cholesky_psd`` of the half-size q-q Schur complement
+    (see ``_schur_spectrum``).  Every sample at nu = 0 or b = 0 (where H is
+    singular), and one whose p blocks or Schur complement do not factor
+    with no shift (nu below rounding against b), takes the dense route:
+    ``cholesky_psd`` of H, where per site J swaps the q and p rows, so
+    S = T - T^T with T = C_q^T C_p.  There, if H factored with no shift,
+    ``skew_spectrum_gram`` takes S (one symmetric eigensolve of S^T S, or
+    the SVD when mu_min < 1e-3 * mu_max); a shifted H has zero modes that
+    squares cannot resolve at ``zero_tol``, and goes to the SVD of
+    ``skew_spectrum`` directly.  The output comes in +/- pairs; a Cholesky
+    failure means H left the stability cone.  A complex H (the (a, a*)
+    basis) is rejected, and so, at nu > 0, is an H with a p entry outside
+    its site's diagonal block, which the p-first route would drop.
 
-    H is consumed: once it is factored, T goes into H's buffer, S into
-    C's and S^T S back into H's, so a caller that needs H afterwards
-    passes a copy.  H must be a writable C-contiguous float64 array, as
-    ``assemble_H`` returns.
+    H is consumed: its buffer receives T and S^T S on the dense route, and
+    the Gram matrix and any dense S on the p-first one, so a caller that
+    needs H afterwards passes a copy.  H must be a writable C-contiguous
+    float64 array, as ``assemble_H`` returns.
     """
     if (H.dtype != np.float64 or not H.flags.c_contiguous
             or not H.flags.writeable):
@@ -184,9 +210,25 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
             "spectrum_X takes the real quadrature-basis H of assemble_H, "
             f"a writable C-contiguous float64 array, got {H.dtype}"
         )
+    N = params.N
+    if N is None:
+        raise ValueError("spectrum_X requires the band count N")
     dim = H.shape[0]
     if dim % (2 * N) != 0:
         raise ValueError(f"H dimension {dim} is not a multiple of 2N={2 * N}")
+    # at b = 0 the acoustic q mode of the clean term is an exact zero mode,
+    # so the p-first factor would end on a pivot of rounding noise
+    if params.nu > 0 and params.b > 0:
+        mu = _schur_spectrum(H, N)
+        if mu is not None:
+            return mu
+    return _dense_spectrum(H, N)
+
+
+def _dense_spectrum(H: np.ndarray, N: int) -> np.ndarray:
+    """``spectrum_X``'s dense route: ``cholesky_psd`` of the whole H, with
+    T into H's buffer, S into C's and S^T S back into H's."""
+    dim = H.shape[0]
     try:
         C, sigma = cholesky_psd(H)
     except NotPsdError as exc:
@@ -197,6 +239,79 @@ def spectrum_X(H: np.ndarray, N: int) -> np.ndarray:
     T = np.matmul(rows[:, 0].reshape(-1, dim).T, rows[:, 1].reshape(-1, dim), out=H)
     S = np.subtract(T, T.T, out=C)
     return skew_spectrum(S) if sigma else skew_spectrum_gram(S, work=H)
+
+
+def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
+    """``spectrum_X``'s p-first route, or None, with H untouched, when the
+    p blocks or the Schur complement do not factor with no shift.
+
+    In the (p..., q...) order H = [[P, R], [R^T, Q]], with P = blockdiag(P_j)
+    and R = blockdiag(R_j) site-local and Q the m x m q-q part, m = dim / 2.
+    Then C = [[L_P, 0], [X^T, L_q]], with P_j = L_j L_j^T (one stacked
+    Cholesky), X_j = L_j^{-1} R_j (one stacked solve) and
+    Sigma = Q - blockdiag(X_j^T X_j) = L_q L_q^T (``cholesky_psd``, which
+    checks Sigma and keeps the shift ladder).  J is [[0, -I], [I, 0]] in this
+    order, so S = C^T J C = [[A, -B], [B^T, 0]], with A_j = X_j L_j - (X_j L_j)^T
+    and B = blockdiag(L_j^T) L_q, and
+    S^T S = [[A^T A + B B^T, -A^T B], [-B^T A, B^T B]].  Flipping the sign of
+    B is a similarity by diag(I, -I), so the Gram matrix is written with +B
+    into H's buffer: B B^T and B^T B from syrk, exactly symmetric, the
+    site-local A^T A added on the diagonal blocks and A^T B on the
+    off-diagonal ones.  ``gram_spectrum`` reads the spectrum off it, and
+    when it hands S to the SVD, S = [[A, B], [-B^T, 0]] is written into
+    H's buffer in its place.
+    """
+    sites, m = H.shape[0] // (2 * N), H.shape[0] // 2
+    # looked up in linalg, where perfbench/tracing.py counts its calls
+    linalg.check_hermitian(H)
+    # (site, q/p, band) along each axis
+    blocks = H.reshape(sites, 2, N, sites, 2, N)
+    site_blocks = np.einsum("jajb->jab", H.reshape(sites, 2 * N, sites, 2 * N))
+    # counted through views, with no copy of the p rows; the symmetry check
+    # covers the p columns
+    if np.count_nonzero(blocks[:, 1]) != np.count_nonzero(site_blocks[:, N:]):
+        raise ValueError("H has a p entry outside its site's diagonal block; "
+                         "the clean term couples sites only through q")
+    try:
+        Lp = np.linalg.cholesky(site_blocks[:, N:, N:])
+    except np.linalg.LinAlgError:
+        return None
+    X = np.linalg.solve(Lp, site_blocks[:, N:, :N])
+    # the q-q part, copied out of H (a reshape alone is a view at N = 1)
+    schur = blocks[:, 0, :, :, 0].copy().reshape(m, m)
+    np.einsum("jajb->jab", schur.reshape(sites, N, sites, N))[...] -= (
+        X.transpose(0, 2, 1) @ X)
+    # an unshifted failure of the trailing block is a shift of the whole
+    # Cholesky, which the dense route owns along with the cone verdict
+    try:
+        Lq, sigma = cholesky_psd(schur)
+    except NotPsdError:
+        return None
+    if sigma:
+        return None
+    XL = X @ Lp
+    A = XL - XL.transpose(0, 2, 1)
+    # B into the Schur complement's buffer, the Gram matrix into H's
+    B = np.matmul(Lp.transpose(0, 2, 1), Lq.reshape(sites, N, m),
+                  out=schur.reshape(sites, N, m)).reshape(m, m)
+    pp, pq, qp, qq = H[:m, :m], H[:m, m:], H[m:, :m], H[m:, m:]
+    np.matmul(B, B.T, out=pp)
+    np.einsum("jajb->jab", pp.reshape(sites, N, sites, N))[...] += (
+        A.transpose(0, 2, 1) @ A)
+    np.matmul(A.transpose(0, 2, 1), B.reshape(sites, N, m),
+              out=pq.reshape(sites, N, m))
+    qp[...] = pq.T
+    np.matmul(B.T, B, out=qq)
+
+    def skew():
+        pp.fill(0.0)
+        np.einsum("jajb->jab", pp.reshape(sites, N, sites, N))[...] = A
+        pq[...] = B
+        np.negative(B.T, out=qp)
+        qq.fill(0.0)
+        return H
+
+    return gram_spectrum(H, skew)
 
 
 def _sample_dim(params: ModelParams) -> int:
@@ -246,10 +361,13 @@ def mc_dos(
     Memory: the run holds one float64 per eigenvalue, the |mu| of sample i
     in row i of one (n_samples, 2N * n_sites) array, and one dim x dim H
     that every sample rewrites and ``spectrum_X`` uses as scratch.  A
-    sample adds its couplings, the Cholesky factor (which also holds S),
-    the copies of its q rows and p rows and numpy's copies of each LAPACK
-    input; the tail adds one block of whole rows (about 8192 values) that
-    the histogram is summed over.
+    sample adds its couplings and what its route allocates (see the module
+    docstring): at nu > 0 the (dim/2)^2 Schur complement and its factor,
+    and numpy's copy of each LAPACK input (dim^2 for the eigensolve); at
+    nu = 0 the dim^2 Cholesky factor, the copies of its q rows and p rows
+    and numpy's copies of each LAPACK input.  The tail
+    adds one block of whole rows (about 8192 values) that the histogram is
+    summed over.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -263,7 +381,7 @@ def mc_dos(
     H = np.empty((dim, dim))
     for i, row in enumerate(values):
         child = np.random.SeedSequence(seed, spawn_key=(i,))
-        np.abs(spectrum_X(draw_sample(params, child, H), params.N), out=row)
+        np.abs(spectrum_X(draw_sample(params, child, H), params), out=row)
 
     largest = float(values.max())
     zero_tol = 1e-8 * largest

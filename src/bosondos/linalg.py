@@ -6,14 +6,18 @@ Thin contracts over the LAPACK routines exposed by numpy, on plain arrays:
 ``cholesky_psd`` the pair (C, sigma).  The ascending +/- pairs of a real
 skew-symmetric S come two ways: ``skew_spectrum`` reads them off one
 singular value decomposition, with absolute error about eps * mu_max, and
-takes singular S; ``skew_spectrum_gram`` reads them off one symmetric
-eigensolve of S^T S, with error about eps * mu_max^2 / mu, at less than half
-the cost, and hands S to the SVD when mu_min < 1e-3 * mu_max (an error bound
-of about 5e2 * eps * mu_max).  The value added here is validation
-(Hermiticity and finiteness on input, cone membership for the
-factorization) and the diagonal shift for semidefinite matrices: a ladder
-of a few multiples of eps * max A_ii, with no eigensolve.  Real input stays
-in real arithmetic throughout; LAPACK's own LinAlgError passes through.
+takes singular S; ``gram_spectrum`` reads them off one symmetric
+eigensolve of the Gram matrix S^T S, with error about eps * mu_max^2 / mu,
+at less than half the cost, and hands S to the SVD when
+mu_min < 1e-3 * mu_max (an error bound of about 5e2 * eps * mu_max).  That
+guard is kept there alone: ``skew_spectrum_gram`` forms S^T S from S and
+calls it, and a caller that assembles S^T S from blocks of S, as
+``ensemble.spectrum_X`` does, passes a function that builds S only for the
+SVD.  The value added here is validation (Hermiticity and finiteness on
+input, cone membership for the factorization) and the diagonal shift for
+semidefinite matrices: a ladder of a few multiples of eps * max A_ii, with
+no eigensolve.  Real input stays in real arithmetic throughout; LAPACK's
+own LinAlgError passes through.
 
 Memory: numpy copies every matrix into LAPACK's column order.  Real
 symmetric input is passed as its transpose, an F-contiguous view of the
@@ -34,6 +38,7 @@ __all__ = [
     "hermitian_eig",
     "skew_spectrum",
     "skew_spectrum_gram",
+    "gram_spectrum",
     "cholesky_psd",
 ]
 
@@ -108,7 +113,7 @@ def skew_spectrum(S) -> np.ndarray:
     equal pairs; one ``svd`` without vectors gives them all, and each pair
     contributes one negative and one positive member, so the absolute values
     are the singular values exactly.  Skew symmetry is the caller's to
-    guarantee (``spectrum_X`` builds S as T - T^T from a validated H); it is
+    guarantee (``spectrum_X`` builds S from blocks of a validated H); it is
     not checked again here.
     """
     s = np.linalg.svd(_real_even(S), compute_uv=False)
@@ -118,22 +123,33 @@ def skew_spectrum(S) -> np.ndarray:
 def skew_spectrum_gram(S, work=None) -> np.ndarray:
     """``skew_spectrum`` for a nonsingular S, from the Gram matrix S^T S.
 
+    ``gram_spectrum`` reads the spectrum off S^T S, which is exactly
+    symmetric as one product of S's transpose with S, and hands S to the
+    SVD when it is ill-conditioned.  ``work``, a float64 array of S's shape
+    that does not overlap S, receives S^T S in place of a new array; S
+    itself is left intact for the SVD.
+    """
+    S = _real_even(S)
+    return gram_spectrum(np.matmul(S.T, S, out=work), lambda: S)
+
+
+def gram_spectrum(G, skew) -> np.ndarray:
+    """``skew_spectrum`` of a nonsingular real skew-symmetric S, from its
+    Gram matrix G = S^T S.
+
     S^T S = -S^2 is symmetric positive definite, and its eigenvalues w are
     the squared singular values of S, each twice; one symmetric eigensolve
     costs less than half the SVD.  Squaring turns the SVD's absolute error of
     about eps * mu_max into about eps * mu_max^2 / mu, so when
     w_min <= 1e-6 * w_max (mu_min <= 1e-3 * mu_max, where that bound passes
-    5e2 * eps * mu_max) the SVD route ``skew_spectrum`` takes S instead.
-    S^T S is symmetric by construction and is not checked.  ``work``, a
-    float64 array of S's shape that does not overlap S, receives S^T S in
-    place of a new array; S itself is left intact for the SVD.
+    5e2 * eps * mu_max) ``skew_spectrum`` takes S instead, from ``skew()``,
+    which is called only then and may overwrite G.  G must be exactly
+    symmetric and is not checked: its transpose is the same matrix, passed
+    to LAPACK as it lies in column order.
     """
-    S = _real_even(S)
-    # S^T S is exactly symmetric: its transpose is the same matrix, already
-    # in LAPACK's column order
-    w = np.linalg.eigvalsh(np.matmul(S.T, S, out=work).T)
+    w = np.linalg.eigvalsh(_real_even(G).T)
     if not w[0] > 1e-6 * w[-1]:
-        return skew_spectrum(S)
+        return skew_spectrum(skew())
     mu = np.sqrt(w[1::2])
     return np.concatenate((-mu[::-1], mu))
 

@@ -1,8 +1,10 @@
-"""Closed forms of the clean (b = 0) model and its dense complex generator,
-the references that tests hold ``assemble_K``, the zone means and the
-oracle to."""
+"""Closed forms of the clean (b = 0) model, its dense complex generator and
+the dense textbook reduction of a sample's H, the references that tests
+hold ``assemble_K``, the zone means and the oracle to."""
 
 import numpy as np
+
+from bosondos.linalg import skew_spectrum
 
 
 def delta_k(k, d=None):
@@ -73,3 +75,14 @@ def complex_K(params):
     # L >= 3: a site's 2d neighbours are distinct, so each bond is written once
     blocks[site[:, None], :, neighbours] = np.kron(bond, np.eye(N))
     return K
+
+
+def dense_reference_spectrum(H, N):
+    """Frequencies of a definite quadrature-basis H, the textbook way:
+    H = C C^T from ``np.linalg.cholesky``, S = C^T J C with
+    J = [[0, I_N], [-I_N, 0]] on each site's (q, p) block, and the SVD of
+    ``skew_spectrum``."""
+    eye, zero = np.eye(N), np.zeros((N, N))
+    J = np.kron(np.eye(len(H) // (2 * N)), np.block([[zero, eye], [-eye, zero]]))
+    C = np.linalg.cholesky(H)
+    return skew_spectrum(C.T @ J @ C)

@@ -166,10 +166,10 @@ def test_criterion_7_invariant_suite(tmp_path):
 
     # +/- pairing of sampled spectra (multiset identity)
     rmt = ModelParams(a=0.75, N=8, M=12, b=1.0, nu=0.0)
-    mu = spectrum_X(draw_sample(rmt, np.random.SeedSequence(1)), rmt.N)
+    mu = spectrum_X(draw_sample(rmt, np.random.SeedSequence(1)), rmt)
     pair_ok = np.allclose(np.sort(mu), np.sort(-mu), atol=1e-9)
     lat = ModelParams(d=1, extents=(6,), N=2, M=3, b=0.8, nu=1.0)
-    mu2 = spectrum_X(draw_sample(lat, np.random.SeedSequence(2)), lat.N)
+    mu2 = spectrum_X(draw_sample(lat, np.random.SeedSequence(2)), lat)
     pair_ok &= np.allclose(np.sort(mu2), np.sort(-mu2), atol=1e-9)
     checks["pairing 1e-9"] = bool(pair_ok)
 

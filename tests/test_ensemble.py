@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosondos import ConeViolationError, ModelParams, SpectrumHistogram, dos_curve, mc_dos
-from bosondos import ensemble
+from bosondos import ensemble, linalg
 from bosondos.ensemble import assemble_H, draw_sample, spectrum_X
 from bosondos.linalg import cholesky_psd, skew_spectrum
 from bosondos.model import assemble_K
-from clean_model import complex_K, delta_k, dispersion
+from clean_model import complex_K, delta_k, dense_reference_spectrum, dispersion
 
 RMT = ModelParams(a=0.75, N=4, M=6, b=1.0, nu=0.0)
 CHAIN = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
+# the benchmark's mc-lattice ensemble
+MC_LATTICE = ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0)
 
 
 def symplectic_J(N):
@@ -66,6 +68,28 @@ def svd_route(S, work=None):
     """``skew_spectrum_gram``'s signature on the SVD route, patched in to
     force that route."""
     return skew_spectrum(S)
+
+
+def gram_svd_route(G, skew):
+    """``gram_spectrum``'s signature on the SVD route, patched in to force
+    that route on the S that the p-first route builds."""
+    return skew_spectrum(skew())
+
+
+def recorded(monkeypatch, module, name):
+    """Patch ``module.name`` to call through and record each call as
+    [args, result], the result None while the call runs or if it raised;
+    returns the list of records."""
+    fn, calls = getattr(module, name), []
+
+    def record(*args):
+        call = [args, None]
+        calls.append(call)
+        call[1] = fn(*args)
+        return call[1]
+
+    monkeypatch.setattr(module, name, record)
+    return calls
 
 
 def dense_rotation_H(params, W):
@@ -125,7 +149,7 @@ class TestDrawSample:
         params = ModelParams(N=N, M=M, b=b, nu=0.0)
         want = params.a * b * b * (params.a - 1.0 / (2 * N))
         for seed in (0, 1):
-            m2 = np.array([np.mean(spectrum_X(draw_sample(params, child), N) ** 2)
+            m2 = np.array([np.mean(spectrum_X(draw_sample(params, child), params) ** 2)
                            for child in np.random.SeedSequence(seed).spawn(2000)])
             stderr = m2.std(ddof=1) / np.sqrt(m2.size)
             assert abs(m2.mean() - want) <= 3.0 * stderr
@@ -249,7 +273,7 @@ class TestSpectrumX:
     def test_clean_chain_frequencies(self):
         params = ModelParams(d=1, extents=(8,), N=1, M=2, b=0.0, nu=1.0)
         H = draw_sample(params, np.random.SeedSequence(0))
-        mu = spectrum_X(H, params.N)
+        mu = spectrum_X(H, params)
         want = np.sort(np.repeat([dispersion([2 * np.pi * m / 8], 1.0) for m in range(8)], 2))
         assert np.allclose(np.sort(np.abs(mu)), want, atol=1e-7)
 
@@ -257,14 +281,14 @@ class TestSpectrumX:
     @settings(max_examples=15, deadline=None)
     def test_pairing(self, seed):
         H = draw_sample(RMT, np.random.SeedSequence(seed))
-        mu = spectrum_X(H, RMT.N)
+        mu = spectrum_X(H, RMT)
         assert np.allclose(np.sort(mu), np.sort(-mu), atol=1e-9 * max(1.0, np.abs(mu).max()))
 
     def test_tiny_size_characteristic_polynomial_oracle(self):
         # n = 4: roots of det(lambda - X) via the naive coefficient route
         params = ModelParams(a=1.0, N=2, M=4, b=1.0, nu=0.0)
         H = draw_sample(params, np.random.SeedSequence(9))
-        mu = spectrum_X(H.copy(), params.N)
+        mu = spectrum_X(H.copy(), params)
         # X = -i Sigma3 H in the (a, a*) basis is J H in the quadrature basis
         X = symplectic_J(params.N) @ H
         roots = np.roots(np.poly(X))
@@ -289,7 +313,7 @@ class TestSpectrumX:
         K = None if params.extents is None else complex_K(params)
         for seed in range(3):
             child = np.random.SeedSequence(seed)
-            mu = spectrum_X(draw_sample(params, child), params.N)
+            mu = spectrum_X(draw_sample(params, child), params)
             want = complex_reference_spectrum(params, complex_couplings(params, child), K)
             assert np.all(np.diff(mu) >= 0)
             # at odd M a zero mode of X sits in a 2x2 Jordan block, which the
@@ -307,7 +331,7 @@ class TestSpectrumX:
         # even M: exactly 2N - M = 2N (1 - a) frequencies vanish
         params = ModelParams(N=N, M=M, b=1.0, nu=0.0)
         for seed in range(5):
-            mu = spectrum_X(draw_sample(params, np.random.SeedSequence(seed)), N)
+            mu = spectrum_X(draw_sample(params, np.random.SeedSequence(seed)), params)
             zero = np.abs(mu) <= 1e-8 * np.abs(mu).max()
             assert zero.sum() == 2 * N - M
 
@@ -317,55 +341,113 @@ class TestSpectrumX:
             (ModelParams(d=1, extents=(6,), N=2, M=3, b=0.8, nu=1.0), 3),
             (ModelParams(d=2, extents=(4, 4), N=2, M=3, b=0.63, nu=1.0), 3),
             # the benchmark's mc-lattice configuration
-            (ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0), 1),
+            (MC_LATTICE, 1),
         ],
         ids=["chain6", "square4x4", "mc-lattice"],
     )
     def test_definite_H_takes_the_gram_route(self, params, n_samples, monkeypatch):
+        # at nu > 0 a sample eliminates its p blocks first: one unshifted
+        # cholesky_psd of the half-size Schur complement and one Gram
+        # eigensolve of H's size; the dense route's kernel never runs
         Hs = [draw_sample(params, child)
               for child in np.random.SeedSequence(0).spawn(n_samples)]
-        gram, calls = ensemble.skew_spectrum_gram, []
-        monkeypatch.setattr(ensemble, "skew_spectrum_gram",
-                            lambda S, work: calls.append(S.shape) or gram(S, work))
-        mus = [spectrum_X(H.copy(), params.N) for H in Hs]
-        assert len(calls) == n_samples
-        monkeypatch.setattr(ensemble, "skew_spectrum_gram", svd_route)
+        dim = len(Hs[0])
+        factored = recorded(monkeypatch, ensemble, "cholesky_psd")
+        grams = recorded(monkeypatch, ensemble, "gram_spectrum")
+        dense = recorded(monkeypatch, ensemble, "skew_spectrum_gram")
+        mus = [spectrum_X(H.copy(), params) for H in Hs]
+        assert [(args[0].shape, result[1]) for args, result in factored] == [
+            ((dim // 2, dim // 2), 0.0)] * n_samples
+        assert [args[0].shape for args, _ in grams] == [(dim, dim)] * n_samples
+        assert not dense
+        monkeypatch.setattr(ensemble, "gram_spectrum", gram_svd_route)
         for H, mu in zip(Hs, mus):
-            want = spectrum_X(H, params.N)
+            want = spectrum_X(H, params)
             scale = np.abs(want).max()
             # well conditioned, so the Gram route answered rather than the SVD
             assert np.abs(want).min() > 1e-3 * scale
             assert np.abs(mu - want).max() <= 1e-12 * scale
 
     def test_ill_conditioned_definite_H_takes_the_svd_route(self, monkeypatch):
-        # the weakly disordered chain keeps its acoustic mode near 0
+        # the weakly disordered chain keeps its acoustic mode near 0: the
+        # p-first route factors it with no shift, and the Gram guard hands
+        # the S built from its blocks to the SVD
         params = ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0)
         H = draw_sample(params, np.random.SeedSequence(2))
-        mu = spectrum_X(H.copy(), params.N)
-        monkeypatch.setattr(ensemble, "skew_spectrum_gram", svd_route)
-        want = spectrum_X(H.copy(), params.N)
+        dim = len(H)
+        factored = recorded(monkeypatch, ensemble, "cholesky_psd")
+        svds = recorded(monkeypatch, linalg, "skew_spectrum")
+        mu = spectrum_X(H.copy(), params)
+        assert [(args[0].shape, result[1]) for args, result in factored] == [
+            ((dim // 2, dim // 2), 0.0)]
+        assert len(svds) == 1 and np.array_equal(svds[0][1], mu)
+        monkeypatch.setattr(ensemble, "gram_spectrum", gram_svd_route)
+        want = spectrum_X(H.copy(), params)
         assert cholesky_psd(H)[1] == 0.0
         assert np.abs(want).min() < 1e-3 * np.abs(want).max()
         assert np.array_equal(mu, want)
 
     @pytest.mark.parametrize(
-        "params, seed",
+        "params",
         [
-            (ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0), 0),
+            ModelParams(d=1, extents=(6,), N=2, M=3, b=0.8, nu=1.0),
+            ModelParams(d=2, extents=(4, 4), N=2, M=3, b=0.63, nu=1.0),
+            ModelParams(d=2, extents=(3, 7), N=3, M=5, b=0.63, nu=1.0),
+            ModelParams(d=3, extents=(3, 4, 5), N=1, M=2, b=0.63, nu=1.0),
+            MC_LATTICE,
+            ModelParams(d=1, extents=(6,), N=2, M=1, b=0.8, nu=1.0),
+            # weak clean term and M < N: the p blocks are nearly singular
+            ModelParams(d=1, extents=(8,), N=4, M=3, b=0.63, nu=1e-3),
+        ],
+        ids=["chain6", "square4x4", "lattice-3x7", "lattice-3x4x5", "mc-lattice",
+             "M1", "nu1e-3-M<N"],
+    )
+    def test_matches_the_dense_reference(self, params):
+        for child in np.random.SeedSequence(0).spawn(2):
+            H = draw_sample(params, child)
+            want = dense_reference_spectrum(H, params.N)
+            mu = spectrum_X(H, params)
+            assert np.abs(mu - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # the clean chain's acoustic q mode is an exact zero mode
+            ModelParams(d=1, extents=(8,), N=2, M=3, b=0.0, nu=1.0),
+            # the p blocks are rank M < N to rounding
+            ModelParams(d=1, extents=(8,), N=4, M=3, b=0.63, nu=1e-300),
+        ],
+        ids=["b0", "nu1e-300-M<N"],
+    )
+    def test_singular_lattice_H_takes_the_dense_route(self, params):
+        for seed in range(3):
+            H = draw_sample(params, np.random.SeedSequence(seed))
+            want = ensemble._dense_spectrum(H.copy(), params.N)
+            assert np.array_equal(spectrum_X(H, params), want)
+
+    @pytest.mark.parametrize(
+        "params, seed, half",
+        [
+            (MC_LATTICE, 0, True),
             # a shifted H, which goes to the SVD directly
-            (ModelParams(N=8, M=12, b=1.0, nu=0.0), 0),
+            (ModelParams(N=8, M=12, b=1.0, nu=0.0), 0, False),
             # a definite H whose Gram route hands S to the SVD
-            (ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0), 2),
+            (ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0), 2, True),
         ],
         ids=["gram", "shifted", "gram-to-svd"],
     )
-    def test_consumes_H_as_scratch(self, params, seed):
-        # the result is that of an untouched copy; H itself is overwritten
+    def test_consumes_H_as_scratch(self, params, seed, half, monkeypatch):
+        # the result is that of an untouched copy; H itself is overwritten,
+        # with the Gram matrix (and any S) on the p-first route, whose one
+        # factorization is half-size, and with T and S^T S on the dense one
         H = draw_sample(params, np.random.SeedSequence(seed))
-        want = spectrum_X(H.copy(), params.N)
+        want = spectrum_X(H.copy(), params)
         kept = H.copy()
-        assert np.array_equal(spectrum_X(H, params.N), want)
+        factored = recorded(monkeypatch, ensemble, "cholesky_psd")
+        assert np.array_equal(spectrum_X(H, params), want)
         assert not np.array_equal(H, kept)
+        size = len(H) // 2 if half else len(H)
+        assert [args[0].shape for args, _ in factored] == [(size, size)]
 
     def test_H_it_cannot_overwrite_in_place_rejected(self):
         H = draw_sample(CHAIN, np.random.SeedSequence(0))
@@ -373,20 +455,48 @@ class TestSpectrumX:
         readonly.flags.writeable = False
         for bad in (np.asfortranarray(H), H[::2, ::2], readonly):
             with pytest.raises(ValueError, match="writable C-contiguous float64"):
-                spectrum_X(bad, CHAIN.N)
+                spectrum_X(bad, CHAIN)
 
     def test_complex_H_rejected(self):
         with pytest.raises(ValueError, match="quadrature"):
-            spectrum_X(np.eye(4, dtype=complex), 2)
+            spectrum_X(np.eye(4, dtype=complex), ModelParams(N=2, M=3, b=1.0))
 
     def test_dimension_must_be_a_multiple_of_2N(self):
         with pytest.raises(ValueError, match="H dimension 6 is not a multiple of 2N=4"):
-            spectrum_X(np.eye(6), 2)
+            spectrum_X(np.eye(6), ModelParams(N=2, M=3, b=1.0))
+
+    def test_off_site_p_entry_rejected(self):
+        # one p-p bond between sites 0 and 1, which the p-first route would
+        # drop: the clean term couples sites through q only
+        H = draw_sample(CHAIN, np.random.SeedSequence(0))
+        p0, p1 = CHAIN.N, 3 * CHAIN.N
+        H[p0, p1] = H[p1, p0] = -0.1
+        with pytest.raises(ValueError, match="p entry outside its site's diagonal block"):
+            spectrum_X(H, CHAIN)
 
     def test_cone_violation_detected(self):
         H = np.diag([1.0, 1.0, -0.5, 1.0])
         with pytest.raises(ConeViolationError):
-            spectrum_X(H, 1)
+            spectrum_X(H, ModelParams(N=1, M=1, b=1.0))
+
+    @pytest.mark.parametrize("entry, factored", [
+        # site 0's first p: its p block does not factor
+        ("p", ["dense"]),
+        # site 0's first q: the p blocks factor, the Schur complement is
+        # indefinite
+        ("q", ["half", "dense"]),
+    ])
+    def test_cone_violation_at_positive_nu_detected(self, entry, factored, monkeypatch):
+        # the dense route, which owns the shift ladder, gives the verdict
+        H = draw_sample(CHAIN, np.random.SeedSequence(0))
+        i = CHAIN.N if entry == "p" else 0
+        H[i, i] = -0.5
+        dim = len(H)
+        calls = recorded(monkeypatch, ensemble, "cholesky_psd")
+        with pytest.raises(ConeViolationError):
+            spectrum_X(H, CHAIN)
+        sizes = {"half": (dim // 2, dim // 2), "dense": (dim, dim)}
+        assert [args[0].shape for args, _ in calls] == [sizes[f] for f in factored]
 
     def test_cone_membership_of_samples(self):
         for seed in range(4):
@@ -395,13 +505,15 @@ class TestSpectrumX:
             assert w.min() >= -1e-10 * np.abs(w).max()
 
 
-def concatenated_histogram(params, n_samples, bins, seed, omega_max=None):
+def concatenated_histogram(params, n_samples, bins, seed, omega_max=None,
+                           spectrum=spectrum_X):
     """``mc_dos``'s bookkeeping done on all spectra at once: the spawned
     seeds, one concatenated |mu| array, full-size masks and one
-    ``np.histogram``.  Returns (counts, edges, zero modes, overflow,
+    ``np.histogram``, with each sample's frequencies from
+    ``spectrum(H, params)``.  Returns (counts, edges, zero modes, overflow,
     zero_tol)."""
     values = np.concatenate([
-        np.abs(spectrum_X(draw_sample(params, child), params.N))
+        np.abs(spectrum(draw_sample(params, child), params))
         for child in np.random.SeedSequence(seed).spawn(n_samples)
     ])
     zero_tol = 1e-8 * float(values.max())
@@ -489,7 +601,7 @@ class TestMcDos:
             # lattices, whose one reused H must carry nothing from sample to
             # sample: the mc-lattice ensemble, a 3 x 7 lattice that wraps
             # round at L = 3, and one with no clean term
-            (ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0), 4, 50, None),
+            (MC_LATTICE, 4, 50, None),
             (ModelParams(d=2, extents=(3, 7), N=3, M=5, b=0.63, nu=1.0), 3, 10, None),
             (ModelParams(d=2, extents=(4, 3), N=3, M=7, b=0.63, nu=0.0), 3, 10, None),
         ],
@@ -506,6 +618,18 @@ class TestMcDos:
         assert hist.overflow_count == overflow
         assert hist.zero_tol == zero_tol
         assert (overflow > 0) == (omega_max is not None)
+
+    @pytest.mark.parametrize("seed", [0, 20101])
+    def test_mc_lattice_counts_match_the_dense_reference(self, seed):
+        # the benchmark's mc-lattice run: 6 samples and the CLI's 100 bins
+        hist = mc_dos(MC_LATTICE, n_samples=6, bins=100, seed=seed)
+        counts, edges, zero_count, overflow, _ = concatenated_histogram(
+            MC_LATTICE, 6, 100, seed,
+            spectrum=lambda H, params: dense_reference_spectrum(H, params.N))
+        assert np.array_equal(hist.counts, counts)
+        assert hist.zero_mode_count == zero_count == 0
+        assert hist.overflow_count == overflow == 0
+        np.testing.assert_allclose(hist.bin_edges, edges, rtol=1e-14, atol=0)
 
     def test_memory_is_one_float_per_eigenvalue(self):
         # past one row block of the tail, the traced peak grows by the |mu|

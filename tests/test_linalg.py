@@ -8,6 +8,7 @@ from bosondos.linalg import (
     SHIFT_TOL,
     check_hermitian,
     cholesky_psd,
+    gram_spectrum,
     hermitian_eig,
     skew_spectrum,
     skew_spectrum_gram,
@@ -183,6 +184,16 @@ def test_skew_spectrum_gram_writes_the_gram_matrix_into_work():
     work = np.full_like(S, np.nan)
     assert np.array_equal(skew_spectrum_gram(S, work), skew_spectrum_gram(S))
     assert np.array_equal(work, S.T @ S)
+
+
+def test_gram_spectrum_builds_S_only_to_hand_it_to_the_svd():
+    rng = np.random.default_rng(11)
+    for mus, handed in (([1.0, 0.5, 0.25], False), ([1.0, 0.5, 1e-4], True)):
+        S = rotated_skew(mus, rng)
+        built = []
+        mu = gram_spectrum(S.T @ S, lambda: built.append(S) or S)
+        assert len(built) == handed
+        assert np.array_equal(mu, skew_spectrum_gram(S))
 
 
 @pytest.mark.parametrize("mu_min", [0.0, 1e-9, 1e-4, 0.99e-3])
