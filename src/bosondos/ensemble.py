@@ -18,8 +18,9 @@ H = C C^T (real Cholesky) the frequencies are the eigenvalues of i*S,
 S = C^T J C real skew-symmetric, i.e. +/- the singular values of S
 (Williamson's symplectic form of H).  A definite H (factored with no shift)
 gives a nonsingular S, whose squared singular values are the eigenvalues of
-S^T S = -S^2: one symmetric eigensolve reads them off.  A shifted H (zero
-modes, as in the flat band at M < 2N) or an ill-conditioned S
+S^T S = -S^2: one symmetric eigensolve reads them off, in
+``linalg.gram_spectrum`` on either route below.  A shifted H (zero modes,
+as in the flat band at M < 2N) or an ill-conditioned S
 (mu_min < 1e-3 * mu_max, where squaring would lose more than about
 5e2 * eps * mu_max) takes one SVD of S instead.
 
@@ -72,7 +73,6 @@ from .linalg import (  # noqa: F401
     gram_spectrum,
     hermitian_eig,
     skew_spectrum,
-    skew_spectrum_gram,
 )
 from .model import ModelParams, _zeroed, assemble_K
 
@@ -191,13 +191,13 @@ def spectrum_X(H: np.ndarray, params: ModelParams) -> np.ndarray:
     with no shift (nu below rounding against b), takes the dense route:
     ``cholesky_psd`` of H, where per site J swaps the q and p rows, so
     S = T - T^T with T = C_q^T C_p.  There, if H factored with no shift,
-    ``skew_spectrum_gram`` takes S (one symmetric eigensolve of S^T S, or
-    the SVD when mu_min < 1e-3 * mu_max); a shifted H has zero modes that
-    squares cannot resolve at ``zero_tol``, and goes to the SVD of
-    ``skew_spectrum`` directly.  The output comes in +/- pairs; a Cholesky
-    failure means H left the stability cone.  A complex H (the (a, a*)
-    basis) is rejected, and so, at nu > 0, is an H with a p entry outside
-    its site's diagonal block, which the p-first route would drop.
+    ``gram_spectrum`` takes S^T S, as on the p-first route (one symmetric
+    eigensolve, or the SVD of S when mu_min < 1e-3 * mu_max); a shifted H
+    has zero modes that squares cannot resolve at ``zero_tol``, and goes to
+    the SVD of ``skew_spectrum`` directly.  The output comes in +/- pairs;
+    a Cholesky failure means H left the stability cone.  A complex H (the
+    (a, a*) basis) is rejected, and so, at nu > 0, is an H with a p entry
+    outside its site's diagonal block, which the p-first route would drop.
 
     H is consumed: its buffer receives T and S^T S on the dense route, and
     the Gram matrix and any dense S on the p-first one, so a caller that
@@ -238,7 +238,9 @@ def _dense_spectrum(H: np.ndarray, N: int) -> np.ndarray:
     rows = C.reshape(dim // (2 * N), 2, N, dim)
     T = np.matmul(rows[:, 0].reshape(-1, dim).T, rows[:, 1].reshape(-1, dim), out=H)
     S = np.subtract(T, T.T, out=C)
-    return skew_spectrum(S) if sigma else skew_spectrum_gram(S, work=H)
+    if sigma:
+        return skew_spectrum(S)
+    return gram_spectrum(np.matmul(S.T, S, out=H), lambda: S)
 
 
 def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
@@ -249,10 +251,10 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     and R = blockdiag(R_j) site-local and Q the m x m q-q part, m = dim / 2.
     Then C = [[L_P, 0], [X^T, L_q]], with P_j = L_j L_j^T (one stacked
     Cholesky), X_j = L_j^{-1} R_j (one stacked solve) and
-    Sigma = Q - blockdiag(X_j^T X_j) = L_q L_q^T (``cholesky_psd``, which
-    checks Sigma and keeps the shift ladder).  J is [[0, -I], [I, 0]] in this
-    order, so S = C^T J C = [[A, -B], [B^T, 0]], with A_j = X_j L_j - (X_j L_j)^T
-    and B = blockdiag(L_j^T) L_q, and
+    Sigma = (Q + Q^T) / 2 - blockdiag(X_j^T X_j) = L_q L_q^T
+    (``cholesky_psd``, which keeps the shift ladder).  J is
+    [[0, -I], [I, 0]] in this order, so S = C^T J C = [[A, -B], [B^T, 0]],
+    with A_j = X_j L_j - (X_j L_j)^T and B = blockdiag(L_j^T) L_q, and
     S^T S = [[A^T A + B B^T, -A^T B], [-B^T A, B^T B]].  Flipping the sign of
     B is a similarity by diag(I, -I), so the Gram matrix is written with +B
     into H's buffer: B B^T and B^T B from syrk, exactly symmetric, the
@@ -277,8 +279,14 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     except np.linalg.LinAlgError:
         return None
     X = np.linalg.solve(Lp, site_blocks[:, N:, :N])
-    # the q-q part, copied out of H (a reshape alone is a view at N = 1)
-    schur = blocks[:, 0, :, :, 0].copy().reshape(m, m)
+    # the symmetric part of the q-q part, which is Q itself, bit for bit,
+    # when H is exactly symmetric: Q's asymmetry, which check_hermitian
+    # allows against max|H|, would meet cholesky_psd's check against the
+    # smaller max|Sigma|
+    Q = blocks[:, 0, :, :, 0]
+    schur = np.empty((m, m))
+    np.add(Q, Q.transpose(2, 3, 0, 1), out=schur.reshape(sites, N, sites, N))
+    schur *= 0.5
     np.einsum("jajb->jab", schur.reshape(sites, N, sites, N))[...] -= (
         X.transpose(0, 2, 1) @ X)
     # an unshifted failure of the trailing block is a shift of the whole

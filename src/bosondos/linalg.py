@@ -10,20 +10,19 @@ takes singular S; ``gram_spectrum`` reads them off one symmetric
 eigensolve of the Gram matrix S^T S, with error about eps * mu_max^2 / mu,
 at less than half the cost, and hands S to the SVD when
 mu_min < 1e-3 * mu_max (an error bound of about 5e2 * eps * mu_max).  That
-guard is kept there alone: ``skew_spectrum_gram`` forms S^T S from S and
-calls it, and a caller that assembles S^T S from blocks of S, as
-``ensemble.spectrum_X`` does, passes a function that builds S only for the
-SVD.  The value added here is validation (Hermiticity and finiteness on
-input, cone membership for the factorization) and the diagonal shift for
-semidefinite matrices: a ladder of a few multiples of eps * max A_ii, with
-no eigensolve.  Real input stays in real arithmetic throughout; LAPACK's
-own LinAlgError passes through.
+guard is kept there alone: ``ensemble.spectrum_X`` forms S^T S as one
+product of a dense S, or assembles it from blocks of S, and passes a
+function that returns S, called only for the SVD.  The value added here is
+validation (Hermiticity and finiteness on input, cone membership for the
+factorization) and the diagonal shift for semidefinite matrices: a ladder
+of a few multiples of eps * max A_ii, with no eigensolve.  Real input
+stays in real arithmetic throughout; LAPACK's own LinAlgError passes
+through.
 
 Memory: numpy copies every matrix into LAPACK's column order.  Real
 symmetric input is passed as its transpose, an F-contiguous view of the
 same numbers, which makes that copy contiguous rather than a strided
-transpose.  ``skew_spectrum_gram`` can write S^T S into a caller's
-``work`` array.
+transpose.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "check_hermitian",
     "hermitian_eig",
     "skew_spectrum",
-    "skew_spectrum_gram",
     "gram_spectrum",
     "cholesky_psd",
 ]
@@ -120,19 +118,6 @@ def skew_spectrum(S) -> np.ndarray:
     return np.concatenate((-s[::2], s[-1::-2]))
 
 
-def skew_spectrum_gram(S, work=None) -> np.ndarray:
-    """``skew_spectrum`` for a nonsingular S, from the Gram matrix S^T S.
-
-    ``gram_spectrum`` reads the spectrum off S^T S, which is exactly
-    symmetric as one product of S's transpose with S, and hands S to the
-    SVD when it is ill-conditioned.  ``work``, a float64 array of S's shape
-    that does not overlap S, receives S^T S in place of a new array; S
-    itself is left intact for the SVD.
-    """
-    S = _real_even(S)
-    return gram_spectrum(np.matmul(S.T, S, out=work), lambda: S)
-
-
 def gram_spectrum(G, skew) -> np.ndarray:
     """``skew_spectrum`` of a nonsingular real skew-symmetric S, from its
     Gram matrix G = S^T S.
@@ -144,8 +129,9 @@ def gram_spectrum(G, skew) -> np.ndarray:
     w_min <= 1e-6 * w_max (mu_min <= 1e-3 * mu_max, where that bound passes
     5e2 * eps * mu_max) ``skew_spectrum`` takes S instead, from ``skew()``,
     which is called only then and may overwrite G.  G must be exactly
-    symmetric and is not checked: its transpose is the same matrix, passed
-    to LAPACK as it lies in column order.
+    symmetric, as numpy's one product ``S.T @ S`` is (it takes syrk), and
+    is not checked: its transpose is the same matrix, passed to LAPACK as
+    it lies in column order.
     """
     w = np.linalg.eigvalsh(_real_even(G).T)
     if not w[0] > 1e-6 * w[-1]:
