@@ -60,19 +60,21 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     b = 1.0
-    omegas = np.linspace(0.005, 3.2, 640)
     for a in (2.0, 1.0, 0.75):
+        M = int(round(2 * args.N * a))
+        mc_params = ModelParams(N=args.N, M=M, b=b, nu=0.0)
+        hist = mc_dos(mc_params, n_samples=args.samples, bins=100, seed=args.seed)
+        write_hist(out / f"mc_a{a}.csv", hist, {"N": args.N, "M": M})
+
+        # the curve covers every bin center, from top / 640 up to the top edge
+        top = float(hist.bin_edges[-1])
+        omegas = np.linspace(top / 640, top, 640)
         params = ModelParams(a=a, b=b, nu=0.0)
         curve = dos_curve(omegas, 1e-6, params)
         extra = {}
         if a > 1:
             extra["gap_edge"] = find_gap_edge(params)
         write_curve(out / f"cpa_a{a}.csv", curve, extra)
-
-        M = int(round(2 * args.N * a))
-        mc_params = ModelParams(N=args.N, M=M, b=b, nu=0.0)
-        hist = mc_dos(mc_params, n_samples=args.samples, bins=100, seed=args.seed)
-        write_hist(out / f"mc_a{a}.csv", hist, {"N": args.N, "M": M})
 
         l1, mx = compare_curves(omegas, curve.rho, hist.bin_centers,
                                 hist.widths, hist.densities)

@@ -91,8 +91,16 @@ def compare_curves(cpa_omegas, cpa_rho, centers, widths, mc_density):
 
     The curve is linearly interpolated onto the histogram bin centers; the
     L1 distance is the integral of the absolute difference over the binned
-    range.
+    range.  A bin center outside the curve's omega range raises ValueError,
+    where ``np.interp`` would hold the curve's end value.
     """
+    first = float(np.min(cpa_omegas, initial=np.inf))
+    last = float(np.max(cpa_omegas, initial=-np.inf))
+    lo = float(np.min(centers, initial=np.inf))
+    hi = float(np.max(centers, initial=-np.inf))
+    if lo < first or hi > last:
+        raise ValueError(f"bin centers {lo!r} to {hi!r} leave the omega range "
+                         f"[{first!r}, {last!r}]; the curve would be extrapolated")
     interp = np.interp(centers, cpa_omegas, cpa_rho)
     diff = np.abs(np.asarray(mc_density) - interp)
     return float(np.sum(diff * widths)), float(diff.max(initial=0.0))
@@ -367,16 +375,11 @@ def _run_compare(args: argparse.Namespace) -> int:
     order = np.argsort(cpa_cols["omega"], kind="stable")
     omegas, rho = cpa_cols["omega"][order], cpa_cols["rho"][order]
     centers = 0.5 * (mc_cols["bin_left"] + mc_cols["bin_right"])
-    first = omegas.min(initial=np.inf)
-    last = omegas.max(initial=-np.inf)
-    if centers.min(initial=np.inf) < first or centers.max(initial=-np.inf) > last:
-        raise ValueError(
-            f"bin centers {centers.min()!r} to {centers.max()!r} leave the omega "
-            f"range [{first!r}, {last!r}] of {args.cpa}; the curve would be "
-            f"extrapolated"
-        )
     widths = mc_cols["bin_right"] - mc_cols["bin_left"]
-    l1, max_dev = compare_curves(omegas, rho, centers, widths, mc_cols["density"])
+    try:
+        l1, max_dev = compare_curves(omegas, rho, centers, widths, mc_cols["density"])
+    except ValueError as exc:
+        raise ValueError(f"{args.cpa}: {exc}") from None
     print(f"L1 = {l1!r}")
     print(f"max_deviation = {max_dev!r}")
     return 0 if l1 <= args.threshold else 1

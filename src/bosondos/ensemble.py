@@ -36,24 +36,26 @@ and when the p blocks or the Schur complement need a shift, H is factored
 whole as before.
 
 Each realization takes one path through plain real arrays: ``draw_sample``
-draws every site's W in one call and returns the quadrature-basis H (via
-``assemble_H``), and ``spectrum_X`` the eigenfrequency array of X.  Each H
-starts as ``model.assemble_K``'s array with the deterministic term written
-in closed form (nu on the diagonal, -nu/(2d) at the q-q entries of each
-bond), and ``assemble_H`` adds the couplings in place, so the clean term
-costs no array beyond H itself.  ``mc_dos`` keeps |mu| of many
-realizations in one array, a row each, and bins it in row blocks into a
+draws every site's W in one call and writes the quadrature-basis H (via
+``assemble_H``) into the buffer it is given, and ``spectrum_X`` checks that
+H once and returns the eigenfrequency array of X.  ``model.assemble_K``
+first overwrites the buffer with the deterministic term in closed form (nu
+on the diagonal, -nu/(2d) at the q-q entries of each bond), and
+``assemble_H`` adds the couplings in place, so the clean term costs no
+array beyond H itself.  ``mc_dos`` keeps |mu| of many realizations in one
+array, a row each, and bins it in row blocks into a
 :class:`SpectrumHistogram`.
 
-Memory: ``mc_dos`` allocates one dim x dim H per run, which every sample
-rewrites from the clean term up and ``spectrum_X`` consumes as scratch.  On
-the p-first route H's buffer receives S^T S, and a sample allocates the
-(dim/2)^2 Schur complement (which then holds the off-diagonal block of C^T
-J C), its Cholesky factor, numpy's copies of each LAPACK input and a few
-stacked N x N site blocks.  On the dense route H's buffer receives T and
-S^T S, and a sample allocates the dim^2 Cholesky factor (which also holds
-S), the copies of its q rows and p rows, and numpy's copies of each LAPACK
-input.
+Memory: ``mc_dos`` owns the run's one dim x dim H, the buffer that
+``draw_sample``, ``assemble_H`` and ``assemble_K`` require, which every
+sample rewrites from the clean term up and ``spectrum_X`` consumes as
+scratch.  On the p-first route H's buffer receives S^T S, and a sample
+allocates the (dim/2)^2 Schur complement (a copy of H's q-q block, which
+then holds the off-diagonal block of C^T J C), its Cholesky factor,
+numpy's copies of each LAPACK input and a few stacked N x N site blocks.
+On the dense route H's buffer receives T and S^T S, and a sample
+allocates the dim^2 Cholesky factor (which also holds S), the copies of
+its q rows and p rows, and numpy's copies of each LAPACK input.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .linalg import (  # noqa: F401
     hermitian_eig,
     skew_spectrum,
 )
-from .model import ModelParams, _zeroed, assemble_K
+from .model import ModelParams, _sample_dim, _zeroed, assemble_K
 
 __all__ = [
     "ConeViolationError",
@@ -143,32 +145,30 @@ class SpectrumHistogram:
 
 
 def assemble_H(params: ModelParams, W: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
+               H: np.ndarray) -> np.ndarray:
     """Real symmetric H = U^dagger (i*Sigma3*K + blockdiag(L_j^dagger L_j)) U
     in the quadrature basis.
 
     ``W`` is the real (n_sites, M, 2N) array of the couplings in quadrature
     form, W_j = L_j U / sqrt(2) = (Re A_j | -Im A_j), as ``draw_sample``
-    draws them.  H starts as ``assemble_K(params, out)`` on a lattice,
-    which holds the clean term alone, and as zeros on a single site, which
-    requires nu = 0; it is ``out`` when given, else a new array.  Through
+    draws them.  The given H, whatever it held, starts as
+    ``assemble_K(params, H)`` on a lattice, which holds the clean term
+    alone, and as zeros on a single site, which requires nu = 0.  Through
     the (site, band, site, band) view
     ``H.reshape(n_sites, 2N, n_sites, 2N)``, every site's diagonal block
     then gains 2 W_j^T W_j from one stacked product, which numpy takes
     slice by slice with syrk, so each block is exactly symmetric.
     """
-    N = params.N
-    if N is None:
-        raise ValueError("assemble_H requires the band count N")
-    n, sites = 2 * N, params.n_sites
+    _sample_dim(params)  # raises without the band counts
+    n, sites = 2 * params.N, params.n_sites
     shape = (sites, params.M, n)
     if np.iscomplexobj(W) or W.shape != shape:
         raise ValueError(f"W is {W.dtype} {W.shape}, not real (n_sites, M, 2N) "
                          f"= {shape}")
     if params.extents is not None:
-        H = assemble_K(params, out)
+        assemble_K(params, H)
     elif params.nu == 0:
-        H = _zeroed(out, n)
+        _zeroed(H, n)
     else:
         raise ValueError("single-site sampling (extents=None) requires nu = 0")
     # einsum's repeated index gives a writable view of the diagonal blocks
@@ -195,9 +195,13 @@ def spectrum_X(H: np.ndarray, params: ModelParams) -> np.ndarray:
     eigensolve, or the SVD of S when mu_min < 1e-3 * mu_max); a shifted H
     has zero modes that squares cannot resolve at ``zero_tol``, and goes to
     the SVD of ``skew_spectrum`` directly.  The output comes in +/- pairs;
-    a Cholesky failure means H left the stability cone.  A complex H (the
-    (a, a*) basis) is rejected, and so, at nu > 0, is an H with a p entry
-    outside its site's diagonal block, which the p-first route would drop.
+    a Cholesky failure means H left the stability cone.  Every check of a
+    sample runs here, before either route: a complex H (the (a, a*) basis)
+    is rejected, and so is one that is not symmetric within
+    ``linalg.HERMITIAN_TOL`` or has a non-finite entry (one
+    ``check_hermitian``; the kernels behind both routes trust it), and at
+    nu > 0 one with a p entry outside its site's diagonal block, which the
+    p-first route would drop.
 
     H is consumed: its buffer receives T and S^T S on the dense route, and
     the Gram matrix and any dense S on the p-first one, so a caller that
@@ -210,12 +214,12 @@ def spectrum_X(H: np.ndarray, params: ModelParams) -> np.ndarray:
             "spectrum_X takes the real quadrature-basis H of assemble_H, "
             f"a writable C-contiguous float64 array, got {H.dtype}"
         )
-    N = params.N
-    if N is None:
-        raise ValueError("spectrum_X requires the band count N")
-    dim = H.shape[0]
+    _sample_dim(params)  # raises without the band counts
+    N, dim = params.N, H.shape[0]
     if dim % (2 * N) != 0:
         raise ValueError(f"H dimension {dim} is not a multiple of 2N={2 * N}")
+    # looked up in linalg, where perfbench/tracing.py counts its calls
+    linalg.check_hermitian(H)
     # at b = 0 the acoustic q mode of the clean term is an exact zero mode,
     # so the p-first factor would end on a pivot of rounding noise
     if params.nu > 0 and params.b > 0:
@@ -251,7 +255,7 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     and R = blockdiag(R_j) site-local and Q the m x m q-q part, m = dim / 2.
     Then C = [[L_P, 0], [X^T, L_q]], with P_j = L_j L_j^T (one stacked
     Cholesky), X_j = L_j^{-1} R_j (one stacked solve) and
-    Sigma = (Q + Q^T) / 2 - blockdiag(X_j^T X_j) = L_q L_q^T
+    Sigma = Q - blockdiag(X_j^T X_j) = L_q L_q^T
     (``cholesky_psd``, which keeps the shift ladder).  J is
     [[0, -I], [I, 0]] in this order, so S = C^T J C = [[A, -B], [B^T, 0]],
     with A_j = X_j L_j - (X_j L_j)^T and B = blockdiag(L_j^T) L_q, and
@@ -264,13 +268,11 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     H's buffer in its place.
     """
     sites, m = H.shape[0] // (2 * N), H.shape[0] // 2
-    # looked up in linalg, where perfbench/tracing.py counts its calls
-    linalg.check_hermitian(H)
     # (site, q/p, band) along each axis
     blocks = H.reshape(sites, 2, N, sites, 2, N)
     site_blocks = np.einsum("jajb->jab", H.reshape(sites, 2 * N, sites, 2 * N))
-    # counted through views, with no copy of the p rows; the symmetry check
-    # covers the p columns
+    # counted through views, with no copy of the p rows; spectrum_X's
+    # symmetry check covers the p columns
     if np.count_nonzero(blocks[:, 1]) != np.count_nonzero(site_blocks[:, N:]):
         raise ValueError("H has a p entry outside its site's diagonal block; "
                          "the clean term couples sites only through q")
@@ -279,14 +281,8 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     except np.linalg.LinAlgError:
         return None
     X = np.linalg.solve(Lp, site_blocks[:, N:, :N])
-    # the symmetric part of the q-q part, which is Q itself, bit for bit,
-    # when H is exactly symmetric: Q's asymmetry, which check_hermitian
-    # allows against max|H|, would meet cholesky_psd's check against the
-    # smaller max|Sigma|
-    Q = blocks[:, 0, :, :, 0]
     schur = np.empty((m, m))
-    np.add(Q, Q.transpose(2, 3, 0, 1), out=schur.reshape(sites, N, sites, N))
-    schur *= 0.5
+    schur.reshape(sites, N, sites, N)[...] = blocks[:, 0, :, :, 0]
     np.einsum("jajb->jab", schur.reshape(sites, N, sites, N))[...] -= (
         X.transpose(0, 2, 1) @ X)
     # an unshifted failure of the trailing block is a shift of the whole
@@ -322,26 +318,19 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     return gram_spectrum(H, skew)
 
 
-def _sample_dim(params: ModelParams) -> int:
-    """The dimension 2N * n_sites of a realization's H."""
-    if params.N is None:
-        raise ValueError("sampling requires both M and N")
-    return 2 * params.N * params.n_sites
-
-
 def draw_sample(params: ModelParams, child: np.random.SeedSequence,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+                H: np.ndarray) -> np.ndarray:
     """The quadrature-basis H of one realization on ``params.n_sites``
     sites, drawn from a spawned per-sample seed sequence: one call draws
     the standard normals x of Re A_j and Im A_j for every site j, shaped
     (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1), which
-    ``assemble_H`` adds to the clean term, in ``out`` when given."""
+    ``assemble_H`` adds to the clean term, in the given H."""
     _sample_dim(params)  # raises without the band counts
     N, M, n_sites = params.N, params.M, params.n_sites
     x = np.random.default_rng(child).normal(size=(n_sites, 2, M, N))
     W = np.concatenate((x[:, 0], -x[:, 1]), axis=2)
     W *= np.sqrt(params.b / (4.0 * N))
-    return assemble_H(params, W, out)
+    return assemble_H(params, W, H)
 
 
 def mc_dos(

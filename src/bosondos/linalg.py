@@ -12,12 +12,13 @@ at less than half the cost, and hands S to the SVD when
 mu_min < 1e-3 * mu_max (an error bound of about 5e2 * eps * mu_max).  That
 guard is kept there alone: ``ensemble.spectrum_X`` forms S^T S as one
 product of a dense S, or assembles it from blocks of S, and passes a
-function that returns S, called only for the SVD.  The value added here is
-validation (Hermiticity and finiteness on input, cone membership for the
-factorization) and the diagonal shift for semidefinite matrices: a ladder
-of a few multiples of eps * max A_ii, with no eigensolve.  Real input
-stays in real arithmetic throughout; LAPACK's own LinAlgError passes
-through.
+function that returns S, called only for the SVD.  ``check_hermitian``
+validates a matrix (Hermiticity and finiteness); the kernels trust their
+callers, and ``ensemble.spectrum_X`` checks each sample once, before any of
+them runs.  The value added by ``cholesky_psd`` is cone membership and the
+diagonal shift for semidefinite matrices: a ladder of a few multiples of
+eps * max A_ii, with no eigensolve.  Real input stays in real arithmetic
+throughout; LAPACK's own LinAlgError passes through.
 
 Memory: numpy copies every matrix into LAPACK's column order.  Real
 symmetric input is passed as its transpose, an F-contiguous view of the
@@ -55,15 +56,6 @@ def _square(A) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return A
-
-
-def _real_even(S) -> np.ndarray:
-    S = _square(S)
-    if np.iscomplexobj(S) or S.shape[0] % 2:
-        raise ValueError(
-            f"expected a real matrix of even dimension, got {S.dtype} {S.shape}"
-        )
-    return S
 
 
 def check_hermitian(A) -> np.ndarray:
@@ -110,11 +102,11 @@ def skew_spectrum(S) -> np.ndarray:
     The eigenvalues of i*S are +/- the singular values of S, which come in
     equal pairs; one ``svd`` without vectors gives them all, and each pair
     contributes one negative and one positive member, so the absolute values
-    are the singular values exactly.  Skew symmetry is the caller's to
-    guarantee (``spectrum_X`` builds S from blocks of a validated H); it is
-    not checked again here.
+    are the singular values exactly.  A real skew-symmetric S of even
+    dimension is the caller's to guarantee (``spectrum_X`` builds S from
+    blocks of a checked H); it is not checked here.
     """
-    s = np.linalg.svd(_real_even(S), compute_uv=False)
+    s = np.linalg.svd(S, compute_uv=False)
     return np.concatenate((-s[::2], s[-1::-2]))
 
 
@@ -133,7 +125,7 @@ def gram_spectrum(G, skew) -> np.ndarray:
     is not checked: its transpose is the same matrix, passed to LAPACK as
     it lies in column order.
     """
-    w = np.linalg.eigvalsh(_real_even(G).T)
+    w = np.linalg.eigvalsh(G.T)
     if not w[0] > 1e-6 * w[-1]:
         return skew_spectrum(skew())
     mu = np.sqrt(w[1::2])
@@ -149,11 +141,12 @@ def cholesky_psd(A):
     max A_ii, at which the factorization succeeds; no eigensolve runs on
     that path.  A matrix that fails at every rung lies outside the stability
     cone, which signals a model bug upstream: :class:`NotPsdError` is raised
-    with its minimum eigenvalue.  A real A is passed to LAPACK as A^T, the
-    same numbers when A is exactly symmetric and within ``HERMITIAN_TOL``
-    otherwise; a complex A is passed as given, since A^T = conj(A).
+    with its minimum eigenvalue.  A must be Hermitian, which is the
+    caller's to guarantee and not checked here.  A real A is passed to
+    LAPACK as A^T, the same numbers when A is exactly symmetric; a complex A
+    is passed as given, since A^T = conj(A).  LAPACK reads one triangle.
     """
-    A = check_hermitian(A)
+    A = _square(A)
     scale = max(float(np.abs(A.diagonal()).max(initial=0.0)), np.finfo(float).tiny)
     eps = np.finfo(float).eps
     At = A if np.iscomplexobj(A) else A.T

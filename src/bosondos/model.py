@@ -112,24 +112,29 @@ class ModelParams:
         return self.nu == 0
 
 
-def _zeroed(out: Optional[np.ndarray], dim: int) -> np.ndarray:
-    """``out``, or a new dim x dim float64 array, set to zero.  A given
-    array must be C-contiguous, so that its block views are views."""
-    H = np.empty((dim, dim)) if out is None else out
+def _sample_dim(params: ModelParams) -> int:
+    """The dimension 2N * n_sites of a realization's H."""
+    if params.N is None:
+        raise ValueError("sampling requires both M and N")
+    return 2 * params.N * params.n_sites
+
+
+def _zeroed(H: np.ndarray, dim: int) -> None:
+    """Set H, a C-contiguous dim x dim float64 array (so that its block
+    views are views), to zero."""
     if H.shape != (dim, dim) or H.dtype != np.float64 or not H.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+        raise ValueError(f"H must be a C-contiguous float64 array of shape "
                          f"{(dim, dim)}, got {H.dtype} {H.shape}")
     H.fill(0.0)
-    return H
 
 
-def assemble_K(params: ModelParams, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """A real dim x dim H, dim = 2N * n_sites, holding only the
+def assemble_K(params: ModelParams, H: np.ndarray) -> np.ndarray:
+    """H, a real dim x dim array, dim = 2N * n_sites, set to the
     deterministic part U^dagger (i*Sigma3*K) U of the oracle's Hermitian
-    form, for the clean generator K, in the quadrature basis (a, a*) =
+    form alone, for the clean generator K, in the quadrature basis (a, a*) =
     U (q, p); ``ensemble.assemble_H`` adds the couplings to it in place.
-    H is ``out`` when given (``ensemble.mc_dos`` passes one array for the
-    whole run), its old contents overwritten, and a new array otherwise.
+    ``ensemble.mc_dos`` passes one H for the whole run, and its old contents
+    are overwritten.
 
     Each site carries nu on the diagonal, and each directed nearest-neighbour
     bond -nu/(2d) at its q-q entries only, the bonds read off ``np.roll`` of
@@ -139,11 +144,9 @@ def assemble_K(params: ModelParams, out: Optional[np.ndarray] = None) -> np.ndar
     """
     if params.extents is None:
         raise ValueError("assemble_K requires a finite lattice (extents)")
-    if params.N is None:
-        raise ValueError("assemble_K requires the band count N")
+    _zeroed(H, _sample_dim(params))
     d, N, nu = params.d, params.N, params.nu
     n, sites = 2 * N, params.n_sites
-    H = _zeroed(out, n * sites)
     np.fill_diagonal(H, nu)
     site = np.arange(sites)
     grid = site.reshape(params.extents)

@@ -1,10 +1,18 @@
 """Closed forms of the clean (b = 0) model, its dense complex generator and
 the dense textbook reduction of a sample's H, the references that tests
-hold ``assemble_K``, the zone means and the oracle to."""
+hold ``assemble_K``, the zone means and the oracle to; and ``fresh_H``, the
+buffer a test passes where ``mc_dos`` passes the run's one H."""
 
 import numpy as np
 
 from bosondos.linalg import skew_spectrum
+
+
+def fresh_H(params):
+    """A new uninitialized dim x dim float64 array, dim = 2N * n_sites, for
+    ``assemble_K``, ``assemble_H`` or ``draw_sample`` to overwrite."""
+    dim = 2 * params.N * params.n_sites
+    return np.empty((dim, dim))
 
 
 def delta_k(k, d=None):

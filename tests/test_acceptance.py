@@ -20,6 +20,7 @@ from bosondos import (
 from bosondos.bzquad import I_g
 from bosondos.cli import compare_curves, emit_csv
 from bosondos.ensemble import draw_sample, spectrum_X
+from clean_model import fresh_H
 
 
 def report(num, ok, detail, elapsed, budget):
@@ -166,17 +167,17 @@ def test_criterion_7_invariant_suite(tmp_path):
 
     # +/- pairing of sampled spectra (multiset identity)
     rmt = ModelParams(a=0.75, N=8, M=12, b=1.0, nu=0.0)
-    mu = spectrum_X(draw_sample(rmt, np.random.SeedSequence(1)), rmt)
+    mu = spectrum_X(draw_sample(rmt, np.random.SeedSequence(1), fresh_H(rmt)), rmt)
     pair_ok = np.allclose(np.sort(mu), np.sort(-mu), atol=1e-9)
     lat = ModelParams(d=1, extents=(6,), N=2, M=3, b=0.8, nu=1.0)
-    mu2 = spectrum_X(draw_sample(lat, np.random.SeedSequence(2)), lat)
+    mu2 = spectrum_X(draw_sample(lat, np.random.SeedSequence(2), fresh_H(lat)), lat)
     pair_ok &= np.allclose(np.sort(mu2), np.sort(-mu2), atol=1e-9)
     checks["pairing 1e-9"] = bool(pair_ok)
 
     # cone membership of sampled reductions
     cone_ok = True
     for seed in range(5):
-        H = draw_sample(rmt, np.random.SeedSequence(seed))
+        H = draw_sample(rmt, np.random.SeedSequence(seed), fresh_H(rmt))
         w = np.linalg.eigvalsh(H)
         cone_ok &= w.min() >= -1e-10 * np.abs(w).max()
     checks["cone membership"] = bool(cone_ok)
@@ -200,7 +201,7 @@ def test_criterion_7_invariant_suite(tmp_path):
     # within 3 standard errors
     mparams = ModelParams(a=0.75, N=2, M=3, b=0.7, nu=0.0)
     traces = np.array([
-        np.trace(draw_sample(mparams, child))
+        np.trace(draw_sample(mparams, child, fresh_H(mparams)))
         for child in np.random.SeedSequence(4).spawn(10_000)
     ])
     stderr = traces.std(ddof=1) / np.sqrt(traces.size)

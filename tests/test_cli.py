@@ -684,6 +684,15 @@ def test_compare_curves_metric():
     assert mx == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("center", [0.05, 1.05], ids=["below", "above"])
+def test_compare_curves_refuses_to_extrapolate(center):
+    # np.interp would hold the curve's end value flat beyond its omegas
+    omegas = np.linspace(0.1, 1.0, 10)
+    with pytest.raises(ValueError, match="extrapolated"):
+        compare_curves(omegas, np.ones_like(omegas), np.array([0.5, center]),
+                       np.array([0.1, 0.1]), np.array([1.0, 1.0]))
+
+
 def test_compare_missing_columns_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     emit_csv(str(bad), {}, {"x": [1.0]})

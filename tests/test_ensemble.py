@@ -11,7 +11,7 @@ from bosondos import ensemble, linalg
 from bosondos.ensemble import assemble_H, draw_sample, spectrum_X
 from bosondos.linalg import cholesky_psd, skew_spectrum
 from bosondos.model import assemble_K
-from clean_model import complex_K, delta_k, dense_reference_spectrum, dispersion
+from clean_model import complex_K, delta_k, dense_reference_spectrum, dispersion, fresh_H
 
 RMT = ModelParams(a=0.75, N=4, M=6, b=1.0, nu=0.0)
 CHAIN = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
@@ -31,8 +31,8 @@ def quadrature_U(N):
 
 def complex_couplings(params, child):
     """The couplings L_j = (A_j | conj(A_j)) of ``draw_sample(params,
-    child)`` in the (a, a*) basis, drawn one site at a time: the real, then
-    the imaginary parts of A_j, each of variance b / (4N)."""
+    child, H)`` in the (a, a*) basis, drawn one site at a time: the real,
+    then the imaginary parts of A_j, each of variance b / (4N)."""
     rng = np.random.default_rng(child)
     std = np.sqrt(params.b / (4.0 * params.N))
     shape = (params.M, params.N)
@@ -112,28 +112,29 @@ class TestDrawSample:
         for seed in range(3):
             child = np.random.SeedSequence(seed)
             want = U.conj().T @ complex_H(params, complex_couplings(params, child), K) @ U
-            H = draw_sample(params, child)
+            H = draw_sample(params, child, fresh_H(params))
             assert H.dtype == float
             assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_zero_disorder_gives_zero_coupling(self):
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.0, nu=1.0)
-        H = draw_sample(params, np.random.SeedSequence(0))
-        assert np.array_equal(H, assemble_K(params))
+        H = draw_sample(params, np.random.SeedSequence(0), fresh_H(params))
+        assert np.array_equal(H, assemble_K(params, fresh_H(params)))
 
     def test_trace_moment(self):
         # on the flat band E Tr H = E Tr L^dagger L = M b: Tr L^dagger L =
         # 2 Tr A^dagger A and each of the M*N entries of A has second moment
         # b/(2N)
         params = ModelParams(a=0.75, N=2, M=3, b=0.7, nu=0.0)
-        traces = np.array([np.trace(draw_sample(params, child))
+        traces = np.array([np.trace(draw_sample(params, child, fresh_H(params)))
                            for child in np.random.SeedSequence(42).spawn(10_000)])
         stderr = traces.std(ddof=1) / np.sqrt(traces.size)
         assert abs(traces.mean() - params.M * params.b) <= 3.0 * stderr
 
     def test_requires_sampling_parameters(self):
         with pytest.raises(ValueError, match="M and N"):
-            draw_sample(ModelParams(a=0.75, b=1.0, nu=0.0), np.random.SeedSequence(0))
+            draw_sample(ModelParams(a=0.75, b=1.0, nu=0.0), np.random.SeedSequence(0),
+                        np.empty((2, 2)))
 
     @pytest.mark.parametrize("N, M, b", [(4, 8, 1.0), (8, 12, 1.0), (3, 11, 0.7), (16, 8, 2.0)])
     def test_second_moment_sum_rule(self, N, M, b):
@@ -143,7 +144,8 @@ class TestDrawSample:
         params = ModelParams(N=N, M=M, b=b, nu=0.0)
         want = params.a * b * b * (params.a - 1.0 / (2 * N))
         for seed in (0, 1):
-            m2 = np.array([np.mean(spectrum_X(draw_sample(params, child), params) ** 2)
+            H = fresh_H(params)
+            m2 = np.array([np.mean(spectrum_X(draw_sample(params, child, H), params) ** 2)
                            for child in np.random.SeedSequence(seed).spawn(2000)])
             stderr = m2.std(ddof=1) / np.sqrt(m2.size)
             assert abs(m2.mean() - want) <= 3.0 * stderr
@@ -155,24 +157,24 @@ class TestLocalR:
 
     def test_rank_deficiency_below_critical_ratio(self):
         # H = 2 W^T W inherits rank min(M, 2N): kernel dimension 2N - M
-        w = np.linalg.eigvalsh(draw_sample(RMT, np.random.SeedSequence(1)))
+        w = np.linalg.eigvalsh(draw_sample(RMT, np.random.SeedSequence(1), fresh_H(RMT)))
         n_zero = int(np.sum(np.abs(w) < 1e-12 * w.max()))
         assert n_zero == 2 * RMT.N - RMT.M
 
     def test_full_rank_at_critical_ratio(self):
         params = ModelParams(a=1.0, N=4, M=8, b=1.0, nu=0.0)
-        w = np.linalg.eigvalsh(draw_sample(params, np.random.SeedSequence(2)))
+        w = np.linalg.eigvalsh(draw_sample(params, np.random.SeedSequence(2), fresh_H(params)))
         assert w.min() > 0
 
     def test_symplectic_condition(self):
         J = symplectic_J(RMT.N)
-        R = J @ draw_sample(RMT, np.random.SeedSequence(3))
+        R = J @ draw_sample(RMT, np.random.SeedSequence(3), fresh_H(RMT))
         resid = R + J @ R.T @ np.linalg.inv(J)
         assert np.abs(resid).max() <= 1e-13 * np.abs(R).max()
 
     def test_reduction_is_psd(self):
         # -J R = H is the reduction i Sigma3 R in the quadrature basis
-        w = np.linalg.eigvalsh(draw_sample(RMT, np.random.SeedSequence(4)))
+        w = np.linalg.eigvalsh(draw_sample(RMT, np.random.SeedSequence(4), fresh_H(RMT)))
         assert w.min() >= -1e-12 * w.max()
 
 
@@ -180,7 +182,7 @@ class TestAssembleH:
     def test_clean_limit_spectrum(self):
         # b = 0: H = i Sigma3 K with per-mode eigenvalues {nu, nu(1-delta_k)}
         params = ModelParams(d=1, extents=(8,), N=2, M=4, b=0.0, nu=1.3)
-        H = assemble_H(params, np.zeros((8, params.M, 2 * params.N)))
+        H = assemble_H(params, np.zeros((8, params.M, 2 * params.N)), fresh_H(params))
         w = np.linalg.eigvalsh(H)
         per_mode = []
         for m in range(8):
@@ -195,7 +197,7 @@ class TestAssembleH:
         LU = L @ quadrature_U(RMT.N)
         assert np.abs(LU.imag).max() <= 1e-15 * np.abs(LU).max()
         gram = LU.real.T @ LU.real
-        H = assemble_H(RMT, LU.real[np.newaxis] / np.sqrt(2.0))
+        H = assemble_H(RMT, LU.real[np.newaxis] / np.sqrt(2.0), fresh_H(RMT))
         assert H.dtype == float
         assert np.abs(H - gram).max() <= 1e-14 * np.abs(gram).max()
 
@@ -206,8 +208,8 @@ class TestAssembleH:
     def test_every_site_gains_its_own_gram_block(self, params):
         n, sites = 2 * params.N, params.n_sites
         W = np.random.default_rng(3).normal(size=(sites, params.M, n))
-        K_blocks = assemble_K(params).reshape(sites, n, sites, n)
-        H_blocks = assemble_H(params, W).reshape(sites, n, sites, n)
+        K_blocks = assemble_K(params, fresh_H(params)).reshape(sites, n, sites, n)
+        H_blocks = assemble_H(params, W, fresh_H(params)).reshape(sites, n, sites, n)
         for j in range(sites):
             # bitwise the per-site sum, and exactly symmetric
             block = H_blocks[j, :, j]
@@ -226,7 +228,7 @@ class TestAssembleH:
         # the closed-form term is exact; the rotation of the dense complex
         # generator leaves rounding of up to one ulp on the on-site diagonal
         W = np.random.default_rng(4).normal(size=(params.n_sites, params.M, 2 * params.N))
-        H = assemble_H(params, W)
+        H = assemble_H(params, W, fresh_H(params))
         want = dense_rotation_H(params, W)
         assert np.abs(H - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -236,21 +238,21 @@ class TestAssembleH:
         dim = 2 * params.N * params.n_sites
         out = np.full((dim, dim), np.nan)
         assert assemble_H(params, W, out) is out
-        assert np.array_equal(out, assemble_H(params, W))
+        assert np.array_equal(out, assemble_H(params, W, fresh_H(params)))
 
     def test_hermiticity(self):
-        H = draw_sample(CHAIN, np.random.SeedSequence(6))
+        H = draw_sample(CHAIN, np.random.SeedSequence(6), fresh_H(CHAIN))
         assert np.abs(H - H.T).max() <= 1e-13 * np.abs(H).max()
 
     def test_single_site_requires_nu_zero(self):
         params = ModelParams(a=0.75, N=2, M=3, b=1.0, nu=1.0)
         W = np.ones((1, params.M, 2 * params.N))
         with pytest.raises(ValueError, match=r"extents=None\) requires nu = 0"):
-            assemble_H(params, W)
+            assemble_H(params, W, fresh_H(params))
 
     def test_band_count_required(self):
-        with pytest.raises(ValueError, match="band count N"):
-            assemble_H(ModelParams(a=1.0, b=1.0), np.ones((1, 2, 2)))
+        with pytest.raises(ValueError, match="sampling requires both M and N"):
+            assemble_H(ModelParams(a=1.0, b=1.0), np.ones((1, 2, 2)), np.empty((2, 2)))
 
     @pytest.mark.parametrize("W", [
         np.ones((3, 3, 4)),  # one site short
@@ -260,13 +262,13 @@ class TestAssembleH:
     ], ids=["sites", "rows", "columns", "complex"])
     def test_coupling_of_the_wrong_shape_rejected(self, W):
         with pytest.raises(ValueError, match=r"not real \(n_sites, M, 2N\)"):
-            assemble_H(CHAIN, W)
+            assemble_H(CHAIN, W, fresh_H(CHAIN))
 
 
 class TestSpectrumX:
     def test_clean_chain_frequencies(self):
         params = ModelParams(d=1, extents=(8,), N=1, M=2, b=0.0, nu=1.0)
-        H = draw_sample(params, np.random.SeedSequence(0))
+        H = draw_sample(params, np.random.SeedSequence(0), fresh_H(params))
         mu = spectrum_X(H, params)
         want = np.sort(np.repeat([dispersion([2 * np.pi * m / 8], 1.0) for m in range(8)], 2))
         assert np.allclose(np.sort(np.abs(mu)), want, atol=1e-7)
@@ -274,14 +276,14 @@ class TestSpectrumX:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_pairing(self, seed):
-        H = draw_sample(RMT, np.random.SeedSequence(seed))
+        H = draw_sample(RMT, np.random.SeedSequence(seed), fresh_H(RMT))
         mu = spectrum_X(H, RMT)
         assert np.allclose(np.sort(mu), np.sort(-mu), atol=1e-9 * max(1.0, np.abs(mu).max()))
 
     def test_tiny_size_characteristic_polynomial_oracle(self):
         # n = 4: roots of det(lambda - X) via the naive coefficient route
         params = ModelParams(a=1.0, N=2, M=4, b=1.0, nu=0.0)
-        H = draw_sample(params, np.random.SeedSequence(9))
+        H = draw_sample(params, np.random.SeedSequence(9), fresh_H(params))
         mu = spectrum_X(H.copy(), params)
         # X = -i Sigma3 H in the (a, a*) basis is J H in the quadrature basis
         X = symplectic_J(params.N) @ H
@@ -307,7 +309,7 @@ class TestSpectrumX:
         K = None if params.extents is None else complex_K(params)
         for seed in range(3):
             child = np.random.SeedSequence(seed)
-            mu = spectrum_X(draw_sample(params, child), params)
+            mu = spectrum_X(draw_sample(params, child, fresh_H(params)), params)
             want = complex_reference_spectrum(params, complex_couplings(params, child), K)
             assert np.all(np.diff(mu) >= 0)
             # at odd M a zero mode of X sits in a 2x2 Jordan block, which the
@@ -325,7 +327,8 @@ class TestSpectrumX:
         # even M: exactly 2N - M = 2N (1 - a) frequencies vanish
         params = ModelParams(N=N, M=M, b=1.0, nu=0.0)
         for seed in range(5):
-            mu = spectrum_X(draw_sample(params, np.random.SeedSequence(seed)), params)
+            H = draw_sample(params, np.random.SeedSequence(seed), fresh_H(params))
+            mu = spectrum_X(H, params)
             zero = np.abs(mu) <= 1e-8 * np.abs(mu).max()
             assert zero.sum() == 2 * N - M
 
@@ -343,7 +346,7 @@ class TestSpectrumX:
         # at nu > 0 a sample eliminates its p blocks first: one unshifted
         # cholesky_psd of the half-size Schur complement and one Gram
         # eigensolve of H's size; the dense route never runs
-        Hs = [draw_sample(params, child)
+        Hs = [draw_sample(params, child, fresh_H(params))
               for child in np.random.SeedSequence(0).spawn(n_samples)]
         dim = len(Hs[0])
         factored = recorded(monkeypatch, ensemble, "cholesky_psd")
@@ -367,7 +370,7 @@ class TestSpectrumX:
         # p-first route factors it with no shift, and the Gram guard hands
         # the S built from its blocks to the SVD
         params = ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0)
-        H = draw_sample(params, np.random.SeedSequence(2))
+        H = draw_sample(params, np.random.SeedSequence(2), fresh_H(params))
         dim = len(H)
         factored = recorded(monkeypatch, ensemble, "cholesky_psd")
         svds = recorded(monkeypatch, linalg, "skew_spectrum")
@@ -398,7 +401,7 @@ class TestSpectrumX:
     )
     def test_matches_the_dense_reference(self, params):
         for child in np.random.SeedSequence(0).spawn(2):
-            H = draw_sample(params, child)
+            H = draw_sample(params, child, fresh_H(params))
             want = dense_reference_spectrum(H, params.N)
             mu = spectrum_X(H, params)
             assert np.abs(mu - want).max() <= 1e-12 * np.abs(want).max()
@@ -415,7 +418,7 @@ class TestSpectrumX:
     )
     def test_singular_lattice_H_takes_the_dense_route(self, params):
         for seed in range(3):
-            H = draw_sample(params, np.random.SeedSequence(seed))
+            H = draw_sample(params, np.random.SeedSequence(seed), fresh_H(params))
             want = ensemble._dense_spectrum(H.copy(), params.N)
             assert np.array_equal(spectrum_X(H, params), want)
 
@@ -424,7 +427,7 @@ class TestSpectrumX:
         # tolerance: the Schur complement carries it against its own smaller
         # scale, and the p-first route must answer as the dense one does
         params = ModelParams(d=1, extents=(6,), N=2, M=3, b=0.63, nu=1.0)
-        H = draw_sample(params, np.random.SeedSequence(0))
+        H = draw_sample(params, np.random.SeedSequence(0), fresh_H(params))
         H[0, 4] += 0.9e-12 * np.abs(H).max()
         linalg.check_hermitian(H)
         want = ensemble._dense_spectrum(H.copy(), params.N)
@@ -446,7 +449,7 @@ class TestSpectrumX:
         # the result is that of an untouched copy; H itself is overwritten,
         # with the Gram matrix (and any S) on the p-first route, whose one
         # factorization is half-size, and with T and S^T S on the dense one
-        H = draw_sample(params, np.random.SeedSequence(seed))
+        H = draw_sample(params, np.random.SeedSequence(seed), fresh_H(params))
         want = spectrum_X(H.copy(), params)
         kept = H.copy()
         factored = recorded(monkeypatch, ensemble, "cholesky_psd")
@@ -455,8 +458,51 @@ class TestSpectrumX:
         size = len(H) // 2 if half else len(H)
         assert [args[0].shape for args, _ in factored] == [(size, size)]
 
+    @pytest.mark.parametrize("params, child, factored, svds", [
+        (MC_LATTICE, np.random.SeedSequence(0), [("half", False)], 0),
+        (ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0),
+         np.random.SeedSequence(2), [("half", False)], 1),
+        # the mc-flat flags
+        (ModelParams(N=8, M=12, b=1.0, nu=0.0), np.random.SeedSequence(0),
+         [("dense", True)], 1),
+        # the singular chain's first sample: the Schur complement needs a
+        # shift, and the dense route answers
+        (ModelParams(d=1, extents=(3,), N=9, M=2, b=0.63, nu=1.0),
+         np.random.SeedSequence(0, spawn_key=(0,)), [("half", True), ("dense", True)], 1),
+    ], ids=["gram", "gram-to-svd", "dense-shifted", "schur-shift-to-dense"])
+    def test_checks_H_once_on_every_route(self, params, child, factored, svds, monkeypatch):
+        # one check_hermitian per sample, whichever route answers: the
+        # kernels behind the routes trust it
+        H = draw_sample(params, child, fresh_H(params))
+        half = len(H) // 2
+        checks = recorded(monkeypatch, linalg, "check_hermitian")
+        calls = recorded(monkeypatch, ensemble, "cholesky_psd")
+        dense_svds = recorded(monkeypatch, ensemble, "skew_spectrum")
+        gram_svds = recorded(monkeypatch, linalg, "skew_spectrum")
+        spectrum_X(H, params)
+        assert len(checks) == 1
+        assert [("half" if len(args[0]) == half else "dense", bool(result[1]))
+                for args, result in calls] == factored
+        assert len(dense_svds) + len(gram_svds) == svds
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("params", [RMT, CHAIN], ids=["nu0", "nu>0"])
+    def test_non_finite_H_rejected(self, params, bad):
+        # symmetric, so only the finiteness check can catch it
+        H = draw_sample(params, np.random.SeedSequence(0), fresh_H(params))
+        H[0, 1] = H[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            spectrum_X(H, params)
+
+    @pytest.mark.parametrize("params", [RMT, CHAIN], ids=["nu0", "nu>0"])
+    def test_asymmetric_H_rejected(self, params):
+        H = draw_sample(params, np.random.SeedSequence(0), fresh_H(params))
+        H[0, 1] += 2.0 * linalg.HERMITIAN_TOL * np.abs(H).max()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectrum_X(H, params)
+
     def test_H_it_cannot_overwrite_in_place_rejected(self):
-        H = draw_sample(CHAIN, np.random.SeedSequence(0))
+        H = draw_sample(CHAIN, np.random.SeedSequence(0), fresh_H(CHAIN))
         readonly = H.copy()
         readonly.flags.writeable = False
         for bad in (np.asfortranarray(H), H[::2, ::2], readonly):
@@ -474,7 +520,7 @@ class TestSpectrumX:
     def test_off_site_p_entry_rejected(self):
         # one p-p bond between sites 0 and 1, which the p-first route would
         # drop: the clean term couples sites through q only
-        H = draw_sample(CHAIN, np.random.SeedSequence(0))
+        H = draw_sample(CHAIN, np.random.SeedSequence(0), fresh_H(CHAIN))
         p0, p1 = CHAIN.N, 3 * CHAIN.N
         H[p0, p1] = H[p1, p0] = -0.1
         with pytest.raises(ValueError, match="p entry outside its site's diagonal block"):
@@ -494,7 +540,7 @@ class TestSpectrumX:
     ])
     def test_cone_violation_at_positive_nu_detected(self, entry, factored, monkeypatch):
         # the dense route, which owns the shift ladder, gives the verdict
-        H = draw_sample(CHAIN, np.random.SeedSequence(0))
+        H = draw_sample(CHAIN, np.random.SeedSequence(0), fresh_H(CHAIN))
         i = CHAIN.N if entry == "p" else 0
         H[i, i] = -0.5
         dim = len(H)
@@ -506,7 +552,7 @@ class TestSpectrumX:
 
     def test_cone_membership_of_samples(self):
         for seed in range(4):
-            H = draw_sample(RMT, np.random.SeedSequence(seed))
+            H = draw_sample(RMT, np.random.SeedSequence(seed), fresh_H(RMT))
             w = np.linalg.eigvalsh(H)
             assert w.min() >= -1e-10 * np.abs(w).max()
 
@@ -519,7 +565,7 @@ def concatenated_histogram(params, n_samples, bins, seed, omega_max=None,
     ``spectrum(H, params)``.  Returns (counts, edges, zero modes, overflow,
     zero_tol)."""
     values = np.concatenate([
-        np.abs(spectrum(draw_sample(params, child), params))
+        np.abs(spectrum(draw_sample(params, child, fresh_H(params)), params))
         for child in np.random.SeedSequence(seed).spawn(n_samples)
     ])
     zero_tol = 1e-8 * float(values.max())
@@ -548,7 +594,7 @@ class TestMcDos:
         params = ModelParams(a=0.25, N=2, M=1, b=1.0, nu=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draw_sample(params, np.random.SeedSequence(0))
+            draw_sample(params, np.random.SeedSequence(0), fresh_H(params))
             hist = mc_dos(params, n_samples=3, bins=4, seed=0)
         assert len(hist.notes) == 1 and "M >= 2" in hist.notes[0]
         assert mc_dos(RMT, n_samples=3, bins=4, seed=0).notes == ()
@@ -690,7 +736,7 @@ class TestMcDos:
         dim = 2 * params.N * params.n_sites
         traces = []
         for child in np.random.SeedSequence(77).spawn(300):
-            H = draw_sample(params, child)
+            H = draw_sample(params, child, fresh_H(params))
             traces.append(np.trace(H).real / dim)
         traces = np.asarray(traces)
         want = params.nu + params.a * params.b

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bosondos import ModelParams
 from bosondos.model import assemble_K
-from clean_model import complex_K, delta_k, dispersion, k1_block
+from clean_model import complex_K, delta_k, dispersion, fresh_H, k1_block
 
 wavevectors = st.lists(
     st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True),
@@ -137,7 +137,7 @@ def test_assemble_K_blocks_are_the_closed_form(d, extents, N):
     # directed bond, the bonds at each site's -1 and +1 neighbour per axis,
     # and zero everywhere else
     params = ModelParams(d=d, extents=extents, N=N, M=4, b=0.1, nu=0.7)
-    H = assemble_K(params)
+    H = assemble_K(params, fresh_H(params))
     sites, n = params.n_sites, 2 * N
     onsite = params.nu * np.eye(n)
     bond = -params.nu / (2 * d) * np.diag(np.repeat([1.0, 0.0], N))
@@ -168,7 +168,8 @@ def test_assemble_K_fourier_consistency(d, extents):
     # (a, a*) = u (q, p)
     N = 2
     params = ModelParams(d=d, extents=extents, N=N, M=4, b=0.1, nu=0.7)
-    row = assemble_K(params).reshape(params.n_sites, 2 * N, params.n_sites, 2 * N)[0]
+    H = assemble_K(params, fresh_H(params))
+    row = H.reshape(params.n_sites, 2 * N, params.n_sites, 2 * N)[0]
     sites = np.array(np.unravel_index(np.arange(params.n_sites), extents)).T
     u = np.kron([[1.0, 1.0j], [1.0, -1.0j]], np.eye(N)) / np.sqrt(2.0)
     s3 = np.repeat([1.0, -1.0], N)
@@ -190,7 +191,7 @@ def test_assemble_K_memory_is_H_itself():
     dim = 2 * params.N * params.n_sites
     tracemalloc.start()
     try:
-        assemble_K(params)
+        assemble_K(params, fresh_H(params))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -204,7 +205,7 @@ def test_assemble_K_overwrites_a_given_array():
     dim = 2 * params.N * params.n_sites
     out = np.full((dim, dim), np.nan)
     assert assemble_K(params, out) is out
-    assert np.array_equal(out, assemble_K(params))
+    assert np.array_equal(out, assemble_K(params, fresh_H(params)))
     for bad in (np.empty((dim, dim)).T, np.empty((dim, dim), np.float32),
                 np.empty((dim, dim + 1))):
         with pytest.raises(ValueError, match="C-contiguous float64"):
@@ -214,7 +215,7 @@ def test_assemble_K_overwrites_a_given_array():
 def test_assemble_K_rejects_short_dimensions():
     params = ModelParams(d=1, extents=None, a=0.5, b=0.1, nu=1.0)
     with pytest.raises(ValueError, match="finite lattice"):
-        assemble_K(params)
+        assemble_K(params, np.empty((2, 2)))
     # a short dimension is rejected where the model is built
     with pytest.raises(ValueError, match="at least 3 sites"):
         ModelParams(d=1, extents=(2,), N=1, M=2, b=0.1, nu=1.0)
@@ -222,8 +223,8 @@ def test_assemble_K_rejects_short_dimensions():
 
 def test_assemble_K_requires_the_band_count():
     params = ModelParams(d=1, extents=(4,), a=0.75, b=0.1, nu=1.0)
-    with pytest.raises(ValueError, match="band count N"):
-        assemble_K(params)
+    with pytest.raises(ValueError, match="sampling requires both M and N"):
+        assemble_K(params, np.empty((8, 8)))
 
 
 class TestModelParams:
