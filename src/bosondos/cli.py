@@ -89,28 +89,31 @@ def compare_curves(cpa_omegas, cpa_rho, centers, widths, mc_density):
     """L1 distance and max deviation between a mean-field curve and a
     histogram, both in the two-sided density convention.
 
-    The curve is linearly interpolated onto the histogram bin centers; the
-    L1 distance is the integral of the absolute difference over the binned
-    range.  A bin center outside the curve's omega range raises ValueError,
-    where ``np.interp`` would hold the curve's end value.
+    The curve, in either omega order, is linearly interpolated onto the
+    histogram bin centers; the L1 distance is the integral of the absolute
+    difference over the binned range.  A bin center outside the curve's
+    omega range raises ValueError, where ``np.interp`` would hold the
+    curve's end value.
     """
-    first = float(np.min(cpa_omegas, initial=np.inf))
-    last = float(np.max(cpa_omegas, initial=-np.inf))
+    # np.interp needs ascending omegas; a curve may be swept downward
+    order = np.argsort(cpa_omegas, kind="stable")
+    omegas, rho = np.asarray(cpa_omegas)[order], np.asarray(cpa_rho)[order]
+    first = float(np.min(omegas, initial=np.inf))
+    last = float(np.max(omegas, initial=-np.inf))
     lo = float(np.min(centers, initial=np.inf))
     hi = float(np.max(centers, initial=-np.inf))
     if lo < first or hi > last:
         raise ValueError(f"bin centers {lo!r} to {hi!r} leave the omega range "
                          f"[{first!r}, {last!r}]; the curve would be extrapolated")
-    interp = np.interp(centers, cpa_omegas, cpa_rho)
+    interp = np.interp(centers, omegas, rho)
     diff = np.abs(np.asarray(mc_density) - interp)
     return float(np.sum(diff * widths)), float(diff.max(initial=0.0))
 
 
-def _model_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
-    if not rmt:
-        p.add_argument("--d", type=int, default=1, help="spatial dimension (default 1)")
-        p.add_argument("--nu", type=float, default=0.0,
-                       help="clean frequency scale (default 0)")
+def _model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, default=1, help="spatial dimension (default 1)")
+    p.add_argument("--nu", type=float, default=0.0,
+                   help="clean frequency scale (default 0)")
     p.add_argument("--N", type=int, default=None,
                    help="bands per site (default: unset)")
     p.add_argument("--M", type=int, default=None,
@@ -129,7 +132,7 @@ def _kgrid_flag(p: argparse.ArgumentParser) -> None:
                    "for d=3; required for d >= 4)")
 
 
-def _omega_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
+def _omega_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega-min", type=float, default=None,
                    help="lowest frequency (default omega_max/omega_steps)")
     p.add_argument("--omega-max", type=float, default=3.0,
@@ -140,11 +143,10 @@ def _omega_flags(p: argparse.ArgumentParser, rmt: bool = False) -> None:
     p.add_argument("--eps", type=float, default=None,
                    help="spectral regularization (default 1e-3 * nu, or "
                    "1e-3 * b at nu = 0)")
-    if not rmt:
-        _kgrid_flag(p)
-        p.add_argument("--check-quadrature", action="store_true",
-                       help="run the grid-doubling accuracy check on reported "
-                       "values (default off)")
+    _kgrid_flag(p)
+    p.add_argument("--check-quadrature", action="store_true",
+                   help="run the grid-doubling accuracy check on reported "
+                   "values (default off)")
 
 
 @functools.cache
@@ -164,13 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     _omega_flags(p)
     p.add_argument("--out", type=str, default="cpa-dos.csv",
                    help="output CSV path (default cpa-dos.csv)")
-
-    p = sub.add_parser("rmt-dos", help="mean-field density in the random-matrix "
-                       "limit (nu = 0)")
-    _model_flags(p, rmt=True)
-    _omega_flags(p, rmt=True)
-    p.add_argument("--out", type=str, default="rmt-dos.csv",
-                   help="output CSV path (default rmt-dos.csv)")
 
     p = sub.add_parser("mc-dos", help="Monte Carlo eigenfrequency histogram")
     _model_flags(p)
@@ -199,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="L1 distance between a mean-field curve "
                        "and a Monte Carlo histogram")
     p.add_argument("--cpa", type=str, required=True,
-                   help="CSV from cpa-dos or rmt-dos (required)")
+                   help="CSV from cpa-dos (required)")
     p.add_argument("--mc", type=str, required=True,
                    help="CSV from mc-dos (required)")
     p.add_argument("--threshold", type=float, default=float("inf"),
@@ -210,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _model(args: argparse.Namespace) -> Tuple[ModelParams, Dict[str, object]]:
     """The model the flags describe, and the preamble that records the run:
     version and mode, the resolved model, then the mode's other flags as
-    parsed.  A model flag the mode lacks keeps the ``ModelParams`` default
-    (rmt-dos: d = 1, nu = 0).  ``--kgrid`` is read into the extents."""
+    parsed.  ``--kgrid`` is read into the extents."""
     given = {f.name: getattr(args, f.name) for f in fields(ModelParams) if f.name in args}
     if given.get("extents") is not None:
         given["extents"] = tuple(int(tok) for tok in given["extents"].split(","))
@@ -270,8 +264,6 @@ def _omega_grid(args: argparse.Namespace) -> np.ndarray:
 
 
 def _run_dos(args: argparse.Namespace) -> int:
-    """cpa-dos and rmt-dos; rmt-dos has no quadrature flags because the
-    result at nu = 0 does not depend on the grid."""
     _check_finite(args, "--omega-min", "--omega-max", "--eps")
     params, meta = _model(args)
     omegas = _omega_grid(args)
@@ -283,7 +275,7 @@ def _run_dos(args: argparse.Namespace) -> int:
                  {"omega": [], "rho": [], "p_re": [], "p_im": [], "residual": []})
         return 0
     eps = default_eps(params) if args.eps is None else args.eps
-    curve = dos_curve(omegas, eps, params, check=getattr(args, "check_quadrature", False))
+    curve = dos_curve(omegas, eps, params, check=args.check_quadrature)
     _record_notes(meta, curve.notes)
     meta["eps"] = curve.eps
     meta["dirac_mass_at_zero"] = curve.dirac_mass_at_zero
@@ -371,13 +363,11 @@ def _run_compare(args: argparse.Namespace) -> int:
         print(f"warning: extents differ between {args.cpa} ({lattices[0]}) and "
               f"{args.mc} ({lattices[1]}); the L1 then includes the finite-"
               f"lattice mismatch", file=sys.stderr)
-    # np.interp needs ascending omega; a curve may be swept downward
-    order = np.argsort(cpa_cols["omega"], kind="stable")
-    omegas, rho = cpa_cols["omega"][order], cpa_cols["rho"][order]
     centers = 0.5 * (mc_cols["bin_left"] + mc_cols["bin_right"])
     widths = mc_cols["bin_right"] - mc_cols["bin_left"]
     try:
-        l1, max_dev = compare_curves(omegas, rho, centers, widths, mc_cols["density"])
+        l1, max_dev = compare_curves(cpa_cols["omega"], cpa_cols["rho"], centers, widths,
+                                     mc_cols["density"])
     except ValueError as exc:
         raise ValueError(f"{args.cpa}: {exc}") from None
     print(f"L1 = {l1!r}")
@@ -387,7 +377,6 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 MODES = {
     "cpa-dos": _run_dos,
-    "rmt-dos": _run_dos,
     "mc-dos": _run_mc,
     "solve-p": _run_solve_p,
     "compare": _run_compare,

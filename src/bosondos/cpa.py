@@ -166,7 +166,7 @@ class DosCurve:
 def default_eps(params: ModelParams) -> float:
     """Default spectral regularization: 1e-3 * nu on a lattice (nu > 0),
     whatever b, and 1e-3 * b in the flat-band limit (nu = 0)."""
-    scale = params.b if params.is_rmt else params.nu
+    scale = params.b if params.nu == 0 else params.nu
     return 1e-3 * scale
 
 
@@ -484,7 +484,7 @@ def dos_curve(
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.size and omegas.min() <= 0:
         raise ValueError("omega_grid must be strictly positive")
-    dirac = max(0.0, 1.0 - params.a) if (params.is_rmt and params.a < 1) else 0.0
+    dirac = max(0.0, 1.0 - params.a) if params.nu == 0 else 0.0
     sweep = continuation_sweep(omegas, eps, params)
     g = sweep.g  # the sweep's own array: rewritten in place below
     notes = []

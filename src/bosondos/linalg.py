@@ -1,5 +1,5 @@
-"""Dense kernels: Hermitian eigenvalues, skew-symmetric spectra and PSD
-Cholesky with a rounding-sized shift.
+"""Dense real kernels: symmetric eigenvalues, skew-symmetric spectra and
+PSD Cholesky with a rounding-sized shift.
 
 Thin contracts over the LAPACK routines exposed by numpy, on plain arrays:
 ``hermitian_eig`` returns the ascending eigenvalue array and
@@ -13,16 +13,18 @@ mu_min < 1e-3 * mu_max (an error bound of about 5e2 * eps * mu_max).  That
 guard is kept there alone: ``ensemble.spectrum_X`` forms S^T S as one
 product of a dense S, or assembles it from blocks of S, and passes a
 function that returns S, called only for the SVD.  ``check_hermitian``
-validates a matrix (Hermiticity and finiteness); the kernels trust their
-callers, and ``ensemble.spectrum_X`` checks each sample once, before any of
-them runs.  The value added by ``cholesky_psd`` is cone membership and the
-diagonal shift for semidefinite matrices: a ladder of a few multiples of
-eps * max A_ii, with no eigensolve.  Real input stays in real arithmetic
-throughout; LAPACK's own LinAlgError passes through.
+validates a real matrix (symmetry and finiteness); it and ``cholesky_psd``
+reject a complex one.  The kernels trust their callers, and
+``ensemble.spectrum_X`` checks each sample once, before any of them runs.
+The value added by ``cholesky_psd`` is cone membership and the diagonal
+shift for semidefinite matrices: a ladder of a few multiples of
+eps * max A_ii, with no eigensolve.  The oracle's H is real, so every
+kernel takes real input and stays in real arithmetic; LAPACK's own
+LinAlgError passes through.
 
-Memory: numpy copies every matrix into LAPACK's column order.  Real
-symmetric input is passed as its transpose, an F-contiguous view of the
-same numbers, which makes that copy contiguous rather than a strided
+Memory: numpy copies every matrix into LAPACK's column order.  Symmetric
+input is passed as its transpose, an F-contiguous view of the same
+numbers, which makes that copy contiguous rather than a strided
 transpose.
 """
 
@@ -46,31 +48,30 @@ class NotPsdError(np.linalg.LinAlgError):
     """The matrix is indefinite beyond the allowed semidefinite tolerance."""
 
 
-HERMITIAN_TOL = 1e-12  # max |A - A^H| allowed, relative to max |A|
+HERMITIAN_TOL = 1e-12  # max |A - A^T| allowed, relative to max |A|
 SHIFT_TOL = 1e-10  # largest Cholesky shift, relative to max A_ii
 _ROW_BLOCK = 32  # rows per block of check_hermitian's residual
 
 
-def _square(A) -> np.ndarray:
+def _real_square(A) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if np.iscomplexobj(A):
+        raise ValueError(f"expected a real matrix, got dtype {A.dtype}")
     return A
 
 
 def check_hermitian(A) -> np.ndarray:
-    """Validate A = A^dagger within ``HERMITIAN_TOL`` relative, with every
+    """Validate a real A = A^T within ``HERMITIAN_TOL`` relative, with every
     entry finite, and return the array.
 
-    A real A makes no dim^2 temporary: its scale is max(max A, -min A), and
-    the residual is taken over blocks of ``_ROW_BLOCK`` rows.  Complex
-    input (not on the oracle's path) takes its scale from |A|.
+    No dim^2 temporary is made: the scale is max(max A, -min A), and the
+    residual is taken over blocks of ``_ROW_BLOCK`` rows.  Complex input is
+    rejected.
     """
-    A = _square(A)
-    if np.iscomplexobj(A):
-        bounds = (float(np.abs(A).max(initial=0.0)),)
-    else:
-        bounds = (float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
+    A = _real_square(A)
+    bounds = (float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
     # max and min propagate nan and inf, but Python's max below would drop a
     # nan, and the residual test alone would pass one
     if not all(map(math.isfinite, bounds)):
@@ -81,18 +82,18 @@ def check_hermitian(A) -> np.ndarray:
     resid = 0.0
     for start in range(0, len(A), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        block = A[rows, start:] - A[start:, rows].conj().T
+        block = A[rows, start:] - A[start:, rows].T
         resid = max(resid, float(np.abs(block).max()))
     if resid > HERMITIAN_TOL * scale:
         raise ValueError(
-            f"matrix is not Hermitian: max |A - A^H| = {resid:.3e} "
+            f"matrix is not Hermitian: max |A - A^T| = {resid:.3e} "
             f"exceeds {HERMITIAN_TOL:g} * max|A| = {HERMITIAN_TOL * scale:.3e}"
         )
     return A
 
 
 def hermitian_eig(A) -> np.ndarray:
-    """All-real ascending spectrum of a Hermitian matrix (LAPACK-backed)."""
+    """Ascending spectrum of a real symmetric matrix (LAPACK-backed)."""
     return np.linalg.eigvalsh(check_hermitian(A))
 
 
@@ -133,7 +134,7 @@ def gram_spectrum(G, skew) -> np.ndarray:
 
 
 def cholesky_psd(A):
-    """Lower-triangular C and shift sigma with A + sigma*I = C C^dagger.
+    """Lower-triangular C and shift sigma with A + sigma*I = C C^T, A real.
 
     The models keep A positive semidefinite, so a shift only has to absorb
     rounding, and a few eps * max A_ii are enough for that (Higham, 1990).
@@ -141,18 +142,18 @@ def cholesky_psd(A):
     max A_ii, at which the factorization succeeds; no eigensolve runs on
     that path.  A matrix that fails at every rung lies outside the stability
     cone, which signals a model bug upstream: :class:`NotPsdError` is raised
-    with its minimum eigenvalue.  A must be Hermitian, which is the
-    caller's to guarantee and not checked here.  A real A is passed to
-    LAPACK as A^T, the same numbers when A is exactly symmetric; a complex A
-    is passed as given, since A^T = conj(A).  LAPACK reads one triangle.
+    with its minimum eigenvalue.  Complex input is rejected, since the
+    factor of A^T would be that of conj(A).  A must be symmetric, which is
+    the caller's to guarantee and not checked here.  A is passed to LAPACK
+    as A^T, the same numbers when A is exactly symmetric; LAPACK reads one
+    triangle.
     """
-    A = _square(A)
+    A = _real_square(A)
     scale = max(float(np.abs(A.diagonal()).max(initial=0.0)), np.finfo(float).tiny)
     eps = np.finfo(float).eps
-    At = A if np.iscomplexobj(A) else A.T
     for sigma in (m * scale for m in (0.0, eps, 1e2 * eps, 1e4 * eps, SHIFT_TOL)):
         try:
-            return np.linalg.cholesky(At + sigma * np.eye(len(A)) if sigma else At), sigma
+            return np.linalg.cholesky(A.T + sigma * np.eye(len(A)) if sigma else A.T), sigma
         except np.linalg.LinAlgError:
             pass
     raise NotPsdError(

@@ -106,11 +106,6 @@ class ModelParams:
     def n_sites(self) -> int:
         return 1 if self.extents is None else math.prod(self.extents)
 
-    @property
-    def is_rmt(self) -> bool:
-        """True in the pure random-matrix limit (no deterministic generator)."""
-        return self.nu == 0
-
 
 def _sample_dim(params: ModelParams) -> int:
     """The dimension 2N * n_sites of a realization's H."""

@@ -9,7 +9,7 @@ from bosondos.cpa import BranchError, SolverError
 from bosondos.ensemble import ConeViolationError
 from bosondos.linalg import NotPsdError
 
-MODES = ("cpa-dos", "rmt-dos", "mc-dos", "solve-p", "compare")
+MODES = ("cpa-dos", "mc-dos", "solve-p", "compare")
 
 
 def test_help_enumerates_all_modes(capsys):
@@ -26,7 +26,6 @@ def test_help_enumerates_all_modes(capsys):
     [
         ("cpa-dos", "--kgrid"),
         ("cpa-dos", "--omega-max"),
-        ("rmt-dos", "--eps"),
         ("mc-dos", "--seed"),
         ("solve-p", "--z-re"),
         ("compare", "--threshold"),
@@ -45,10 +44,20 @@ def test_unknown_mode_is_usage_error():
     assert exit_info.value.code == 2
 
 
+def test_rmt_dos_mode_is_gone(tmp_path, capsys):
+    # the flat-band curve is cpa-dos --nu 0, which writes the same data lines
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "3", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'rmt-dos'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_flag_value_is_usage_error(tmp_path, capsys):
     for bad in (["--omega-min", "-1.0"], ["--omega-steps", "-5"]):
         rc = main([
-            "rmt-dos", "--a", "1.0", "--b", "1.0", *bad,
+            "cpa-dos", "--nu", "0", "--a", "1.0", "--b", "1.0", *bad,
             "--out", str(tmp_path / "x.csv"),
         ])
         assert rc == 2
@@ -58,7 +67,7 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,name",
     [
-        (["rmt-dos", "--a", "nan", "--b", "1"], "a"),
+        (["cpa-dos", "--a", "nan", "--b", "1", "--nu", "0"], "a"),
         (["cpa-dos", "--a", "0.75", "--b", "nan", "--nu", "1"], "b"),
         (["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "nan"], "nu"),
         (["mc-dos", "--N", "2", "--M", "4", "--b", "inf", "--nu", "0",
@@ -84,7 +93,6 @@ def test_mc_dos_without_band_counts_is_usage_error(tmp_path, capsys):
 FREQUENCY_MODES = {
     "cpa-dos": ["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1",
                 "--omega-steps", "3"],
-    "rmt-dos": ["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "3"],
     "solve-p": ["solve-p", "--a", "0.75", "--b", "0.63", "--nu", "1"],
     "mc-dos": ["mc-dos", "--N", "2", "--M", "3", "--b", "1", "--nu", "0",
                "--samples", "2", "--bins", "3", "--seed", "0"],
@@ -99,7 +107,6 @@ FREQUENCY_MODES = {
         ("cpa-dos", "--omega-max", "nan"),
         ("cpa-dos", "--omega-max", "inf"),
         ("cpa-dos", "--omega-min", "nan"),
-        ("rmt-dos", "--eps", "nan"),
         ("solve-p", "--z-re", "nan"),
         ("solve-p", "--z-im", "inf"),
         ("mc-dos", "--omega-max", "nan"),
@@ -163,7 +170,7 @@ def test_solve_p_nonpositive_z_re_is_usage_error(value, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode", ["cpa-dos", "rmt-dos"])
+@pytest.mark.parametrize("mode", ["cpa-dos"])
 def test_richardson_flag_is_gone(mode, tmp_path, capsys):
     # a smaller --eps is the one route to the eps -> 0+ density
     out = tmp_path / "x.csv"
@@ -207,7 +214,7 @@ def test_exit_code_per_error_type(exc, code, monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cli, "dos_curve", fail)
     rc = main([
-        "rmt-dos", "--a", "1.0", "--b", "1.0", "--omega-steps", "3",
+        "cpa-dos", "--nu", "0", "--a", "1.0", "--b", "1.0", "--omega-steps", "3",
         "--out", str(tmp_path / "x.csv"),
     ])
     assert rc == code
@@ -256,7 +263,7 @@ def test_small_a_curve_with_re_p_below_zero_is_solved(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1"],
     ["cpa-dos", "--d", "3", "--a", "0.75", "--b", "0.63", "--nu", "1"],
-    ["rmt-dos", "--a", "0.75", "--b", "1"],
+    ["cpa-dos", "--nu", "0", "--a", "0.75", "--b", "1"],
 ])
 def test_frequency_below_the_overflow_is_solved(argv, tmp_path):
     # alpha^2 overflows past |omega| ~ 1e77, z^2 only past 1e154: the
@@ -274,7 +281,8 @@ def test_frequency_below_the_overflow_is_solved(argv, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["solve-p", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
      "--z-re", "1", "--z-im", "1e200"],
-    ["rmt-dos", "--a", "0.75", "--b", "1", "--omega-steps", "5", "--omega-max", "1e300"],
+    ["cpa-dos", "--nu", "0", "--a", "0.75", "--b", "1", "--omega-steps", "5",
+     "--omega-max", "1e300"],
     ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
      "--omega-steps", "3", "--omega-max", "1e160"],
 ])
@@ -289,7 +297,7 @@ def test_overflowing_frequency_exits_1_without_a_file(argv, tmp_path, capsys):
 
 def test_unwritable_path_is_io_error(capsys):
     rc = main([
-        "rmt-dos", "--a", "1.0", "--b", "1.0", "--omega-steps", "3",
+        "cpa-dos", "--nu", "0", "--a", "1.0", "--b", "1.0", "--omega-steps", "3",
         "--out", "/nonexistent-dir/x.csv",
     ])
     assert rc == 1
@@ -338,10 +346,10 @@ def test_emit_csv_empty_grid(tmp_path, capsys):
     assert all(len(v) == 0 for v in cols.values())
 
 
-def test_rmt_dos_reports_point_mass(tmp_path):
+def test_flat_band_curve_reports_point_mass(tmp_path):
     out = tmp_path / "rmt.csv"
     rc = main([
-        "rmt-dos", "--a", "0.75", "--b", "1.0",
+        "cpa-dos", "--nu", "0", "--a", "0.75", "--b", "1.0",
         "--omega-steps", "20", "--out", str(out),
     ])
     assert rc == 0
@@ -471,7 +479,7 @@ def test_compare_round_trip(tmp_path):
     rmt = tmp_path / "rmt.csv"
     mc = tmp_path / "mc.csv"
     assert main([
-        "rmt-dos", "--a", "1.0", "--b", "1.0", "--omega-max", "2.8",
+        "cpa-dos", "--nu", "0", "--a", "1.0", "--b", "1.0", "--omega-max", "2.8",
         "--omega-steps", "250", "--out", str(rmt),
     ]) == 0
     assert main([
@@ -502,7 +510,7 @@ def test_compare_rejects_mismatched_inputs(tmp_path, capsys):
                                           ("match", "1.0", "0.01", "3.0")):
         curves[name] = tmp_path / f"{name}.csv"
         assert main([
-            "rmt-dos", "--a", a, "--b", "1.0", "--omega-min", omega_min,
+            "cpa-dos", "--nu", "0", "--a", a, "--b", "1.0", "--omega-min", omega_min,
             "--omega-max", omega_max, "--omega-steps", "50",
             "--out", str(curves[name]),
         ]) == 0
@@ -528,7 +536,7 @@ def test_compare_derives_a_histogram_s_missing_ratio(tmp_path, capsys):
     lines = mc.read_text().splitlines(keepends=True)
     assert "# a = 0.75\n" in lines
     mc.write_text("".join(line for line in lines if not line.startswith("# a = ")))
-    assert main(["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "50",
+    assert main(["cpa-dos", "--nu", "0", "--a", "1", "--b", "1", "--omega-steps", "50",
                  "--out", str(rmt)]) == 0
     capsys.readouterr()
     assert main(["compare", "--cpa", str(rmt), "--mc", str(mc), "--threshold", "10"]) == 2
@@ -564,7 +572,7 @@ def test_compare_names_a_lattice_mismatch(tmp_path, capsys):
     assert mismatched.out.startswith("L1 = ")
     # the flat band records no extents on either side
     rmt, flat = tmp_path / "rmt.csv", tmp_path / "flat.csv"
-    assert main(["rmt-dos", "--a", "1", "--b", "1", "--omega-max", "3",
+    assert main(["cpa-dos", "--nu", "0", "--a", "1", "--b", "1", "--omega-max", "3",
                  "--omega-steps", "100", "--out", str(rmt)]) == 0
     assert main(["mc-dos", "--a", "1", "--N", "8", "--M", "16", "--b", "1",
                  "--nu", "0", "--samples", "3", "--bins", "20", "--seed", "0",
@@ -595,7 +603,7 @@ def test_compare_downward_curve(tmp_path, capsys):
     for name, lo, hi in (("up", "0.01", "3"), ("down", "3", "0.01")):
         curve = tmp_path / f"{name}.csv"
         assert main([
-            "rmt-dos", "--a", "1", "--b", "1", "--omega-min", lo,
+            "cpa-dos", "--nu", "0", "--a", "1", "--b", "1", "--omega-min", lo,
             "--omega-max", hi, "--omega-steps", "300", "--out", str(curve),
         ]) == 0
         norm[name] = float(parse_csv(str(curve))[0]["normalization"])
@@ -614,10 +622,10 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
                 ["version", "mode", "d", "extents", "a", "b", "nu", "omega_max",
                  "omega_steps", "check_quadrature", "out", "eps",
                  "dirac_mass_at_zero", "normalization"]),
-        "rmt": (["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "12"],
+        "rmt": (["cpa-dos", "--nu", "0", "--a", "1", "--b", "1", "--omega-steps", "12"],
                 ["version", "mode", "d", "a", "b", "nu", "omega_max",
-                 "omega_steps", "out", "eps", "dirac_mass_at_zero",
-                 "normalization"]),
+                 "omega_steps", "check_quadrature", "out", "eps",
+                 "dirac_mass_at_zero", "normalization"]),
         "mc": (["mc-dos", "--N", "16", "--M", "32", "--b", "1", "--nu", "0",
                 "--samples", "2", "--bins", "10"],
                ["version", "mode", "d", "N", "M", "a", "b", "nu", "samples",
@@ -684,6 +692,18 @@ def test_compare_curves_metric():
     assert mx == pytest.approx(0.5)
 
 
+def test_compare_curves_takes_a_descending_curve():
+    # np.interp needs ascending abscissae and does not check them; a curve
+    # swept downward must give the L1 of the same curve swept upward
+    omegas = np.linspace(0.1, 1.0, 200)
+    centers = np.linspace(0.125, 0.975, 18)
+    widths = np.full(18, 0.05)
+    up = compare_curves(omegas, omegas**2, centers, widths, centers**2)
+    down = compare_curves(omegas[::-1], omegas[::-1] ** 2, centers, widths, centers**2)
+    assert down == up
+    assert up[0] <= 1e-5
+
+
 @pytest.mark.parametrize("center", [0.05, 1.05], ids=["below", "above"])
 def test_compare_curves_refuses_to_extrapolate(center):
     # np.interp would hold the curve's end value flat beyond its omegas
@@ -703,7 +723,7 @@ def test_compare_missing_columns_is_usage_error(tmp_path, capsys):
 def test_parser_defaults_cover_every_flag():
     parser = build_parser()
     # all subparsers expose defaults through parse_args of minimal argv
-    args = parser.parse_args(["rmt-dos", "--a", "1.0", "--b", "1.0"])
+    args = parser.parse_args(["cpa-dos", "--nu", "0", "--a", "1.0", "--b", "1.0"])
     assert args.omega_steps == 600 and args.omega_max == 3.0
     args = parser.parse_args([
         "mc-dos", "--a", "1.0", "--N", "2", "--M", "4", "--b", "1.0",

@@ -57,9 +57,19 @@ def complex_H(params, blocks, K=None):
 
 def complex_reference_spectrum(params, blocks, K=None):
     """Frequencies from the (a, a*)-basis reduction C^dagger Sigma3 C of
-    ``complex_H``, in complex arithmetic."""
+    ``complex_H``, in complex arithmetic; H + sigma*I = C C^dagger at the
+    first of ``cholesky_psd``'s shifts sigma that factors."""
     s3 = np.tile(np.repeat([1.0, -1.0], params.N), len(blocks))
-    C, _ = cholesky_psd(complex_H(params, blocks, K))
+    H = complex_H(params, blocks, K)
+    eps, scale = np.finfo(float).eps, H.diagonal().real.max()
+    for m in (0.0, eps, 1e2 * eps, 1e4 * eps, linalg.SHIFT_TOL):
+        try:
+            C = np.linalg.cholesky(H + m * scale * np.eye(len(H)))
+            break
+        except np.linalg.LinAlgError:
+            pass
+    else:
+        raise AssertionError("complex H is not positive semidefinite")
     R = C.conj().T @ (s3[:, None] * C)
     return np.linalg.eigvalsh(0.5 * (R + R.conj().T))
 
