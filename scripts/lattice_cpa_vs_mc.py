@@ -3,25 +3,29 @@
 
 Sweeps the two disorder strengths that bracket the interesting regime:
 b = 0.15 (van Hove remnant still visible near omega = sqrt(2) nu) and
-b = 0.63 (low-frequency peak, bulk pushed upward).  Writes CSV curves and
-prints the L1 agreement between the two routes.
+b = 0.63 (low-frequency peak, bulk pushed upward).  Each strength is three
+CLI runs: ``mc-dos`` on the periodic chain; ``cpa-dos --kgrid`` on the
+momenta of that same chain, up to the histogram's top edge; and
+``compare``, which checks that both files hold one model and prints the L1.
 
-Both routes take one ``ModelParams``, so the mean field averages over the
-momenta of the same periodic chain the oracle samples.  At the defaults
-(32 sites, N = 8, 200 samples, seed 0) the L1 is 0.0148 at b = 0.15 and
-0.0124 at b = 0.63; against the 4096-point stand-in for the infinite chain
-it is 0.136 at b = 0.15, the chain's finite-size floor, and the same
-0.0124 at b = 0.63.  Each curve is solved on a grid sized from its
-histogram, so that every bin center lies within the curve's omega range.
+At the defaults (32 sites, N = 8, 200 samples, seed 0) the L1 is 0.0148 at
+b = 0.15 and 0.0124 at b = 0.63; against the 4096-point stand-in for the
+infinite chain it is 0.136 at b = 0.15, the chain's finite-size floor, and
+the same 0.0124 at b = 0.63.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-import numpy as np
+from bosondos.cli import main as cli, parse_csv
 
-from bosondos import ModelParams, dos_curve, mc_dos
-from bosondos.cli import compare_curves, emit_csv
+
+def run(*argv):
+    """One CLI run; a failed one ends the script with its exit status."""
+    status = cli([str(arg) for arg in argv])
+    if status:
+        sys.exit(status)
 
 
 def main():
@@ -35,33 +39,19 @@ def main():
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    nu, a = 1.0, 0.75
-    M = int(round(2 * args.N * a))
+    # a = M/(2N) as near 0.75 as N allows, the same on both routes
+    M = round(2 * args.N * 0.75)
     for b in (0.15, 0.63):
-        params = ModelParams(d=1, extents=(args.sites,), N=args.N, M=M, b=b, nu=nu)
-        hist = mc_dos(params, n_samples=args.samples, bins=100, seed=args.seed)
-        emit_csv(str(out / f"mc_b{b}.csv"),
-                 {"extents": params.extents, "b": b, "seed": hist.seed,
-                  "total_eigenvalues": hist.total_eigenvalues},
-                 {"bin_left": hist.bin_edges[:-1],
-                  "bin_right": hist.bin_edges[1:],
-                  "density": hist.densities, "count": hist.counts})
-
+        print(f"b = {b}: {args.samples} samples of {args.sites} sites, N={args.N}")
+        model = ["--d", 1, "--N", args.N, "--M", M, "--b", b, "--nu", 1.0]
+        hist, curve = out / f"mc_b{b}.csv", out / f"cpa_b{b}.csv"
+        run("mc-dos", *model, "--extents", args.sites, "--samples", args.samples,
+            "--bins", 100, "--seed", args.seed, "--out", hist)
         # the curve covers every bin center, from top / 480 up to the top edge
-        top = float(hist.bin_edges[-1])
-        omegas = np.linspace(top / 480, top, 480)
-        curve = dos_curve(omegas, 1e-3, params)
-        emit_csv(str(out / f"cpa_b{b}.csv"),
-                 {"extents": params.extents, "b": b, "eps": curve.eps,
-                  "normalization": curve.normalization},
-                 {"omega": curve.omegas, "rho": curve.rho,
-                  "p_re": curve.p.real, "p_im": curve.p.imag,
-                  "residual": curve.residuals})
-
-        l1, mx = compare_curves(omegas, curve.rho, hist.bin_centers,
-                                hist.widths, hist.densities)
-        print(f"b={b}: L1 = {l1:.4f}, max dev = {mx:.4f} "
-              f"({args.samples} samples of {args.sites} sites, N={args.N})")
+        top = float(parse_csv(str(hist))[1]["bin_right"][-1])
+        run("cpa-dos", *model, "--kgrid", args.sites, "--omega-min", top / 480,
+            "--omega-max", top, "--omega-steps", 480, "--eps", 1e-3, "--out", curve)
+        run("compare", "--cpa", curve, "--mc", hist)
 
 
 if __name__ == "__main__":

@@ -95,9 +95,12 @@ def compare_curves(cpa_omegas, cpa_rho, centers, widths, mc_density):
     omega range raises ValueError, where ``np.interp`` would hold the
     curve's end value.
     """
+    # float arrays: an integer array's min takes no initial=inf
+    omegas, rho, centers, widths, density = (np.asarray(x, dtype=float) for x in (
+        cpa_omegas, cpa_rho, centers, widths, mc_density))
     # np.interp needs ascending omegas; a curve may be swept downward
-    order = np.argsort(cpa_omegas, kind="stable")
-    omegas, rho = np.asarray(cpa_omegas)[order], np.asarray(cpa_rho)[order]
+    order = np.argsort(omegas, kind="stable")
+    omegas, rho = omegas[order], rho[order]
     first = float(np.min(omegas, initial=np.inf))
     last = float(np.max(omegas, initial=-np.inf))
     lo = float(np.min(centers, initial=np.inf))
@@ -106,7 +109,7 @@ def compare_curves(cpa_omegas, cpa_rho, centers, widths, mc_density):
         raise ValueError(f"bin centers {lo!r} to {hi!r} leave the omega range "
                          f"[{first!r}, {last!r}]; the curve would be extrapolated")
     interp = np.interp(centers, omegas, rho)
-    diff = np.abs(np.asarray(mc_density) - interp)
+    diff = np.abs(density - interp)
     return float(np.sum(diff * widths)), float(diff.max(initial=0.0))
 
 
@@ -138,8 +141,7 @@ def _omega_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega-max", type=float, default=3.0,
                    help="highest frequency (default 3.0)")
     p.add_argument("--omega-steps", type=int, default=600,
-                   help="number of grid points (default 600; 0 emits a "
-                   "header-only file)")
+                   help="number of grid points (default 600)")
     p.add_argument("--eps", type=float, default=None,
                    help="spectral regularization (default 1e-3 * nu, or "
                    "1e-3 * b at nu = 0)")
@@ -249,10 +251,8 @@ def _record_notes(meta: Dict[str, object], notes: Sequence[str]) -> None:
 
 
 def _omega_grid(args: argparse.Namespace) -> np.ndarray:
-    if args.omega_steps < 0:
-        raise ValueError(f"omega-steps must be nonnegative, got {args.omega_steps}")
-    if args.omega_steps == 0:
-        return np.zeros(0)
+    if args.omega_steps < 1:
+        raise ValueError(f"--omega-steps must be at least 1, got {args.omega_steps}")
     if args.omega_max <= 0:
         raise ValueError(f"--omega-max must be positive, got {args.omega_max}")
     lo = args.omega_min
@@ -267,13 +267,6 @@ def _run_dos(args: argparse.Namespace) -> int:
     _check_finite(args, "--omega-min", "--omega-max", "--eps")
     params, meta = _model(args)
     omegas = _omega_grid(args)
-    if omegas.size == 0:
-        print("warning: empty frequency grid, emitting header-only file",
-              file=sys.stderr)
-        meta["warning"] = "empty frequency grid"
-        emit_csv(args.out, meta,
-                 {"omega": [], "rho": [], "p_re": [], "p_im": [], "residual": []})
-        return 0
     eps = default_eps(params) if args.eps is None else args.eps
     curve = dos_curve(omegas, eps, params, check=args.check_quadrature)
     _record_notes(meta, curve.notes)
@@ -348,16 +341,17 @@ def _run_compare(args: argparse.Namespace) -> int:
         missing = [name for name in need if name not in cols]
         if missing:
             raise ValueError(f"{path} lacks columns {missing}")
-    # histograms written before mc-dos recorded the resolved a
-    if "a" not in mc_meta and {"N", "M"} <= mc_meta.keys():
-        mc_meta["a"] = int(mc_meta["M"]) / (2 * int(mc_meta["N"]))
+    # both files must record the model, or a pair of two models could pass
     for key in ("d", "nu", "b", "a"):
-        if key in cpa_meta and key in mc_meta:
-            if float(cpa_meta[key]) != float(mc_meta[key]):
-                raise ValueError(
-                    f"{key} differs between {args.cpa} ({cpa_meta[key]}) "
-                    f"and {args.mc} ({mc_meta[key]})"
-                )
+        for meta, path in ((cpa_meta, args.cpa), (mc_meta, args.mc)):
+            if key not in meta:
+                raise ValueError(f"{path} records no {key}; compare needs d, nu, b "
+                                 f"and a in both preambles")
+        if float(cpa_meta[key]) != float(mc_meta[key]):
+            raise ValueError(
+                f"{key} differs between {args.cpa} ({cpa_meta[key]}) "
+                f"and {args.mc} ({mc_meta[key]})"
+            )
     lattices = cpa_meta.get("extents"), mc_meta.get("extents")
     if None not in lattices and lattices[0] != lattices[1]:
         print(f"warning: extents differ between {args.cpa} ({lattices[0]}) and "

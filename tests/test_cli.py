@@ -1,4 +1,7 @@
+import runpy
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,17 +336,18 @@ def test_array_columns_write_what_scalar_entries_write(tmp_path):
     assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "scalars.csv").read_bytes()
 
 
-def test_emit_csv_empty_grid(tmp_path, capsys):
+def test_cpa_dos_empty_grid_is_usage_error(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     rc = main([
         "cpa-dos", "--a", "0.75", "--b", "0.5", "--nu", "1.0",
         "--omega-steps", "0", "--out", str(out),
     ])
-    assert rc == 0
-    assert "empty" in capsys.readouterr().err
-    meta, cols = parse_csv(str(out))
-    assert meta["warning"] == "empty frequency grid"
-    assert all(len(v) == 0 for v in cols.values())
+    assert rc == 2
+    assert "--omega-steps must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    # emit_csv itself still writes a header-only file for zero rows
+    emit_csv(str(out), {"eps": 1e-3}, {"omega": [], "rho": []})
+    assert out.read_text() == "# eps = 0.001\nomega,rho\n"
 
 
 def test_flat_band_curve_reports_point_mass(tmp_path):
@@ -527,20 +531,55 @@ def test_compare_rejects_mismatched_inputs(tmp_path, capsys):
     assert main(["compare", "--cpa", str(curves["match"]), "--mc", str(mc)]) == 0
 
 
-def test_compare_derives_a_histogram_s_missing_ratio(tmp_path, capsys):
-    # a histogram written before mc-dos recorded a: its M/(2N) = 0.75 must
-    # still be checked against the curve's a = 1
-    mc, rmt = tmp_path / "mc.csv", tmp_path / "rmt.csv"
-    assert main(["mc-dos", "--N", "8", "--M", "12", "--b", "1", "--nu", "0",
-                 "--samples", "2", "--bins", "4", "--out", str(mc)]) == 0
-    lines = mc.read_text().splitlines(keepends=True)
-    assert "# a = 0.75\n" in lines
-    mc.write_text("".join(line for line in lines if not line.startswith("# a = ")))
-    assert main(["cpa-dos", "--nu", "0", "--a", "1", "--b", "1", "--omega-steps", "50",
-                 "--out", str(rmt)]) == 0
+@pytest.fixture(scope="module")
+def flat_band_pair(tmp_path_factory):
+    """A matched flat-band curve and histogram, as the CLI writes them."""
+    root = tmp_path_factory.mktemp("pair")
+    cpa, mc = root / "cpa.csv", root / "mc.csv"
+    assert main(["cpa-dos", "--nu", "0", "--a", "1", "--b", "1", "--omega-max", "3",
+                 "--omega-steps", "100", "--out", str(cpa)]) == 0
+    assert main(["mc-dos", "--a", "1", "--N", "8", "--M", "16", "--b", "1", "--nu", "0",
+                 "--samples", "3", "--bins", "20", "--seed", "0", "--out", str(mc)]) == 0
+    return {"cpa": cpa, "mc": mc}
+
+
+@pytest.mark.parametrize("side", ["cpa", "mc"])
+@pytest.mark.parametrize("key", ["d", "nu", "b", "a"])
+def test_compare_requires_the_model_in_both_files(key, side, flat_band_pair, tmp_path,
+                                                  capsys):
+    # a file that does not record the model could hold another one; for a
+    # histogram without a, M/(2N) is not read in its place
+    paths = dict(flat_band_pair)
+    lines = paths[side].read_text().splitlines(keepends=True)
+    paths[side] = tmp_path / f"no-{key}.csv"
+    paths[side].write_text("".join(line for line in lines
+                                   if not line.startswith(f"# {key} = ")))
     capsys.readouterr()
-    assert main(["compare", "--cpa", str(rmt), "--mc", str(mc), "--threshold", "10"]) == 2
+    assert main(["compare", "--cpa", str(paths["cpa"]), "--mc", str(paths["mc"]),
+                 "--threshold", "10"]) == 2
+    assert f"{paths[side]} records no {key};" in capsys.readouterr().err
+
+
+def test_script_outputs_pass_compare_and_refuse_other_models(tmp_path, monkeypatch, capsys):
+    # the example scripts write through the CLI modes, so every file records
+    # the model and compare tells two models apart
+    scripts = Path(__file__).resolve().parents[1] / "scripts"
+    for name, flags in (("lattice_cpa_vs_mc.py", ["--sites", "6", "--N", "2"]),
+                        ("rmt_dos_curves.py", ["--N", "4"])):
+        out = tmp_path / name.split("_")[0]
+        monkeypatch.setattr(sys, "argv", [name, *flags, "--samples", "3",
+                                          "--out-dir", str(out)])
+        runpy.run_path(str(scripts / name), run_name="__main__")
+    assert capsys.readouterr().out.count("L1 = ") == 5
+    rmt, lattice = tmp_path / "rmt", tmp_path / "lattice"
+    # the a = 1 curve against the a = 0.75 histogram
+    assert main(["compare", "--cpa", str(rmt / "cpa_a1.0.csv"),
+                 "--mc", str(rmt / "mc_a0.75.csv")]) == 2
     assert "a differs" in capsys.readouterr().err
+    # a flat-band curve against a chain's histogram
+    assert main(["compare", "--cpa", str(rmt / "cpa_a2.0.csv"),
+                 "--mc", str(lattice / "mc_b0.15.csv")]) == 2
+    assert "nu differs" in capsys.readouterr().err
 
 
 def test_compare_names_a_lattice_mismatch(tmp_path, capsys):
@@ -690,6 +729,13 @@ def test_compare_curves_metric():
     l1, mx = compare_curves(omegas, rho, centers, widths, np.array([1.0, 0.5]))
     assert l1 == pytest.approx(0.25)
     assert mx == pytest.approx(0.5)
+
+
+def test_compare_curves_takes_integer_inputs():
+    # np.min of an integer array cannot start from initial=inf
+    assert compare_curves([1, 2, 3], [1, 1, 1], [1.5, 2.5], [1, 1], [1, 1]) == (0.0, 0.0)
+    assert compare_curves(np.arange(1, 4), np.ones(3, dtype=int), np.array([2]),
+                          np.array([1]), np.array([3])) == (2.0, 2.0)
 
 
 def test_compare_curves_takes_a_descending_curve():
