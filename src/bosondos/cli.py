@@ -7,7 +7,9 @@ holds, in order: ``version`` and ``mode``; the resolved model parameters
 (``d``, ``extents``, ``N``, ``M``, ``a``, ``b``, ``nu``, each when set;
 a lattice's zone grid is its ``extents``); the mode's other flags as parsed
 (unset ones left out); then results and warnings.  Identical configurations
-produce byte-identical files.
+produce byte-identical files at a fixed BLAS thread count; the last bits of
+``mc-dos``'s eigensolves, and so ``zero_tol`` and its bin rows, depend on
+how many threads BLAS splits them over.
 """
 
 from __future__ import annotations

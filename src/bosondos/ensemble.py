@@ -49,10 +49,13 @@ array, a row each, and bins it in row blocks into a
 Memory: ``mc_dos`` owns the run's one dim x dim H, the buffer that
 ``draw_sample``, ``assemble_H`` and ``assemble_K`` require, which every
 sample rewrites from the clean term up and ``spectrum_X`` consumes as
-scratch.  On the p-first route H's buffer receives S^T S, and a sample
-allocates the (dim/2)^2 Schur complement (a copy of H's q-q block, which
-then holds the off-diagonal block of C^T J C), its Cholesky factor,
-numpy's copies of each LAPACK input and a few stacked N x N site blocks.
+scratch.  On the p-first route a sample allocates the (dim/2)^2 Schur
+complement (a copy of H's q-q block), its Cholesky factor, numpy's copies
+of each LAPACK input and a few stacked N x N site blocks.  H's buffer
+then receives S^T S, with the off-diagonal block B of C^T J C in its
+lower-left quadrant, which the eigensolve never reads, and the Schur
+complement and its factor are released first: the eigensolve holds H,
+numpy's dim^2 copy of it for LAPACK and the N x N site blocks alone.
 On the dense route H's buffer receives T and S^T S, and a sample
 allocates the dim^2 Cholesky factor (which also holds S), the copies of
 its q rows and p rows, and numpy's copies of each LAPACK input.
@@ -261,11 +264,13 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     with A_j = X_j L_j - (X_j L_j)^T and B = blockdiag(L_j^T) L_q, and
     S^T S = [[A^T A + B B^T, -A^T B], [-B^T A, B^T B]].  Flipping the sign of
     B is a similarity by diag(I, -I), so the Gram matrix is written with +B
-    into H's buffer: B B^T and B^T B from syrk, exactly symmetric, the
-    site-local A^T A added on the diagonal blocks and A^T B on the
-    off-diagonal ones.  ``gram_spectrum`` reads the spectrum off it, and
-    when it hands S to the SVD, S = [[A, B], [-B^T, 0]] is written into
-    H's buffer in its place.
+    into H's buffer: B B^T and B^T B from syrk, the site-local A^T A added
+    on the diagonal blocks of the first and A^T B in the upper-right
+    quadrant.  ``gram_spectrum`` reads only the upper triangle, so B itself
+    is written into the lower-left quadrant, and the Schur complement, L_q
+    and X are released before the eigensolve.  When ``gram_spectrum``
+    hands S to the SVD, S = [[A, B], [-B^T, 0]] is rebuilt in H's buffer
+    from that quadrant.
     """
     sites, m = H.shape[0] // (2 * N), H.shape[0] // 2
     # (site, q/p, band) along each axis
@@ -295,23 +300,27 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
         return None
     XL = X @ Lp
     A = XL - XL.transpose(0, 2, 1)
-    # B into the Schur complement's buffer, the Gram matrix into H's
-    B = np.matmul(Lp.transpose(0, 2, 1), Lq.reshape(sites, N, m),
-                  out=schur.reshape(sites, N, m)).reshape(m, m)
+    # the Gram matrix into H's buffer, B into its lower-left quadrant, which
+    # gram_spectrum never reads
     pp, pq, qp, qq = H[:m, :m], H[:m, m:], H[m:, :m], H[m:, m:]
+    B = qp
+    np.matmul(Lp.transpose(0, 2, 1), Lq.reshape(sites, N, m),
+              out=B.reshape(sites, N, m))
+    # the eigensolve holds no half-size array
+    del schur, Lq, X, XL
     np.matmul(B, B.T, out=pp)
     np.einsum("jajb->jab", pp.reshape(sites, N, sites, N))[...] += (
         A.transpose(0, 2, 1) @ A)
     np.matmul(A.transpose(0, 2, 1), B.reshape(sites, N, m),
               out=pq.reshape(sites, N, m))
-    qp[...] = pq.T
     np.matmul(B.T, B, out=qq)
 
     def skew():
+        # B is qp itself: copied out before qp takes -B^T
+        pq[...] = B
+        np.negative(pq.T, out=qp)
         pp.fill(0.0)
         np.einsum("jajb->jab", pp.reshape(sites, N, sites, N))[...] = A
-        pq[...] = B
-        np.negative(B.T, out=qp)
         qq.fill(0.0)
         return H
 
@@ -360,7 +369,8 @@ def mc_dos(
     that every sample rewrites and ``spectrum_X`` uses as scratch.  A
     sample adds its couplings and what its route allocates (see the module
     docstring): at nu > 0 the (dim/2)^2 Schur complement and its factor,
-    and numpy's copy of each LAPACK input (dim^2 for the eigensolve); at
+    both released before the eigensolve, and numpy's copy of each LAPACK
+    input (dim^2 for the eigensolve, which holds no other large array); at
     nu = 0 the dim^2 Cholesky factor, the copies of its q rows and p rows
     and numpy's copies of each LAPACK input.  The tail
     adds one block of whole rows (about 8192 values) that the histogram is

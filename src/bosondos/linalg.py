@@ -11,8 +11,8 @@ eigensolve of the Gram matrix S^T S, with error about eps * mu_max^2 / mu,
 at less than half the cost, and hands S to the SVD when
 mu_min < 1e-3 * mu_max (an error bound of about 5e2 * eps * mu_max).  That
 guard is kept there alone: ``ensemble.spectrum_X`` forms S^T S as one
-product of a dense S, or assembles it from blocks of S, and passes a
-function that returns S, called only for the SVD.  ``check_hermitian``
+product of a dense S, or assembles its upper triangle from blocks of S,
+and passes a function that returns S, called only for the SVD.  ``check_hermitian``
 validates a real matrix (symmetry and finiteness); it and ``cholesky_psd``
 reject a complex one.  The kernels trust their callers, and
 ``ensemble.spectrum_X`` checks each sample once, before any of them runs.
@@ -121,10 +121,12 @@ def gram_spectrum(G, skew) -> np.ndarray:
     about eps * mu_max into about eps * mu_max^2 / mu, so when
     w_min <= 1e-6 * w_max (mu_min <= 1e-3 * mu_max, where that bound passes
     5e2 * eps * mu_max) ``skew_spectrum`` takes S instead, from ``skew()``,
-    which is called only then and may overwrite G.  G must be exactly
-    symmetric, as numpy's one product ``S.T @ S`` is (it takes syrk), and
-    is not checked: its transpose is the same matrix, passed to LAPACK as
-    it lies in column order.
+    which is called only then and may overwrite G.  Only G's upper
+    triangle is read, and G is not checked: its transpose goes to LAPACK
+    as it lies in column order, and LAPACK reads that transpose's lower
+    triangle.  So G's strict lower triangle may hold anything (the p-first
+    route keeps a block of S there); numpy's one product ``S.T @ S`` fills
+    both.
     """
     w = np.linalg.eigvalsh(G.T)
     if not w[0] > 1e-6 * w[-1]:

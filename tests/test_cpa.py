@@ -923,3 +923,54 @@ class TestOneLattice:
         with pytest.raises(ValueError, match="equal extents"):
             dos_curve([0.5, 1.0], 1e-3, rect)
         assert mc_dos(rect, n_samples=1, bins=4, seed=0).total_eigenvalues == 2 * 2 * 12
+
+
+def ks_to_curve(hist, omegas, rho):
+    """Kolmogorov-Smirnov distance from the histogram to the two-sided
+    density rho on the ascending omegas: the largest |2 F_cpa - F_mc| over
+    the bin edges, with F_mc the share of eigenvalues below each edge and
+    F_cpa the trapezoid integral of rho from 0, rho held at its first value
+    below omegas[0]."""
+    x = np.concatenate(([0.0], omegas))
+    y = np.concatenate((rho[:1], rho))
+    F = np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+    F_mc = np.concatenate(([0], np.cumsum(hist.counts))) / hist.total_eigenvalues
+    return float(np.abs(2.0 * np.interp(hist.bin_edges, x, F) - F_mc).max())
+
+
+class TestLargeNExactness:
+    """The paper's claim that the CPA becomes exact at large N, where both
+    routes compute one lattice: the distance from ``mc_dos`` to the mean
+    field on the lattice's own momenta falls like a power of 1/N, with no
+    finite-lattice floor, while the default grid keeps one."""
+
+    # Samples per N = 2, 4, 8, sized from seeds 0-7 so that the range of
+    # the own-lattice KS over them stays below a quarter of its mean (range /
+    # mean at these sizes, and mean KS):
+    #   8-site chain: 0.14, 0.21, 0.22; KS 0.031, 0.014, 0.0059 (default
+    #   grid at N = 8: 0.0097-0.0107);
+    #   6 x 6: 0.12, 0.13, 0.20; KS 0.036, 0.017, 0.0067 (default grid at
+    #   N = 8: 0.0082-0.0096).
+    # At N = 8 the 6 x 6 lattice read range / mean 0.36 at 100 and 150
+    # samples and 0.29 at 300.
+    @pytest.mark.parametrize("extents, samples", [
+        ((8,), (1600, 800, 800)),
+        ((6, 6), (200, 100, 400)),
+    ], ids=["chain8", "square6x6"])
+    def test_distance_to_the_own_lattice_falls_like_a_power_of_N(self, extents, samples):
+        d = len(extents)
+        own = ModelParams(d=d, extents=extents, a=0.75, b=0.63, nu=1.0)
+        omegas = np.linspace(4.0 / 3000, 4.0, 3000)
+        rho = {name: dos_curve(omegas, 1e-4 * own.nu, params).rho
+               for name, params in (("own", own), ("default", replace(own, extents=None)))}
+        Ns = (2, 4, 8)
+        ks = {"own": [], "default": []}
+        for N, n_samples in zip(Ns, samples):
+            params = ModelParams(d=d, extents=extents, N=N, M=3 * N // 2, b=0.63, nu=1.0)
+            hist = mc_dos(params, n_samples=n_samples, bins=60, seed=0)
+            assert hist.bin_edges[-1] < omegas[-1]
+            for name, curve in rho.items():
+                ks[name].append(ks_to_curve(hist, omegas, curve))
+        slope = np.polyfit(np.log(Ns), np.log(ks["own"]), 1)[0]
+        assert slope <= -0.8, (slope, ks)
+        assert ks["own"][-1] < ks["default"][-1], ks

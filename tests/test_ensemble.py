@@ -375,6 +375,28 @@ class TestSpectrumX:
             assert np.abs(want).min() > 1e-3 * scale
             assert np.abs(mu - want).max() <= 1e-12 * scale
 
+    def test_eigensolve_holds_no_half_size_array(self, monkeypatch):
+        # the p-first route keeps B in the lower-left quadrant of H's buffer,
+        # which gram_spectrum never reads, so the Schur complement and its
+        # factor are gone before the dim^2 eigensolve: what the sample has
+        # allocated since H was drawn stays below one (dim/2)^2 array there
+        H = draw_sample(MC_LATTICE, np.random.SeedSequence(0), fresh_H(MC_LATTICE))
+        half = len(H) // 2
+        gram, alive = ensemble.gram_spectrum, []
+
+        def entry(G, skew):
+            alive.append(tracemalloc.get_traced_memory()[0] - start)
+            return gram(G, skew)
+
+        monkeypatch.setattr(ensemble, "gram_spectrum", entry)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            spectrum_X(H, MC_LATTICE)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 1 and alive[0] < half * half * H.itemsize
+
     def test_ill_conditioned_definite_H_takes_the_svd_route(self, monkeypatch):
         # the weakly disordered chain keeps its acoustic mode near 0: the
         # p-first route factors it with no shift, and the Gram guard hands

@@ -181,6 +181,18 @@ def test_gram_spectrum_builds_S_only_to_hand_it_to_the_svd():
             assert np.abs(mu - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("pairs, mu_min", [(3, 0.25), (40, 0.1), (3, 1e-4)],
+                         ids=["gram", "gram-80", "svd"])
+def test_gram_spectrum_reads_only_the_upper_triangle(pairs, mu_min):
+    # the p-first route keeps a block of S below the Gram matrix's diagonal
+    rng = np.random.default_rng(5)
+    S = rotated_skew(rng.uniform(mu_min, 1.0, size=pairs - 1).tolist() + [mu_min], rng)
+    G = S.T @ S
+    want = gram_spectrum(G.copy(), lambda: S)
+    G[np.tril_indices(len(G), -1)] = rng.normal(size=len(G) * (len(G) - 1) // 2)
+    assert np.array_equal(gram_spectrum(G, lambda: S), want)
+
+
 @pytest.mark.parametrize("mu_min", [0.0, 1e-9, 1e-4, 0.99e-3])
 def test_gram_spectrum_hands_ill_conditioned_S_to_the_svd(mu_min):
     # mu_min < 1e-3 mu_max: squares would lose too much, the SVD answers
