@@ -275,6 +275,7 @@ def _run_dos(args: argparse.Namespace) -> int:
     meta["eps"] = curve.eps
     meta["dirac_mass_at_zero"] = curve.dirac_mass_at_zero
     meta["normalization"] = curve.normalization
+    meta["branch_tag"] = curve.branch_tag
     emit_csv(args.out, meta, {
         "omega": curve.omegas,
         "rho": curve.rho,

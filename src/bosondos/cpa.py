@@ -142,6 +142,7 @@ class DosCurve:
 
     ``rho`` is the two-sided density (even in omega, total mass 1 over the
     real line including ``dirac_mass_at_zero``), sampled on ``omegas > 0``.
+    ``branch_tag`` is the sweep's (see ``continuation_sweep``).
     """
 
     omegas: np.ndarray
@@ -150,6 +151,7 @@ class DosCurve:
     residuals: np.ndarray
     dirac_mass_at_zero: float
     eps: float
+    branch_tag: str
     notes: Tuple[str, ...] = ()
 
     @property
@@ -514,6 +516,7 @@ def dos_curve(
         residuals=sweep.residual,
         dirac_mass_at_zero=dirac,
         eps=eps,
+        branch_tag=sweep.branch_tag,
         notes=tuple(notes),
     )
 

@@ -194,10 +194,9 @@ def spectrum_X(H: np.ndarray, params: ModelParams) -> np.ndarray:
     with no shift (nu below rounding against b), takes the dense route:
     ``cholesky_psd`` of H, where per site J swaps the q and p rows, so
     S = T - T^T with T = C_q^T C_p.  There, if H factored with no shift,
-    ``gram_spectrum`` takes S^T S, as on the p-first route (one symmetric
-    eigensolve, or the SVD of S when mu_min < 1e-3 * mu_max); a shifted H
-    has zero modes that squares cannot resolve at ``zero_tol``, and goes to
-    the SVD of ``skew_spectrum`` directly.  The output comes in +/- pairs;
+    ``gram_spectrum`` takes S^T S, as on the p-first route; a shifted H has
+    zero modes that squares cannot resolve at ``zero_tol``, and goes to the
+    SVD of ``skew_spectrum``.  The output comes in +/- pairs;
     a Cholesky failure means H left the stability cone.  Every check of a
     sample runs here, before either route: a complex H (the (a, a*) basis)
     is rejected, and so is one that is not symmetric within
@@ -245,9 +244,8 @@ def _dense_spectrum(H: np.ndarray, N: int) -> np.ndarray:
     rows = C.reshape(dim // (2 * N), 2, N, dim)
     T = np.matmul(rows[:, 0].reshape(-1, dim).T, rows[:, 1].reshape(-1, dim), out=H)
     S = np.subtract(T, T.T, out=C)
-    if sigma:
-        return skew_spectrum(S)
-    return gram_spectrum(np.matmul(S.T, S, out=H), lambda: S)
+    mu = None if sigma else gram_spectrum(np.matmul(S.T, S, out=H))
+    return skew_spectrum(S) if mu is None else mu
 
 
 def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
@@ -268,9 +266,7 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     on the diagonal blocks of the first and A^T B in the upper-right
     quadrant.  ``gram_spectrum`` reads only the upper triangle, so B itself
     is written into the lower-left quadrant, and the Schur complement, L_q
-    and X are released before the eigensolve.  When ``gram_spectrum``
-    hands S to the SVD, S = [[A, B], [-B^T, 0]] is rebuilt in H's buffer
-    from that quadrant.
+    and X are released before the eigensolve.
     """
     sites, m = H.shape[0] // (2 * N), H.shape[0] // 2
     # (site, q/p, band) along each axis
@@ -314,17 +310,17 @@ def _schur_spectrum(H: np.ndarray, N: int) -> Optional[np.ndarray]:
     np.matmul(A.transpose(0, 2, 1), B.reshape(sites, N, m),
               out=pq.reshape(sites, N, m))
     np.matmul(B.T, B, out=qq)
-
-    def skew():
-        # B is qp itself: copied out before qp takes -B^T
+    mu = gram_spectrum(H)
+    if mu is None:
+        # S = [[A, B], [-B^T, 0]] for the SVD; B is qp itself, so it is
+        # copied out before qp takes -B^T
         pq[...] = B
         np.negative(pq.T, out=qp)
         pp.fill(0.0)
         np.einsum("jajb->jab", pp.reshape(sites, N, sites, N))[...] = A
         qq.fill(0.0)
-        return H
-
-    return gram_spectrum(H, skew)
+        mu = skew_spectrum(H)
+    return mu
 
 
 def draw_sample(params: ModelParams, child: np.random.SeedSequence,
@@ -368,13 +364,8 @@ def mc_dos(
     in row i of one (n_samples, 2N * n_sites) array, and one dim x dim H
     that every sample rewrites and ``spectrum_X`` uses as scratch.  A
     sample adds its couplings and what its route allocates (see the module
-    docstring): at nu > 0 the (dim/2)^2 Schur complement and its factor,
-    both released before the eigensolve, and numpy's copy of each LAPACK
-    input (dim^2 for the eigensolve, which holds no other large array); at
-    nu = 0 the dim^2 Cholesky factor, the copies of its q rows and p rows
-    and numpy's copies of each LAPACK input.  The tail
-    adds one block of whole rows (about 8192 values) that the histogram is
-    summed over.
+    docstring).  The tail adds one block of whole rows (about 8192 values)
+    that the histogram is summed over.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

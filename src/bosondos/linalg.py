@@ -8,11 +8,10 @@ skew-symmetric S come two ways: ``skew_spectrum`` reads them off one
 singular value decomposition, with absolute error about eps * mu_max, and
 takes singular S; ``gram_spectrum`` reads them off one symmetric
 eigensolve of the Gram matrix S^T S, with error about eps * mu_max^2 / mu,
-at less than half the cost, and hands S to the SVD when
-mu_min < 1e-3 * mu_max (an error bound of about 5e2 * eps * mu_max).  That
-guard is kept there alone: ``ensemble.spectrum_X`` forms S^T S as one
-product of a dense S, or assembles its upper triangle from blocks of S,
-and passes a function that returns S, called only for the SVD.  ``check_hermitian``
+at less than half the cost, and returns None when mu_min < 1e-3 * mu_max
+(an error bound of about 5e2 * eps * mu_max).  That guard is kept there
+alone; ``ensemble.spectrum_X`` forms S^T S as one product of a dense S, or
+assembles its upper triangle from blocks of S.  ``check_hermitian``
 validates a real matrix (symmetry and finiteness); it and ``cholesky_psd``
 reject a complex one.  The kernels trust their callers, and
 ``ensemble.spectrum_X`` checks each sample once, before any of them runs.
@@ -31,6 +30,7 @@ transpose.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -111,26 +111,24 @@ def skew_spectrum(S) -> np.ndarray:
     return np.concatenate((-s[::2], s[-1::-2]))
 
 
-def gram_spectrum(G, skew) -> np.ndarray:
+def gram_spectrum(G) -> Optional[np.ndarray]:
     """``skew_spectrum`` of a nonsingular real skew-symmetric S, from its
-    Gram matrix G = S^T S.
+    Gram matrix G = S^T S, or None where squares would lose too much.
 
     S^T S = -S^2 is symmetric positive definite, and its eigenvalues w are
     the squared singular values of S, each twice; one symmetric eigensolve
     costs less than half the SVD.  Squaring turns the SVD's absolute error of
     about eps * mu_max into about eps * mu_max^2 / mu, so when
     w_min <= 1e-6 * w_max (mu_min <= 1e-3 * mu_max, where that bound passes
-    5e2 * eps * mu_max) ``skew_spectrum`` takes S instead, from ``skew()``,
-    which is called only then and may overwrite G.  Only G's upper
-    triangle is read, and G is not checked: its transpose goes to LAPACK
-    as it lies in column order, and LAPACK reads that transpose's lower
-    triangle.  So G's strict lower triangle may hold anything (the p-first
-    route keeps a block of S there); numpy's one product ``S.T @ S`` fills
-    both.
+    5e2 * eps * mu_max) the result is None.  Only G's upper triangle is
+    read, and G is not checked: its transpose goes to LAPACK as it lies in
+    column order, and LAPACK reads that transpose's lower triangle.  So G's
+    strict lower triangle may hold anything (the p-first route keeps a block
+    of S there); numpy's one product ``S.T @ S`` fills both.
     """
     w = np.linalg.eigvalsh(G.T)
     if not w[0] > 1e-6 * w[-1]:
-        return skew_spectrum(skew())
+        return None
     mu = np.sqrt(w[1::2])
     return np.concatenate((-mu[::-1], mu))
 

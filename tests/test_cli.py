@@ -660,11 +660,11 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
                  "--omega-max", "2", "--omega-steps", "12", "--kgrid", "64"],
                 ["version", "mode", "d", "extents", "a", "b", "nu", "omega_max",
                  "omega_steps", "check_quadrature", "out", "eps",
-                 "dirac_mass_at_zero", "normalization"]),
+                 "dirac_mass_at_zero", "normalization", "branch_tag"]),
         "rmt": (["cpa-dos", "--nu", "0", "--a", "1", "--b", "1", "--omega-steps", "12"],
                 ["version", "mode", "d", "a", "b", "nu", "omega_max",
                  "omega_steps", "check_quadrature", "out", "eps",
-                 "dirac_mass_at_zero", "normalization"]),
+                 "dirac_mass_at_zero", "normalization", "branch_tag"]),
         "mc": (["mc-dos", "--N", "16", "--M", "32", "--b", "1", "--nu", "0",
                 "--samples", "2", "--bins", "10"],
                ["version", "mode", "d", "N", "M", "a", "b", "nu", "samples",
@@ -683,6 +683,7 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
         assert list(meta[name]) == keys, name
     assert meta["mc"]["a"] == "1.0"
     assert meta["cpa"]["extents"] == "(64,)" and "extents" not in meta["p"]
+    assert meta["cpa"]["branch_tag"].endswith(" lane fallbacks")
     assert meta["rmt"]["d"] == "1" and meta["rmt"]["nu"] == "0.0"
     # the flat-band curve still refuses a lattice histogram on nu
     lattice = tmp_path / "lattice.csv"

@@ -950,13 +950,17 @@ class TestLargeNExactness:
     #   8-site chain: 0.14, 0.21, 0.22; KS 0.031, 0.014, 0.0059 (default
     #   grid at N = 8: 0.0097-0.0107);
     #   6 x 6: 0.12, 0.13, 0.20; KS 0.036, 0.017, 0.0067 (default grid at
-    #   N = 8: 0.0082-0.0096).
+    #   N = 8: 0.0082-0.0096);
+    #   4^3: 0.13, 0.14, 0.21; KS 0.039, 0.018, 0.0075 (default grid at
+    #   N = 8: 0.0091-0.0096).
     # At N = 8 the 6 x 6 lattice read range / mean 0.36 at 100 and 150
-    # samples and 0.29 at 300.
+    # samples and 0.29 at 300, and the 4^3 lattice 0.29 at 90 samples and
+    # 0.24 at 100.
     @pytest.mark.parametrize("extents, samples", [
         ((8,), (1600, 800, 800)),
         ((6, 6), (200, 100, 400)),
-    ], ids=["chain8", "square6x6"])
+        ((4, 4, 4), (200, 100, 110)),
+    ], ids=["chain8", "square6x6", "cube4"])
     def test_distance_to_the_own_lattice_falls_like_a_power_of_N(self, extents, samples):
         d = len(extents)
         own = ModelParams(d=d, extents=extents, a=0.75, b=0.63, nu=1.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bosondos import ConeViolationError, ModelParams, SpectrumHistogram, dos_curve, mc_dos
 from bosondos import ensemble, linalg
 from bosondos.ensemble import assemble_H, draw_sample, spectrum_X
-from bosondos.linalg import cholesky_psd, skew_spectrum
+from bosondos.linalg import cholesky_psd
 from bosondos.model import assemble_K
 from clean_model import complex_K, delta_k, dense_reference_spectrum, dispersion, fresh_H
 
@@ -74,10 +74,10 @@ def complex_reference_spectrum(params, blocks, K=None):
     return np.linalg.eigvalsh(0.5 * (R + R.conj().T))
 
 
-def gram_svd_route(G, skew):
-    """``gram_spectrum``'s signature on the SVD route, patched in to force
-    that route on the S of either route."""
-    return skew_spectrum(skew())
+def gram_svd_route(G):
+    """``gram_spectrum`` with its guard tripped on every G, patched in to
+    force the SVD on the S of either route."""
+    return None
 
 
 def recorded(monkeypatch, module, name):
@@ -384,9 +384,9 @@ class TestSpectrumX:
         half = len(H) // 2
         gram, alive = ensemble.gram_spectrum, []
 
-        def entry(G, skew):
+        def entry(G):
             alive.append(tracemalloc.get_traced_memory()[0] - start)
-            return gram(G, skew)
+            return gram(G)
 
         monkeypatch.setattr(ensemble, "gram_spectrum", entry)
         tracemalloc.start()
@@ -405,7 +405,7 @@ class TestSpectrumX:
         H = draw_sample(params, np.random.SeedSequence(2), fresh_H(params))
         dim = len(H)
         factored = recorded(monkeypatch, ensemble, "cholesky_psd")
-        svds = recorded(monkeypatch, linalg, "skew_spectrum")
+        svds = recorded(monkeypatch, ensemble, "skew_spectrum")
         mu = spectrum_X(H.copy(), params)
         assert [(args[0].shape, result[1]) for args, result in factored] == [
             ((dim // 2, dim // 2), 0.0)]
@@ -509,13 +509,35 @@ class TestSpectrumX:
         half = len(H) // 2
         checks = recorded(monkeypatch, linalg, "check_hermitian")
         calls = recorded(monkeypatch, ensemble, "cholesky_psd")
-        dense_svds = recorded(monkeypatch, ensemble, "skew_spectrum")
-        gram_svds = recorded(monkeypatch, linalg, "skew_spectrum")
+        recorded_svds = recorded(monkeypatch, ensemble, "skew_spectrum")
         spectrum_X(H, params)
         assert len(checks) == 1
         assert [("half" if len(args[0]) == half else "dense", bool(result[1]))
                 for args, result in calls] == factored
-        assert len(dense_svds) + len(gram_svds) == svds
+        assert len(recorded_svds) == svds
+
+    @pytest.mark.parametrize("params, seed, grams", [
+        # p first, then the Gram guard trips
+        (ModelParams(d=1, extents=(16,), N=2, M=3, b=1e-8, nu=1.0), 2, 1),
+        # the mc-flat flags: a shifted H, no eigensolve
+        (ModelParams(N=8, M=12, b=1.0, nu=0.0), 0, 0),
+        # the hard edge: dense and unshifted, then the Gram guard trips
+        (ModelParams(a=1.0, N=8, M=16, b=1.0, nu=0.0), 1, 1),
+    ], ids=["gram-to-svd", "shifted", "hard-edge"])
+    def test_every_svd_is_made_in_ensemble(self, params, seed, grams, monkeypatch):
+        # linalg makes no SVD of its own: each route's one SVD call is
+        # ensemble's, also after the Gram guard trips
+        H = draw_sample(params, np.random.SeedSequence(seed), fresh_H(params))
+
+        def refused(S):
+            raise AssertionError("linalg called skew_spectrum")
+
+        monkeypatch.setattr(linalg, "skew_spectrum", refused)
+        answered = recorded(monkeypatch, ensemble, "gram_spectrum")
+        svds = recorded(monkeypatch, ensemble, "skew_spectrum")
+        mu = spectrum_X(H, params)
+        assert [result is None for _, result in answered] == [True] * grams
+        assert len(svds) == 1 and svds[0][1] is mu
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("params", [RMT, CHAIN], ids=["nu0", "nu>0"])

@@ -143,7 +143,7 @@ def test_skew_spectrum_matches_hermitian_eig():
 
 def gram_route(S):
     """``gram_spectrum`` of S, from one product S^T S."""
-    return gram_spectrum(S.T @ S, lambda: S)
+    return gram_spectrum(S.T @ S)
 
 
 def rotated_skew(mus, rng):
@@ -167,17 +167,14 @@ def test_gram_spectrum_matches_svd_route():
         assert np.abs(mu[len(mus):] - np.sort(mus)).max() <= 1e-12 * max(mus)
 
 
-def test_gram_spectrum_builds_S_only_to_hand_it_to_the_svd():
+def test_gram_spectrum_returns_None_only_below_the_guard():
     rng = np.random.default_rng(11)
-    for mus, handed in (([1.0, 0.5, 0.25], False), ([1.0, 0.5, 1e-4], True)):
+    for mus, declined in (([1.0, 0.5, 0.25], False), ([1.0, 0.5, 1e-4], True)):
         S = rotated_skew(mus, rng)
-        built = []
-        mu = gram_spectrum(S.T @ S, lambda: built.append(S) or S)
-        assert len(built) == handed
-        want = skew_spectrum(S)
-        if handed:
-            assert np.array_equal(mu, want)
-        else:
+        mu = gram_route(S)
+        assert (mu is None) == declined
+        if not declined:
+            want = skew_spectrum(S)
             assert np.abs(mu - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -188,16 +185,19 @@ def test_gram_spectrum_reads_only_the_upper_triangle(pairs, mu_min):
     rng = np.random.default_rng(5)
     S = rotated_skew(rng.uniform(mu_min, 1.0, size=pairs - 1).tolist() + [mu_min], rng)
     G = S.T @ S
-    want = gram_spectrum(G.copy(), lambda: S)
+    want = gram_spectrum(G.copy())
+    assert (want is None) == (mu_min < 1e-3)
     G[np.tril_indices(len(G), -1)] = rng.normal(size=len(G) * (len(G) - 1) // 2)
-    assert np.array_equal(gram_spectrum(G, lambda: S), want)
+    mu = gram_spectrum(G)
+    assert mu is None if want is None else np.array_equal(mu, want)
 
 
 @pytest.mark.parametrize("mu_min", [0.0, 1e-9, 1e-4, 0.99e-3])
 def test_gram_spectrum_hands_ill_conditioned_S_to_the_svd(mu_min):
-    # mu_min < 1e-3 mu_max: squares would lose too much, the SVD answers
+    # mu_min < 1e-3 mu_max: squares would lose too much, so no answer comes
+    # back, and the caller takes the SVD
     S = rotated_skew([1.0, 0.5, mu_min], np.random.default_rng(7))
-    assert np.array_equal(gram_route(S), skew_spectrum(S))
+    assert gram_route(S) is None
 
 
 def shift_ladder(A):
