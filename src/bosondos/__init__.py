@@ -20,7 +20,7 @@ from .cpa import (
     rmt_scaled_a1,
     solve_p,
 )
-from .ensemble import ConeViolationError, SpectrumHistogram, mc_dos
+from .ensemble import SpectrumHistogram, mc_dos
 from .linalg import NotPsdError
 from .model import ModelParams
 
@@ -28,7 +28,6 @@ __all__ = [
     "__version__",
     "BranchError",
     "CoherentPotential",
-    "ConeViolationError",
     "DosCurve",
     "ModelParams",
     "NotPsdError",

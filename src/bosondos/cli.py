@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .bzquad import points_per_dim
 from .cpa import SolverError, default_eps, dos_curve, solve_p
-from .ensemble import ConeViolationError, mc_dos
+from .ensemble import mc_dos
 from .model import ModelParams
 
 __all__ = ["main", "emit_csv", "parse_csv", "compare_curves"]
@@ -149,8 +149,8 @@ def _omega_flags(p: argparse.ArgumentParser) -> None:
                    "1e-3 * b at nu = 0)")
     _kgrid_flag(p)
     p.add_argument("--check-quadrature", action="store_true",
-                   help="run the grid-doubling accuracy check on reported "
-                   "values (default off)")
+                   help="note where g on the doubled zone grid differs from "
+                   "the curve's; the curve is unchanged (default off)")
 
 
 @functools.cache
@@ -212,7 +212,11 @@ def _model(args: argparse.Namespace) -> Tuple[ModelParams, Dict[str, object]]:
     parsed.  ``--kgrid`` is read into the extents."""
     given = {f.name: getattr(args, f.name) for f in fields(ModelParams) if f.name in args}
     if given.get("extents") is not None:
-        given["extents"] = tuple(int(tok) for tok in given["extents"].split(","))
+        try:
+            given["extents"] = tuple(int(tok) for tok in given["extents"].split(","))
+        except ValueError:
+            raise ValueError("--extents must be comma-separated integers, "
+                             f"got {given['extents']!r}") from None
     params = ModelParams(**given)
     if "kgrid" in args:
         params = _zone_lattice(args, params)
@@ -388,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # errors are caught before the usage errors
     try:
         return MODES[args.mode](args)
-    except (SolverError, ConeViolationError, np.linalg.LinAlgError) as exc:
+    except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -82,17 +82,12 @@ from .linalg import (  # noqa: F401
 from .model import ModelParams, _sample_dim, _zeroed, assemble_K
 
 __all__ = [
-    "ConeViolationError",
     "SpectrumHistogram",
     "assemble_H",
     "spectrum_X",
     "draw_sample",
     "mc_dos",
 ]
-
-
-class ConeViolationError(RuntimeError):
-    """A sampled generator left the stability cone (model invariant breach)."""
 
 
 # mc_dos bins its |mu| array in blocks of whole rows of about this many values
@@ -196,10 +191,10 @@ def spectrum_X(H: np.ndarray, params: ModelParams) -> np.ndarray:
     S = T - T^T with T = C_q^T C_p.  There, if H factored with no shift,
     ``gram_spectrum`` takes S^T S, as on the p-first route; a shifted H has
     zero modes that squares cannot resolve at ``zero_tol``, and goes to the
-    SVD of ``skew_spectrum``.  The output comes in +/- pairs;
-    a Cholesky failure means H left the stability cone.  Every check of a
-    sample runs here, before either route: a complex H (the (a, a*) basis)
-    is rejected, and so is one that is not symmetric within
+    SVD of ``skew_spectrum``.  The output comes in +/- pairs; the dense
+    Cholesky's ``NotPsdError`` means H left the stability cone.  Every check
+    of a sample runs here, before either route: a complex H (the (a, a*)
+    basis) is rejected, and so is one that is not symmetric within
     ``linalg.HERMITIAN_TOL`` or has a non-finite entry (one
     ``check_hermitian``; the kernels behind both routes trust it), and at
     nu > 0 one with a p entry outside its site's diagonal block, which the
@@ -235,12 +230,7 @@ def _dense_spectrum(H: np.ndarray, N: int) -> np.ndarray:
     """``spectrum_X``'s dense route: ``cholesky_psd`` of the whole H, with
     T into H's buffer, S into C's and S^T S back into H's."""
     dim = H.shape[0]
-    try:
-        C, sigma = cholesky_psd(H)
-    except NotPsdError as exc:
-        raise ConeViolationError(
-            f"sampled generator is outside the stability cone: {exc}"
-        ) from exc
+    C, sigma = cholesky_psd(H)
     rows = C.reshape(dim // (2 * N), 2, N, dim)
     T = np.matmul(rows[:, 0].reshape(-1, dim).T, rows[:, 1].reshape(-1, dim), out=H)
     S = np.subtract(T, T.T, out=C)

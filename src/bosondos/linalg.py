@@ -45,7 +45,7 @@ __all__ = [
 
 
 class NotPsdError(np.linalg.LinAlgError):
-    """The matrix is indefinite beyond the allowed semidefinite tolerance."""
+    """Indefinite beyond the PSD tolerance: a sampled H has left the stability cone."""
 
 
 HERMITIAN_TOL = 1e-12  # max |A - A^T| allowed, relative to max |A|

@@ -9,7 +9,6 @@ import pytest
 from bosondos import cli
 from bosondos.cli import build_parser, compare_curves, emit_csv, main, parse_csv
 from bosondos.cpa import BranchError, SolverError
-from bosondos.ensemble import ConeViolationError
 from bosondos.linalg import NotPsdError
 
 MODES = ("cpa-dos", "mc-dos", "solve-p", "compare")
@@ -204,7 +203,6 @@ def test_lattice_above_d3_needs_kgrid(tmp_path, capsys):
     [
         (SolverError, 1),
         (BranchError, 1),
-        (ConeViolationError, 1),
         (NotPsdError, 1),
         (np.linalg.LinAlgError, 1),
         (OSError, 1),
@@ -418,21 +416,38 @@ def test_small_p_row_stays_on_the_band_root(tmp_path):
     assert cols["rho"][i - 1] < cols["rho"][i] < cols["rho"][i + 1]
 
 
-def test_check_quadrature_records_each_failed_point(tmp_path, capsys):
-    # 64 points cannot resolve eps = 1e-3 on a chain: the check fails at some
-    # points, and each failure is one warning line, after the flags
-    out = tmp_path / "dos.csv"
-    argv = ["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1", "--omega-min", "0.1",
-            "--omega-max", "2.6", "--omega-steps", "12", "--kgrid", "64"]
-    assert main([*argv, "--check-quadrature", "--out", str(out)]) == 0
-    meta, _ = parse_csv(str(out))
+def test_check_quadrature_notes_without_touching_the_data(tmp_path, capsys):
+    # the doubled grid of the 16-site chain is another lattice, which
+    # differs from it at most points: the check says so in one note, after
+    # the flags, and every data line is the unchecked run's
+    argv = ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.15", "--nu", "1",
+            "--kgrid", "16", "--omega-max", "2.2", "--omega-steps", "120"]
+    plain, checked = tmp_path / "plain.csv", tmp_path / "checked.csv"
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert main([*argv, "--check-quadrature", "--out", str(checked)]) == 0
+
+    def data_lines(path):
+        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+    assert data_lines(checked) == data_lines(plain)
+    meta, _ = parse_csv(str(checked))
     kept = [key for key in meta if key.startswith("warning")]
-    assert kept == [f"warning_{i}" for i in range(len(kept))] and kept
-    assert all(meta[k].startswith("grid-doubling check failed") for k in kept)
-    assert list(meta).index(kept[0]) == list(meta).index("out") + 1
-    assert capsys.readouterr().err.count("warning:") == len(kept)
-    assert main([*argv, "--out", str(out)]) == 0
-    assert not any(key.startswith("warning") for key in parse_csv(str(out))[0])
+    assert kept == ["warning_0"]
+    assert meta["warning_0"].startswith("grid-doubling check failed at ")
+    assert " of 120 points with n=16, d=1: " in meta["warning_0"]
+    assert list(meta).index("warning_0") == list(meta).index("out") + 1
+    assert capsys.readouterr().err.count("warning:") == 1
+    assert not any(key.startswith("warning") for key in parse_csv(str(plain))[0])
+
+
+@pytest.mark.parametrize("extents", ["4,", "4,x", "4.5", ""])
+def test_malformed_extents_name_the_flag(extents, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["mc-dos", "--d", "1", "--extents", extents, "--N", "2", "--M", "3",
+                 "--b", "1", "--nu", "1", "--samples", "1", "--out", str(out)]) == 2
+    assert (f"usage error: --extents must be comma-separated integers, got {extents!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_parser_is_built_once():

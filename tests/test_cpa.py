@@ -338,22 +338,50 @@ class TestCarriedResolvent:
         assert sizes == [512] * (2 * newton)
 
     def test_checked_curve_takes_one_doubled_mean_per_point(self, monkeypatch):
-        # a grid too coarse for eps, so that the doubling check fires
-        sweep = continuation_sweep(self.GRID, 1e-3, on_grid(LATTICE, 64))
-        g_2n = [I_g(z, p, LATTICE.nu, LATTICE.d, 128)
-                for z, p in zip(sweep.z.tolist(), sweep.p.tolist())]
-        failed = [abs(g_n - g) > 1e-9 * abs(g) for g_n, g in zip(sweep.g.tolist(), g_2n)]
-        assert 0 < sum(failed) < len(failed)
+        # a grid too coarse for eps, so that the doubling check fails at some
+        # points but not all
+        params = on_grid(LATTICE, 64)
+        plain = dos_curve(self.GRID, 1e-3, params)
+        sweep = continuation_sweep(self.GRID, 1e-3, params)
+        g_2n = I_g(sweep.z, sweep.p, LATTICE.nu, LATTICE.d, 128)
+        failed = int((abs(sweep.g - g_2n) > 1e-9 * abs(g_2n)).sum())
+        assert 0 < failed < self.GRID.size
         sizes = self.count_means(monkeypatch)
-        curve = dos_curve(self.GRID, 1e-3, on_grid(LATTICE, 64), check=True)
-        assert sizes.count(128) == self.GRID.size
-        assert sizes[-self.GRID.size:] == [128] * self.GRID.size
+        curve = dos_curve(self.GRID, 1e-3, params, check=True)
+        # the sweep's means, then one array mean on the doubled grid
+        assert sizes.count(128) == 1 and sizes[-1] == 128
         assert set(sizes) == {64, 128}
-        # the doubled grid's values are reported, one note per failed point
-        assert np.array_equal(curve.rho, np.array(g_2n).real / np.pi)
-        assert len(curve.notes) == sum(failed)
-        assert all(note.startswith("grid-doubling check failed") and
-                   note.endswith("at n=64, d=1") for note in curve.notes)
+        # the curve is the sweep's, bit for bit, and the check adds one note
+        assert np.array_equal(curve.rho, plain.rho)
+        assert np.array_equal(curve.p, plain.p)
+        assert np.array_equal(curve.residuals, plain.residuals)
+        assert len(curve.notes) == 1
+        assert curve.notes[0].startswith(
+            f"grid-doubling check failed at {failed} of {self.GRID.size} points "
+            "with n=64, d=1: largest |I_n - I_2n| / |I_2n| = ")
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0)],
+                             ids=["nan", "inf"])
+    def test_non_finite_doubled_lane_fails_the_check(self, bad, monkeypatch):
+        # eps = 0.1 is resolved on 256 sites: the check passes everywhere
+        # until one lane of the doubled grid's mean is not finite
+        params = on_grid(LATTICE, 256)
+        quiet = dos_curve(self.GRID, 0.1, params, check=True)
+        assert quiet.notes == ()
+        real = bzquad.I_g
+
+        def one_bad_lane(z, p, nu, d, n):
+            g = real(z, p, nu, d, n)
+            g[3] = bad
+            return g
+
+        monkeypatch.setattr(bzquad, "I_g", one_bad_lane)
+        curve = dos_curve(self.GRID, 0.1, params, check=True)
+        assert curve.notes == (
+            f"grid-doubling check failed at 1 of {self.GRID.size} points with "
+            f"n=256, d=1: largest |I_n - I_2n| / |I_2n| = inf at "
+            f"omega={self.GRID[3]:g} (rel_tol=1e-09)",)
+        assert np.array_equal(curve.rho, quiet.rho)
 
     def test_unsolvable_point_raises_naming_its_omega(self, fail_at):
         # the sweep step to omegas[2] does not converge
