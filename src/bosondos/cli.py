@@ -9,12 +9,15 @@ a lattice's zone grid is its ``extents``); the mode's other flags as parsed
 (unset ones left out); then results and warnings.  Identical configurations
 produce byte-identical files at a fixed BLAS thread count; the last bits of
 ``mc-dos``'s eigensolves, and so ``zero_tol`` and its bin rows, depend on
-how many threads BLAS splits them over.
+how many threads BLAS splits them over, so ``mc-dos`` records that count,
+as the loaded OpenBLAS reports it, in ``blas_threads`` after its flags
+(``unknown`` where no OpenBLAS is found).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
 import sys
@@ -113,6 +116,22 @@ def compare_curves(cpa_omegas, cpa_rho, centers, widths, mc_density):
     interp = np.interp(centers, omegas, rho)
     diff = np.abs(density - interp)
     return float(np.sum(diff * widths)), float(diff.max(initial=0.0))
+
+
+def _blas_threads():
+    """How many threads the loaded OpenBLAS splits a call over, found among
+    the shared objects mapped into this process, or ``unknown``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        for lib in map(ctypes.CDLL, libs):
+            for symbol in ("scipy_openblas_get_num_threads64_",
+                           "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                if hasattr(lib, symbol):
+                    return int(getattr(lib, symbol)())
+    except OSError:  # no /proc, or a library that will not load
+        pass
+    return "unknown"
 
 
 def _model_flags(p: argparse.ArgumentParser) -> None:
@@ -297,6 +316,7 @@ def _run_mc(args: argparse.Namespace) -> int:
     if args.omega_max is not None and args.omega_max <= 0:
         raise ValueError(f"--omega-max must be positive, got {args.omega_max}")
     params, meta = _model(args)
+    meta["blas_threads"] = _blas_threads()
     hist = mc_dos(params, n_samples=args.samples, bins=args.bins,
                   seed=args.seed, omega_max=args.omega_max)
     _record_notes(meta, hist.notes)

@@ -38,27 +38,31 @@ whole as before.
 Each realization takes one path through plain real arrays: ``draw_sample``
 draws every site's W in one call and writes the quadrature-basis H (via
 ``assemble_H``) into the buffer it is given, and ``spectrum_X`` checks that
-H once and returns the eigenfrequency array of X.  ``model.assemble_K``
-first overwrites the buffer with the deterministic term in closed form (nu
-on the diagonal, -nu/(2d) at the q-q entries of each bond), and
-``assemble_H`` adds the couplings in place, so the clean term costs no
-array beyond H itself.  ``mc_dos`` keeps |mu| of many realizations in one
-array, a row each, and bins it in row blocks into a
-:class:`SpectrumHistogram`.
+H once and returns the eigenfrequency array of X.  On a lattice
+``model.assemble_K`` first overwrites the buffer with the deterministic
+term in closed form (nu on the diagonal, -nu/(2d) at the q-q entries of
+each bond), and ``assemble_H`` adds the couplings in place, so the clean
+term costs no array beyond H itself; on a single site one product writes
+H.  ``mc_dos`` keeps |mu| of many realizations in one array, a row each,
+and bins it in row blocks into a :class:`SpectrumHistogram`.
 
 Memory: ``mc_dos`` owns the run's one dim x dim H, the buffer that
 ``draw_sample``, ``assemble_H`` and ``assemble_K`` require, which every
-sample rewrites from the clean term up and ``spectrum_X`` consumes as
-scratch.  On the p-first route a sample allocates the (dim/2)^2 Schur
-complement (a copy of H's q-q block), its Cholesky factor, numpy's copies
-of each LAPACK input and a few stacked N x N site blocks.  H's buffer
+sample rewrites (from the clean term up on a lattice) and ``spectrum_X``
+consumes as scratch.  A draw allocates its normals, W and its negated
+half, and on a lattice the stacked site products.  On the p-first
+route a sample allocates the (dim/2)^2 Schur complement (a copy of H's
+q-q block), its Cholesky factor, numpy's copies of each LAPACK input and
+a few stacked N x N site blocks.  H's buffer
 then receives S^T S, with the off-diagonal block B of C^T J C in its
 lower-left quadrant, which the eigensolve never reads, and the Schur
 complement and its factor are released first: the eigensolve holds H,
 numpy's dim^2 copy of it for LAPACK and the N x N site blocks alone.
 On the dense route H's buffer receives T and S^T S, and a sample
 allocates the dim^2 Cholesky factor (which also holds S), the copies of
-its q rows and p rows, and numpy's copies of each LAPACK input.
+its q rows and p rows, and numpy's copies of each LAPACK input; an H that
+needs a shift adds one dim^2 copy of H^T, which every shifted rung of
+``cholesky_psd`` reuses.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ from .linalg import (  # noqa: F401
     hermitian_eig,
     skew_spectrum,
 )
-from .model import ModelParams, _sample_dim, _zeroed, assemble_K
+from .model import ModelParams, _check_buffer, _sample_dim, assemble_K
 
 __all__ = [
     "SpectrumHistogram",
@@ -149,26 +153,30 @@ def assemble_H(params: ModelParams, W: np.ndarray,
 
     ``W`` is the real (n_sites, M, 2N) array of the couplings in quadrature
     form, W_j = L_j U / sqrt(2) = (Re A_j | -Im A_j), as ``draw_sample``
-    draws them.  The given H, whatever it held, starts as
-    ``assemble_K(params, H)`` on a lattice, which holds the clean term
-    alone, and as zeros on a single site, which requires nu = 0.  Through
-    the (site, band, site, band) view
-    ``H.reshape(n_sites, 2N, n_sites, 2N)``, every site's diagonal block
-    then gains 2 W_j^T W_j from one stacked product, which numpy takes
-    slice by slice with syrk, so each block is exactly symmetric.
+    draws them.  The given H is overwritten, whatever it held.  On a lattice
+    it starts as ``assemble_K(params, H)``, the clean term alone, and
+    through the (site, band, site, band) view
+    ``H.reshape(n_sites, 2N, n_sites, 2N)`` every site's diagonal block
+    gains 2 W_j^T W_j from one stacked product.  A single site requires
+    nu = 0, and there H = 2 W_0^T W_0 is written by one product into H and
+    doubled in place, the same numbers as the stacked product's.  numpy
+    takes W^T W (slice by slice when stacked) with syrk, so each block is
+    exactly symmetric.
     """
     _sample_dim(params)  # raises without the band counts
     n, sites = 2 * params.N, params.n_sites
     shape = (sites, params.M, n)
-    if np.iscomplexobj(W) or W.shape != shape:
+    if W.dtype.kind == "c" or W.shape != shape:
         raise ValueError(f"W is {W.dtype} {W.shape}, not real (n_sites, M, 2N) "
                          f"= {shape}")
-    if params.extents is not None:
-        assemble_K(params, H)
-    elif params.nu == 0:
-        _zeroed(H, n)
-    else:
-        raise ValueError("single-site sampling (extents=None) requires nu = 0")
+    if params.extents is None:
+        if params.nu != 0:
+            raise ValueError("single-site sampling (extents=None) requires nu = 0")
+        _check_buffer(H, n)
+        np.matmul(W[0].T, W[0], out=H)
+        H *= 2.0
+        return H
+    assemble_K(params, H)
     # einsum's repeated index gives a writable view of the diagonal blocks
     diagonal = np.einsum("jajb->jab", H.reshape(sites, n, sites, n))
     diagonal += 2.0 * (W.transpose(0, 2, 1) @ W)
@@ -318,8 +326,8 @@ def draw_sample(params: ModelParams, child: np.random.SeedSequence,
     """The quadrature-basis H of one realization on ``params.n_sites``
     sites, drawn from a spawned per-sample seed sequence: one call draws
     the standard normals x of Re A_j and Im A_j for every site j, shaped
-    (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1), which
-    ``assemble_H`` adds to the clean term, in the given H."""
+    (n_sites, 2, M, N), and W_j = sqrt(b / (4N)) (x_j0 | -x_j1), from
+    which ``assemble_H`` writes H into the given buffer."""
     _sample_dim(params)  # raises without the band counts
     N, M, n_sites = params.N, params.M, params.n_sites
     x = np.random.default_rng(child).normal(size=(n_sites, 2, M, N))

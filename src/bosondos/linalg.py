@@ -51,13 +51,17 @@ class NotPsdError(np.linalg.LinAlgError):
 HERMITIAN_TOL = 1e-12  # max |A - A^T| allowed, relative to max |A|
 SHIFT_TOL = 1e-10  # largest Cholesky shift, relative to max A_ii
 _ROW_BLOCK = 32  # rows per block of check_hermitian's residual
+_TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+# cholesky_psd's shifts, relative to max A_ii, in the order they are tried
+_RUNGS = (_EPS, 1e2 * _EPS, 1e4 * _EPS, SHIFT_TOL)
 
 
 def _real_square(A) -> np.ndarray:
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if np.iscomplexobj(A):
+    if A.dtype.kind == "c":
         raise ValueError(f"expected a real matrix, got dtype {A.dtype}")
     return A
 
@@ -76,7 +80,7 @@ def check_hermitian(A) -> np.ndarray:
     # nan, and the residual test alone would pass one
     if not all(map(math.isfinite, bounds)):
         raise ValueError("matrix has non-finite entries")
-    scale = max(*bounds, np.finfo(float).tiny)
+    scale = max(*bounds, _TINY)
     # each block of rows against its transpose from its own first column on:
     # every pair (i, j) is compared once, in the block holding min(i, j)
     resid = 0.0
@@ -146,14 +150,25 @@ def cholesky_psd(A):
     factor of A^T would be that of conj(A).  A must be symmetric, which is
     the caller's to guarantee and not checked here.  A is passed to LAPACK
     as A^T, the same numbers when A is exactly symmetric; LAPACK reads one
-    triangle.
+    triangle.  The shifted rungs share one copy of A^T, made on the first
+    of them, whose diagonal each rung sets to A_ii + sigma: the numbers of
+    A^T + sigma*I, the copy's + 0.0 turning any -0.0 into 0.0 as the
+    identity's zeros do.
     """
     A = _real_square(A)
-    scale = max(float(np.abs(A.diagonal()).max(initial=0.0)), np.finfo(float).tiny)
-    eps = np.finfo(float).eps
-    for sigma in (m * scale for m in (0.0, eps, 1e2 * eps, 1e4 * eps, SHIFT_TOL)):
+    try:
+        return np.linalg.cholesky(A.T), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    diagonal = A.diagonal()
+    scale = max(float(np.abs(diagonal).max(initial=0.0)), _TINY)
+    shifted = A.T + 0.0
+    shifted_diagonal = np.einsum("ii->i", shifted)
+    for m in _RUNGS:
+        sigma = m * scale
+        np.add(diagonal, sigma, out=shifted_diagonal)
         try:
-            return np.linalg.cholesky(A.T + sigma * np.eye(len(A)) if sigma else A.T), sigma
+            return np.linalg.cholesky(shifted), sigma
         except np.linalg.LinAlgError:
             pass
     raise NotPsdError(

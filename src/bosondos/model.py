@@ -114,13 +114,12 @@ def _sample_dim(params: ModelParams) -> int:
     return 2 * params.N * params.n_sites
 
 
-def _zeroed(H: np.ndarray, dim: int) -> None:
-    """Set H, a C-contiguous dim x dim float64 array (so that its block
-    views are views), to zero."""
+def _check_buffer(H: np.ndarray, dim: int) -> None:
+    """Require H to be a C-contiguous dim x dim float64 array, so that its
+    block views are views."""
     if H.shape != (dim, dim) or H.dtype != np.float64 or not H.flags.c_contiguous:
         raise ValueError(f"H must be a C-contiguous float64 array of shape "
                          f"{(dim, dim)}, got {H.dtype} {H.shape}")
-    H.fill(0.0)
 
 
 def assemble_K(params: ModelParams, H: np.ndarray) -> np.ndarray:
@@ -139,7 +138,8 @@ def assemble_K(params: ModelParams, H: np.ndarray) -> np.ndarray:
     """
     if params.extents is None:
         raise ValueError("assemble_K requires a finite lattice (extents)")
-    _zeroed(H, _sample_dim(params))
+    _check_buffer(H, _sample_dim(params))
+    H.fill(0.0)
     d, N, nu = params.d, params.N, params.nu
     n, sites = 2 * N, params.n_sites
     np.fill_diagonal(H, nu)

@@ -1,4 +1,6 @@
+import os
 import runpy
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -683,8 +685,8 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
         "mc": (["mc-dos", "--N", "16", "--M", "32", "--b", "1", "--nu", "0",
                 "--samples", "2", "--bins", "10"],
                ["version", "mode", "d", "N", "M", "a", "b", "nu", "samples",
-                "bins", "seed", "out", "total_eigenvalues", "zero_mode_count",
-                "zero_mode_fraction", "zero_tol", "overflow_count"]),
+                "bins", "seed", "out", "blas_threads", "total_eigenvalues",
+                "zero_mode_count", "zero_mode_fraction", "zero_tol", "overflow_count"]),
         "p": (["solve-p", "--a", "2", "--b", "1", "--nu", "0",
                "--z-re", "0.1", "--z-im", "1"],
               ["version", "mode", "d", "a", "b", "nu", "z_re", "z_im", "out",
@@ -711,6 +713,27 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
     assert main(["compare", "--cpa", str(tmp_path / "rmt.csv"),
                  "--mc", str(lattice)]) == 2
     assert "nu differs" in capsys.readouterr().err
+
+
+def test_mc_preamble_records_the_blas_thread_count(tmp_path, monkeypatch):
+    # the count the loaded OpenBLAS reports, read in a fresh interpreter
+    # pinned to one thread, and "unknown" where no OpenBLAS is found
+    out = tmp_path / "mc.csv"
+    argv = ["mc-dos", "--N", "2", "--M", "3", "--b", "1", "--nu", "0",
+            "--samples", "2", "--bins", "4", "--out", str(out)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-m", "bosondos.cli", *argv], env=env,
+                   check=True, capture_output=True)
+    pinned = parse_csv(str(out))[0]["blas_threads"]
+    assert pinned == ("unknown" if cli._blas_threads() == "unknown" else "1")
+
+    def unloadable(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", unloadable)
+    assert main(argv) == 0
+    assert parse_csv(str(out))[0]["blas_threads"] == "unknown"
 
 
 def test_nu_zero_reads_no_grid(tmp_path, capsys):

@@ -15,8 +15,9 @@ from clean_model import complex_K, delta_k, dense_reference_spectrum, dispersion
 
 RMT = ModelParams(a=0.75, N=4, M=6, b=1.0, nu=0.0)
 CHAIN = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.8, nu=1.0)
-# the benchmark's mc-lattice ensemble
+# the benchmark's mc-lattice and mc-flat ensembles
 MC_LATTICE = ModelParams(d=1, extents=(32,), N=8, M=12, b=0.63, nu=1.0)
+MC_FLAT = ModelParams(N=8, M=12, b=1.0, nu=0.0)
 
 
 def symplectic_J(N):
@@ -126,6 +127,22 @@ class TestDrawSample:
             assert H.dtype == float
             assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("params", [MC_FLAT, CHAIN], ids=["flat", "chain"])
+    def test_coupling_is_bitwise_the_scaled_concatenation(self, params, monkeypatch):
+        # the draw order and layout, bit for bit: W = sqrt(b / (4N)) (x_0 | -x_1)
+        # from one normal draw of shape (n_sites, 2, M, N)
+        seen, assemble = [], ensemble.assemble_H
+        monkeypatch.setattr(ensemble, "assemble_H",
+                            lambda p, W, H: seen.append(W.copy()) or assemble(p, W, H))
+        for key in range(3):
+            child = np.random.SeedSequence(0, spawn_key=(key,))
+            draw_sample(params, child, fresh_H(params))
+            x = np.random.default_rng(child).normal(
+                size=(params.n_sites, 2, params.M, params.N))
+            want = np.concatenate((x[:, 0], -x[:, 1]), axis=2)
+            want *= np.sqrt(params.b / (4.0 * params.N))
+            assert seen[-1].tobytes() == want.tobytes()
+
     def test_zero_disorder_gives_zero_coupling(self):
         params = ModelParams(d=1, extents=(4,), N=2, M=3, b=0.0, nu=1.0)
         H = draw_sample(params, np.random.SeedSequence(0), fresh_H(params))
@@ -210,6 +227,25 @@ class TestAssembleH:
         H = assemble_H(RMT, LU.real[np.newaxis] / np.sqrt(2.0), fresh_H(RMT))
         assert H.dtype == float
         assert np.abs(H - gram).max() <= 1e-14 * np.abs(gram).max()
+
+    @pytest.mark.parametrize("params", [RMT, MC_FLAT], ids=["N4", "mc-flat"])
+    def test_single_site_is_bitwise_the_stacked_product(self, params):
+        # one product into H, doubled in place: the numbers of the stacked
+        # product the lattice path adds, and exactly symmetric
+        for key in range(5):
+            W = np.random.default_rng(key).normal(size=(1, params.M, 2 * params.N))
+            H = assemble_H(params, W, np.full_like(fresh_H(params), np.nan))
+            want = 2.0 * (W.transpose(0, 2, 1) @ W)[0]
+            assert H.tobytes() == want.tobytes()
+            assert np.array_equal(H, H.T)
+
+    def test_single_site_buffer_is_checked(self):
+        W = np.ones((1, RMT.M, 2 * RMT.N))
+        dim = 2 * RMT.N
+        for bad in (np.empty((dim, dim)).T, np.empty((dim, dim), np.float32),
+                    np.empty((dim, dim + 1))):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                assemble_H(RMT, W, bad)
 
     @pytest.mark.parametrize("params", [
         ModelParams(d=3, extents=(3, 4, 5), N=2, M=3, b=0.8, nu=1.0),
@@ -675,7 +711,7 @@ class TestMcDos:
     @pytest.mark.parametrize("N, M, n_samples", [(8, 11, 200), (1, 1, 50)])
     def test_odd_M_books_every_zero_mode(self, N, M, n_samples):
         # 2N - M zero modes of H's kernel, plus the Jordan pair's partner
-        # (1112 of 1200 at (8, 11) and 0 of 100 at (1, 1) are booked today)
+        # (1196 of 1200 at (8, 11) and 0 of 100 at (1, 1) are booked today)
         params = ModelParams(N=N, M=M, b=1.0, nu=0.0)
         hist = mc_dos(params, n_samples=n_samples, bins=20, seed=0)
         assert hist.zero_mode_count == n_samples * (2 * N - M + 1)

@@ -264,6 +264,32 @@ def test_cholesky_random_psd_with_kernel():
             np.linalg.cholesky(A + below * np.eye(8))
 
 
+# mc-flat's ensemble, and the same flat band on a 3-site chain, where
+# assemble_K leaves -0.0 at each bond's q-q entries
+FLAT = ModelParams(N=8, M=12, b=1.0, nu=0.0)
+FLAT_CHAIN = ModelParams(d=1, extents=(3,), N=8, M=12, b=1.0, nu=0.0)
+
+
+@pytest.mark.parametrize("params, key, rung", [
+    (FLAT, 75, 0),  # one of the 18 seed-0 mc-flat samples that factor unshifted
+    (FLAT, 0, 1),
+    (FLAT, 121, 2),  # one of those that stop at 1e2 * eps
+    (FLAT_CHAIN, 0, 1),
+], ids=["flat-rung0", "flat-rung1", "flat-rung2", "negative-zeros"])
+def test_factor_is_bitwise_that_of_the_identity_sum(params, key, rung):
+    # the shifted rungs set the diagonal of one copy of A^T: the same
+    # numbers as A^T + sigma * I, -0.0 turned to 0.0 as the sum turns it
+    H = draw_sample(params, np.random.SeedSequence(0, spawn_key=(key,)), fresh_H(params))
+    if params.extents is not None:
+        assert np.signbit(H[H == 0.0]).any()
+    before = H.tobytes()
+    C, sigma = cholesky_psd(H)
+    assert H.tobytes() == before
+    assert sigma == shift_ladder(H)[rung]
+    want = np.linalg.cholesky(H.T + sigma * np.eye(len(H)))
+    assert C.tobytes() == want.tobytes()
+
+
 def test_indefinite_rejected():
     with pytest.raises(NotPsdError, match="not positive semidefinite"):
         cholesky_psd(np.diag([1.0, -1.0]))
