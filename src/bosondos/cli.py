@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bzquad import points_per_dim
-from .cpa import SolverError, default_eps, dos_curve, solve_p
+from .cpa import SolverError, default_eps, dos_curve
 from .ensemble import mc_dos
 from .model import ModelParams
 
@@ -148,30 +148,6 @@ def _model_flags(p: argparse.ArgumentParser) -> None:
                    help="disorder strength (default 0)")
 
 
-def _kgrid_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kgrid", type=int, default=None,
-                   help="sites L per dimension of the periodic lattice, whose "
-                   "L^d momenta the zone mean runs over, as mc-dos --extents "
-                   "L,..,L samples it (default 4096 for d=1, 256 for d=2, 64 "
-                   "for d=3; required for d >= 4)")
-
-
-def _omega_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega-min", type=float, default=None,
-                   help="lowest frequency (default omega_max/omega_steps)")
-    p.add_argument("--omega-max", type=float, default=3.0,
-                   help="highest frequency (default 3.0)")
-    p.add_argument("--omega-steps", type=int, default=600,
-                   help="number of grid points (default 600)")
-    p.add_argument("--eps", type=float, default=None,
-                   help="spectral regularization (default 1e-3 * nu, or "
-                   "1e-3 * b at nu = 0)")
-    _kgrid_flag(p)
-    p.add_argument("--check-quadrature", action="store_true",
-                   help="note where g on the doubled zone grid differs from "
-                   "the curve's; the curve is unchanged (default off)")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every mode, built once per process and shared: callers
@@ -186,7 +162,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cpa-dos", help="mean-field density of states on a lattice")
     _model_flags(p)
-    _omega_flags(p)
+    p.add_argument("--omega-min", type=float, default=None,
+                   help="lowest frequency (default omega_max/omega_steps)")
+    p.add_argument("--omega-max", type=float, default=3.0,
+                   help="highest frequency (default 3.0)")
+    p.add_argument("--omega-steps", type=int, default=600,
+                   help="number of grid points (default 600)")
+    p.add_argument("--eps", type=float, default=None,
+                   help="spectral regularization (default 1e-3 * nu, or "
+                   "1e-3 * b at nu = 0)")
+    p.add_argument("--kgrid", type=int, default=None,
+                   help="sites L per dimension of the periodic lattice, whose "
+                   "L^d momenta the zone mean runs over, as mc-dos --extents "
+                   "L,..,L samples it (default 4096 for d=1, 256 for d=2, 64 "
+                   "for d=3; required for d >= 4)")
+    p.add_argument("--check-quadrature", action="store_true",
+                   help="note where g on the doubled zone grid differs from "
+                   "the curve's; the curve is unchanged (default off)")
     p.add_argument("--out", type=str, default="cpa-dos.csv",
                    help="output CSV path (default cpa-dos.csv)")
 
@@ -205,14 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="histogram range upper edge (default: data maximum)")
     p.add_argument("--out", type=str, default="mc-dos.csv",
                    help="output CSV path (default mc-dos.csv)")
-
-    p = sub.add_parser("solve-p", help="solve the coherent potential at one z")
-    _model_flags(p)
-    p.add_argument("--z-re", type=float, default=1.0, help="Re z (default 1.0)")
-    p.add_argument("--z-im", type=float, default=0.0, help="Im z (default 0.0)")
-    _kgrid_flag(p)
-    p.add_argument("--out", type=str, default=None,
-                   help="optional CSV path (default: print only)")
 
     p = sub.add_parser("compare", help="L1 distance between a mean-field curve "
                        "and a Monte Carlo histogram")
@@ -252,7 +236,7 @@ def _zone_lattice(args: argparse.Namespace, params: ModelParams) -> ModelParams:
     grid is read and neither quadrature flag may be given."""
     if params.nu == 0:
         for flag, given in (("--kgrid", args.kgrid is not None),
-                            ("--check-quadrature", getattr(args, "check_quadrature", False))):
+                            ("--check-quadrature", args.check_quadrature)):
             if given:
                 raise ValueError(f"{flag} given, but no zone grid is used at nu = 0")
         return params
@@ -284,7 +268,11 @@ def _omega_grid(args: argparse.Namespace) -> np.ndarray:
     if lo is None:
         lo = args.omega_max / args.omega_steps
     if lo <= 0:
-        raise ValueError("omega-min must be positive")
+        raise ValueError(f"--omega-min must be positive, got {lo}")
+    # np.linspace(lo, hi, 1) is [lo]: the one point would drop --omega-max
+    if args.omega_steps == 1 and lo != args.omega_max:
+        raise ValueError(f"--omega-steps 1 solves one point, but --omega-min {lo} "
+                         f"differs from --omega-max {args.omega_max}")
     return np.linspace(lo, args.omega_max, args.omega_steps)
 
 
@@ -337,25 +325,6 @@ def _run_mc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_solve_p(args: argparse.Namespace) -> int:
-    _check_finite(args, "--z-re", "--z-im")
-    if args.z_re <= 0:
-        raise ValueError(f"--z-re must be positive, got {args.z_re}")
-    params, meta = _model(args)
-    cp = solve_p(complex(args.z_re, args.z_im), params)
-    print(f"p = {cp.p.real!r} + {cp.p.imag!r}j  "
-          f"(residual {cp.residual:.3e}, {cp.iterations} iterations)")
-    print(f"branch: {cp.branch_tag}")
-    if args.out:
-        meta["branch_tag"] = cp.branch_tag
-        emit_csv(args.out, meta, {
-            "z_re": [cp.z.real], "z_im": [cp.z.imag],
-            "p_re": [cp.p.real], "p_im": [cp.p.imag],
-            "residual": [cp.residual], "iterations": [cp.iterations],
-        })
-    return 0
-
-
 def _run_compare(args: argparse.Namespace) -> int:
     if not args.threshold >= 0:  # nan too: no l1 would pass it
         raise ValueError(f"--threshold must be nonnegative, got {args.threshold}")
@@ -399,7 +368,6 @@ def _run_compare(args: argparse.Namespace) -> int:
 MODES = {
     "cpa-dos": _run_dos,
     "mc-dos": _run_mc,
-    "solve-p": _run_solve_p,
     "compare": _run_compare,
 }
 

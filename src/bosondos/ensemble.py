@@ -117,7 +117,6 @@ class SpectrumHistogram:
     total_eigenvalues: int
     zero_mode_count: int
     zero_tol: float
-    seed: int
     overflow_count: int = 0
     notes: Tuple[str, ...] = ()
 
@@ -402,7 +401,6 @@ def mc_dos(
         total_eigenvalues=values.size,
         zero_mode_count=values.size - nonzero_count,
         zero_tol=zero_tol,
-        seed=seed,
         overflow_count=overflow,
         notes=(_M1_NOTE,) if params.M < 2 else (),
     )

@@ -10,10 +10,11 @@ import pytest
 
 from bosondos import cli
 from bosondos.cli import build_parser, compare_curves, emit_csv, main, parse_csv
-from bosondos.cpa import BranchError, SolverError
+from bosondos.cpa import BranchError, SolverError, solve_p
 from bosondos.linalg import NotPsdError
+from bosondos.model import ModelParams
 
-MODES = ("cpa-dos", "mc-dos", "solve-p", "compare")
+MODES = ("cpa-dos", "mc-dos", "compare")
 
 
 def test_help_enumerates_all_modes(capsys):
@@ -21,8 +22,7 @@ def test_help_enumerates_all_modes(capsys):
         main(["--help"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
-    for mode in MODES:
-        assert mode in out
+    assert "|".join(MODES) in out
 
 
 @pytest.mark.parametrize(
@@ -31,7 +31,6 @@ def test_help_enumerates_all_modes(capsys):
         ("cpa-dos", "--kgrid"),
         ("cpa-dos", "--omega-max"),
         ("mc-dos", "--seed"),
-        ("solve-p", "--z-re"),
         ("compare", "--threshold"),
     ],
 )
@@ -55,6 +54,17 @@ def test_rmt_dos_mode_is_gone(tmp_path, capsys):
         main(["rmt-dos", "--a", "1", "--b", "1", "--omega-steps", "3", "--out", str(out)])
     assert exit_info.value.code == 2
     assert "invalid choice: 'rmt-dos'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_p_mode_is_gone(tmp_path, capsys):
+    # one point z = E + iW is cpa-dos --eps E --omega-max W --omega-steps 1
+    out = tmp_path / "p.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve-p", "--a", "2", "--b", "1", "--nu", "0", "--z-re", "0.1",
+              "--z-im", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'solve-p'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -97,7 +107,6 @@ def test_mc_dos_without_band_counts_is_usage_error(tmp_path, capsys):
 FREQUENCY_MODES = {
     "cpa-dos": ["cpa-dos", "--a", "0.75", "--b", "0.63", "--nu", "1",
                 "--omega-steps", "3"],
-    "solve-p": ["solve-p", "--a", "0.75", "--b", "0.63", "--nu", "1"],
     "mc-dos": ["mc-dos", "--N", "2", "--M", "3", "--b", "1", "--nu", "0",
                "--samples", "2", "--bins", "3", "--seed", "0"],
 }
@@ -111,8 +120,6 @@ FREQUENCY_MODES = {
         ("cpa-dos", "--omega-max", "nan"),
         ("cpa-dos", "--omega-max", "inf"),
         ("cpa-dos", "--omega-min", "nan"),
-        ("solve-p", "--z-re", "nan"),
-        ("solve-p", "--z-im", "inf"),
         ("mc-dos", "--omega-max", "nan"),
         ("mc-dos", "--omega-max", "inf"),
     ],
@@ -164,14 +171,28 @@ def test_cpa_dos_repeated_omega(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_solve_p_nonpositive_z_re_is_usage_error(value, tmp_path, capsys):
-    # the CLI names its flag, not the library's solve_p
-    out = tmp_path / "p.csv"
-    rc = main([*FREQUENCY_MODES["solve-p"], f"--z-re={value}", "--out", str(out)])
+def test_cpa_dos_nonpositive_omega_min_is_usage_error_naming_it(value, tmp_path, capsys):
+    out = tmp_path / "dos.csv"
+    rc = main([*FREQUENCY_MODES["cpa-dos"], f"--omega-min={value}", "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "usage error: --z-re must be positive" in err and "solve_p" not in err
+    assert (f"usage error: --omega-min must be positive, got {float(value)}"
+            in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_one_step_grid_is_its_omega_max(tmp_path, capsys):
+    # np.linspace(lo, hi, 1) is [lo]: a lone point below --omega-max would be
+    # written under a preamble that records omega_max
+    out = tmp_path / "dos.csv"
+    argv = ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
+            "--omega-max", "1", "--omega-steps", "1", "--out", str(out)]
+    assert main([*argv, "--omega-min", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: " in err and "--omega-min 0.5" in err and "--omega-max 1.0" in err
+    assert not out.exists()
+    for lo in ([], ["--omega-min", "1"]):
+        assert main([*argv, *lo]) == 0
+        assert np.array_equal(parse_csv(str(out))[1]["omega"], [1.0])
 
 
 @pytest.mark.parametrize("mode", ["cpa-dos"])
@@ -190,10 +211,8 @@ def test_lattice_above_d3_needs_kgrid(tmp_path, capsys):
     # d = 4 curve about 1% of max rho off the 32-point one
     out = str(tmp_path / "x.csv")
     lattice = ["--d", "4", "--a", "0.75", "--b", "0.63", "--nu", "1"]
-    for argv in (["cpa-dos", *lattice, "--omega-steps", "5"], ["solve-p", *lattice]):
-        capsys.readouterr()
-        assert main([*argv, "--out", out]) == 2
-        assert "--kgrid" in capsys.readouterr().err
+    assert main(["cpa-dos", *lattice, "--omega-steps", "5", "--out", out]) == 2
+    assert "--kgrid" in capsys.readouterr().err
     assert main(["cpa-dos", *lattice, "--kgrid", "8", "--omega-steps", "5",
                  "--out", out]) == 0
     assert main(["cpa-dos", "--d", "4", "--a", "1", "--b", "1", "--nu", "0",
@@ -282,8 +301,8 @@ def test_frequency_below_the_overflow_is_solved(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["solve-p", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
-     "--z-re", "1", "--z-im", "1e200"],
+    ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
+     "--eps", "1", "--omega-max", "1e200", "--omega-steps", "1"],
     ["cpa-dos", "--nu", "0", "--a", "0.75", "--b", "1", "--omega-steps", "5",
      "--omega-max", "1e300"],
     ["cpa-dos", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
@@ -469,31 +488,29 @@ def test_cpa_dos_determinism(tmp_path):
     assert data1 == data2
 
 
-def test_solve_p_prints_and_writes(tmp_path, capsys):
+@pytest.mark.parametrize("model,eps,omega,extents", [
+    (dict(d=1, a=0.75, b=0.63, nu=1.0), 1e-3, 1.0, (4096,)),
+    (dict(d=1, a=0.75, b=0.0, nu=1.0), 1e-3, 1.0, (4096,)),
+    (dict(d=2, a=2.0, b=0.3, nu=0.7), 0.01, 1.3, (256, 256)),
+    (dict(d=3, a=2.0, b=0.3, nu=0.7), 0.01, 1.3, (64, 64, 64)),
+    (dict(d=1, a=2.0, b=1.0, nu=0.0), 0.1, 1.0, None),
+], ids=["d1", "d1-pure", "d2", "d3", "flat"])
+def test_one_step_cpa_dos_is_solve_p(model, eps, omega, extents, tmp_path):
+    # the one point z = eps + i omega, solved on the default zone grid, which
+    # the preamble records once, as the lattice in the model block (the flat
+    # band reads no grid)
     out = tmp_path / "p.csv"
-    rc = main([
-        "solve-p", "--a", "2.0", "--b", "1.0", "--nu", "0",
-        "--z-re", "0.1", "--z-im", "1.0", "--out", str(out),
-    ])
-    assert rc == 0
-    printed = capsys.readouterr().out
-    assert "p = " in printed and "branch:" in printed
-    _, cols = parse_csv(str(out))
-    assert cols["residual"][0] <= 1e-12
-
-
-def test_solve_p_on_a_lattice_records_its_zone_grid(tmp_path):
-    out = tmp_path / "p.csv"
-    assert main([
-        "solve-p", "--d", "1", "--a", "0.75", "--b", "0.63", "--nu", "1",
-        "--z-re", "1e-3", "--z-im", "1.0", "--out", str(out),
-    ]) == 0
+    assert main(["cpa-dos", *(f"--{k}={v!r}" for k, v in model.items()),
+                 f"--eps={eps!r}", f"--omega-max={omega!r}", "--omega-steps", "1",
+                 "--out", str(out)]) == 0
     meta, cols = parse_csv(str(out))
-    # the default grid, once, as the lattice in the model block
-    assert meta["extents"] == "(4096,)"
-    assert list(meta)[2:4] == ["d", "extents"] and "kgrid" not in meta
+    assert meta.get("extents", "None") == repr(extents) and "kgrid" not in meta
+    assert list(meta)[2:4] == ["d", "extents" if extents else "a"]
     assert list(meta)[-1] == "branch_tag"
-    assert cols["residual"][0] <= 1e-12
+    cp = solve_p(complex(eps, omega), ModelParams(**model, extents=extents))
+    assert cols["omega"].tolist() == [omega]
+    assert cols["p_re"].tolist() == [cp.p.real] and cols["p_im"].tolist() == [cp.p.imag]
+    assert cols["residual"].tolist() == [cp.residual]
 
 
 def test_compare_round_trip(tmp_path):
@@ -687,10 +704,6 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
                ["version", "mode", "d", "N", "M", "a", "b", "nu", "samples",
                 "bins", "seed", "out", "blas_threads", "total_eigenvalues",
                 "zero_mode_count", "zero_mode_fraction", "zero_tol", "overflow_count"]),
-        "p": (["solve-p", "--a", "2", "--b", "1", "--nu", "0",
-               "--z-re", "0.1", "--z-im", "1"],
-              ["version", "mode", "d", "a", "b", "nu", "z_re", "z_im", "out",
-               "branch_tag"]),
     }
     meta = {}
     for name, (argv, keys) in runs.items():
@@ -699,7 +712,7 @@ def test_preamble_records_what_the_run_used(tmp_path, capsys):
         meta[name] = parse_csv(str(out))[0]
         assert list(meta[name]) == keys, name
     assert meta["mc"]["a"] == "1.0"
-    assert meta["cpa"]["extents"] == "(64,)" and "extents" not in meta["p"]
+    assert meta["cpa"]["extents"] == "(64,)"
     assert meta["cpa"]["branch_tag"].endswith(" lane fallbacks")
     assert meta["rmt"]["d"] == "1" and meta["rmt"]["nu"] == "0.0"
     # the flat-band curve still refuses a lattice histogram on nu
@@ -741,12 +754,9 @@ def test_nu_zero_reads_no_grid(tmp_path, capsys):
     assert main(["cpa-dos", "--a", "1", "--b", "1", "--nu", "0",
                  "--omega-steps", "5", "--out", str(out)]) == 0
     assert not {"kgrid", "extents"} & parse_csv(str(out))[0].keys()
-    for argv in (["cpa-dos", "--a", "1", "--b", "1", "--nu", "0", "--kgrid", "3",
-                  "--omega-steps", "5"],
-                 ["solve-p", "--a", "2", "--b", "1", "--nu", "0", "--kgrid", "64"]):
-        capsys.readouterr()
-        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
-        assert "no zone grid is used at nu = 0" in capsys.readouterr().err
+    assert main(["cpa-dos", "--a", "1", "--b", "1", "--nu", "0", "--kgrid", "3",
+                 "--omega-steps", "5", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "no zone grid is used at nu = 0" in capsys.readouterr().err
 
 
 def test_nu_zero_checks_no_quadrature(tmp_path, capsys):

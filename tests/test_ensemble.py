@@ -876,4 +876,4 @@ class TestMcDos:
         with pytest.raises(ValueError, match="bookkeeping broken: 5 binned"):
             SpectrumHistogram(bin_edges=np.array([0.0, 1.0, 2.0]), counts=np.array([1, 2]),
                               total_eigenvalues=6, zero_mode_count=1, zero_tol=1e-8,
-                              seed=0, overflow_count=1)
+                              overflow_count=1)
